@@ -537,14 +537,25 @@ let measure () =
    fixed workload (E14 runs the full sweep; these rows exist so
    BENCH.json carries a pps trajectory that compare.exe can gate,
    higher-is-better). Best of two trials — single-trial wall clocks on a
-   shared box are too noisy to regress against. *)
+   shared box are too noisy to regress against. The blast rows send from
+   every flow every generation; the heavy-tail row runs an E16 plan
+   (bounded cache at flows/4), where most flows are idle in any one
+   generation, so it is the row that sees the cost of the schedule. *)
 let pipeline_rows () =
+  let blast ~domains ~batch () =
+    Tango.Throughput.run ~domains ~batch ~flows:512 ~generations:1000 ~seed:42 ()
+  in
+  let heavy_tail () =
+    let plan =
+      Tango_workload.Load.plan
+        (Tango_workload.Load.default_config ~flows:10_000 ~generations:256
+           ~seed:42 ())
+    in
+    Tango.Throughput.run ~domains:1 ~plan ~cache_capacity:2_500
+      ~tracker_ceiling:65_536 ()
+  in
   List.map
-    (fun (name, domains, batch) ->
-      let trial () =
-        Tango.Throughput.run ~domains ~batch ~flows:512 ~generations:1000
-          ~seed:42 ()
-      in
+    (fun (name, trial) ->
       let a = trial () and b = trial () in
       let r = if a.Tango.Throughput.pps >= b.Tango.Throughput.pps then a else b in
       {
@@ -555,9 +566,10 @@ let pipeline_rows () =
         pps = Some r.Tango.Throughput.pps;
       })
     [
-      ("throughput.pipeline (1 domain, batch 1)", 1, 1);
-      ("throughput.pipeline (1 domain, batch 64)", 1, 64);
-      ("throughput.pipeline (2 domains, batch 64)", 2, 64);
+      ("throughput.pipeline (1 domain, batch 1)", blast ~domains:1 ~batch:1);
+      ("throughput.pipeline (1 domain, batch 64)", blast ~domains:1 ~batch:64);
+      ("throughput.pipeline (2 domains, batch 64)", blast ~domains:2 ~batch:64);
+      ("throughput.pipeline (heavy-tail plan, 10^4 flows, 1 domain)", heavy_tail);
     ]
 
 let print_rows rows =

@@ -241,8 +241,86 @@ let build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
 (* ------------------------------------------------------------------ *)
 (* The lane body: the per-packet hot path.                              *)
 
-let lane_main env out_ring ~flows ~my_flows ~plan ~uniform ~generations
-    ~batch_limit =
+(* Arrivals the drain moves onto the out ring before handing them to
+   the trackers. *)
+let drain_chunk = 1024
+
+(* The lane loop walks the plan's compiled send lists (Load.Sends) —
+   only the flows that send in a generation are ever visited — and runs
+   the pipeline a stage at a time over batches of at most [batch_limit]
+   sends: tracker pruning, path decision, encap, one fabric call, decap
+   into the per-path rings. Once per generation the rings drain, then
+   the trackers observe the drained arrivals. Every stateful layer (the
+   trackers, the cache, the fabric, the rings) sees its calls in the same
+   order as a packet-at-a-time loop would make them. *)
+let lane_main env out_ring ~flows ~my_flows ~plan ~generations ~batch_limit =
+  let nflows = Array.length flows in
+  (* Compiled here, inside the timed phase, from this lane's own flows. *)
+  let sends = Load.Sends.create plan ~flows:my_flows in
+  let path_of = Array.make Batch.capacity 0 in
+  (* The fabric's delivery callback only collects; decap is its own
+     stage. Created once per lane run. *)
+  let dummy =
+    Packet.create ~id:0 ~flow:flows.(0).f_flow ~payload_bytes ~created_at:0.0 ()
+  in
+  let col = Array.make Batch.capacity dummy in
+  let col_at = Array.make Batch.capacity 0.0 in
+  let ncol = ref 0 in
+  let[@hot] collect ~node:_ ~at_s packet =
+    Array.unsafe_set col !ncol packet;
+    Array.unsafe_set col_at !ncol at_s;
+    incr ncol
+  in
+  (* Drain every arrival up to [upto] in (arrival-time, sequence) order
+     across the path rings: per-path arrival order equals send order
+     (constant per-path delay), so a 4-way merge reconstructs the true
+     arrival order; same-flow ties on time resolve by sequence, which is
+     what keeps per-flow observation order lane-count-invariant. A chunk
+     at a time: pop onto the out ring, then feed the trackers in the same
+     order. *)
+  let scratch = Shard.scratch () in
+  let dt = Array.make drain_chunk 0.0 in
+  let da = Array.make drain_chunk 0 in
+  let db = Array.make drain_chunk 0 in
+  let drain upto =
+    let more = ref true in
+    while !more do
+      let k = ref 0 in
+      while !more && !k < drain_chunk do
+        let best = ref (-1) in
+        let best_t = ref infinity in
+        let best_seq = ref max_int in
+        for p = 0 to paths - 1 do
+          let ring = env.l_path_rings.(p) in
+          if not (Shard.Ring.is_empty ring) then begin
+            let tp = Shard.Ring.peek_time ring in
+            let c = Float.compare tp !best_t in
+            if c < 0 || (c = 0 && Shard.Ring.peek_b ring < !best_seq) then begin
+              best := p;
+              best_t := tp;
+              best_seq := Shard.Ring.peek_b ring
+            end
+          end
+        done;
+        if !best < 0 || !best_t > upto then more := false
+        else begin
+          Shard.pop_into env.l_path_rings.(!best) scratch;
+          Array.unsafe_set dt !k scratch.Shard.time;
+          Array.unsafe_set da !k scratch.Shard.a;
+          Array.unsafe_set db !k scratch.Shard.b;
+          Shard.Ring.push out_ring ~time:scratch.Shard.time ~a:scratch.Shard.a
+            ~b:scratch.Shard.b ~c:scratch.Shard.c ~v:scratch.Shard.v;
+          incr k
+        end
+      done;
+      for i = 0 to !k - 1 do
+        Seq_tracker.Table.observe ~now_s:(Array.unsafe_get dt i) env.l_track
+          ~key:(Array.unsafe_get env.l_local (Array.unsafe_get da i))
+          (Int64.of_int (Array.unsafe_get db i))
+      done;
+      env.l_delivered <- env.l_delivered + !k
+    done
+  in
   (* Each domain has its own minor heap; widen it to 8 M words (64 MB)
      so minor collections — stop-the-world across every domain — stay
      rare during the run. Wider is not better: sizing each arena to the
@@ -252,115 +330,12 @@ let lane_main env out_ring ~flows ~my_flows ~plan ~uniform ~generations
      this knob only moves the wall clock. *)
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 1 lsl 23 };
-  let nflows = Array.length flows in
-  (* Delivery continuation: decap, compute the one-way delay from the
-     carried switch timestamp, and push the flat arrival record onto the
-     path's FIFO ring. Created once per lane run. *)
-  let[@hot] on_delivered ~node:_ ~at_s packet =
-    let e = Packet.decapsulate packet in
-    let owd_ns =
-      Int64.sub
-        (Clock.now_ns env.l_clock ~sim_time_s:at_s)
-        e.Packet.tango.Packet.timestamp_ns
-    in
-    Shard.Ring.push
-      env.l_path_rings.(e.Packet.tango.Packet.path_id)
-      ~time:at_s
-      ~a:(packet.Packet.id mod nflows)
-      ~b:(Int64.to_int e.Packet.tango.Packet.seq)
-      ~c:e.Packet.tango.Packet.path_id
-      ~v:(Int64.to_float owd_ns /. 1e6)
-  in
-  let flush ts =
-    if not (Batch.is_empty env.l_batch) then begin
-      Fabric.send_batch_direct env.l_fabric ~from_node:0 ~now_s:ts
-        ~on_delivered_at:on_delivered env.l_batch;
-      Batch.clear env.l_batch
-    end
-  in
-  (* Drain every arrival up to [upto] in (arrival-time, sequence) order
-     across the path rings: per-path arrival order equals send order
-     (constant per-path delay), so a 4-way merge reconstructs the true
-     arrival order; same-flow ties on time resolve by sequence, which is
-     what keeps per-flow observation order lane-count-invariant. *)
-  let scratch = Shard.scratch () in
-  let drain upto =
-    let continue = ref true in
-    while !continue do
-      let best = ref (-1) in
-      let best_t = ref infinity in
-      let best_seq = ref max_int in
-      for p = 0 to paths - 1 do
-        let ring = env.l_path_rings.(p) in
-        if not (Shard.Ring.is_empty ring) then begin
-          let tp = Shard.Ring.peek_time ring in
-          let c = Float.compare tp !best_t in
-          if c < 0 || (c = 0 && Shard.Ring.peek_b ring < !best_seq) then begin
-            best := p;
-            best_t := tp;
-            best_seq := Shard.Ring.peek_b ring
-          end
-        end
-      done;
-      if !best < 0 || !best_t > upto then continue := false
-      else begin
-        Shard.pop_into env.l_path_rings.(!best) scratch;
-        Seq_tracker.Table.observe ~now_s:scratch.Shard.time env.l_track
-          ~key:(Array.unsafe_get env.l_local scratch.Shard.a)
-          (Int64.of_int scratch.Shard.b);
-        env.l_delivered <- env.l_delivered + 1;
-        Shard.Ring.push out_ring ~time:scratch.Shard.time ~a:scratch.Shard.a
-          ~b:scratch.Shard.b ~c:scratch.Shard.c ~v:scratch.Shard.v
-      end
-    done
-  in
+  (* The runtime credits mid-sized direct major allocations (the lane
+     buffers above) to the major-words counter only at the next minor
+     collection; collect now so [l_major_words] counts only what the
+     generation loop allocates. *)
+  Gc.minor ();
   let stat0 = Gc.quick_stat () in
-  (* One send: path decision through the bounded cache, synthetic drop,
-     encap, batched fabric submit. [sidx] is the flow's 0-based send
-     index (its tunnel sequence number) — equal to [gen] for the uniform
-     full-mesh workload, plan-derived otherwise. Every 8th send the flow
-     confirms losses older than its reordering horizon (the slowest path
-     holds under 4 generations of flight time and strides are >= 1
-     generation, so sequence sidx - 8 can no longer arrive), bounding
-     the tracker's provisional-missing set the way a real switch's
-     fixed-size map would. *)
-  let send_one f sidx seq64 ts ts_ns gen epoch =
-    if sidx > 8 && sidx land 7 = 0 then
-      Seq_tracker.Table.confirm_below env.l_track
-        ~key:(Array.unsafe_get env.l_local f)
-        (Int64.of_int (sidx - 8));
-    env.l_offered <- env.l_offered + 1;
-    let slot = Array.unsafe_get flows f in
-    let h = slot.f_hash in
-    let path =
-      match Flow_cache.find env.l_cache ~flow_hash:h with
-      | Some p -> p
-      | None ->
-          let p = (h + epoch) mod paths in
-          Flow_cache.store env.l_cache ~flow_hash:h p;
-          p
-    in
-    if synthetic_drop ~flow_hash:h ~gen then
-      env.l_synthetic <- env.l_synthetic + 1
-    else begin
-      let packet =
-        Packet.create
-          ~id:((gen * nflows) + f)
-          ~flow:slot.f_flow ~payload_bytes ~created_at:ts ()
-      in
-      Packet.encapsulate packet
-        {
-          Packet.outer_src = env.l_outer_src;
-          outer_dst = Array.unsafe_get env.l_dsts path;
-          udp_src = 40000 + path;
-          udp_dst = 4789;
-          tango =
-            { Packet.timestamp_ns = ts_ns; seq = seq64; path_id = path; flags = 0 };
-        };
-      Batch.add env.l_batch packet;
-      if Batch.length env.l_batch >= batch_limit then flush ts
-    end
-  in
   for gen = 0 to generations - 1 do
     let ts = env.l_t0 +. (float_of_int gen *. gen_interval_s) in
     drain ts;
@@ -373,25 +348,104 @@ let lane_main env out_ring ~flows ~my_flows ~plan ~uniform ~generations
       env.l_epoch <- epoch;
       Flow_cache.invalidate env.l_cache
     end;
-    (* Per-generation constants, hoisted off the per-packet path (each
-       would otherwise box a fresh Int64 per packet). *)
     let ts_ns = Clock.now_ns env.l_clock ~sim_time_s:ts in
-    let gen64 = Int64.of_int gen in
-    if uniform then
-      (* Full-mesh blast: every flow sends every generation, sequence =
-         generation; the hoisted [gen64] serves every packet. *)
-      for fi = 0 to Array.length my_flows - 1 do
-        send_one (Array.unsafe_get my_flows fi) gen gen64 ts ts_ns gen epoch
-      done
-    else
-      for fi = 0 to Array.length my_flows - 1 do
-        let f = Array.unsafe_get my_flows fi in
-        if Load.sends_at plan ~flow:f ~gen then begin
-          let sidx = Load.seq_index plan ~flow:f ~gen in
-          send_one f sidx (Int64.of_int sidx) ts ts_ns gen epoch
+    (* Schedule: this generation's slice of the compiled lists — (flow,
+       send index) pairs in ascending flow order. The send index is the
+       flow's tunnel sequence number. *)
+    Load.Sends.seek sends ~gen;
+    let sf = Load.Sends.flows sends and sq = Load.Sends.seqs sends in
+    let last = Load.Sends.stop sends ~gen in
+    let next = ref (Load.Sends.first sends ~gen) in
+    while !next < last do
+      let lo = !next in
+      let hi = Int.min last (lo + batch_limit) in
+      next := hi;
+      (* Tracker: every 8th send the flow confirms losses older than its
+         reordering horizon (the slowest path holds under 4 generations
+         of flight time and strides are >= 1 generation, so sequence
+         sidx - 8 can no longer arrive), bounding the tracker's
+         provisional-missing set the way a real switch's fixed-size map
+         would. *)
+      for i = lo to hi - 1 do
+        let sidx = Array.unsafe_get sq i in
+        if sidx > 8 && sidx land 7 = 0 then
+          Seq_tracker.Table.confirm_below env.l_track
+            ~key:(Array.unsafe_get env.l_local (Array.unsafe_get sf i))
+            (Int64.of_int (sidx - 8))
+      done;
+      (* Path decision through the bounded cache. *)
+      for i = lo to hi - 1 do
+        let h = (Array.unsafe_get flows (Array.unsafe_get sf i)).f_hash in
+        let path =
+          match Flow_cache.find env.l_cache ~flow_hash:h with
+          | Some p -> p
+          | None ->
+              let p = (h + epoch) mod paths in
+              Flow_cache.store env.l_cache ~flow_hash:h p;
+              p
+        in
+        Array.unsafe_set path_of (i - lo) path
+      done;
+      (* Synthetic drop, then encap into the batch. *)
+      env.l_offered <- env.l_offered + (hi - lo);
+      for i = lo to hi - 1 do
+        let f = Array.unsafe_get sf i in
+        let slot = Array.unsafe_get flows f in
+        if synthetic_drop ~flow_hash:slot.f_hash ~gen then
+          env.l_synthetic <- env.l_synthetic + 1
+        else begin
+          let path = Array.unsafe_get path_of (i - lo) in
+          let packet =
+            Packet.create
+              ~id:((gen * nflows) + f)
+              ~flow:slot.f_flow ~payload_bytes ~created_at:ts ()
+          in
+          Packet.encapsulate packet
+            {
+              Packet.outer_src = env.l_outer_src;
+              outer_dst = Array.unsafe_get env.l_dsts path;
+              udp_src = 40000 + path;
+              udp_dst = 4789;
+              tango =
+                {
+                  Packet.timestamp_ns = ts_ns;
+                  seq = Int64.of_int (Array.unsafe_get sq i);
+                  path_id = path;
+                  flags = 0;
+                };
+            };
+          Batch.add env.l_batch packet
         end
       done;
-    flush ts;
+      if not (Batch.is_empty env.l_batch) then begin
+        (* Fabric: one call per batch; the callback only collects. *)
+        ncol := 0;
+        Fabric.send_batch_direct env.l_fabric ~from_node:0 ~now_s:ts
+          ~on_delivered_at:collect env.l_batch;
+        Batch.clear env.l_batch;
+        (* Decap: compute the one-way delay from the carried switch
+           timestamp and push the flat arrival record onto the path's
+           FIFO ring. *)
+        for k = 0 to !ncol - 1 do
+          let packet = Array.unsafe_get col k in
+          let at_s = Array.unsafe_get col_at k in
+          let e = Packet.decapsulate packet in
+          let owd_ns =
+            Int64.sub
+              (Clock.now_ns env.l_clock ~sim_time_s:at_s)
+              e.Packet.tango.Packet.timestamp_ns
+          in
+          Shard.Ring.push
+            env.l_path_rings.(e.Packet.tango.Packet.path_id)
+            ~time:at_s
+            ~a:(packet.Packet.id mod nflows)
+            ~b:(Int64.to_int e.Packet.tango.Packet.seq)
+            ~c:e.Packet.tango.Packet.path_id
+            ~v:(Int64.to_float owd_ns /. 1e6);
+          Array.unsafe_set col k dummy
+        done
+      end
+    done;
     (* Drop the batch's stale slot references: if a minor collection
        lands between generations it finds no transient packets live. *)
     Batch.purge env.l_batch
@@ -517,12 +571,9 @@ let run ?(domains = 1) ?(batch = Batch.capacity) ?(flows = 512)
   (* Exact per-lane delivery bound for the out rings: a lane can never
      deliver more than it schedules. *)
   let lane_sends = Array.make domains 0 in
-  if uniform then
-    Array.iteri (fun l n -> lane_sends.(l) <- n * generations) lane_flows
-  else
-    Array.iteri
-      (fun f l -> lane_sends.(l) <- lane_sends.(l) + Load.flow_pkts plan f)
-      flow_lane;
+  Array.iteri
+    (fun f l -> lane_sends.(l) <- lane_sends.(l) + Load.flow_pkts plan f)
+    flow_lane;
   (* Every lane's world is built on the main domain, outside the timed
      region (BGP convergence is setup, not dataplane). Per-lane sizing:
      trackers for owned flows only, rings for 4 generations of the peak
@@ -562,7 +613,7 @@ let run ?(domains = 1) ?(batch = Batch.capacity) ?(flows = 512)
     ~capacity_of:(fun ~lane -> max 1 lane_sends.(lane))
     ~lane:(fun ~lane ring ->
       lane_main envs.(lane) ring ~flows:flow_slots
-        ~my_flows:lane_flow_idx.(lane) ~plan ~uniform ~generations
+        ~my_flows:lane_flow_idx.(lane) ~plan ~generations
         ~batch_limit:batch)
     ~consume:(fun ~lane:_ r ->
       incr merged;

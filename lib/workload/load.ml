@@ -15,11 +15,13 @@
      one packet every [video_stride] generations).
 
    The output is a [plan]: four flat int arrays (class, start, stride,
-   packet count) indexed by flow. A plan is pure data — the dataplane
-   asks [sends_at] per (flow, generation) and derives the tunnel
-   sequence number from [seq_index], so the same plan drives any lane
-   partition to byte-identical schedules. Everything derives from the
-   seed via SplitMix64; no wall clock, no global state. *)
+   packet count) indexed by flow. A plan is pure data: [sends_at] and
+   [seq_index] define, per (flow, generation), whether the flow sends
+   and its tunnel sequence number. The dataplane walks per-generation
+   send lists compiled from the plan ([Sends]) instead of asking every
+   flow, so the same plan drives any lane partition to byte-identical
+   schedules. Everything derives from the seed via SplitMix64; no wall
+   clock, no global state. *)
 
 module Rng = Tango_sim.Rng
 
@@ -238,6 +240,208 @@ let[@inline] sends_at plan ~flow ~gen =
 let[@inline] seq_index plan ~flow ~gen =
   (gen - Array.unsafe_get plan.start_gen flow)
   / Array.unsafe_get plan.stride flow
+
+(* Compiled send lists. One window of [window] generations is compiled
+   at a time from the flows that still have sends left (the active set,
+   kept in ascending flow order) merged with the flows whose start falls
+   in the window (pre-sorted by (start window, flow) at creation). A
+   count pass sizes each generation's slice, a fill pass writes
+   (flow, send index) into it — visiting flows in ascending order, so
+   every slice is ascending too — and keeps the flows that still send
+   after the window. Memory: the lane's flows, the active set, and one
+   window's sends; every buffer is sized at creation, so compiling
+   allocates nothing. *)
+module Sends = struct
+  type t = {
+    plan : plan;
+    window : int;
+    starters : int array;  (* flows sorted by (start window, flow) *)
+    win_first : int array;  (* window w's starters: [win_first.(w), win_first.(w+1)) *)
+    active : int array;  (* flows with sends after [hi], ascending *)
+    mutable n_active : int;
+    merged : int array;  (* this window's senders, ascending *)
+    mutable next : int;  (* next window to compile *)
+    mutable lo : int;  (* compiled generations are [lo, hi) *)
+    mutable hi : int;
+    off : int array;
+        (* generation lo+j's sends are [off.(j), off.(j+1) - slice_pad) *)
+    cur : int array;  (* fill cursors *)
+    flows : int array;
+    seqs : int array;
+  }
+
+  (* Slack after every generation's slice. The fill pass writes one
+     entry into each slice per flow, i.e. strided by the slice length;
+     when that is a power of two (the uniform blast's 512 flows is
+     exactly 4 KiB of ints) every write maps to the same cache set. One
+     cache line of slack per slice spreads them: the fill runs twice as
+     fast on the blast. *)
+  let slice_pad = 8
+
+  (* Sends of [f] before generation [g]; its first send index at or
+     after [g] when that is under [pkts]. *)
+  let[@inline] sends_before plan f g =
+    let start = Array.unsafe_get plan.start_gen f in
+    if start >= g then 0
+    else
+      let st = Array.unsafe_get plan.stride f in
+      Int.min (Array.unsafe_get plan.pkts f) ((g - start + st - 1) / st)
+
+  (* Default window: long enough to amortize a window's merge over its
+     sends, short enough that one window's lists stay cache-resident. *)
+  let create ?(window = 32) plan ~flows =
+    if window < 1 then invalid_arg "Load.Sends.create: window must be >= 1";
+    let gens = plan.config.generations in
+    let n = Array.length flows in
+    Array.iteri
+      (fun i f ->
+        if f < 0 || f >= plan.config.flows then
+          invalid_arg "Load.Sends.create: flow outside the plan";
+        if i > 0 && f <= flows.(i - 1) then
+          invalid_arg "Load.Sends.create: flows must be strictly ascending")
+      flows;
+    let nwin = (gens + window - 1) / window in
+    let span = Int.min window gens in
+    (* Counting sort by start window; stable, so each window's starters
+       stay in ascending flow order. Alongside, each window's send
+       total, which sizes the list buffers. *)
+    let win_first = Array.make (nwin + 1) 0 in
+    let win_sends = Array.make nwin 0 in
+    Array.iter
+      (fun f ->
+        let start = plan.start_gen.(f) in
+        let w0 = start / window in
+        win_first.(w0 + 1) <- win_first.(w0 + 1) + 1;
+        let last = start + ((plan.pkts.(f) - 1) * plan.stride.(f)) in
+        for w = w0 to last / window do
+          let g0 = w * window in
+          win_sends.(w) <-
+            win_sends.(w)
+            + sends_before plan f (Int.min gens (g0 + window))
+            - sends_before plan f g0
+        done)
+      flows;
+    for w = 1 to nwin do
+      win_first.(w) <- win_first.(w) + win_first.(w - 1)
+    done;
+    let starters = Array.make n 0 in
+    let fill = Array.sub win_first 0 nwin in
+    Array.iter
+      (fun f ->
+        let w = plan.start_gen.(f) / window in
+        starters.(fill.(w)) <- f;
+        fill.(w) <- fill.(w) + 1)
+      flows;
+    let cap = Array.fold_left Int.max 0 win_sends + (span * slice_pad) in
+    {
+      plan;
+      window;
+      starters;
+      win_first;
+      active = Array.make n 0;
+      n_active = 0;
+      merged = Array.make n 0;
+      next = 0;
+      lo = 0;
+      hi = 0;
+      off = Array.make (span + 1) 0;
+      cur = Array.make span 0;
+      flows = Array.make cap 0;
+      seqs = Array.make cap 0;
+    }
+
+  let compile_next t =
+    let plan = t.plan in
+    let w = t.next in
+    let g0 = w * t.window in
+    let g1 = Int.min plan.config.generations (g0 + t.window) in
+    (* Merge the carried active set with this window's starters. *)
+    let active = t.active and merged = t.merged in
+    let na = t.n_active in
+    let s = ref t.win_first.(w) and s_end = t.win_first.(w + 1) in
+    let i = ref 0 and m = ref 0 in
+    while !i < na || !s < s_end do
+      if !s >= s_end || (!i < na && active.(!i) < t.starters.(!s)) then begin
+        merged.(!m) <- active.(!i);
+        incr i
+      end
+      else begin
+        merged.(!m) <- t.starters.(!s);
+        incr s
+      end;
+      incr m
+    done;
+    let m = !m in
+    (* Count pass. *)
+    let off = t.off in
+    Array.fill off 0 (Array.length off) 0;
+    for i = 0 to m - 1 do
+      let f = merged.(i) in
+      let st = plan.stride.(f) and pk = plan.pkts.(f) in
+      let k = ref (sends_before plan f g0) in
+      let g = ref (plan.start_gen.(f) + (!k * st)) in
+      while !g < g1 && !k < pk do
+        let j = !g - g0 + 1 in
+        off.(j) <- off.(j) + 1;
+        g := !g + st;
+        incr k
+      done
+    done;
+    let span = g1 - g0 in
+    for j = 1 to span do
+      off.(j) <- off.(j) + off.(j - 1) + slice_pad
+    done;
+    (* Fill pass, in ascending flow order; the flows that still send
+       after the window become the next active set. *)
+    Array.blit off 0 t.cur 0 span;
+    let cur = t.cur and flows = t.flows and seqs = t.seqs in
+    let kept = ref 0 in
+    for i = 0 to m - 1 do
+      let f = merged.(i) in
+      let st = plan.stride.(f) and pk = plan.pkts.(f) in
+      let k = ref (sends_before plan f g0) in
+      let g = ref (plan.start_gen.(f) + (!k * st)) in
+      while !g < g1 && !k < pk do
+        let j = !g - g0 in
+        let pos = cur.(j) in
+        flows.(pos) <- f;
+        seqs.(pos) <- !k;
+        cur.(j) <- pos + 1;
+        g := !g + st;
+        incr k
+      done;
+      if !k < pk then begin
+        active.(!kept) <- f;
+        incr kept
+      end
+    done;
+    t.n_active <- !kept;
+    t.next <- w + 1;
+    t.lo <- g0;
+    t.hi <- g1
+
+  let seek t ~gen =
+    if gen < t.lo || gen >= t.plan.config.generations then
+      invalid_arg "Load.Sends.seek: generation behind the window or past the horizon";
+    while gen >= t.hi do
+      compile_next t
+    done
+
+  let[@inline] check t gen =
+    if gen < t.lo || gen >= t.hi then
+      invalid_arg "Load.Sends: generation outside the compiled window"
+
+  let first t ~gen =
+    check t gen;
+    t.off.(gen - t.lo)
+
+  let stop t ~gen =
+    check t gen;
+    t.off.(gen - t.lo + 1) - slice_pad
+
+  let flows t = t.flows
+  let seqs t = t.seqs
+end
 
 let class_counts plan =
   let rpc = ref 0 and bulk = ref 0 and video = ref 0 in

@@ -3,9 +3,12 @@
 
     A {!plan} is pure data — flat per-flow arrays of (class, start
     generation, send stride, packet count) — built deterministically
-    from a seed. The dataplane asks {!sends_at} per (flow, generation)
-    and numbers tunnel sequences with {!seq_index}, so any lane
-    partition of the same plan produces byte-identical schedules. *)
+    from a seed. {!sends_at} and {!seq_index} define the schedule per
+    (flow, generation): whether the flow sends, and the tunnel sequence
+    number it sends. The dataplane does not ask them flow by flow; each
+    lane compiles its own flows into per-generation send lists
+    ({!Sends}), which hold exactly those sends, so any lane partition of
+    the same plan produces byte-identical schedules. *)
 
 type cls = Rpc | Bulk | Video
 
@@ -81,11 +84,51 @@ val flow_pkts : plan -> int -> int
 
 val sends_at : plan -> flow:int -> gen:int -> bool
 (** Does this flow put a packet on the wire at this generation? O(1),
-    allocation-free. *)
+    allocation-free. The reference definition of the schedule: {!Sends}
+    compiles exactly the (flow, generation) pairs where it holds. *)
 
 val seq_index : plan -> flow:int -> gen:int -> int
 (** 0-based send index of the flow at a generation where {!sends_at}
     holds — the packet's tunnel sequence number. *)
+
+(** Per-generation send lists compiled from a plan for one set of flows
+    (a lane's), a bounded window of generations at a time.
+
+    Generation [g]'s sends are the slice [[first t ~gen:g, stop t ~gen:g)]
+    of the {!flows}/{!seqs} buffers: exactly the flows where
+    [sends_at plan ~flow ~gen:g] holds, each once, in ascending flow
+    order, with [seqs.(i) = seq_index plan ~flow:flows.(i) ~gen:g].
+    Memory is O(flows + one window's sends); compiling a window costs
+    O(flows with sends left + the window's sends), so flows that are
+    idle or finished cost nothing per generation. *)
+module Sends : sig
+  type t
+
+  val create : ?window:int -> plan -> flows:int array -> t
+  (** Compiler over [flows] (strictly ascending plan flow ids) in
+      windows of [window] generations (default 32). Compiles nothing
+      yet. Raises [Invalid_argument] on [window < 1] or malformed
+      [flows]. *)
+
+  val seek : t -> gen:int -> unit
+  (** Compile forward until [gen]'s window is loaded. Generations must
+      be visited in nondecreasing order: raises [Invalid_argument] for a
+      generation before the loaded window or past the horizon. *)
+
+  val first : t -> gen:int -> int
+  (** Index of [gen]'s first send in the buffers. [gen] must lie in the
+      loaded window. *)
+
+  val stop : t -> gen:int -> int
+  (** One past [gen]'s last send. *)
+
+  val flows : t -> int array
+  (** Flow ids of the loaded window's sends. Sized at {!create} and
+      overwritten when {!seek} compiles the next window. *)
+
+  val seqs : t -> int array
+  (** Send indices, parallel to {!flows}. *)
+end
 
 val class_counts : plan -> int * int * int
 (** (rpc, bulk, video) flow counts. *)

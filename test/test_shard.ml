@@ -269,6 +269,47 @@ let test_differential_batch_sizes () =
   Alcotest.(check int) "reordered agrees" a.Tango.Throughput.reordered
     b.Tango.Throughput.reordered
 
+let test_differential_heavy_tail () =
+  (* The same invariance on a heavy-tailed plan, where generations carry
+     uneven send lists and batch boundaries fall mid-list: batch
+     {1,7,64} x domains {1,2,4} must agree on the fingerprint, every
+     total and every path's deliveries. *)
+  let plan =
+    Tango_workload.Load.plan
+      (Tango_workload.Load.default_config ~flows:3_000 ~generations:160 ~seed:11 ())
+  in
+  let go ~domains ~batch = Tango.Throughput.run ~domains ~batch ~plan () in
+  let base = go ~domains:1 ~batch:64 in
+  let totals (r : Tango.Throughput.result) =
+    [
+      ("offered", r.offered);
+      ("delivered", r.delivered);
+      ("synthetic drops", r.synthetic_drops);
+      ("lost", r.lost);
+      ("reordered", r.reordered);
+      ("duplicates", r.duplicates);
+      ("cache hits", r.cache_hits);
+      ("cache misses", r.cache_misses);
+      ("merged", r.merged);
+    ]
+    @ List.init 4 (fun p -> (Printf.sprintf "path %d delivered" p, r.path_delivered.(p)))
+  in
+  Alcotest.(check bool) "plan exercises reordering" true (base.reordered > 0);
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun batch ->
+          let r = go ~domains ~batch in
+          let ctx what = Printf.sprintf "%s (domains %d, batch %d)" what domains batch in
+          Alcotest.(check string) (ctx "fingerprint")
+            (Tango.Throughput.fingerprint base)
+            (Tango.Throughput.fingerprint r);
+          List.iter2
+            (fun (name, a) (_, b) -> Alcotest.(check int) (ctx name) a b)
+            (totals base) (totals r))
+        [ 1; 7; 64 ])
+    [ 1; 2; 4 ]
+
 let test_conservation () =
   (* offered = delivered + synthetic drops; merged = delivered; tracker
      loss equals what the fabric never carried. *)
@@ -314,6 +355,8 @@ let () =
         [
           tc "domains {1,2,4} x seeds {1,7,42}" `Slow test_differential_domains;
           tc "batch 1 vs 64" `Quick test_differential_batch_sizes;
+          tc "heavy-tail plan: batch {1,7,64} x domains {1,2,4}" `Quick
+            test_differential_heavy_tail;
           tc "conservation" `Quick test_conservation;
         ] );
     ]

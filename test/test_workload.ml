@@ -4,6 +4,7 @@
 open Tango_workload
 module Rng = Tango_sim.Rng
 module Engine = Tango_sim.Engine
+module Shard = Tango_sim.Shard
 module Vultr = Tango_topo.Vultr
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -405,6 +406,80 @@ let test_load_uniform_matches_e14_blast () =
     done
   done
 
+(* Compiled send lists against the reference schedule: for every
+   generation, the slice holds exactly the lane's flows where [sends_at]
+   holds, each once, in ascending flow order, numbered by [seq_index].
+   Plans vary the class mix and the video stride (and include the
+   uniform blast); windows cover 1, 7, 64 and longer than the horizon;
+   lanes are [Shard.lane_of_hash] subsets at 1-4 lanes. *)
+let sends_qcheck_matches_reference =
+  QCheck.Test.make
+    ~name:"compiled send lists = sends_at/seq_index, ascending, each once"
+    ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 1 300) (int_range 1 160) (int_bound 10_000) (int_range 1 9))
+        (triple (int_bound 3) (int_range 1 4) (int_bound 3)))
+    (fun ((flows, gens, seed, video_stride), (mix_i, lanes, win_i)) ->
+      let plan =
+        if mix_i = 3 then Load.uniform ~flows ~generations:gens
+        else
+          let mix =
+            match mix_i with
+            | 0 -> { Load.rpc = 0.5; bulk = 0.3; video = 0.2 }
+            | 1 -> { Load.rpc = 0.1; bulk = 0.2; video = 0.7 }
+            | _ -> { Load.rpc = 0.0; bulk = 0.0; video = 1.0 }
+          in
+          Load.plan
+            { (Load.default_config ~flows ~generations:gens ~seed ()) with
+              mix; video_stride }
+      in
+      let window = match win_i with 0 -> 1 | 1 -> 7 | 2 -> 64 | _ -> gens + 5 in
+      let lane_of f = Shard.lane_of_hash ~lanes (Hashtbl.hash (seed, f)) in
+      let ok = ref true in
+      for lane = 0 to lanes - 1 do
+        let own = List.filter (fun f -> lane_of f = lane) (List.init flows Fun.id) in
+        let own = Array.of_list own in
+        let s = Load.Sends.create ~window plan ~flows:own in
+        for gen = 0 to gens - 1 do
+          Load.Sends.seek s ~gen;
+          let sf = Load.Sends.flows s and sq = Load.Sends.seqs s in
+          let lo = Load.Sends.first s ~gen and hi = Load.Sends.stop s ~gen in
+          let expect =
+            Array.fold_left
+              (fun n f -> if Load.sends_at plan ~flow:f ~gen then n + 1 else n)
+              0 own
+          in
+          if hi - lo <> expect then ok := false;
+          for i = lo to hi - 1 do
+            let f = sf.(i) in
+            if lane_of f <> lane || not (Load.sends_at plan ~flow:f ~gen) then
+              ok := false;
+            if sq.(i) <> Load.seq_index plan ~flow:f ~gen then ok := false;
+            if i > lo && sf.(i - 1) >= f then ok := false
+          done
+        done
+      done;
+      !ok)
+
+let test_sends_rejects_misuse () =
+  let plan = Load.plan (Load.default_config ~flows:50 ~generations:40 ~seed:3 ()) in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "window 0 rejected" true
+    (raises (fun () -> ignore (Load.Sends.create ~window:0 plan ~flows:[| 0 |])));
+  Alcotest.(check bool) "unsorted flows rejected" true
+    (raises (fun () -> ignore (Load.Sends.create plan ~flows:[| 3; 1 |])));
+  Alcotest.(check bool) "flow outside the plan rejected" true
+    (raises (fun () -> ignore (Load.Sends.create plan ~flows:[| 50 |])));
+  let s = Load.Sends.create ~window:8 plan ~flows:(Array.init 50 Fun.id) in
+  Load.Sends.seek s ~gen:20;
+  Alcotest.(check bool) "seeking behind the window rejected" true
+    (raises (fun () -> Load.Sends.seek s ~gen:3));
+  Alcotest.(check bool) "seeking past the horizon rejected" true
+    (raises (fun () -> Load.Sends.seek s ~gen:40));
+  Alcotest.(check bool) "reading outside the window rejected" true
+    (raises (fun () -> ignore (Load.Sends.first s ~gen:30)))
+
 let () =
   let tc = Alcotest.test_case in
   let qc = QCheck_alcotest.to_alcotest in
@@ -452,5 +527,7 @@ let () =
           qc load_qcheck_class_mix;
           qc load_qcheck_schedule_accounting;
           tc "uniform is the E14 blast" `Quick test_load_uniform_matches_e14_blast;
+          qc sends_qcheck_matches_reference;
+          tc "send lists reject misuse" `Quick test_sends_rejects_misuse;
         ] );
     ]
