@@ -237,6 +237,36 @@ let test_decision =
   Test.make ~name:"bgp decision (8 candidates)"
     (Staged.stage (fun () -> ignore (Tango_bgp.Decision.best candidates)))
 
+(* The per-hop route lookup of the event-driven fabric ([Fabric.send]),
+   on the paper's Vultr world after set-up: every loc-RIB holds both
+   sites' host and tunnel prefixes, 10 in all. The address is NY's last
+   tunnel endpoint, the last of the 10 in scan order, so one op is a
+   full forwarding-table scan. The world is built when the benchmark
+   runs, not when the harness starts. *)
+let vultr_route_probe () =
+  let pair = Tango.Pair.setup_vultr () in
+  let net = Tango.Pair.network pair in
+  let node = Tango_topo.Vultr.server_la in
+  let ny =
+    Tango.Addressing.carve ~block:Tango.Addressing.default_block ~site_index:1
+      ~path_count:(List.length (Tango.Pair.paths_to_ny pair))
+  in
+  let dst =
+    Tango.Addressing.tunnel_endpoint ny
+      ~path:(List.length ny.Tango.Addressing.tunnel_prefixes - 1)
+  in
+  let rib = Tango_bgp.Speaker.loc_rib (Tango_bgp.Network.speaker net node) in
+  assert (List.length rib = 10);
+  assert (Option.is_some (Tango_bgp.Network.route_for_addr net ~node dst));
+  (net, node, dst)
+
+let test_route_for_addr =
+  Test.make_with_resource
+    ~name:"network.route_for_addr (Vultr loc-RIB, 10 prefixes)" Test.uniq
+    ~allocate:vultr_route_probe ~free:ignore
+    (Staged.stage (fun (net, node, dst) ->
+         ignore (Tango_bgp.Network.route_for_addr net ~node dst)))
+
 (* The per-packet fault hook (lib/faults): fault-free fabrics must pay
    exactly one load and one branch, and even the active case stays
    allocation-free. A two-node toy topology keeps the flat link arrays
@@ -467,6 +497,7 @@ let all_tests =
       test_policy_uncached;
       test_flow_cache_hit;
       test_decision;
+      test_route_for_addr;
       test_obs_incr_on;
       test_obs_incr_off;
       test_obs_gauge_on;

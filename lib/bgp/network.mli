@@ -61,7 +61,11 @@ val as_path : t -> node:int -> Tango_net.Prefix.t -> As_path.t option
 (** AS path of the selected route at the node. *)
 
 val route_for_addr : t -> node:int -> Tango_net.Addr.t -> Route.t option
-(** Longest-prefix-match over the node's loc-RIB. *)
+(** Longest-prefix match over the node's loc-RIB: {!Speaker.lookup} on
+    the node's speaker. A scan of the speaker's forwarding table that
+    allocates nothing; the table is rebuilt on the first lookup after
+    the node's loc-RIB changes. {!forwarding_path} and the data plane's
+    per-hop forwarding resolve routes through it. *)
 
 val forwarding_path : t -> from_node:int -> Tango_net.Addr.t -> int list option
 (** Node-id path data packets follow from [from_node] to the address's

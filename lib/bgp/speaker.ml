@@ -20,6 +20,15 @@ type t = {
   mutable neighbor_list : neighbor list;
   adj_in : (Prefix.t * int, Route.t) Hashtbl.t;
   loc_rib : (Prefix.t, Route.t) Hashtbl.t;
+  (* Forwarding table: the loc-RIB as parallel arrays, longest prefix
+     first and equal lengths in Prefix.compare order, so the first
+     prefix of a scan that holds an address is its longest match.
+     [recompute], the one place the loc-RIB changes, marks it stale; the
+     next lookup rebuilds it. Routes sit pre-wrapped in [Some] so a hit
+     returns without allocating. *)
+  mutable fib_stale : bool;
+  mutable fib_prefixes : Prefix.t array;
+  mutable fib_routes : Route.t option array;
   adj_out : (Prefix.t * int, Route.t) Hashtbl.t;
   originated : (Prefix.t, origination) Hashtbl.t;
   mutable updates_processed : int;
@@ -36,6 +45,9 @@ let create ~node_id ~asn ?(allowas_in = false)
     neighbor_list = [];
     adj_in = Hashtbl.create 32;
     loc_rib = Hashtbl.create 32;
+    fib_stale = false;
+    fib_prefixes = [||];
+    fib_routes = [||];
     adj_out = Hashtbl.create 32;
     originated = Hashtbl.create 8;
     updates_processed = 0;
@@ -205,6 +217,7 @@ let recompute t prefix : Update.emission list =
     (match best with
     | Some r -> Hashtbl.replace t.loc_rib prefix r
     | None -> Hashtbl.remove t.loc_rib prefix);
+    t.fib_stale <- true;
     List.filter_map
       (fun neighbor ->
         let target = Option.map (fun r -> export_route t r neighbor) best in
@@ -252,11 +265,37 @@ let receive t ~from_node update =
 
 let best t prefix = Hashtbl.find_opt t.loc_rib prefix
 
-(* Sorted so longest-prefix scans and reconciliation sweeps never
-   depend on Hashtbl iteration order. *)
+(* Sorted so observers never depend on Hashtbl iteration order. *)
 let loc_rib t =
   Hashtbl.fold (fun p r acc -> (p, r) :: acc) t.loc_rib []
   |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+
+(* ------------------------------------------------------------------ *)
+(* Forwarding table                                                    *)
+
+let fib_order (a, _) (b, _) =
+  let c = Int.compare (Prefix.length b) (Prefix.length a) in
+  if c <> 0 then c else Prefix.compare a b
+
+let fib_route (_, r) = Some r
+
+let rebuild_fib t =
+  (* tango-lint: allow hot-reach — the rebuild runs once per loc-RIB change, never per packet *)
+  let rib = Hashtbl.fold (fun p r acc -> (p, r) :: acc) t.loc_rib [] |> List.sort fib_order in
+  let entries = Array.of_list rib in
+  t.fib_prefixes <- Array.map fst entries;
+  t.fib_routes <- Array.map fib_route entries;
+  t.fib_stale <- false
+
+let rec scan_fib prefixes routes addr i =
+  if i >= Array.length prefixes then None
+  else if Prefix.mem (Array.unsafe_get prefixes i) addr then
+    Array.unsafe_get routes i
+  else scan_fib prefixes routes addr (i + 1)
+
+let lookup t addr =
+  if t.fib_stale then rebuild_fib t;
+  scan_fib t.fib_prefixes t.fib_routes addr 0
 
 (* Observation hook for control-plane reconciliation and leak tests:
    does any of the four per-speaker tables still reference [prefix]? *)

@@ -74,7 +74,18 @@ val candidates : t -> Tango_net.Prefix.t -> Route.t list
     local route), most preferred first. *)
 
 val loc_rib : t -> (Tango_net.Prefix.t * Route.t) list
-(** The full selected table, in unspecified order. *)
+(** The full selected table, in {!Tango_net.Prefix.compare} order. *)
+
+val lookup : t -> Tango_net.Addr.t -> Route.t option
+(** Longest-prefix match of an address over the loc-RIB: the selected
+    route of the longest prefix that holds it, or [None].
+
+    It scans a forwarding table that keeps the loc-RIB as arrays,
+    longest prefix first, and allocates nothing. Every change to the
+    loc-RIB (an origination, a withdrawal or a received update that
+    moves a best route) marks the table stale; the next lookup rebuilds
+    it with one fold and one sort of the loc-RIB, so a burst of updates
+    between lookups costs one rebuild. *)
 
 val residual : t -> Tango_net.Prefix.t -> bool
 (** Whether {e any} of this speaker's tables (adj-RIB-in, loc-RIB,

@@ -43,31 +43,41 @@ let reverse t =
   { t with src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port }
 
 (* FNV-1a, folding every byte of both addresses, the ports, the protocol
-   and the salt. Stable across runs: ECMP decisions must be reproducible. *)
+   and the salt. Stable across runs: ECMP decisions must be reproducible.
+   The state is threaded through inlined steps rather than held in a ref
+   that closures capture, so the fold runs on unboxed int64s and
+   allocates nothing. *)
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv_prime = 0x100000001b3L
+
+let[@inline] feed_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xFF))) fnv_prime
+
+(* The eight bytes of [x], least significant first. *)
+let[@inline] feed_int64 h x =
+  let h = feed_byte h (Int64.to_int x) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 8)) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 16)) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 24)) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 32)) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 40)) in
+  let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
+  feed_byte h (Int64.to_int (Int64.shift_right_logical x 56))
+
+(* A v4 address feeds as its sign-extended int64. *)
+let[@inline] feed_addr h addr =
+  match addr with
+  | Addr.V4 a -> feed_int64 h (Int64.of_int32 (Ipv4.to_int32 a))
+  | Addr.V6 a -> feed_int64 (feed_int64 h a.Ipv6.hi) a.Ipv6.lo
+
 let hash_5tuple ?(salt = 0) t =
-  let fnv_prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  let feed_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
-  in
-  let feed_int64 x =
-    for shift = 0 to 7 do
-      feed_byte (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
-    done
-  in
-  let feed_addr = function
-    | Addr.V4 a -> feed_int64 (Int64.of_int32 (Ipv4.to_int32 a))
-    | Addr.V6 a ->
-        feed_int64 (Ipv6.hi a);
-        feed_int64 (Ipv6.lo a)
-  in
-  feed_addr t.src;
-  feed_addr t.dst;
-  feed_byte t.proto;
-  feed_byte t.src_port;
-  feed_byte (t.src_port lsr 8);
-  feed_byte t.dst_port;
-  feed_byte (t.dst_port lsr 8);
-  feed_int64 (Int64.of_int salt);
+  let h = feed_addr (feed_addr fnv_offset t.src) t.dst in
+  let h = feed_byte h t.proto in
+  let h = feed_byte h t.src_port in
+  let h = feed_byte h (t.src_port lsr 8) in
+  let h = feed_byte h t.dst_port in
+  let h = feed_byte h (t.dst_port lsr 8) in
+  let h = feed_int64 h (Int64.of_int salt) in
   (* Keep 62 bits so the result is a non-negative native int. *)
-  Int64.to_int (Int64.shift_right_logical !h 2)
+  Int64.to_int (Int64.shift_right_logical h 2)

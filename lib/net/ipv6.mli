@@ -1,10 +1,13 @@
-(** IPv6 addresses as opaque 128-bit values (two 64-bit halves).
+(** IPv6 addresses as 128-bit values: two 64-bit halves, most
+    significant first. The record is private: built only through this
+    module, read in place by per-packet code ({!Prefix.mem},
+    {!Flow.hash_5tuple}) without a call per half.
 
     Parsing accepts full and "::"-compressed textual forms; printing
     follows RFC 5952 (lowercase hex, longest zero run compressed,
     leftmost run on ties, no compression of a single group). *)
 
-type t
+type t = private { hi : int64; lo : int64 }
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -46,13 +46,30 @@ let to_string t = Printf.sprintf "%s/%d" (Addr.to_string t.addr) t.len
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+(* [mask_v6 len] applied one 64-bit half at a time, so the match stays
+   in registers instead of building masks as Ipv6.t records: up to /64
+   only the high half is masked and the network's low half must be zero;
+   past /64 the high half compares whole. This runs on every probe of a
+   forwarding-table scan. *)
+let mem_v6 (net : Ipv6.t) (x : Ipv6.t) len =
+  if len <= 64 then
+    let mask = if len = 0 then 0L else Int64.shift_left Int64.minus_one (64 - len) in
+    Int64.equal net.hi (Int64.logand x.hi mask) && Int64.equal net.lo 0L
+  else
+    Int64.equal net.hi x.hi
+    && Int64.equal net.lo
+         (Int64.logand x.lo (Int64.shift_left Int64.minus_one (128 - len)))
+
 let mem t a =
-  match (t.addr, a) with
-  | Addr.V4 net, Addr.V4 x ->
-      Int32.equal (Ipv4.to_int32 net)
-        (Int32.logand (Ipv4.to_int32 x) (mask_v4 t.len))
-  | Addr.V6 net, Addr.V6 x -> Ipv6.equal net (Ipv6.logand x (mask_v6 t.len))
-  | Addr.V4 _, Addr.V6 _ | Addr.V6 _, Addr.V4 _ -> false
+  match t.addr with
+  | Addr.V4 net -> (
+      match a with
+      | Addr.V4 x ->
+          Int32.equal (Ipv4.to_int32 net)
+            (Int32.logand (Ipv4.to_int32 x) (mask_v4 t.len))
+      | Addr.V6 _ -> false)
+  | Addr.V6 net -> (
+      match a with Addr.V6 x -> mem_v6 net x t.len | Addr.V4 _ -> false)
 
 let subsumes p q = p.len <= q.len && mem p q.addr
 

@@ -170,6 +170,67 @@ let test_prefix_invalid () =
       | Error _ -> ())
     [ "10.0.0.0"; "10.0.0.0/33"; "2001:db8::/129"; "x/8"; "10.0.0.0/-1" ]
 
+(* [Prefix.mem] as it stood before it stopped building v6 masks as
+   Ipv6.t records, verbatim apart from reading the prefix through its
+   accessors. *)
+let old_mask_v4 len =
+  if len = 0 then 0l
+  else Int32.shift_left Int32.minus_one (32 - len)
+
+let old_mask_v6 len =
+  Ipv6.shift_left (Ipv6.lognot Ipv6.any) (128 - len)
+
+let old_mem p a =
+  match (Prefix.addr p, a) with
+  | Addr.V4 net, Addr.V4 x ->
+      Int32.equal (Ipv4.to_int32 net)
+        (Int32.logand (Ipv4.to_int32 x) (old_mask_v4 (Prefix.length p)))
+  | Addr.V6 net, Addr.V6 x -> Ipv6.equal net (Ipv6.logand x (old_mask_v6 (Prefix.length p)))
+  | Addr.V4 _, Addr.V6 _ | Addr.V6 _, Addr.V4 _ -> false
+
+(* Every prefix length of both families over a random base address,
+   probed on both sides of the mask boundary: the base itself, the base
+   with each single bit flipped (a flip at or past the length stays
+   inside, one before it leaves), the bitwise complement, and an
+   address of the other family. *)
+let prefix_qcheck_mem_matches_old =
+  let flip_v4 a i = Addr.V4 (Ipv4.of_int32 (Int32.logxor a (Int32.shift_left 1l (31 - i)))) in
+  let flip_v6 hi lo i =
+    if i < 64 then Addr.V6 (Ipv6.make (Int64.logxor hi (Int64.shift_left 1L (63 - i))) lo)
+    else Addr.V6 (Ipv6.make hi (Int64.logxor lo (Int64.shift_left 1L (127 - i))))
+  in
+  QCheck.Test.make ~name:"mem matches the old mask definition at every length"
+    ~count:200
+    QCheck.(pair (pair int32 int64) int64)
+    (fun ((v4, hi), lo) ->
+      let probes_v4 =
+        Addr.V4 (Ipv4.of_int32 v4)
+        :: Addr.V4 (Ipv4.of_int32 (Int32.lognot v4))
+        :: Addr.V6 (Ipv6.make hi lo)
+        :: List.init 32 (flip_v4 v4)
+      in
+      let probes_v6 =
+        Addr.V6 (Ipv6.make hi lo)
+        :: Addr.V6 (Ipv6.make (Int64.lognot hi) (Int64.lognot lo))
+        :: Addr.V4 (Ipv4.of_int32 v4)
+        :: List.init 128 (flip_v6 hi lo)
+      in
+      let agrees base bits probes =
+        List.for_all
+          (fun len ->
+            let p = Prefix.v base len in
+            List.for_all (fun a -> Prefix.mem p a = old_mem p a) probes
+            && Prefix.mem p base
+            && (len = 0
+               ||
+               match base with
+               | Addr.V4 _ -> not (Prefix.mem p (flip_v4 v4 (len - 1)))
+               | Addr.V6 _ -> not (Prefix.mem p (flip_v6 hi lo (len - 1)))))
+          (List.init (bits + 1) Fun.id)
+      in
+      agrees (Addr.V4 (Ipv4.of_int32 v4)) 32 probes_v4
+      && agrees (Addr.V6 (Ipv6.make hi lo)) 128 probes_v6)
+
 let prefix_qcheck_subnet_disjoint =
   QCheck.Test.make ~name:"sibling subnets are disjoint" ~count:200
     QCheck.(pair (int_bound 14) (int_bound 14))
@@ -207,6 +268,94 @@ let test_flow_hash_sensitivity () =
   let g = { f with Flow.src_port = f.Flow.src_port + 1 } in
   Alcotest.(check bool) "port matters" true
     (Flow.hash_5tuple f <> Flow.hash_5tuple g)
+
+(* [Flow.hash_5tuple] as it stood before it was rewritten to fold
+   without closures or an [Int64 ref], verbatim. It feeds ECMP, the flow
+   caches, lane sharding and experiment fingerprints, so the rewrite must
+   match it bit for bit. *)
+let old_hash_5tuple ?(salt = 0) (t : Flow.t) =
+  let fnv_prime = 0x100000001b3L in
+  let h = ref 0xcbf29ce484222325L in
+  let feed_byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
+  in
+  let feed_int64 x =
+    for shift = 0 to 7 do
+      feed_byte (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
+    done
+  in
+  let feed_addr = function
+    | Addr.V4 a -> feed_int64 (Int64.of_int32 (Ipv4.to_int32 a))
+    | Addr.V6 a ->
+        feed_int64 (Ipv6.hi a);
+        feed_int64 (Ipv6.lo a)
+  in
+  feed_addr t.src;
+  feed_addr t.dst;
+  feed_byte t.proto;
+  feed_byte t.src_port;
+  feed_byte (t.src_port lsr 8);
+  feed_byte t.dst_port;
+  feed_byte (t.dst_port lsr 8);
+  feed_int64 (Int64.of_int salt);
+  (* Keep 62 bits so the result is a non-negative native int. *)
+  Int64.to_int (Int64.shift_right_logical !h 2)
+
+(* Literal values, so the two copies above cannot drift together. They
+   cover v6, v4 addresses with the high bit set (fed sign-extended),
+   the port and protocol extremes, and salts that are negative, past
+   2^31 and at both ends of the native int range. *)
+let test_flow_hash_pinned () =
+  let v4 src dst ~proto ~src_port ~dst_port =
+    Flow.v ~src:(Addr.of_string_exn src) ~dst:(Addr.of_string_exn dst) ~proto
+      ~src_port ~dst_port
+  in
+  let check name expect ?salt f =
+    Alcotest.(check int) name expect (Flow.hash_5tuple ?salt f)
+  in
+  check "v6, no salt" 801167668938055164 (flow_a ());
+  check "v6, salt -1" 3780651719344337434 ~salt:(-1) (flow_a ());
+  check "v6, salt 2^31+5" 2016316565146988101 ~salt:((1 lsl 31) + 5) (flow_a ());
+  check "v4, high-bit dst" 1111951965936658403
+    (v4 "10.0.0.1" "203.0.113.7" ~proto:6 ~src_port:80 ~dst_port:65535);
+  check "v4, zero ports, salt max_int" 2328848189157520355 ~salt:max_int
+    (v4 "0.0.0.0" "255.255.255.255" ~proto:0 ~src_port:0 ~dst_port:0);
+  check "v4, max ports, salt min_int" 3663083296052946240 ~salt:min_int
+    (v4 "0.0.0.0" "255.255.255.255" ~proto:255 ~src_port:65535 ~dst_port:65535)
+
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun x -> Addr.V4 (Ipv4.of_int32 x)) ui32;
+        map2 (fun hi lo -> Addr.V6 (Ipv6.make hi lo)) ui64 ui64;
+      ])
+
+let gen_salt =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        int_range (-1000) 1000;
+        map (fun x -> (1 lsl 31) + x) nat;
+        map (fun x -> -(1 lsl 31) - x) nat;
+        oneofl [ 0; -1; min_int; max_int; 1 lsl 31; (1 lsl 32) - 1 ];
+      ])
+
+let flow_qcheck_hash_matches_old =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((src, dst), (proto, src_port, dst_port), salt) ->
+          (Flow.v ~src ~dst ~proto ~src_port ~dst_port, salt))
+        (triple (pair gen_addr gen_addr)
+           (triple (int_bound 255) (int_bound 0xFFFF) (int_bound 0xFFFF))
+           gen_salt))
+  in
+  QCheck.Test.make ~name:"hash_5tuple is bit-identical to the old fold"
+    ~count:100_000 (QCheck.make gen) (fun (f, salt) ->
+      Flow.hash_5tuple ~salt f = old_hash_5tuple ~salt f
+      && Flow.hash_5tuple f = old_hash_5tuple f)
 
 let test_flow_invalid () =
   Alcotest.(check bool) "bad port raises" true
@@ -620,6 +769,7 @@ let () =
           tc "nth negative" `Quick test_prefix_nth_negative;
           tc "invalid" `Quick test_prefix_invalid;
           qc prefix_qcheck_subnet_disjoint;
+          qc prefix_qcheck_mem_matches_old;
         ] );
       ( "flow",
         [
@@ -627,6 +777,8 @@ let () =
           tc "reverse" `Quick test_flow_reverse;
           tc "hash deterministic" `Quick test_flow_hash_deterministic;
           tc "hash sensitivity" `Quick test_flow_hash_sensitivity;
+          tc "hash pinned values" `Quick test_flow_hash_pinned;
+          qc flow_qcheck_hash_matches_old;
           tc "invalid" `Quick test_flow_invalid;
         ] );
       ( "packet",
