@@ -24,13 +24,6 @@ let section title =
 
 let row fmt = Printf.printf fmt
 
-let vultr_overrides (node : Tango_topo.Topology.node) =
-  if node.Tango_topo.Topology.id = Vultr.vultr_la
-     || node.Tango_topo.Topology.id = Vultr.vultr_ny
-  then
-    { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
-
 (* Run seed for every experiment that owns an engine (--seed). The
    default (42) matches the engine default, so default output is
    unchanged. *)
@@ -39,7 +32,7 @@ let exp_seed = ref 42
 let vultr_net () =
   let topo = Vultr.build () in
   let engine = Engine.create ~seed:!exp_seed () in
-  Network.create ~configure:vultr_overrides topo engine
+  Network.create ~configure:Pair.vultr_overrides topo engine
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Fig. 3: community-guided path discovery                        *)
@@ -431,7 +424,7 @@ let tango_of_n () =
   section "E8 / §6 — Tango of N: one-hop relaying over pairwise Tango";
   let topo = Overlay.Triangle.build () in
   let engine = Engine.create ~seed:!exp_seed () in
-  let net = Network.create ~configure:vultr_overrides topo engine in
+  let net = Network.create ~configure:Pair.vultr_overrides topo engine in
   Overlay.Triangle.announce_hosts net;
   let servers = [| Vultr.server_la; Vultr.server_ny; Overlay.Triangle.server_chi |] in
   let names = [| "LA"; "NY"; "CHI" |] in
@@ -562,7 +555,7 @@ let mrai_sweep () =
     (fun mrai_s ->
       let topo = Vultr.build () in
       let engine = Engine.create ~seed:!exp_seed () in
-      let net = Network.create ~mrai_s ~configure:vultr_overrides topo engine in
+      let net = Network.create ~mrai_s ~configure:Pair.vultr_overrides topo engine in
       let result =
         Discovery.run ~net ~origin:Vultr.server_ny ~observer:Vultr.server_la
           ~probe_prefix:(Prefix.subnet Addressing.default_block 16 (16 * 96))
@@ -649,7 +642,7 @@ let discovery_cost () =
   (* Generic topologies have no Vultr nodes; for those rows every
      provider interprets its customers' action communities. *)
   let all_interpret (node : Tango_topo.Topology.node) =
-    { (vultr_overrides node) with Network.interprets_actions = Some true }
+    { (Pair.vultr_overrides node) with Network.interprets_actions = Some true }
   in
   List.iter
     (fun (name, topo, configure, origin, observer) ->
@@ -665,9 +658,9 @@ let discovery_cost () =
         result.Discovery.messages result.Discovery.convergence_time_s)
     [
       ( "vultr LA<->NY (paper)",
-        Vultr.build (), vultr_overrides, Vultr.server_ny, Vultr.server_la );
+        Vultr.build (), Pair.vultr_overrides, Vultr.server_ny, Vultr.server_la );
       ( "triangle (3 sites)",
-        Overlay.Triangle.build (), vultr_overrides, Overlay.Triangle.server_chi,
+        Overlay.Triangle.build (), Pair.vultr_overrides, Overlay.Triangle.server_chi,
         Vultr.server_la );
       ( "random hierarchy (3/6/10)",
         Tango_topo.Builders.random_hierarchy ~seed:5 ~tier1:3 ~tier2:6 ~stubs:10,

@@ -119,15 +119,9 @@ let policy_arg =
 let discover_run seed reverse max_paths =
   let topo = Vultr.build () in
   let engine = Tango_sim.Engine.create ~seed () in
-  let configure (node : Tango_topo.Topology.node) =
-    if node.Tango_topo.Topology.id = Vultr.vultr_la
-       || node.Tango_topo.Topology.id = Vultr.vultr_ny
-    then
-      { Tango_bgp.Network.no_overrides with
-        neighbor_weight = Some Vultr.vultr_neighbor_weight }
-    else Tango_bgp.Network.no_overrides
+  let net =
+    Tango_bgp.Network.create ~configure:Pair.vultr_overrides topo engine
   in
-  let net = Tango_bgp.Network.create ~configure topo engine in
   let origin, observer, name =
     if reverse then (Vultr.server_la, Vultr.server_ny, "NY -> LA")
     else (Vultr.server_ny, Vultr.server_la, "LA -> NY")
@@ -330,15 +324,9 @@ let overlay seed metrics prom =
   @@ fun () ->
   let topo = Overlay.Triangle.build () in
   let engine = Tango_sim.Engine.create ~seed () in
-  let configure (node : Tango_topo.Topology.node) =
-    if node.Tango_topo.Topology.id = Vultr.vultr_la
-       || node.Tango_topo.Topology.id = Vultr.vultr_ny
-    then
-      { Tango_bgp.Network.no_overrides with
-        neighbor_weight = Some Vultr.vultr_neighbor_weight }
-    else Tango_bgp.Network.no_overrides
+  let net =
+    Tango_bgp.Network.create ~configure:Pair.vultr_overrides topo engine
   in
-  let net = Tango_bgp.Network.create ~configure topo engine in
   Overlay.Triangle.announce_hosts net;
   let servers = [| Vultr.server_la; Vultr.server_ny; Overlay.Triangle.server_chi |] in
   let names = [| "LA"; "NY"; "CHI" |] in
@@ -810,7 +798,8 @@ let load_cmd =
       & info [ "cache" ] ~docv:"N"
           ~doc:
             "Per-lane flow-cache capacity (clock-hand eviction). 0 sizes it \
-             to flows/8 (min 1024); a negative value disables the bound.")
+             to flows/8 (min 1024); a negative value sizes it to the flow \
+             count, so it never evicts.")
   in
   let ceiling =
     Arg.(

@@ -16,19 +16,12 @@ module As_path = Tango_bgp.As_path
 module Vultr = Tango_topo.Vultr
 module Prefix = Tango_net.Prefix
 
-let vultr_overrides (node : Tango_topo.Topology.node) =
-  if node.Tango_topo.Topology.id = Vultr.vultr_la
-     || node.Tango_topo.Topology.id = Vultr.vultr_ny
-  then
-    { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
-
 let () =
   print_endline "Manual path discovery (the paper's three-step procedure)";
   print_endline "=========================================================";
   let topo = Vultr.build () in
   let engine = Engine.create () in
-  let net = Network.create ~configure:vultr_overrides topo engine in
+  let net = Network.create ~configure:Tango.Pair.vultr_overrides topo engine in
   let prefix = Prefix.of_string_exn "2001:db8:4063::/48" in
 
   (* Step 1: the NY server establishes its eBGP session and propagates an

@@ -11,19 +11,12 @@ module Network = Tango_bgp.Network
 module Vultr = Tango_topo.Vultr
 module Prefix = Tango_net.Prefix
 
-let vultr_overrides (node : Tango_topo.Topology.node) =
-  if node.Tango_topo.Topology.id = Vultr.vultr_la
-     || node.Tango_topo.Topology.id = Vultr.vultr_ny
-  then
-    { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
-
 let () =
   print_endline "Tango of N: relaying over pairwise deployments";
   print_endline "==============================================";
   let topo = Overlay.Triangle.build () in
   let engine = Engine.create () in
-  let net = Network.create ~configure:vultr_overrides topo engine in
+  let net = Network.create ~configure:Tango.Pair.vultr_overrides topo engine in
   Overlay.Triangle.announce_hosts net;
   let servers = [| Vultr.server_la; Vultr.server_ny; Overlay.Triangle.server_chi |] in
   let names = [| "LA"; "NY"; "CHI" |] in

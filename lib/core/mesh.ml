@@ -1,7 +1,6 @@
 module Engine = Tango_sim.Engine
 module Stats = Tango_sim.Stats
 module Network = Tango_bgp.Network
-module Topology = Tango_topo.Topology
 module Vultr = Tango_topo.Vultr
 module Fabric = Tango_dataplane.Fabric
 module Prefix = Tango_net.Prefix
@@ -19,11 +18,6 @@ type t = {
   routes : (int * int, Overlay.route) Hashtbl.t;
   relay_overhead_ms : float;
 }
-
-let vultr_overrides (node : Topology.node) =
-  if node.Topology.id = Vultr.vultr_la || node.Topology.id = Vultr.vultr_ny then
-    { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
 
 let fabric t = t.fabric
 
@@ -54,7 +48,7 @@ let setup_triangle ?(seed = 11)
     ?(relay_overhead_ms = 0.1) () =
   let topo = Overlay.Triangle.build () in
   let engine = Engine.create ~seed () in
-  let net = Network.create ~configure:vultr_overrides topo engine in
+  let net = Network.create ~configure:Pair.vultr_overrides topo engine in
   let block = Addressing.default_block in
   let site_list =
     [|

@@ -12,6 +12,13 @@
 
 type t
 
+val vultr_overrides : Tango_topo.Topology.node -> Tango_bgp.Network.overrides
+(** BGP configuration of the Vultr world: the two Vultr border sites
+    break ties by {!Tango_topo.Vultr.vultr_neighbor_weight}, every other
+    node runs the defaults. Pass it as [~configure] to
+    {!Tango_bgp.Network.create} for any topology built on
+    {!Tango_topo.Vultr}. *)
+
 val setup :
   ?seed:int ->
   ?policy_a:Policy.spec ->

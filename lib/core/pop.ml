@@ -8,7 +8,6 @@ module Clock = Tango_dataplane.Clock
 module Tunnel = Tango_dataplane.Tunnel
 module Seq_tracker = Tango_dataplane.Seq_tracker
 module Flow_cache = Tango_dataplane.Flow_cache
-module Batch = Tango_dataplane.Batch
 module Series = Tango_telemetry.Series
 module Ewma = Tango_telemetry.Ewma
 module Jitter = Tango_telemetry.Jitter
@@ -113,10 +112,6 @@ type t = {
      silently skipped, so the peer's inbound stats go stale and its
      policy must detect the dead-path condition by staleness alone. *)
   mutable probes_suppressed : bool;
-  (* Reused packet batch for the periodic probe burst: one
-     Fabric.send_batch call per tick instead of one Fabric.send per
-     path. *)
-  probe_batch : Batch.t;
   mutable probes_sent : int;
   mutable probes_received : int;
   mutable app_received : int;
@@ -198,7 +193,6 @@ let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?(ewma_alpha = 0.1)
     reports_received = 0;
     peer = None;
     probes_suppressed = false;
-    probe_batch = Batch.create ();
     stream_handler = None;
     ctrl_handler = None;
     pinned = false;
@@ -312,17 +306,6 @@ let[@hot] dispatch t (packet : Packet.t) =
           if node = peer.node then handle_arrival peer packet
           else if node = t.node then handle_arrival t packet)
         packet
-
-let[@hot] dispatch_batch t batch =
-  match t.peer with
-  | None -> invalid_arg "Pop: not wired to a peer (call Pop.wire)"
-  | Some peer ->
-      Fabric.send_batch t.fabric ~from_node:t.node
-        (* tango-lint: allow hot-alloc — one delivery continuation per batch, shared by up to 64 packets *)
-        ~on_delivered:(fun ~node packet ->
-          if node = peer.node then handle_arrival peer packet
-          else if node = t.node then handle_arrival t packet)
-        batch
 
 let wire ~a ~b =
   a.peer <- Some b;
@@ -527,18 +510,13 @@ let send_stream t ?(payload_bytes = 1200) ~route ~content () =
   send_flow t ~path ~flow ~payload_bytes ~content ();
   path
 
-(* The per-tick probe burst is the one place a PoP naturally holds many
-   packets at once, so it goes through the batched fabric path: every
-   tunnel's probe is created and encapsulated first, then the whole
-   burst is dispatched with one [Fabric.send_batch] call. Packet ids,
-   tunnel sequence numbers and fabric injection order are identical to
-   the per-packet loop this replaces. *)
+(* The per-tick probe burst: one probe per tunnel, each dispatched as
+   soon as it is built. *)
 let send_probe t =
   if not t.probes_suppressed then begin
     let now = Engine.now (engine t) in
     let dst = Addressing.host_address t.remote_plan 1L in
     let src = Addressing.host_address t.plan 1L in
-    Batch.clear t.probe_batch;
     for path = 0 to Array.length t.tunnels - 1 do
       t.probes_sent <- t.probes_sent + 1;
       Metric.incr m_probes_sent;
@@ -550,16 +528,8 @@ let send_probe t =
           ()
       in
       Tunnel.send t.tunnels.(path) ~clock:t.clock ~now_s:now packet;
-      Batch.add t.probe_batch packet;
-      if Batch.is_full t.probe_batch then begin
-        dispatch_batch t t.probe_batch;
-        Batch.clear t.probe_batch
-      end
-    done;
-    if not (Batch.is_empty t.probe_batch) then begin
-      dispatch_batch t t.probe_batch;
-      Batch.clear t.probe_batch
-    end
+      dispatch t packet
+    done
   end
 
 let set_probe_suppression t suppressed = t.probes_suppressed <- suppressed

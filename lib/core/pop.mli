@@ -73,9 +73,8 @@ val transited : t -> int
 
 val send_probe : t -> unit
 (** Send one measurement probe on {e every} outbound path (the paper's
-    per-10 ms probe train), dispatched as a single packet batch through
-    {!Tango_dataplane.Fabric.send_batch}. A no-op while probe
-    suppression is active. *)
+    per-10 ms probe train). A no-op while probe suppression is
+    active. *)
 
 val set_probe_suppression : t -> bool -> unit
 (** Starve (or resume) the probe train without unscheduling it — the
@@ -219,7 +218,8 @@ val path_cache_hits : t -> int
 val path_cache_misses : t -> int
 
 val path_cache_flows : t -> int
-(** Distinct flows that ever stored a decision. *)
+(** Distinct flows holding a cached decision — at most the cache's
+    1,024 slots, which every PoP workload fits without eviction. *)
 
 val probes_sent : t -> int
 val probes_received : t -> int

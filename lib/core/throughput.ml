@@ -182,8 +182,8 @@ type lane_env = {
    trackers (not the global flow count — a million-flow run at 4 lanes
    would otherwise hold 4 x 10^6 trackers), rings sized by the peak
    per-generation offered load, and a flow cache bounded by
-   [cache_capacity] (per lane; [None] keeps the pre-existing unbounded
-   behavior). *)
+   [cache_capacity] (per lane; [None] sizes it to the flow count, so it
+   never evicts). *)
 let build_lane_env ~seed ~first_hop_ms ~cache_expected ~cache_capacity
     ~tracker_ceiling ~tracker_idle_gens ~ring_cap ~own_flows ~local =
   let topo = build_topology ~first_hop_ms () in
@@ -471,7 +471,7 @@ type result = {
   duplicates : int;
   cache_hits : int;
   cache_misses : int;
-  cache_capacity : int;  (* per-lane bound; 0 = unbounded *)
+  cache_capacity : int;  (* per-lane bound; 0 = sized to the flow count *)
   cache_evictions : int;
   cache_resident : int;  (* summed over lanes at quiesce *)
   tracker_active : int;  (* trackers that saw traffic, summed over lanes *)

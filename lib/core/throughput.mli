@@ -22,7 +22,9 @@ type result = {
   duplicates : int;
   cache_hits : int;
   cache_misses : int;
-  cache_capacity : int;  (** Per-lane flow-cache bound; 0 = unbounded. *)
+  cache_capacity : int;
+      (** Per-lane flow-cache bound; 0 = none given, so the cache is sized
+          to the flow count and never evicts. *)
   cache_evictions : int;  (** Clock-hand victims, summed over lanes. *)
   cache_resident : int;  (** Cached entries at quiesce, summed over lanes. *)
   tracker_active : int;  (** Trackers that saw traffic, summed over lanes. *)

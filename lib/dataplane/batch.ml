@@ -1,14 +1,15 @@
 (* Fixed-size packet batches for the batched dataplane (DESIGN.md §11).
 
    A batch is a preallocated 64-slot array plus a length: the XDP-style
-   unit of work that lets Fabric/Pop amortize their per-send overhead
-   (eligibility checks, route-cache validation, callback closures, the
-   fault-hook and obs branches) across up to 64 packets. The slot array
-   is allocated once, on the first [add] (OCaml arrays need a seed
-   element, and the first packet is it); after that the steady-state
-   path writes in place and allocates nothing. [clear] only resets the
-   length — slots keep their last packet reference until overwritten,
-   which pins at most one stale batch of packets and costs nothing. *)
+   unit of work that lets the lanes' Fabric.send_batch_direct amortize
+   its per-send overhead (eligibility checks, route-cache validation,
+   callback closures, the fault-hook branches) across up to 64 packets.
+   The slot array is allocated once, on the first [add] (OCaml arrays
+   need a seed element, and the first packet is it); after that the
+   steady-state path writes in place and allocates nothing. [clear]
+   only resets the length — slots keep their last packet reference
+   until overwritten, which pins at most one stale batch of packets and
+   costs nothing. *)
 
 module Packet = Tango_net.Packet
 

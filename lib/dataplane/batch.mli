@@ -1,12 +1,11 @@
 (** Fixed 64-slot packet batches — the XDP-style unit of work of the
     batched dataplane (DESIGN.md §11).
 
-    Batching lets {!Fabric.send_batch} and [Pop.dispatch_batch] pay
-    their per-call overhead (eligibility checks, route-cache
-    revalidation, callback closures, fault-hook and obs branches) once
-    per up-to-64 packets instead of once per packet. The slot array is
-    preallocated on the first {!add}; the steady-state path writes in
-    place and allocates nothing. *)
+    Batching lets {!Fabric.send_batch_direct} pay its per-call overhead
+    (eligibility checks, route-cache revalidation, callback closures,
+    fault-hook branches) once per up-to-64 packets instead of once per
+    packet. The slot array is preallocated on the first {!add}; the
+    steady-state path writes in place and allocates nothing. *)
 
 type t
 

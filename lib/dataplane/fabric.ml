@@ -30,9 +30,7 @@ let drop_link_failure = 2
 
 let drop_loss = 3
 
-let drop_queue_overflow = 4
-
-let drop_fault = 5
+let drop_fault = 4
 
 let drop_counters =
   [|
@@ -40,21 +38,15 @@ let drop_counters =
     Metric.counter ~help:"Drops: no route" "fabric_drops_unroutable_total";
     Metric.counter ~help:"Drops: failed link" "fabric_drops_link_failure_total";
     Metric.counter ~help:"Drops: random link loss" "fabric_drops_loss_total";
-    Metric.counter ~help:"Drops: queue-delay bound exceeded"
-      "fabric_drops_queue_overflow_total";
     Metric.counter ~help:"Drops: injected fault loss (lib/faults brownout)"
       "fabric_drops_fault_total";
   |]
-
-let h_queue_wait =
-  Metric.histogram ~help:"Per-link transmitter queueing delay (seconds)"
-    ~lo_exp:(-20) ~buckets:24 "fabric_queue_wait_seconds"
 
 let k_drop = Trace.kind "fabric.drop"
 
 let k_deliver = Trace.kind "fabric.deliver"
 
-(* Resolved end-to-end route, the unit of the batched fast path: the
+(* Resolved end-to-end route, the unit of the direct batched path: the
    full node walk for one (from, dst) pair with its delay terms
    pre-summed. [plain] marks routes with no stochastic terms anywhere
    (zero jitter, zero loss on every link) — only those can skip the
@@ -77,12 +69,12 @@ type t = {
   lanes_of : int -> Ecmp.lanes;
   extra_delay_ms : from_node:int -> to_node:int -> time_s:float -> float;
   (* Whether the caller supplied lanes_of/extra_delay_ms hooks: hooked
-     fabrics never take the batched fast path (the hooks are per-hop and
+     fabrics never take the direct path (the hooks are per-hop and
      per-packet by contract). *)
   custom_hooks : bool;
   (* Batched-route cache, validated against Network.revision: filled
      lazily per (from, dst), flushed whenever any BGP table may have
-     changed. A handful of slots suffices — a PoP talks to a handful of
+     changed. A handful of slots suffices — a lane talks to a handful of
      tunnel endpoints. *)
   route_cache : route_entry option array;
   mutable route_rev : int;
@@ -95,28 +87,23 @@ type t = {
   mutable published_sent : int;
   mutable published_delivered : int;
   mutable direct_fallbacks : int;
-  (* Per-directed-link state lives in flat arrays indexed by the packed
-     key [from * node_count + to] — O(1) with no tuple allocation or
-     polymorphic hashing on the per-packet path, sized once from the
-     topology (node ids are small dense ints). *)
-  node_count : int;
+  (* Per-directed-link state lives in flat arrays of [n * n] entries
+     indexed by the packed key [pos.(from) * n + pos.(to)], where [pos]
+     maps a node id to its position in the topology's node list — O(1)
+     with no tuple allocation or polymorphic hashing on the per-packet
+     path. Node ids are ASNs, so the tables are sized by the node count,
+     never by the largest id. The node set is snapshotted at [create]. *)
+  n : int;
+  pos : int array;  (* node id -> position; -1 for ids that are not nodes *)
   failed_links : Bytes.t;
-  (* Bandwidth contention (optional): per directed link, when its
-     transmitter frees up. Allocated only when [max_queue_s] is set —
-     node ids reach into the thousands (transit ids are ASNs), so a
-     node_count^2 array is tens of MB. *)
-  max_queue_s : float option;
-  busy_until : float array;
   (* Fault-injection hooks (lib/faults): per-directed-link extra drop
      probability and extra one-way delay, both dynamic. All per-packet
-     checks are gated behind [fault_count > 0], so the fault-free fast
-     path pays exactly one load and one branch — and the arrays stay
-     unallocated (zero-length) until the first [set_link_fault], so a
-     fault-free fabric costs nothing at all. *)
+     checks are gated behind [fault_count > 0], so the fault-free path
+     pays exactly one load and one branch. *)
   mutable fault_count : int;
-  mutable fault_set : Bytes.t;
-  mutable fault_loss : float array;
-  mutable fault_extra : (time_s:float -> float) array;
+  fault_set : Bytes.t;
+  fault_loss : float array;
+  fault_extra : (time_s:float -> float) array;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -128,10 +115,7 @@ let no_fault_extra_ms ~time_s:_ = 0.0
 
 let route_cache_slots = 16
 
-let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
-  (match max_queue_s with
-  | Some q when q < 0.0 -> Err.invalid "Fabric.create: negative queue bound"
-  | Some _ | None -> ());
+let create ?(seed = 4242) ?lanes_of ?extra_delay_ms net =
   let custom_hooks = Option.is_some lanes_of || Option.is_some extra_delay_ms in
   let lanes_of =
     match lanes_of with Some f -> f | None -> fun _ -> no_lanes
@@ -141,13 +125,13 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     | Some f -> f
     | None -> fun ~from_node:_ ~to_node:_ ~time_s:_ -> 0.0
   in
-  let node_count =
-    1
-    + List.fold_left
-        (fun m (n : Topology.node) -> max m n.Topology.id)
-        (-1)
-        (Topology.nodes (Network.topology net))
+  let nodes = Topology.nodes (Network.topology net) in
+  let n = List.length nodes in
+  let max_id =
+    List.fold_left (fun m (v : Topology.node) -> max m v.Topology.id) (-1) nodes
   in
+  let pos = Array.make (max_id + 1) (-1) in
+  List.iteri (fun i (v : Topology.node) -> pos.(v.Topology.id) <- i) nodes;
   {
     net;
     rng = Rng.create ~seed;
@@ -162,30 +146,32 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms ?max_queue_s net =
     published_sent = 0;
     published_delivered = 0;
     direct_fallbacks = 0;
-    node_count;
-    failed_links = Bytes.make (node_count * node_count) '\000';
-    max_queue_s;
-    busy_until =
-      (match max_queue_s with
-      | Some _ -> Array.make (node_count * node_count) neg_infinity
-      | None -> [||]);
+    n;
+    pos;
+    failed_links = Bytes.make (n * n) '\000';
     fault_count = 0;
-    fault_set = Bytes.empty;
-    fault_loss = [||];
-    fault_extra = [||];
+    fault_set = Bytes.make (n * n) '\000';
+    fault_loss = Array.make (n * n) 0.0;
+    fault_extra = Array.make (n * n) no_fault_extra_ms;
     sent = 0;
     delivered = 0;
     dropped = 0;
   }
 
+(* Packed key of the directed link between two nodes of the topology:
+   two array loads and no validation — the forwarding loop only ever
+   names nodes the topology gave it. *)
+let[@hot] hop_key t node next = (t.pos.(node) * t.n) + t.pos.(next)
+
+let position t id =
+  if id < 0 || id >= Array.length t.pos then -1 else t.pos.(id)
+
+(* The validating form, for ids that come from callers. *)
 let[@hot] link_key t ~from_node ~to_node =
-  if
-    from_node < 0 || from_node >= t.node_count || to_node < 0
-    || to_node >= t.node_count
-  then
+  if position t from_node < 0 || position t to_node < 0 then
     Err.invalid "Fabric: link %d -> %d outside the topology" from_node
          to_node;
-  (from_node * t.node_count) + to_node
+  hop_key t from_node to_node
 
 let network t = t.net
 
@@ -234,7 +220,7 @@ let[@hot] send t ~from_node ?(on_dropped = fun ~reason:_ _ -> ()) ~on_delivered 
     match Topology.link topo node next with
     | None -> drop "unroutable" drop_unroutable
     | Some link ->
-        let key = (node * t.node_count) + next in
+        let key = hop_key t node next in
         if Bytes.get t.failed_links key <> '\000' then
           drop "link-failure" drop_link_failure
         else if link.Link.loss > 0.0 && Rng.float t.rng 1.0 < link.Link.loss then
@@ -268,61 +254,41 @@ let[@hot] send t ~from_node ?(on_dropped = fun ~reason:_ _ -> ()) ~on_delivered 
             Link.transmission_delay_ms link ~bytes:(Packet.wire_size packet)
             /. 1000.0
           in
-          (* Optional FIFO contention: wait for the transmitter, drop on
-             overflow (tail drop against the queue-delay bound). *)
-          let queueing_result =
-            match t.max_queue_s with
-            | None -> Some 0.0
-            | Some bound ->
-                let now = now_s in
-                let free_at = Float.max now t.busy_until.(key) in
-                let wait = free_at -. now in
-                if wait > bound then None
-                else begin
-                  t.busy_until.(key) <- free_at +. transmission_s;
-                  Metric.observe h_queue_wait wait;
-                  Some wait
-                end
+          let delay_s =
+            ((link.Link.delay_ms +. jitter +. lane +. dynamic +. fault_ms)
+            /. 1000.0)
+            +. transmission_s
           in
-          match queueing_result with
-          | None -> drop "queue-overflow" drop_queue_overflow
-          | Some queueing_s ->
-              let delay_s =
-                ((link.Link.delay_ms +. jitter +. lane +. dynamic +. fault_ms)
-                /. 1000.0)
-                +. transmission_s +. queueing_s
-              in
-              Metric.incr m_forwarded;
-              (* tango-lint: allow hot-alloc — event-engine continuation: one closure per scheduled hop *)
-              Engine.schedule engine ~delay:(Float.max 0.0 delay_s) (fun _ ->
-                  at_node next (hops + 1))
+          Metric.incr m_forwarded;
+          (* tango-lint: allow hot-alloc — event-engine continuation: one closure per scheduled hop *)
+          Engine.schedule engine ~delay:(Float.max 0.0 delay_s) (fun _ ->
+              at_node next (hops + 1))
         end
   in
   at_node from_node 0
 
 (* ------------------------------------------------------------------ *)
-(* Batched sends (DESIGN.md §11).
+(* Direct batched sends for the multicore lanes (DESIGN.md §11).
 
    [send] resolves the route hop by hop, on arrival, with one scheduled
    engine event per hop — faithful, but every hop pays that event and
    its continuation closure, a scan of the node's forwarding table
    (allocation-free, see Speaker.lookup), the link lookup, the delay
-   hooks and a recorded hop. The batched path instead snapshots the
+   hooks and a recorded hop. The direct path instead snapshots the
    whole route once per (from, dst) pair and reuses it for every packet
    of every batch until the control plane changes ([Network.revision]
    moves). That snapshot is only sound when nothing along the route is
    stochastic or dynamic, so eligibility is checked at three levels:
 
-   - per fabric: no fault hooks installed, no queueing model, no custom
-     lanes_of/extra_delay_ms hooks;
+   - per fabric: no fault hooks installed, no custom lanes_of or
+     extra_delay_ms hooks;
    - per route: every link has zero jitter and zero loss ([e_plain]);
    - per batch: no failed link along the snapshot.
 
    Anything else falls back to the canonical [send], packet by packet,
-   in order — so batching never changes observable behavior, it only
-   amortizes work when the route provably has one outcome. Batched
-   sends resolve the route at injection time (a FIB snapshot, like a
-   real batched fast path), whereas [send] re-resolves at each hop's
+   in order, and is counted in [direct_fallbacks]. The direct path
+   resolves the route at injection time (a FIB snapshot, like a real
+   batched fast path), whereas [send] re-resolves at each hop's
    arrival; the two can differ only while BGP messages are in flight,
    which the revision check turns into a cache flush. *)
 
@@ -365,7 +331,7 @@ let resolve_route t ~from_node ~dst =
                 match Topology.link topo node next with
                 | None -> None
                 | Some link ->
-                    links := ((node * t.node_count) + next) :: !links;
+                    links := hop_key t node next :: !links;
                     asns := Topology.asn topo next :: !asns;
                     delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
                     per_byte_s :=
@@ -396,8 +362,7 @@ let resolve_route t ~from_node ~dst =
         e_plain = !plain;
       }
 
-let[@hot] batch_eligible t =
-  t.fault_count = 0 && Option.is_none t.max_queue_s && not t.custom_hooks
+let[@hot] batch_eligible t = t.fault_count = 0 && not t.custom_hooks
 
 (* Flush the route cache whenever the control plane may have moved.
    Called once per batch, not per packet. *)
@@ -431,44 +396,6 @@ let[@hot] record_route_hops packet (e : route_entry) =
   done
 
 let drop_ignored ~reason:_ _ = ()
-
-let[@hot] send_batch t ~from_node ?(on_dropped = drop_ignored) ~on_delivered
-    batch =
-  let eligible = batch_eligible t in
-  if eligible then revalidate_routes t;
-  let engine = Network.engine t.net in
-  for i = 0 to Batch.length batch - 1 do
-    let packet = Batch.get batch i in
-    let fast =
-      if not eligible then false
-      else begin
-        let e =
-          lookup_route t ~from_node ~dst:(Packet.forwarding_dst packet) 0
-        in
-        if e.e_plain && links_ok_from t e.e_links 0 then begin
-          t.sent <- t.sent + 1;
-          Metric.incr m_sent;
-          record_route_hops packet e;
-          Metric.add m_forwarded (Array.length e.e_links);
-          let arrival =
-            Engine.now engine +. e.e_delay_s
-            +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
-          in
-          let dest = e.e_dest in
-          (* tango-lint: allow hot-alloc — one delivery event closure per packet (vs an event and a continuation closure per hop on the canonical path) *)
-          Engine.schedule_at engine ~time:arrival (fun _ ->
-              t.delivered <- t.delivered + 1;
-              Metric.incr m_delivered;
-              Trace.record Trace.default ~now:(Engine.now engine)
-                ~kind:k_deliver packet.Packet.id dest;
-              on_delivered ~node:dest packet);
-          true
-        end
-        else false
-      end
-    in
-    if not fast then send t ~from_node ~on_dropped ~on_delivered packet
-  done
 
 let route_plain t ~from_node ~dst =
   batch_eligible t
@@ -537,24 +464,12 @@ let fail_link t ~from_node ~to_node =
 let heal_link t ~from_node ~to_node =
   Bytes.set t.failed_links (link_key t ~from_node ~to_node) '\000'
 
-let link_failed t ~from_node ~to_node =
-  Bytes.get t.failed_links (link_key t ~from_node ~to_node) <> '\000'
-
 (* ------------------------------------------------------------------ *)
 (* Fault-injection hooks (driven by lib/faults).                        *)
-
-let ensure_fault_arrays t =
-  if Array.length t.fault_loss = 0 then begin
-    let n = t.node_count * t.node_count in
-    t.fault_set <- Bytes.make n '\000';
-    t.fault_loss <- Array.make n 0.0;
-    t.fault_extra <- Array.make n no_fault_extra_ms
-  end
 
 let set_link_fault t ~from_node ~to_node ?(loss = 0.0) ?extra_delay_ms () =
   if loss < 0.0 || loss > 1.0 then
     Err.invalid "Fabric.set_link_fault: loss %g outside [0,1]" loss;
-  ensure_fault_arrays t;
   let key = link_key t ~from_node ~to_node in
   if Bytes.get t.fault_set key = '\000' then begin
     Bytes.set t.fault_set key '\001';
@@ -566,25 +481,14 @@ let set_link_fault t ~from_node ~to_node ?(loss = 0.0) ?extra_delay_ms () =
 
 let clear_link_fault t ~from_node ~to_node =
   let key = link_key t ~from_node ~to_node in
-  if Array.length t.fault_loss > 0 then begin
-    if Bytes.get t.fault_set key <> '\000' then begin
-      Bytes.set t.fault_set key '\000';
-      t.fault_count <- t.fault_count - 1
-    end;
-    t.fault_loss.(key) <- 0.0;
-    t.fault_extra.(key) <- no_fault_extra_ms
-  end
-
-let clear_faults t =
-  Bytes.fill t.fault_set 0 (Bytes.length t.fault_set) '\000';
-  Array.fill t.fault_loss 0 (Array.length t.fault_loss) 0.0;
-  Array.fill t.fault_extra 0 (Array.length t.fault_extra) no_fault_extra_ms;
-  t.fault_count <- 0
+  if Bytes.get t.fault_set key <> '\000' then begin
+    Bytes.set t.fault_set key '\000';
+    t.fault_count <- t.fault_count - 1
+  end;
+  t.fault_loss.(key) <- 0.0;
+  t.fault_extra.(key) <- no_fault_extra_ms
 
 let fault_count t = t.fault_count
-
-let link_fault_loss t ~from_node ~to_node =
-  if t.fault_count = 0 then 0.0 else t.fault_loss.(link_key t ~from_node ~to_node)
 
 let[@hot] link_fault_extra_ms t ~from_node ~to_node ~time_s =
   if t.fault_count = 0 then 0.0

@@ -15,16 +15,13 @@ val create :
   ?seed:int ->
   ?lanes_of:(int -> Ecmp.lanes) ->
   ?extra_delay_ms:(from_node:int -> to_node:int -> time_s:float -> float) ->
-  ?max_queue_s:float ->
   Tango_bgp.Network.t ->
   t
 (** The fabric shares the BGP network's topology and engine. Defaults: a
-    single zero-offset lane everywhere and no dynamic delay.
-    [max_queue_s] enables bandwidth contention: each directed link
-    serializes packets FIFO at its link rate and tail-drops a packet
-    whose queueing delay would exceed the bound (reason
-    ["queue-overflow"]). Without it, links have unbounded parallel
-    capacity (delay-only model). *)
+    single zero-offset lane everywhere and no dynamic delay. Links have
+    unbounded parallel capacity (delay-only model). Per-link state is
+    sized by the topology's node count at creation, so the node set
+    must not change afterwards. *)
 
 val network : t -> Tango_bgp.Network.t
 
@@ -38,25 +35,8 @@ val send :
 (** Inject a packet at [from_node]; it is forwarded toward the
     destination of its {!Tango_net.Packet.forwarding_flow}. Exactly one
     of the callbacks eventually fires (drop reasons: ["unroutable"],
-    ["loss"], ["ttl"]). *)
-
-val send_batch :
-  t ->
-  from_node:int ->
-  ?on_dropped:(reason:string -> Tango_net.Packet.t -> unit) ->
-  on_delivered:(node:int -> Tango_net.Packet.t -> unit) ->
-  Batch.t ->
-  unit
-(** Inject every packet of a batch at [from_node], in batch order.
-    Behaviorally equivalent to calling {!send} per packet; the batched
-    fast path applies when the fabric carries no faults, no queueing
-    model and no custom hooks, {e and} the packet's route is "plain"
-    (zero jitter and zero loss on every link, none failed). Plain routes
-    are resolved once per (from, dst) pair — a FIB snapshot validated
-    against {!Tango_bgp.Network.revision} — and delivery is scheduled as
-    a single engine event at the closed-form arrival time, amortizing
-    the per-hop closures, RIB lookups and obs branches across the batch.
-    Everything else falls back to {!send}, packet by packet, in order. *)
+    ["loss"], ["ttl"], ["link-failure"] for a {!fail_link} blackhole and
+    ["fault-loss"] for a {!set_link_fault} brownout). *)
 
 val send_batch_direct :
   t ->
@@ -66,23 +46,28 @@ val send_batch_direct :
   on_delivered_at:(node:int -> at_s:float -> Tango_net.Packet.t -> unit) ->
   Batch.t ->
   unit
-(** The multicore lane variant of {!send_batch}: synchronous, engine-free
-    and registry-free, safe to call from a non-main domain. Packets on
-    plain routes are "delivered" immediately with their computed virtual
-    arrival time [at_s] (measured from the caller-supplied virtual send
-    time [now_s]); the caller reorders by [at_s] (see
-    {!Tango_sim.Shard}). No process-wide metric or trace is touched —
-    per-fabric counts accumulate locally and are published by
+(** Inject every packet of a batch at [from_node], in batch order — the
+    multicore lane path: synchronous, engine-free and registry-free,
+    safe to call from a non-main domain. The direct path applies when
+    the fabric carries no faults and no custom hooks, {e and} the
+    packet's route is "plain" (zero jitter and zero loss on every link,
+    none failed). Plain routes are resolved once per (from, dst) pair —
+    a FIB snapshot validated against {!Tango_bgp.Network.revision} —
+    and their packets are "delivered" immediately with their
+    closed-form virtual arrival time [at_s] (measured from the
+    caller-supplied virtual send time [now_s]); the caller reorders by
+    [at_s] (see {!Tango_sim.Shard}). No process-wide metric or trace is
+    touched — per-fabric counts accumulate locally and are published by
     {!quiesce_metrics}. Ineligible packets fall back to {!send} (which
     does touch the registry and the engine — lane code must keep
     {!direct_fallbacks} at zero, and the throughput pipeline asserts
     that). *)
 
 val route_plain : t -> from_node:int -> dst:Tango_net.Addr.t -> bool
-(** Whether a batched send from [from_node] to [dst] would take the fast
-    path right now — fabric eligible, route resolvable, every link
-    jitter-free, loss-free and healthy. Setup-time probe for lane
-    pipelines that require [direct_fallbacks] to stay zero. *)
+(** Whether {!send_batch_direct} from [from_node] to [dst] would take
+    the direct path right now — fabric eligible, route resolvable,
+    every link jitter-free, loss-free and healthy. Setup-time probe for
+    lane pipelines that require [direct_fallbacks] to stay zero. *)
 
 val direct_fallbacks : t -> int
 (** Packets {!send_batch_direct} had to route through the canonical
@@ -99,12 +84,12 @@ val fail_link : t -> from_node:int -> to_node:int -> unit
     with reason ["link-failure"], while BGP remains oblivious — the
     gray-failure scenario that motivates data-driven failover (the paper
     cites Blink-style recovery as the kind of technique Tango enables).
-    Idempotent. Link state lives in flat arrays indexed by the packed
-    key [from * node_count + to]; raises {!Err.Invalid} for node ids
-    outside the topology. *)
+    Idempotent. Link state lives in flat arrays of [n * n] entries over
+    the positions of the topology's [n] nodes; raises {!Err.Invalid} for
+    an id that is not a node of the topology. *)
 
 val heal_link : t -> from_node:int -> to_node:int -> unit
-val link_failed : t -> from_node:int -> to_node:int -> bool
+(** Undo {!fail_link}. Idempotent; raises like {!fail_link}. *)
 
 val set_link_fault :
   t ->
@@ -120,18 +105,13 @@ val set_link_fault :
     [extra_delay_ms ~time_s] milliseconds. Replaces any previous fault on
     the link. The per-packet cost with no faults anywhere is a single
     counter load and branch. Raises {!Err.Invalid} when [loss] is outside
-    [0,1] or a node id is outside the topology. *)
+    [0,1] or an id is not a node of the topology. *)
 
 val clear_link_fault : t -> from_node:int -> to_node:int -> unit
 (** Remove the fault on one directed link. Idempotent. *)
 
-val clear_faults : t -> unit
-(** Remove every link fault (does not heal {!fail_link} blackholes). *)
-
 val fault_count : t -> int
 (** Number of directed links currently carrying a fault. *)
-
-val link_fault_loss : t -> from_node:int -> to_node:int -> float
 
 val link_fault_extra_ms :
   t -> from_node:int -> to_node:int -> time_s:float -> float

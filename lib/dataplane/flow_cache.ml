@@ -6,18 +6,15 @@
    are overwritten in place on their next miss, so flipping the
    preferred path never walks the table.
 
-   Two residency modes share the packed-entry format:
-
-   - Unbounded (the default, and the only mode before the million-flow
-     engine): the table maps flow hash -> packed entry and grows with
-     the flow population.
-   - Bounded ([capacity] given): the table maps flow hash -> slot in
-     flat arrays of [capacity] entries and a clock hand evicts when the
-     slots fill. The hand is generation-aware: a slot stamped with an
-     older generation is already worthless (a lookup would miss anyway),
-     so it is reclaimed on sight, while fresh entries get the classic
-     one-bit second chance. A hit stays zero-allocation: one Hashtbl
-     probe, one array load, one ref-bit store. *)
+   Resident state is bounded: the table maps flow hash -> slot in flat
+   arrays of [capacity] entries and a clock hand evicts when the slots
+   fill. The hand is generation-aware: a slot stamped with an older
+   generation is already worthless (a lookup would miss anyway), so it
+   is reclaimed on sight, while fresh entries get the classic one-bit
+   second chance. A hit stays zero-allocation: one Hashtbl probe, one
+   array load, one ref-bit store. A cache whose capacity covers every
+   flow it sees never evicts, which is how callers get the behavior of
+   an unbounded map. *)
 
 module Metric = Tango_obs.Metric
 
@@ -48,10 +45,9 @@ let gen_mask = (1 lsl gen_bits) - 1
 let max_generation = gen_mask
 
 type t = {
-  table : (int, int) Hashtbl.t;
-      (* unbounded: flow hash -> packed entry; bounded: flow hash -> slot *)
-  capacity : int;  (* 0 = unbounded *)
-  slot_key : int array;  (* bounded only; length = capacity *)
+  table : (int, int) Hashtbl.t;  (* flow hash -> slot *)
+  capacity : int;
+  slot_key : int array;  (* length = capacity *)
   slot_packed : int array;
   slot_ref : Bytes.t;  (* clock-hand second-chance bits *)
   mutable hand : int;
@@ -63,70 +59,40 @@ type t = {
   mutable invalidations : int;
 }
 
-let no_slots = [||]
-
-let no_bits = Bytes.create 0
-
-let create ?(expected_flows = 1024) ?capacity () =
-  match capacity with
-  | None ->
-      {
-        table = Hashtbl.create expected_flows;
-        capacity = 0;
-        slot_key = no_slots;
-        slot_packed = no_slots;
-        slot_ref = no_bits;
-        hand = 0;
-        filled = 0;
-        evictions = 0;
-        generation = 0;
-        hits = 0;
-        misses = 0;
-        invalidations = 0;
-      }
-  | Some c ->
-      if c <= 0 then
-        Err.invalid "Flow_cache.create: capacity %d must be positive" c;
-      {
-        table = Hashtbl.create c;
-        capacity = c;
-        slot_key = Array.make c 0;
-        slot_packed = Array.make c 0;
-        slot_ref = Bytes.make c '\000';
-        hand = 0;
-        filled = 0;
-        evictions = 0;
-        generation = 0;
-        hits = 0;
-        misses = 0;
-        invalidations = 0;
-      }
+let create ?(expected_flows = 1024) ?(capacity = expected_flows) () =
+  if capacity <= 0 then
+    Err.invalid "Flow_cache.create: capacity %d must be positive" capacity;
+  {
+    table = Hashtbl.create capacity;
+    capacity;
+    slot_key = Array.make capacity 0;
+    slot_packed = Array.make capacity 0;
+    slot_ref = Bytes.make capacity '\000';
+    hand = 0;
+    filled = 0;
+    evictions = 0;
+    generation = 0;
+    hits = 0;
+    misses = 0;
+    invalidations = 0;
+  }
 
 let[@hot] find t ~flow_hash =
-  if t.capacity = 0 then
-    match Hashtbl.find_opt t.table flow_hash with
-    | Some packed when packed lsr path_bits = t.generation ->
+  match Hashtbl.find_opt t.table flow_hash with
+  | Some slot ->
+      let packed = Array.unsafe_get t.slot_packed slot in
+      if packed lsr path_bits = t.generation then begin
         t.hits <- t.hits + 1;
+        Bytes.unsafe_set t.slot_ref slot '\001';
         Some (packed land max_path)
-    | Some _ | None ->
+      end
+      else begin
         t.misses <- t.misses + 1;
         None
-  else
-    match Hashtbl.find_opt t.table flow_hash with
-    | Some slot ->
-        let packed = Array.unsafe_get t.slot_packed slot in
-        if packed lsr path_bits = t.generation then begin
-          t.hits <- t.hits + 1;
-          Bytes.unsafe_set t.slot_ref slot '\001';
-          Some (packed land max_path)
-        end
-        else begin
-          t.misses <- t.misses + 1;
-          None
-        end
-    | None ->
-        t.misses <- t.misses + 1;
-        None
+      end
+  | None ->
+      t.misses <- t.misses + 1;
+      None
 
 (* Advance the clock hand to the next reclaimable slot. Stale-generation
    slots are reclaimed on sight (their entry can never hit again until
@@ -149,40 +115,38 @@ let[@hot] store t ~flow_hash path =
   if path < 0 || path > max_path then
     Err.invalid "Flow_cache.store: path %d outside [0, %d]" path max_path;
   let packed = (t.generation lsl path_bits) lor path in
-  if t.capacity = 0 then Hashtbl.replace t.table flow_hash packed
-  else
-    match Hashtbl.find_opt t.table flow_hash with
-    | Some slot ->
-        Array.unsafe_set t.slot_packed slot packed;
-        Bytes.unsafe_set t.slot_ref slot '\001'
-    | None ->
-        let slot =
-          if t.filled < t.capacity then begin
-            let s = t.filled in
-            t.filled <- s + 1;
-            s
-          end
-          else begin
-            let s = clock_sweep t 0 in
-            Hashtbl.remove t.table (Array.unsafe_get t.slot_key s);
-            t.evictions <- t.evictions + 1;
-            Metric.incr m_evictions;
-            s
-          end
-        in
-        Array.unsafe_set t.slot_key slot flow_hash;
-        Array.unsafe_set t.slot_packed slot packed;
-        Bytes.unsafe_set t.slot_ref slot '\001';
-        Hashtbl.add t.table flow_hash slot
+  match Hashtbl.find_opt t.table flow_hash with
+  | Some slot ->
+      Array.unsafe_set t.slot_packed slot packed;
+      Bytes.unsafe_set t.slot_ref slot '\001'
+  | None ->
+      let slot =
+        if t.filled < t.capacity then begin
+          let s = t.filled in
+          t.filled <- s + 1;
+          s
+        end
+        else begin
+          let s = clock_sweep t 0 in
+          Hashtbl.remove t.table (Array.unsafe_get t.slot_key s);
+          t.evictions <- t.evictions + 1;
+          Metric.incr m_evictions;
+          s
+        end
+      in
+      Array.unsafe_set t.slot_key slot flow_hash;
+      Array.unsafe_set t.slot_packed slot packed;
+      Bytes.unsafe_set t.slot_ref slot '\001';
+      Hashtbl.add t.table flow_hash slot
 
 let invalidate t =
   let next = (t.generation + 1) land gen_mask in
   (* Wraparound: the new stamp value collides with stamps from the
      previous trip around, so drop the stored entries outright — a
      once-per-2^54-invalidations O(n) cost that buys an exact "a stale
-     generation is never served" guarantee. In bounded mode the slot
-     arrays are implicitly cleared too: no table entry means no slot is
-     ever read, and the fill pointer restarts from zero. *)
+     generation is never served" guarantee. The slot arrays are
+     implicitly cleared too: no table entry means no slot is ever read,
+     and the fill pointer restarts from zero. *)
   if next = 0 then begin
     Hashtbl.reset t.table;
     t.filled <- 0;

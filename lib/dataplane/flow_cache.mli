@@ -10,12 +10,12 @@
     walking the table. A hit performs one int-keyed lookup and allocates
     only the returned option.
 
-    A cache created with [~capacity] additionally bounds resident state:
-    entries live in flat slot arrays and a generation-aware clock hand
-    evicts when the slots fill (stale-generation victims are reclaimed
-    on sight, fresh entries get a one-bit second chance). With capacity
-    at least the number of distinct flows the bounded cache never evicts
-    and behaves identically to the unbounded one. *)
+    Resident state is bounded: entries live in flat slot arrays and a
+    generation-aware clock hand evicts when the slots fill
+    (stale-generation victims are reclaimed on sight, fresh entries get
+    a one-bit second chance). With capacity at least the number of
+    distinct flows the cache never evicts, so it behaves exactly like an
+    unbounded map — a property the test suite checks against one. *)
 
 type t
 
@@ -24,19 +24,18 @@ val max_path : int
     a generation-stamped entry). *)
 
 val create : ?expected_flows:int -> ?capacity:int -> unit -> t
-(** [expected_flows] presizes the table (default 1024). [capacity]
-    bounds resident entries and enables clock-hand eviction; omitted
-    means unbounded (the pre-existing behavior). Raises {!Err.Invalid}
-    when [capacity <= 0]. *)
+(** [capacity] bounds resident entries (default [expected_flows], which
+    defaults to 1024); the slot arrays are allocated here, at full
+    size. Raises {!Err.Invalid} when [capacity <= 0]. *)
 
 val find : t -> flow_hash:int -> int option
 (** The cached path for the flow, or [None] when absent or stamped with
-    an older generation. Counts a hit or a miss; a bounded-mode hit also
-    sets the slot's second-chance bit. *)
+    an older generation. Counts a hit or a miss; a hit also sets the
+    slot's second-chance bit. *)
 
 val store : t -> flow_hash:int -> int -> unit
 (** Record the decision for the current generation, evicting a victim
-    first when a bounded cache is full and the flow is new. Raises
+    first when the cache is full and the flow is new. Raises
     {!Err.Invalid} for path ids outside [0, 255]. *)
 
 val invalidate : t -> unit
@@ -60,17 +59,17 @@ val invalidations : t -> int
 
 val flows : t -> int
 (** Number of distinct flows currently stored (including stale slots;
-    for a bounded cache this never exceeds {!capacity}). *)
+    never exceeds {!capacity}). *)
 
 val capacity : t -> int
-(** The resident-entry bound, or [0] for an unbounded cache. *)
+(** The resident-entry bound. *)
 
 val resident : t -> int
 (** Entries currently occupying slots — same value as {!flows}, named
     for the obs gauge it feeds. *)
 
 val evictions : t -> int
-(** Entries reclaimed by the clock hand (always [0] when unbounded). *)
+(** Entries reclaimed by the clock hand. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; [0.] before any lookup. *)

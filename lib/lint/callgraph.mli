@@ -61,5 +61,5 @@ val resolve : t -> from_path:string -> string -> string option
     through. *)
 
 val display_name : path:string -> name:string -> string
-(** Human form for chain rendering: ["Fabric.send_batch"] from
-    [path:"lib/dataplane/fabric.ml" name:"send_batch"]. *)
+(** Human form for chain rendering: ["Fabric.send_batch_direct"] from
+    [path:"lib/dataplane/fabric.ml" name:"send_batch_direct"]. *)

@@ -4,7 +4,7 @@
     the configured hot modules. Allocation/blocking facts of reached
     bindings become [Hot_reach] findings at the callee's location, each
     carrying the full shortest call chain from a root
-    (["Pop.dispatch_batch"; "Fabric.send_batch"; ...]). Bindings the
+    (["Pop.handle_arrival"; "Pop.deliver_to_host"; ...]). Bindings the
     intraprocedural pass already owns ([[@hot]] bindings inside hot
     modules) are traversed but not re-reported. *)
 

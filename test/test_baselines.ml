@@ -65,14 +65,9 @@ let rtt_qcheck_regret_nonnegative =
 let vultr_with_lanes () =
   let topo = Vultr.build () in
   let engine = Tango_sim.Engine.create () in
-  let configure (node : Tango_topo.Topology.node) =
-    if node.Tango_topo.Topology.id = Vultr.vultr_la
-       || node.Tango_topo.Topology.id = Vultr.vultr_ny
-    then
-      { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-    else Network.no_overrides
+  let net =
+    Network.create ~configure:Tango.Pair.vultr_overrides topo engine
   in
-  let net = Network.create ~configure topo engine in
   let plan =
     Tango.Addressing.carve ~block:Tango.Addressing.default_block ~site_index:1
       ~path_count:0

@@ -683,15 +683,10 @@ let test_fib_follows_loc_rib_changes () =
 
 module Vultr = Tango_topo.Vultr
 
-let vultr_overrides (node : Topology.node) =
-  if node.Topology.id = Vultr.vultr_la || node.Topology.id = Vultr.vultr_ny then
-    { Network.no_overrides with neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
-
 let vultr_net () =
   let topo = Vultr.build () in
   let engine = Engine.create () in
-  Network.create ~configure:vultr_overrides topo engine
+  Network.create ~configure:Tango.Pair.vultr_overrides topo engine
 
 let ny_prefix = prefix "2001:db8:b000::/48"
 

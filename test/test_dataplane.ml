@@ -292,7 +292,60 @@ let test_fabric_lanes_differentiate_flows () =
   Alcotest.(check bool) "several lanes used" true (Hashtbl.length distinct >= 3)
 
 (* ------------------------------------------------------------------ *)
-(* Queueing / contention                                               *)
+(* Per-link state                                                      *)
+
+(* The Vultr world's node ids are ASNs (up to 3356) but it has 9 nodes,
+   so per-link state must cost 81 entries, not 3357^2. *)
+let vultr_net () =
+  Tango_bgp.Network.create (Tango_topo.Vultr.build ()) (Engine.create ())
+
+let test_fabric_link_state_sized_by_nodes () =
+  let net = vultr_net () in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let fabric = Fabric.create net in
+  Fabric.set_link_fault fabric ~from_node:Tango_topo.Vultr.gtt
+    ~to_node:Tango_topo.Vultr.vultr_la ~loss:0.3 ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let mb = words *. float_of_int (Sys.word_size / 8) /. 1048576.0 in
+  Alcotest.(check int) "fault installed" 1 (Fabric.fault_count fabric);
+  Alcotest.(check bool)
+    (Printf.sprintf "create + set_link_fault under 1 MB (%.2f MB)" mb)
+    true (mb < 1.0)
+
+let test_fabric_link_ids_validated () =
+  let fabric = Fabric.create (vultr_net ()) in
+  let module V = Tango_topo.Vultr in
+  let raises what f =
+    Alcotest.(check bool) what true
+      (try
+         f ();
+         false
+       with Err.Invalid _ -> true)
+  in
+  List.iter
+    (fun (name, bad) ->
+      raises ("fail_link from " ^ name) (fun () ->
+          Fabric.fail_link fabric ~from_node:bad ~to_node:V.vultr_la);
+      raises ("fail_link to " ^ name) (fun () ->
+          Fabric.fail_link fabric ~from_node:V.gtt ~to_node:bad);
+      raises ("set_link_fault from " ^ name) (fun () ->
+          Fabric.set_link_fault fabric ~from_node:bad ~to_node:V.vultr_la ());
+      raises ("set_link_fault to " ^ name) (fun () ->
+          Fabric.set_link_fault fabric ~from_node:V.gtt ~to_node:bad ()))
+    [
+      ("a negative id", -1);
+      ("an id past the largest", V.level3 + 1);
+      ("an id that is not a node", 3);
+    ];
+  Alcotest.(check int) "no fault recorded" 0 (Fabric.fault_count fabric);
+  (* Valid ids still work, in both directions. *)
+  Fabric.fail_link fabric ~from_node:V.vultr_la ~to_node:V.gtt;
+  Fabric.heal_link fabric ~from_node:V.vultr_la ~to_node:V.gtt;
+  Fabric.set_link_fault fabric ~from_node:V.level3 ~to_node:V.vultr_la ();
+  Alcotest.(check int) "valid fault recorded" 1 (Fabric.fault_count fabric)
+
+(* ------------------------------------------------------------------ *)
+(* Delay-only links: no queueing or contention                         *)
 
 let slow_link_net () =
   let topo = Tango_topo.Topology.create () in
@@ -315,51 +368,6 @@ let big_packet i =
          ~dst:(Addr.of_string_exn "10.0.0.1")
          ~proto:17 ~src_port:1 ~dst_port:2)
     ~payload_bytes:1250 ~created_at:0.0 ()
-
-let test_fabric_queueing_serializes () =
-  let engine, net = slow_link_net () in
-  let fabric = Fabric.create ~max_queue_s:10.0 net in
-  let arrivals = ref [] in
-  for i = 1 to 5 do
-    Fabric.send fabric ~from_node:0
-      ~on_delivered:(fun ~node:_ _ -> arrivals := Engine.now engine :: !arrivals)
-      (big_packet i)
-  done;
-  Engine.run engine;
-  let arrivals = List.rev !arrivals in
-  Alcotest.(check int) "all delivered" 5 (List.length arrivals);
-  (* Back-to-back sends serialize ~10.3 ms apart. *)
-  let rec gaps = function
-    | a :: (b :: _ as rest) -> (b -. a) :: gaps rest
-    | _ -> []
-  in
-  List.iter
-    (fun gap ->
-      Alcotest.(check bool)
-        (Printf.sprintf "gap %.4f near serialization time" gap)
-        true
-        (gap > 0.009 && gap < 0.012))
-    (gaps arrivals)
-
-let test_fabric_queue_overflow_drops () =
-  let engine, net = slow_link_net () in
-  (* Queue bound of 25 ms holds only ~2 waiting packets. *)
-  let fabric = Fabric.create ~max_queue_s:0.025 net in
-  let delivered = ref 0 and dropped = ref 0 in
-  for i = 1 to 20 do
-    Fabric.send fabric ~from_node:0
-      ~on_dropped:(fun ~reason _ ->
-        Alcotest.(check string) "reason" "queue-overflow" reason;
-        incr dropped)
-      ~on_delivered:(fun ~node:_ _ -> incr delivered)
-      (big_packet i)
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "accounted" 20 (!delivered + !dropped);
-  Alcotest.(check bool)
-    (Printf.sprintf "most dropped (%d delivered)" !delivered)
-    true
-    (!delivered <= 4 && !dropped >= 16)
 
 let test_fabric_no_contention_by_default () =
   let engine, net = slow_link_net () in
@@ -451,9 +459,8 @@ let test_flow_cache_generation_wraparound () =
 
 (* Property: whatever generation the cache sits at (including the wrap
    edge), a decision stored before [invalidate] is never served after
-   it. PR 9 extends the property over bounded caches: capacity 0 means
-   unbounded, anything else turns the clock-hand evictor on — the
-   stale-generation guarantee must not depend on the mode. *)
+   it, at any capacity: 0 picks the default, anything else a tight
+   bound the clock hand must evict under. *)
 let flow_cache_qcheck_stale_never_served =
   QCheck.Test.make ~name:"stale generation never serves a cached decision"
     ~count:500
@@ -490,13 +497,13 @@ let test_flow_cache_capacity_enforced () =
   (* The most recent insert is always resident. *)
   Alcotest.(check (option int)) "latest key served" (Some 9)
     (Flow_cache.find c ~flow_hash:9);
-  (* Unbounded caches never evict. *)
+  (* The default capacity is 1024 flows, so ten never evict. *)
   let u = Flow_cache.create () in
   for k = 0 to 9 do
     Flow_cache.store u ~flow_hash:k 1
   done;
-  Alcotest.(check int) "unbounded capacity is 0" 0 (Flow_cache.capacity u);
-  Alcotest.(check int) "unbounded never evicts" 0 (Flow_cache.evictions u)
+  Alcotest.(check int) "default capacity is 1024" 1024 (Flow_cache.capacity u);
+  Alcotest.(check int) "default never evicts here" 0 (Flow_cache.evictions u)
 
 (* Second chance: inserts set the ref bit, so the first overflow sweeps
    one full round (clearing every bit) and evicts the oldest slot,
@@ -531,9 +538,50 @@ let test_flow_cache_second_chance () =
   Alcotest.(check (option int)) "neighbour survives" (Some 3)
     (Flow_cache.find c0 ~flow_hash:300)
 
+(* The oracle: the cache's former unbounded mode, kept verbatim — a
+   Hashtbl from flow hash to packed (generation, path) entry that grows
+   with the flow population and never evicts. *)
+module Unbounded_cache = struct
+  let path_bits = 8
+
+  let max_path = (1 lsl path_bits) - 1
+
+  let gen_mask = (1 lsl (Sys.int_size - 1 - path_bits)) - 1
+
+  type t = {
+    table : (int, int) Hashtbl.t;
+    mutable generation : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create () =
+    { table = Hashtbl.create 1024; generation = 0; hits = 0; misses = 0 }
+
+  let find t ~flow_hash =
+    match Hashtbl.find_opt t.table flow_hash with
+    | Some packed when packed lsr path_bits = t.generation ->
+        t.hits <- t.hits + 1;
+        Some (packed land max_path)
+    | Some _ | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let store t ~flow_hash path =
+    let packed = (t.generation lsl path_bits) lor path in
+    Hashtbl.replace t.table flow_hash packed
+
+  let invalidate t =
+    let next = (t.generation + 1) land gen_mask in
+    if next = 0 then Hashtbl.reset t.table;
+    t.generation <- next
+
+  let resident t = Hashtbl.length t.table
+end
+
 (* Differential property: with capacity >= the number of distinct keys a
-   trace can touch, the bounded cache never evicts and is observationally
-   identical to the unbounded one — same find results, same hit/miss
+   trace can touch, the cache never evicts and is observationally
+   identical to an unbounded map — same find results, same hit/miss
    counters — across arbitrary store/find/invalidate interleavings. *)
 let flow_cache_qcheck_bounded_matches_unbounded =
   QCheck.Test.make
@@ -541,7 +589,7 @@ let flow_cache_qcheck_bounded_matches_unbounded =
     QCheck.(list_of_size Gen.(int_range 1 120) (pair (int_bound 31) (int_bound 20)))
     (fun ops ->
       let b = Flow_cache.create ~capacity:32 () in
-      let u = Flow_cache.create () in
+      let u = Unbounded_cache.create () in
       let agree = ref true in
       List.iter
         (fun (key, op) ->
@@ -549,22 +597,24 @@ let flow_cache_qcheck_bounded_matches_unbounded =
             (* store *)
             let path = (key * 7) land Flow_cache.max_path in
             Flow_cache.store b ~flow_hash:key path;
-            Flow_cache.store u ~flow_hash:key path
+            Unbounded_cache.store u ~flow_hash:key path
           end
           else if op < 20 then begin
-            if Flow_cache.find b ~flow_hash:key <> Flow_cache.find u ~flow_hash:key
+            if
+              Flow_cache.find b ~flow_hash:key
+              <> Unbounded_cache.find u ~flow_hash:key
             then agree := false
           end
           else begin
             Flow_cache.invalidate b;
-            Flow_cache.invalidate u
+            Unbounded_cache.invalidate u
           end)
         ops;
       !agree
       && Flow_cache.evictions b = 0
-      && Flow_cache.hits b = Flow_cache.hits u
-      && Flow_cache.misses b = Flow_cache.misses u
-      && Flow_cache.resident b = Flow_cache.resident u)
+      && Flow_cache.hits b = u.Unbounded_cache.hits
+      && Flow_cache.misses b = u.Unbounded_cache.misses
+      && Flow_cache.resident b = Unbounded_cache.resident u)
 
 (* Hit-rate is monotone in capacity over a fixed skewed trace: more room
    can only turn misses into hits. (True for this deterministic replay;
@@ -644,11 +694,12 @@ let () =
           tc "loss" `Quick test_fabric_loss;
           tc "extra delay" `Quick test_fabric_extra_delay_applied;
           tc "ecmp lanes" `Quick test_fabric_lanes_differentiate_flows;
+          tc "link state sized by node count" `Quick
+            test_fabric_link_state_sized_by_nodes;
+          tc "link ids validated" `Quick test_fabric_link_ids_validated;
         ] );
       ( "queueing",
         [
-          tc "serializes" `Quick test_fabric_queueing_serializes;
-          tc "overflow drops" `Quick test_fabric_queue_overflow_drops;
           tc "off by default" `Quick test_fabric_no_contention_by_default;
         ] );
       ( "flow_cache",

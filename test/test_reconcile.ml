@@ -27,19 +27,10 @@ module Reconcile = Tango_ctrl.Reconcile
 module Channel = Tango_ctrl.Channel
 module Watch = Tango_ctrl.Watch
 
-let vultr_overrides (node : Tango_topo.Topology.node) =
-  if
-    node.Tango_topo.Topology.id = Vultr.vultr_la
-    || node.Tango_topo.Topology.id = Vultr.vultr_ny
-  then
-    { Network.no_overrides with
-      neighbor_weight = Some Vultr.vultr_neighbor_weight }
-  else Network.no_overrides
-
 let fresh_net ~seed =
   let topo = Vultr.build () in
   let engine = Engine.create ~seed () in
-  Network.create ~configure:vultr_overrides topo engine
+  Network.create ~configure:Pair.vultr_overrides topo engine
 
 (* A probe subnet index no other subsystem uses (Pair takes 16*100,
    experiments 16*96..99, the reconciler 16*94/95). *)

@@ -56,15 +56,7 @@ let test_tunnel_endpoint_membership () =
 let vultr_net () =
   let topo = Vultr.build () in
   let engine = Tango_sim.Engine.create () in
-  Tango_bgp.Network.create
-    ~configure:(fun node ->
-      if node.Tango_topo.Topology.id = Vultr.vultr_la
-         || node.Tango_topo.Topology.id = Vultr.vultr_ny
-      then
-        { Tango_bgp.Network.no_overrides with
-          neighbor_weight = Some Vultr.vultr_neighbor_weight }
-      else Tango_bgp.Network.no_overrides)
-    topo engine
+  Tango_bgp.Network.create ~configure:Pair.vultr_overrides topo engine
 
 let probe = Prefix.of_string_exn "2001:db8:7000::/48"
 
