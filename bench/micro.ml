@@ -93,13 +93,21 @@ let test_tracker =
          Tango_dataplane.Seq_tracker.observe tracker !seq;
          seq := Int64.add !seq 1L))
 
-let test_heap =
-  let heap = Tango_sim.Heap.create ~cmp:Float.compare () in
+(* The event engine in steady state with 1024 events pending, about
+   what one mesh-64 engine holds: each op schedules one event (a reused
+   callback, a delay from a fixed ring) and fires the earliest. *)
+let test_engine =
+  let engine = Tango_sim.Engine.create ~seed:1 () in
   let rng = Tango_sim.Rng.create ~seed:1 in
-  Test.make ~name:"heap push+pop"
+  let delays = Array.init 1024 (fun _ -> Tango_sim.Rng.float rng 1.0) in
+  let tick (_ : Tango_sim.Engine.t) = () in
+  Array.iter (fun delay -> Tango_sim.Engine.schedule engine ~delay tick) delays;
+  let i = ref 0 in
+  Test.make ~name:"engine schedule+step (1024 pending)"
     (Staged.stage (fun () ->
-         Tango_sim.Heap.push heap (Tango_sim.Rng.float rng 1.0);
-         ignore (Tango_sim.Heap.pop heap)))
+         i := (!i + 1) land 1023;
+         Tango_sim.Engine.schedule engine ~delay:delays.(!i) tick;
+         ignore (Tango_sim.Engine.step engine)))
 
 let test_rng =
   let rng = Tango_sim.Rng.create ~seed:2 in
@@ -492,7 +500,7 @@ let all_tests =
       test_rolling_extrema;
       test_jitter;
       test_tracker;
-      test_heap;
+      test_engine;
       test_rng;
       test_policy_uncached;
       test_flow_cache_hit;

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: RNG, heap, engine, statistics. *)
+(* Tests for the simulation substrate: RNG, engine, statistics. *)
 
 open Tango_sim
 
@@ -112,61 +112,6 @@ let test_rng_choice () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ]
-    (Heap.to_sorted_list h);
-  Alcotest.(check int) "length preserved" 7 (Heap.length h)
-
-let test_heap_pop_order () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 4; 1; 3 ];
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Heap.push h 0;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 4" (Some 4) (Heap.pop h);
-  Alcotest.(check (option int)) "empty" None (Heap.pop h)
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h)
-
-let heap_qcheck_sorted =
-  QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) l;
-      Heap.to_sorted_list h = List.sort Int.compare l)
-
-let heap_qcheck_pop_monotone =
-  QCheck.Test.make ~name:"heap pops are monotone" ~count:200
-    QCheck.(list small_int)
-    (fun l ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) l;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some x -> x >= prev && drain x
-      in
-      drain min_int)
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
 let test_engine_time_advance () =
@@ -245,6 +190,386 @@ let test_engine_cancel_all () =
   Engine.cancel_all e;
   Engine.run e;
   check_float "clock untouched" 0.0 (Engine.now e)
+
+let test_engine_rejects_nan () =
+  (* At 0.5 s a callback asks for a NaN delay while events wait at 1 s
+     and 2 s. Accepted, it would fire first with [now] = NaN, and the
+     clock would then jump back to 1. *)
+  let e = Engine.create () in
+  let fired = ref [] in
+  let log e = fired := Engine.now e :: !fired in
+  Engine.schedule e ~delay:1.0 log;
+  Engine.schedule e ~delay:2.0 log;
+  Engine.schedule e ~delay:0.5 (fun e ->
+      Alcotest.check_raises "NaN delay"
+        (Invalid_argument "Engine.schedule: NaN delay") (fun () ->
+          Engine.schedule e ~delay:Float.nan log));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: NaN time")
+    (fun () -> Engine.schedule_at e ~time:Float.nan log);
+  Alcotest.check_raises "NaN interval"
+    (Invalid_argument "Engine.every: NaN interval") (fun () ->
+      Engine.every e ~interval:Float.nan log);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "clock never NaN" [ 1.0; 2.0 ] (List.rev !fired)
+
+let test_engine_until_never_rewinds () =
+  (* Rewound to 3 with the event at 5 already fired, the clock would
+     then accept an event at 4 and fire it after the one at 5. *)
+  let e = Engine.create () in
+  let fired = ref [] in
+  let log e = fired := Engine.now e :: !fired in
+  Engine.schedule_at e ~time:5.0 log;
+  Engine.schedule_at e ~time:20.0 log;
+  Engine.run ~until:10.0 e;
+  Alcotest.check_raises "until before now"
+    (Invalid_argument "Engine.run: until precedes now") (fun () ->
+      Engine.run ~until:3.0 e);
+  Alcotest.check_raises "NaN until" (Invalid_argument "Engine.run: NaN until")
+    (fun () -> Engine.run ~until:Float.nan e);
+  check_float "clock kept" 10.0 (Engine.now e);
+  Engine.run ~until:10.0 e (* [until] = [now] is accepted *);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "monotone firing" [ 5.0; 20.0 ] (List.rev !fired)
+
+let test_engine_releases_fired () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  let schedule_holding () =
+    let payload = Bytes.create 64 in
+    Weak.set w 0 (Some payload);
+    Engine.schedule e ~delay:1.0 (fun _ -> Bytes.set payload 0 'x')
+  in
+  schedule_holding ();
+  ignore (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check bool) "fired closure collected" false (Weak.check w 0);
+  (* Keep the engine itself alive across the collection. *)
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e)
+
+let alloc_tick (_ : Engine.t) = ()
+
+let test_engine_alloc () =
+  (* Steady state with 1024 pending: per op, only the boxed [~delay]
+     argument and the boxed clock (2 words each) may be allocated. *)
+  let e = Engine.create () in
+  let rng = Rng.create ~seed:5 in
+  let delays = Array.init 1024 (fun _ -> Rng.float rng 1.0) in
+  Array.iter (fun delay -> Engine.schedule e ~delay alloc_tick) delays;
+  let ops = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to ops - 1 do
+    Engine.schedule e ~delay:delays.(i land 1023) alloc_tick;
+    ignore (Engine.step e)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "still 1024 pending" 1024 (Engine.pending e);
+  (* 16 words of slack cover the two Gc.minor_words readings. *)
+  if words > float_of_int ((4 * ops) + 16) then
+    Alcotest.failf "%.3f minor words per schedule+step, want <= 4"
+      (words /. float_of_int ops)
+
+(* ------------------------------------------------------------------ *)
+(* Engine against the binary-heap engine it replaced                   *)
+
+(* The old event engine and its generic heap, kept verbatim as the
+   oracle for the flat queue: only the metric calls, [Engine.rng] and
+   the heap functions the engine never called are dropped. *)
+module Old_heap = struct
+  type 'a t = {
+    cmp : 'a -> 'a -> int;
+    mutable data : 'a array;
+    mutable size : int;
+    mutable reserve : int;
+  }
+
+  let create ?(capacity = 0) ~cmp () =
+    if capacity < 0 then invalid_arg "Heap.create: negative capacity";
+    { cmp; data = [||]; size = 0; reserve = capacity }
+
+  let length t = t.size
+
+  let grow t x =
+    let capacity = Array.length t.data in
+    if t.size = capacity then begin
+      let new_capacity = max (max 8 t.reserve) (2 * capacity) in
+      let data = Array.make new_capacity x in
+      Array.blit t.data 0 data 0 t.size;
+      t.data <- data
+    end
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.cmp t.data.(i) t.data.(parent) < 0 then begin
+        let tmp = t.data.(i) in
+        t.data.(i) <- t.data.(parent);
+        t.data.(parent) <- tmp;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let left = (2 * i) + 1 in
+    let right = left + 1 in
+    let smallest = ref i in
+    if left < t.size && t.cmp t.data.(left) t.data.(!smallest) < 0 then
+      smallest := left;
+    if right < t.size && t.cmp t.data.(right) t.data.(!smallest) < 0 then
+      smallest := right;
+    if !smallest <> i then begin
+      let tmp = t.data.(i) in
+      t.data.(i) <- t.data.(!smallest);
+      t.data.(!smallest) <- tmp;
+      sift_down t !smallest
+    end
+
+  let push t x =
+    grow t x;
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let peek t = if t.size = 0 then None else Some t.data.(0)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.data.(0) <- t.data.(t.size);
+        sift_down t 0
+      end;
+      Some top
+    end
+
+  let clear t =
+    t.size <- 0;
+    t.data <- [||]
+end
+
+module Old_engine = struct
+  module Heap = Old_heap
+
+  type event = { time : float; seq : int; callback : t -> unit }
+
+  and t = {
+    mutable clock : float;
+    mutable next_seq : int;
+    queue : event Heap.t;
+    root_rng : Rng.t;
+  }
+
+  let compare_event a b =
+    let c = Float.compare a.time b.time in
+    if c <> 0 then c else Int.compare a.seq b.seq
+
+  let create ?(seed = 42) ?(heap_capacity = 0) () =
+    {
+      clock = 0.0;
+      next_seq = 0;
+      queue = Heap.create ~capacity:heap_capacity ~cmp:compare_event ();
+      root_rng = Rng.create ~seed;
+    }
+
+  let now t = t.clock
+
+  let schedule_at t ~time callback =
+    if time < t.clock then
+      invalid_arg
+        (Printf.sprintf "Engine.schedule_at: time %g precedes now %g" time
+           t.clock);
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    Heap.push t.queue { time; seq; callback }
+
+  let schedule t ~delay callback =
+    if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+    schedule_at t ~time:(t.clock +. delay) callback
+
+  let every t ~interval ?until callback =
+    if interval <= 0.0 then invalid_arg "Engine.every: non-positive interval";
+    let rec tick engine =
+      callback engine;
+      let next = now engine +. interval in
+      match until with
+      | Some stop when next > stop -> ()
+      | Some _ | None -> schedule_at engine ~time:next tick
+    in
+    schedule t ~delay:0.0 tick
+
+  let pending t = Heap.length t.queue
+
+  let step t =
+    match Heap.pop t.queue with
+    | None -> false
+    | Some ev ->
+        t.clock <- ev.time;
+        ev.callback t;
+        true
+
+  let run ?until ?max_events t =
+    let executed = ref 0 in
+    let continue () =
+      match max_events with None -> true | Some m -> !executed < m
+    in
+    let rec loop () =
+      if continue () then
+        match Heap.peek t.queue with
+        | None -> ()
+        | Some ev -> (
+            match until with
+            | Some stop when ev.time > stop -> t.clock <- stop
+            | Some _ | None ->
+                ignore (step t);
+                incr executed;
+                loop ())
+    in
+    loop ()
+
+  let cancel_all t = Heap.clear t.queue
+end
+
+(* Times are multiples of half a second drawn from a handful of values,
+   so most events tie and the FIFO order of equal times decides. Every
+   [until] is [now] plus a non-negative offset: the old engine rewound
+   the clock on an earlier one. *)
+type op =
+  | Schedule of int
+  | Schedule_at of int  (** -1 lies in the past: both engines raise *)
+  | Every of int * int option
+  | Burst of int * int  (** [n] events with delays cycling over [k] values *)
+  | Step
+  | Run of int option * int option
+  | Cancel_all
+
+type entry =
+  | Fired of int * float
+  | Stepped of bool
+  | State of int * float
+  | Raised
+  | Invalid
+
+exception Boom
+
+let half k = 0.5 *. float_of_int k
+
+module type ENGINE = sig
+  type t
+
+  val create : ?seed:int -> ?heap_capacity:int -> unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (t -> unit) -> unit
+  val schedule_at : t -> time:float -> (t -> unit) -> unit
+  val every : t -> interval:float -> ?until:float -> (t -> unit) -> unit
+  val pending : t -> int
+  val step : t -> bool
+  val run : ?until:float -> ?max_events:int -> t -> unit
+  val cancel_all : t -> unit
+end
+
+module Replay (E : ENGINE) = struct
+  (* Callback [id]'s behaviour is a fixed function of (salt, id): it may
+     schedule a child (three generations at most) and may raise. *)
+  let run ~salt ~capacity ops =
+    let e = E.create ~heap_capacity:capacity () in
+    let log = ref [] in
+    let emit x = log := x :: !log in
+    let next_id = ref 0 in
+    let rec fresh ~depth =
+      let id = !next_id in
+      incr next_id;
+      fun engine ->
+        emit (Fired (id, E.now engine));
+        let h = ((id * 0x9E3779B1) + salt) land 0xFFFF in
+        if depth < 3 && h mod 3 = 0 then
+          E.schedule engine ~delay:(half (h / 3 mod 4)) (fresh ~depth:(depth + 1));
+        if depth < 3 && h mod 5 = 1 then
+          E.schedule_at engine
+            ~time:(E.now engine +. half (h / 5 mod 3))
+            (fresh ~depth:(depth + 1));
+        if h mod 17 = 4 then raise Boom
+    in
+    let until = Option.map (fun k -> E.now e +. half k) in
+    let apply = function
+      | Schedule d -> E.schedule e ~delay:(half d) (fresh ~depth:0)
+      | Schedule_at k -> E.schedule_at e ~time:(E.now e +. half k) (fresh ~depth:0)
+      | Every (i, u) ->
+          let id = !next_id in
+          incr next_id;
+          E.every e ~interval:(half (i + 1)) ?until:(until u) (fun engine ->
+              emit (Fired (id, E.now engine)))
+      | Burst (n, k) ->
+          for j = 0 to n - 1 do
+            E.schedule e ~delay:(half (j mod k)) (fresh ~depth:2)
+          done
+      | Step -> emit (Stepped (E.step e))
+      | Run (u, max_events) -> E.run ?until:(until u) ?max_events e
+      | Cancel_all -> E.cancel_all e
+    in
+    let guarded op =
+      (try apply op with Boom -> emit Raised | Invalid_argument _ -> emit Invalid);
+      emit (State (E.pending e, E.now e))
+    in
+    List.iter guarded ops;
+    (* Drain 20 s past the last op (an [every] without [until] never
+       empties the queue), stepping past callbacks that raise. *)
+    let stop = E.now e +. 20.0 in
+    let rec drain () =
+      match E.run ~until:stop e with () -> () | exception Boom -> emit Raised; drain ()
+    in
+    drain ();
+    emit (State (E.pending e, E.now e));
+    List.rev !log
+end
+
+module New_replay = Replay (Engine)
+module Old_replay = Replay (Old_engine)
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule %d" d
+  | Schedule_at k -> Printf.sprintf "schedule_at +%d" k
+  | Every (i, u) ->
+      Printf.sprintf "every %d%s" i
+        (match u with Some k -> Printf.sprintf " until +%d" k | None -> "")
+  | Burst (n, k) -> Printf.sprintf "burst %d/%d" n k
+  | Step -> "step"
+  | Run (u, m) ->
+      Printf.sprintf "run%s%s"
+        (match u with Some k -> Printf.sprintf " until +%d" k | None -> "")
+        (match m with Some m -> Printf.sprintf " max %d" m | None -> "")
+  | Cancel_all -> "cancel_all"
+
+let gen_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun d -> Schedule d) (int_bound 3));
+      (3, map (fun k -> Schedule_at k) (int_range (-1) 3));
+      (1, map2 (fun i u -> Every (i, u)) (int_bound 2) (opt (int_bound 8)));
+      (1, map2 (fun n k -> Burst (n, k)) (int_range 1 1500) (int_range 1 4));
+      (4, return Step);
+      ( 2,
+        (* Without [until], always bound the events: an [every] may be
+           unbounded. *)
+        map2
+          (fun u m -> match u with None -> Run (None, Some m) | Some _ -> Run (u, None))
+          (opt (int_bound 4)) (int_bound 40) );
+      (1, map2 (fun u m -> Run (Some u, Some m)) (int_bound 4) (int_bound 40));
+      (1, return Cancel_all);
+    ]
+
+let engine_matches_oracle =
+  QCheck.Test.make ~name:"flat queue fires like the binary-heap engine" ~count:300
+    (QCheck.make
+       ~print:(fun (salt, capacity, ops) ->
+         Printf.sprintf "salt %d, capacity %d: %s" salt capacity
+           (String.concat "; " (List.map show_op ops)))
+       QCheck.Gen.(
+         triple (int_bound 0xFFFF) (oneofl [ 0; 3; 64; 2000 ])
+           (list_size (int_range 1 60) gen_op)))
+    (fun (salt, capacity, ops) ->
+      New_replay.run ~salt ~capacity ops = Old_replay.run ~salt ~capacity ops)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -344,15 +669,6 @@ let () =
           tc "shuffle permutation" `Quick test_rng_shuffle_permutation;
           tc "choice member" `Quick test_rng_choice;
         ] );
-      ( "heap",
-        [
-          tc "ordering" `Quick test_heap_ordering;
-          tc "pop order" `Quick test_heap_pop_order;
-          tc "empty" `Quick test_heap_empty;
-          tc "clear" `Quick test_heap_clear;
-          qc heap_qcheck_sorted;
-          qc heap_qcheck_pop_monotone;
-        ] );
       ( "engine",
         [
           tc "time advance" `Quick test_engine_time_advance;
@@ -364,6 +680,11 @@ let () =
           tc "negative delay" `Quick test_engine_negative_delay;
           tc "schedule in past" `Quick test_engine_schedule_past;
           tc "cancel all" `Quick test_engine_cancel_all;
+          tc "rejects NaN" `Quick test_engine_rejects_nan;
+          tc "until never rewinds" `Quick test_engine_until_never_rewinds;
+          tc "releases fired callbacks" `Quick test_engine_releases_fired;
+          tc "schedule+step allocation" `Quick test_engine_alloc;
+          qc engine_matches_oracle;
         ] );
       ( "stats",
         [
