@@ -1,67 +1,74 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a mutable [int64]
+   field: storing an [int64] into a record boxes it, so every draw would
+   allocate. [Bytes.get_int64_le]/[set_int64_le] keep the state unboxed
+   through the step, and the [@inline] helpers below keep the raw word
+   and the unit draw unboxed inside each public function. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* SplitMix64 output function: state advances by the golden gamma, the
    mixed value is returned. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+(* 53 uniformly random mantissa bits, in [0, 1). *)
+let[@inline] unit t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+
+(* A unit draw in (1e-300, 1): the logarithms below need it positive. *)
+let[@inline] positive_unit t =
+  let u = ref (unit t) in
+  while !u <= 1e-300 do
+    u := unit t
+  done;
+  !u
+
+let bits64 t = next t
+
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's native int non-negatively. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  (* 53 uniformly random mantissa bits. *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (v /. 9007199254740992.0)
+let float t bound = bound *. unit t
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let gaussian t ~mean ~std =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () in
-  let u2 = float t 1.0 in
+  let u1 = positive_unit t in
+  let u2 = unit t in
   let r = sqrt (-2.0 *. log u1) in
   mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then draw () else u
-  in
-  -.log (draw ()) /. rate
+  -.log (positive_unit t) /. rate
 
 let pareto t ~scale ~shape =
   if scale <= 0.0 || shape <= 0.0 then
     invalid_arg "Rng.pareto: scale and shape must be positive";
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then draw () else u
-  in
-  scale /. (draw () ** (1.0 /. shape))
+  scale /. (positive_unit t ** (1.0 /. shape))
 
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
