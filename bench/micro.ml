@@ -351,15 +351,9 @@ let batch_fabric, batch_packets =
 let test_send_batch_direct =
   let now = ref 0.0 in
   let on_delivered_at ~node:_ ~at_s:_ _ = () in
-  (* The same 64 packets go round every op; drop the previous round's
-     recorded hops so the conses die young instead of accreting on the
-     benchmark's long-lived packets (which would read as a promotion
-     leak the real pipeline — fresh packets per generation — never has). *)
-  let reset p = p.Tango_net.Packet.hops <- [] in
   Test.make ~name:"fabric.send_batch_direct (64 pkts, plain)"
     (Staged.stage (fun () ->
          now := !now +. 1e-6;
-         Tango_dataplane.Batch.iter batch_packets ~f:reset;
          Tango_dataplane.Fabric.send_batch_direct batch_fabric ~from_node:0
            ~now_s:!now ~on_delivered_at batch_packets))
 

@@ -20,10 +20,16 @@ val create :
 (** The fabric shares the BGP network's topology and engine. Defaults: a
     single zero-offset lane everywhere and no dynamic delay. Links have
     unbounded parallel capacity (delay-only model). Per-link state is
-    sized by the topology's node count at creation, so the node set
-    must not change afterwards. *)
+    sized by the topology's node count at creation, and every directed
+    link is snapshotted then, so neither the node set nor the links may
+    change afterwards. *)
 
 val network : t -> Tango_bgp.Network.t
+
+val link : t -> from_node:int -> to_node:int -> Tango_topo.Link.t option
+(** The directed link the forwarding loop uses between two nodes: the
+    snapshot of {!Tango_topo.Topology.link} taken at creation. Raises
+    {!Err.Invalid} for an id that is not a node of the topology. *)
 
 val send :
   t ->

@@ -22,12 +22,11 @@ type t = {
   created_at : float;
   content : content option;
   mutable encap : encap option;
-  mutable hops : int list;
 }
 
 let create ~id ~flow ~payload_bytes ?content ~created_at () =
   if payload_bytes < 0 then Err.invalid "Packet.create: negative payload";
-  { id; flow; payload_bytes; created_at; content; encap = None; hops = [] }
+  { id; flow; payload_bytes; created_at; content; encap = None }
 
 let encapsulate t encap =
   match t.encap with
@@ -52,10 +51,6 @@ let forwarding_flow t =
 
 let forwarding_dst t =
   match t.encap with None -> t.flow.Flow.dst | Some e -> e.outer_dst
-
-let record_hop t asn = t.hops <- asn :: t.hops
-
-let path_taken t = List.rev t.hops
 
 (* Fixed header sizes: inner IPv6 (40); tunnel adds outer IPv6 (40),
    UDP (8) and the 20-byte Tango shim. *)

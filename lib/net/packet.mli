@@ -2,7 +2,7 @@
 
     A packet carries its original (inner) 5-tuple, an optional Tango
     tunnel encapsulation, and bookkeeping used by the simulator: creation
-    time, the AS-level hops traversed so far, and a unique id. *)
+    time and a unique id. *)
 
 type tango_header = {
   timestamp_ns : int64;  (** Sender switch clock at encap time. *)
@@ -30,7 +30,6 @@ type t = {
   created_at : float;  (** Virtual time at creation. *)
   content : content option;
   mutable encap : encap option;
-  mutable hops : int list;  (** ASNs traversed, most recent first. *)
 }
 
 val create :
@@ -60,12 +59,6 @@ val forwarding_dst : t -> Addr.t
 (** Destination address the core routes on — [forwarding_flow]'s [dst]
     without materializing the flow record (the batched fast path resolves
     routes by destination only, so it never needs the full 5-tuple). *)
-
-val record_hop : t -> int -> unit
-(** Note traversal of an AS. *)
-
-val path_taken : t -> int list
-(** ASNs in traversal order. *)
 
 val wire_size : t -> int
 (** Payload plus all header bytes currently on the packet. *)

@@ -427,11 +427,6 @@ let test_prefix_nth_negative () =
   Alcotest.(check bool) "negative index" true
     (try ignore (Prefix.nth_address p (-1L)); false with Err.Invalid _ -> true)
 
-let test_packet_hops () =
-  let p = Packet.create ~id:1 ~flow:(flow_a ()) ~payload_bytes:0 ~created_at:0.0 () in
-  List.iter (Packet.record_hop p) [ 64512; 20473; 2914 ];
-  Alcotest.(check (list int)) "in order" [ 64512; 20473; 2914 ] (Packet.path_taken p)
-
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
 
@@ -786,7 +781,6 @@ let () =
           tc "encap cycle" `Quick test_packet_encap_cycle;
           tc "double encap rejected" `Quick test_packet_double_encap_rejected;
           tc "forwarding flow" `Quick test_packet_forwarding_flow;
-          tc "hops" `Quick test_packet_hops;
           tc "decapsulate raw" `Quick test_packet_decapsulate_raw;
         ] );
       ( "wire",
