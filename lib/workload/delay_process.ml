@@ -63,9 +63,15 @@ type t = {
   white_std_ms : float;
   event_list : event list;
   rng : Rng.t;
-  mutable ou_state : float;
-  mutable last_time : float;
+  (* The noise state, in a float array rather than mutable fields: a
+     float stored into this mixed record would be boxed, once per query
+     on the per-hop path. *)
+  noise : float array;  (* ou_state, last_time *)
 }
+
+let ou_ix = 0
+
+let last_time_ix = 1
 
 let create ~seed ?(base_ms = 0.0) ?(diurnal_amplitude_ms = 0.0)
     ?(diurnal_period_s = 86400.0) ?(diurnal_phase = 0.0) ?(ou_std_ms = 0.0)
@@ -83,9 +89,21 @@ let create ~seed ?(base_ms = 0.0) ?(diurnal_amplitude_ms = 0.0)
     white_std_ms;
     event_list = events;
     rng = Rng.create ~seed;
-    ou_state = 0.0;
-    last_time = neg_infinity;
+    noise = [| 0.0; neg_infinity |];
   }
+
+(* Left folds over the event and spike lists as toplevel recursions:
+   [value] runs once per hop, and a [List.fold_left] closure capturing
+   [time_s] would be allocated on every call. *)
+let rec sum_spikes acc spikes ~time_s =
+  match spikes with
+  | [] -> acc
+  | s :: rest -> sum_spikes (acc +. spike_value s ~time_s) rest ~time_s
+
+let rec max_spike acc spikes ~time_s =
+  match spikes with
+  | [] -> acc
+  | s :: rest -> max_spike (Float.max acc (spike_value s ~time_s)) rest ~time_s
 
 let event_value event ~time_s =
   match event with
@@ -94,11 +112,16 @@ let event_value event ~time_s =
         if time_s >= start_s && time_s < start_s +. duration_s then magnitude_ms
         else 0.0
       in
-      List.fold_left (fun acc s -> acc +. spike_value s ~time_s) shift onset
+      sum_spikes shift onset ~time_s
   | Instability { spikes; _ } ->
       (* Overlapping spikes do not stack; the worst one dominates, which
          keeps the calibrated peak exact. *)
-      List.fold_left (fun acc s -> Float.max acc (spike_value s ~time_s)) 0.0 spikes
+      max_spike 0.0 spikes ~time_s
+
+let rec sum_events acc events ~time_s =
+  match events with
+  | [] -> acc
+  | e :: rest -> sum_events (acc +. event_value e ~time_s) rest ~time_s
 
 let floor_value t ~time_s =
   let diurnal =
@@ -106,29 +129,28 @@ let floor_value t ~time_s =
     *. (1.0 +. sin ((2.0 *. Float.pi *. time_s /. t.diurnal_period_s) +. t.diurnal_phase))
     /. 2.0
   in
-  List.fold_left
-    (fun acc e -> acc +. event_value e ~time_s)
-    (t.base_ms +. diurnal) t.event_list
+  sum_events (t.base_ms +. diurnal) t.event_list ~time_s
 
 let advance_ou t ~time_s =
   if t.ou_std_ms > 0.0 then begin
-    let dt = if Float.equal t.last_time neg_infinity then 0.0 else time_s -. t.last_time in
+    let last_time = t.noise.(last_time_ix) in
+    let dt = if Float.equal last_time neg_infinity then 0.0 else time_s -. last_time in
     let decay = exp (-.dt /. t.ou_tau_s) in
     let innovation_std = t.ou_std_ms *. sqrt (1.0 -. (decay *. decay)) in
-    t.ou_state <-
-      (t.ou_state *. decay)
+    t.noise.(ou_ix) <-
+      (t.noise.(ou_ix) *. decay)
       +. (if innovation_std > 0.0 then Rng.gaussian t.rng ~mean:0.0 ~std:innovation_std else 0.0)
   end;
-  t.last_time <- time_s
+  t.noise.(last_time_ix) <- time_s
 
 let value t ~time_s =
-  if time_s < t.last_time then
+  if time_s < t.noise.(last_time_ix) then
     invalid_arg "Delay_process.value: time went backwards";
   advance_ou t ~time_s;
   let white =
     if t.white_std_ms > 0.0 then Rng.gaussian t.rng ~mean:0.0 ~std:t.white_std_ms
     else 0.0
   in
-  Float.max 0.0 (floor_value t ~time_s +. t.ou_state +. white)
+  Float.max 0.0 (floor_value t ~time_s +. t.noise.(ou_ix) +. white)
 
 let events t = t.event_list

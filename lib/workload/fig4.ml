@@ -1,9 +1,15 @@
 module Vultr = Tango_topo.Vultr
 module Rng = Tango_sim.Rng
 
+(* The eight processes sit in parallel arrays keyed by directed link
+   and are found by a linear scan: the fabric queries the hook on every
+   hop, and a tuple-keyed table would build and hash a key and return
+   an option each time. *)
 type t = {
   horizon_s : float;
-  processes : (int * int, Delay_process.t) Hashtbl.t;
+  link_from : int array;
+  link_to : int array;
+  processes : Delay_process.t array;
   route_change : float * float;
   instability : float * float;
 }
@@ -12,10 +18,10 @@ let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
     ?(instability_peak_extra_ms = 50.0) () =
   if horizon_s <= 0.0 then invalid_arg "Fig4.create: non-positive horizon";
   let rng = Rng.create ~seed in
-  let processes = Hashtbl.create 16 in
+  let registered = ref [] in
   let fresh_seed () = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
   let register ~transit ~toward process =
-    Hashtbl.replace processes (transit, toward) process
+    registered := (transit, toward, process) :: !registered
   in
   let rc_start = 0.40 *. horizon_s and rc_stop = 0.60 *. horizon_s in
   let inst_start = 0.70 *. horizon_s and inst_stop = 0.80 *. horizon_s in
@@ -59,22 +65,32 @@ let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
   register ~transit:Vultr.cogent ~toward:Vultr.vultr_ny
     (Delay_process.create ~seed:(fresh_seed ()) ~base_ms:0.6 ~white_std_ms:0.10
        ~ou_std_ms:0.10 ());
+  let registered = Array.of_list (List.rev !registered) in
   {
     horizon_s;
-    processes;
+    link_from = Array.map (fun (transit, _, _) -> transit) registered;
+    link_to = Array.map (fun (_, toward, _) -> toward) registered;
+    processes = Array.map (fun (_, _, process) -> process) registered;
     route_change = (rc_start, rc_stop);
     instability = (inst_start, inst_stop);
   }
 
 let horizon_s t = t.horizon_s
 
+(* Index of the process on a directed link; -1 when it has none. *)
+let rec find_link t ~from_node ~to_node i =
+  if i >= Array.length t.link_from then -1
+  else if t.link_from.(i) = from_node && t.link_to.(i) = to_node then i
+  else find_link t ~from_node ~to_node (i + 1)
+
 let extra_delay_ms t ~from_node ~to_node ~time_s =
-  match Hashtbl.find_opt t.processes (from_node, to_node) with
-  | Some process -> Delay_process.value process ~time_s
-  | None -> 0.0
+  let i = find_link t ~from_node ~to_node 0 in
+  if i < 0 then 0.0 else Delay_process.value t.processes.(i) ~time_s
 
 let route_change_window t = t.route_change
 
 let instability_window t = t.instability
 
-let process_for t ~transit ~toward = Hashtbl.find_opt t.processes (transit, toward)
+let process_for t ~transit ~toward =
+  let i = find_link t ~from_node:transit ~to_node:toward 0 in
+  if i < 0 then None else Some t.processes.(i)
