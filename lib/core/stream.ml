@@ -122,14 +122,13 @@ let on_ack t ~now cumulative =
   end
 
 let on_segment t ~now seq =
-  let released = Inorder.arrival t.inorder ~seq ~time:now in
-  List.iter
-    (fun (_, at) ->
-      if t.delivered > 0 || t.last_delivery_at > 0.0 then
-        t.max_stall <- Float.max t.max_stall (at -. t.last_delivery_at);
-      t.last_delivery_at <- at;
-      t.delivered <- t.delivered + 1)
-    released;
+  (* Every segment this arrival releases is delivered now. *)
+  for _ = 1 to Inorder.arrive t.inorder ~seq ~time:now do
+    if t.delivered > 0 || t.last_delivery_at > 0.0 then
+      t.max_stall <- Float.max t.max_stall (now -. t.last_delivery_at);
+    t.last_delivery_at <- now;
+    t.delivered <- t.delivered + 1
+  done;
   (* Cumulative ACK for the in-order frontier, also sent on out-of-order
      arrivals (duplicate ACKs), riding the receiver's own route choice. *)
   ignore

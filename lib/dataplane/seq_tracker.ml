@@ -42,7 +42,10 @@ type t = {
   mutable received : int;
   mutable reordered : int;
   mutable duplicates : int;
-  mutable recent : float;  (* EWMA of the per-packet loss indicator *)
+  recent : float array;
+      (* EWMA of the per-packet loss indicator, in a one-element float
+         array: stored into a mutable field of this mixed record it would
+         be boxed on every observation *)
 }
 
 let recent_alpha = 0.05
@@ -57,11 +60,11 @@ let create () =
     received = 0;
     reordered = 0;
     duplicates = 0;
-    recent = 0.0;
+    recent = [| 0.0 |];
   }
 
 let[@hot] bump_recent t indicator =
-  t.recent <- (recent_alpha *. indicator) +. ((1.0 -. recent_alpha) *. t.recent)
+  t.recent.(0) <- (recent_alpha *. indicator) +. ((1.0 -. recent_alpha) *. t.recent.(0))
 
 (* [now_s] only stamps the emitted trace records (the tracker itself is
    clockless); callers without a clock may omit it. *)
@@ -95,7 +98,7 @@ let[@hot] observe ?(now_s = 0.0) t seq64 =
     Trace.record Trace.default ~now:now_s ~kind:k_reorder seq 0;
     (* The provisional loss turned out to be reordering. *)
     bump_recent t (-1.0);
-    if t.recent < 0.0 then t.recent <- 0.0
+    if t.recent.(0) < 0.0 then t.recent.(0) <- 0.0
   end
   else begin
     t.duplicates <- t.duplicates + 1;
@@ -139,7 +142,7 @@ let reordered t = t.reordered
 
 let duplicates t = t.duplicates
 
-let recent_loss_rate t = t.recent
+let recent_loss_rate t = t.recent.(0)
 
 let loss_rate t =
   let total = t.received + lost t in

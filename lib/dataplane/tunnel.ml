@@ -35,18 +35,9 @@ let send t ~clock ~now_s (packet : Packet.t) =
         };
     }
 
-type reception = { owd_ms : float; seq : int64; path_id : int }
-
-let receive ~clock ~now_s (packet : Packet.t) =
-  let encap = Packet.decapsulate packet in
+let owd_ms ~clock ~now_s (tango : Packet.tango_header) =
   let arrival = Clock.now_ns clock ~sim_time_s:now_s in
-  let owd_ns = Int64.sub arrival encap.Packet.tango.Packet.timestamp_ns in
-  (* tango-lint: allow hot-reach — probe-path only: the batched dataplane reads decapsulate directly (Throughput.lane drain), so this one minor record per 100 Hz probe never sits on the per-packet path *)
-  {
-    owd_ms = Int64.to_float owd_ns /. 1e6;
-    seq = encap.Packet.tango.Packet.seq;
-    path_id = encap.Packet.tango.Packet.path_id;
-  }
+  Int64.to_float (Int64.sub arrival tango.Packet.timestamp_ns) /. 1e6
 
 let pp ppf (t : t) =
   Format.fprintf ppf "tunnel %d (%s) %s -> %s udp %d->%d" t.path_id t.label

@@ -4,9 +4,9 @@
     to a pair of addresses drawn from the per-path prefixes, with fixed
     UDP ports so ECMP hashing in the core cannot spray the tunnel across
     internal lanes. The [send] program is the paper's sender-side eBPF:
-    stamp, number and encapsulate; [receive] is the receiver side:
-    decapsulate and compute the one-way delay from the embedded
-    timestamp. *)
+    stamp, number and encapsulate. The receiver side decapsulates
+    ({!Tango_net.Packet.decapsulate}) and computes the one-way delay
+    from the embedded timestamp with {!owd_ms}. *)
 
 type t = {
   path_id : int;
@@ -35,15 +35,9 @@ val send : t -> clock:Clock.t -> now_s:float -> Tango_net.Packet.t -> unit
     sender clock and the tunnel's next sequence number (which advances).
     Raises {!Err.Invalid} if the packet is already encapsulated. *)
 
-type reception = {
-  owd_ms : float;  (** Receiver clock minus embedded timestamp. *)
-  seq : int64;
-  path_id : int;
-}
-
-val receive :
-  clock:Clock.t -> now_s:float -> Tango_net.Packet.t -> reception
-(** Receiver program: decapsulate and compute the (offset-shifted)
-    one-way delay. Raises {!Err.Invalid} on non-tunneled packets. *)
+val owd_ms : clock:Clock.t -> now_s:float -> Tango_net.Packet.tango_header -> float
+(** Receiver measurement: the (offset-shifted) one-way delay in
+    milliseconds of a decapsulated shim arriving at [now_s] — the
+    receiver clock minus the embedded timestamp. *)
 
 val pp : Format.formatter -> t -> unit

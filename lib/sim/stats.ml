@@ -1,9 +1,17 @@
+(* The running moments live in a float array rather than mutable
+   fields: a float stored into this mixed record would be boxed, four
+   times per [add]. *)
+let mean_ix = 0
+
+let m2_ix = 1
+
+let min_ix = 2
+
+let max_ix = 3
+
 type t = {
   mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  acc : float array;  (* mean, m2, min, max *)
   reservoir : float array;
   reservoir_cap : int;
   mutable reservoir_n : int;
@@ -13,10 +21,7 @@ type t = {
 let create ?(reservoir = 4096) ?(seed = 7) () =
   {
     n = 0;
-    mean = 0.0;
-    m2 = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    acc = [| 0.0; 0.0; infinity; neg_infinity |];
     reservoir = Array.make (max reservoir 1) 0.0;
     reservoir_cap = reservoir;
     reservoir_n = 0;
@@ -25,11 +30,12 @@ let create ?(reservoir = 4096) ?(seed = 7) () =
 
 let add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x;
+  let acc = t.acc in
+  let delta = x -. acc.(mean_ix) in
+  acc.(mean_ix) <- acc.(mean_ix) +. (delta /. float_of_int t.n);
+  acc.(m2_ix) <- acc.(m2_ix) +. (delta *. (x -. acc.(mean_ix)));
+  if x < acc.(min_ix) then acc.(min_ix) <- x;
+  if x > acc.(max_ix) then acc.(max_ix) <- x;
   if t.reservoir_cap > 0 then
     if t.reservoir_n < t.reservoir_cap then begin
       t.reservoir.(t.reservoir_n) <- x;
@@ -43,15 +49,15 @@ let add t x =
 
 let count t = t.n
 
-let mean t = if t.n = 0 then nan else t.mean
+let mean t = if t.n = 0 then nan else t.acc.(mean_ix)
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2 then 0.0 else t.acc.(m2_ix) /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
 
-let min_value t = t.min_v
+let min_value t = t.acc.(min_ix)
 
-let max_value t = t.max_v
+let max_value t = t.acc.(max_ix)
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0,1]";
@@ -75,15 +81,17 @@ let merge a b =
     (* Reconstruct moments exactly via Chan's parallel update. *)
     if src.n > 0 then begin
       let n_a = float_of_int t.n and n_b = float_of_int src.n in
-      let delta = src.mean -. t.mean in
+      let delta = src.acc.(mean_ix) -. t.acc.(mean_ix) in
       let n_ab = n_a +. n_b in
-      let mean = t.mean +. (delta *. n_b /. n_ab) in
-      let m2 = t.m2 +. src.m2 +. (delta *. delta *. n_a *. n_b /. n_ab) in
+      let mean = t.acc.(mean_ix) +. (delta *. n_b /. n_ab) in
+      let m2 =
+        t.acc.(m2_ix) +. src.acc.(m2_ix) +. (delta *. delta *. n_a *. n_b /. n_ab)
+      in
       t.n <- t.n + src.n;
-      t.mean <- mean;
-      t.m2 <- m2;
-      if src.min_v < t.min_v then t.min_v <- src.min_v;
-      if src.max_v > t.max_v then t.max_v <- src.max_v
+      t.acc.(mean_ix) <- mean;
+      t.acc.(m2_ix) <- m2;
+      if src.acc.(min_ix) < t.acc.(min_ix) then t.acc.(min_ix) <- src.acc.(min_ix);
+      if src.acc.(max_ix) > t.acc.(max_ix) then t.acc.(max_ix) <- src.acc.(max_ix)
     end;
     for i = 0 to src.reservoir_n - 1 do
       if t.reservoir_cap > 0 then

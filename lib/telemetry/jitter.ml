@@ -1,7 +1,10 @@
+(* The running sum of window stddevs lives in a one-element float
+   array: stored into a mutable field of this mixed record it would be
+   boxed on every sample. *)
 type t = {
   rolling : Rolling.t;
   recent : Ewma.t;
-  mutable sum_stddev : float;
+  sum_stddev : float array;
   mutable n : int;
 }
 
@@ -9,7 +12,7 @@ let create ?(window_s = 1.0) ?(recent_alpha = 0.01) () =
   {
     rolling = Rolling.create ~window_s;
     recent = Ewma.create ~alpha:recent_alpha;
-    sum_stddev = 0.0;
+    sum_stddev = [| 0.0 |];
     n = 0;
   }
 
@@ -18,12 +21,12 @@ let add t ~time value =
   (* Only meaningful once the window holds at least two samples. *)
   if Rolling.count t.rolling >= 2 then begin
     let std = Rolling.stddev t.rolling in
-    t.sum_stddev <- t.sum_stddev +. std;
+    t.sum_stddev.(0) <- t.sum_stddev.(0) +. std;
     Ewma.add t.recent std;
     t.n <- t.n + 1
   end
 
-let value t = if t.n = 0 then nan else t.sum_stddev /. float_of_int t.n
+let value t = if t.n = 0 then nan else t.sum_stddev.(0) /. float_of_int t.n
 
 let recent t = Ewma.value t.recent
 

@@ -48,18 +48,20 @@ let[@hot] ring_push_back r ~time v =
   r.vals.(i) <- v;
   r.len <- r.len + 1
 
-let[@hot] ring_front_time r = r.times.(r.head)
+(* The accessors are inlined so their floats never leave the caller's
+   registers: a float returned from a function call is boxed. *)
+let[@hot] [@inline] ring_front_time r = r.times.(r.head)
 
-let[@hot] ring_front_value r = r.vals.(r.head)
+let[@hot] [@inline] ring_front_value r = r.vals.(r.head)
 
-let[@hot] ring_pop_front r =
+let[@hot] [@inline] ring_pop_front r =
   r.head <- (r.head + 1) land (Array.length r.times - 1);
   r.len <- r.len - 1
 
-let[@hot] ring_back_value r =
+let[@hot] [@inline] ring_back_value r =
   r.vals.((r.head + r.len - 1) land (Array.length r.times - 1))
 
-let[@hot] ring_pop_back r = r.len <- r.len - 1
+let[@hot] [@inline] ring_pop_back r = r.len <- r.len - 1
 
 (* The running aggregates live in a flat float array rather than mutable
    record fields: a mixed record boxes every float store, which would

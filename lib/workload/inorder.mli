@@ -5,24 +5,34 @@
     in-order delivery turns a single delayed packet into head-of-line
     blocking for everything behind it. This module replays a stream of
     (sequence, network-arrival-time) pairs through an in-order release
-    buffer and reports per-packet application delivery times. *)
+    buffer and reports which packets each arrival releases to the
+    application.
+
+    Buffered packets sit in a flat ring indexed by distance from the
+    next expected sequence number, so memory is proportional to the
+    widest gap seen, not to the number of packets; nothing is kept for
+    a packet once it has been released. *)
 
 type t
 
 val create : unit -> t
 
-val arrival : t -> seq:int -> time:float -> (int * float) list
-(** Record a packet's network arrival; returns the packets released to
-    the application by this arrival as [(seq, release_time)] — i.e. the
-    contiguous run now deliverable. A released packet's release time is
-    the arrival time of the packet that unblocked it. Duplicate or
-    already-released sequence numbers release nothing. *)
+val arrive : t -> seq:int -> time:float -> int
+(** Record a packet's network arrival at [time]; returns how many
+    packets this arrival released to the application — the contiguous
+    run now deliverable, starting at the sequence number that was next
+    expected. Every packet of the run is released at [time], the
+    arrival time of the packet that unblocked it. Duplicate or
+    already-released sequence numbers release nothing. Raises
+    [Invalid_argument] on a NaN [time]. *)
+
+val run_arrival : t -> int -> float
+(** [run_arrival t i], for [0 <= i < n] where [n] is what the last
+    {!arrive} returned: the network arrival time of the run's [i]-th
+    packet (in sequence order). Its head-of-line extra — the time it
+    spent blocked behind the missing packet — is the release time minus
+    this. Raises [Invalid_argument] outside the last run. *)
 
 val released : t -> int
 val pending : t -> int
 (** Packets buffered, waiting for a gap to fill. *)
-
-val head_of_line_extra : t -> seq:int -> float option
-(** For a released packet, the extra delay in seconds it spent blocked
-    behind the missing packet ([release - arrival]); [None] if the
-    sequence number has not been released. *)
