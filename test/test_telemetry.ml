@@ -234,6 +234,30 @@ let test_rolling_extrema_track_eviction () =
   check_float "min after dip evicted" 25.0 (Rolling.min_value r);
   check_float "max unchanged" 30.0 (Rolling.max_value r)
 
+(* Minor words per call of [f i] over [ops] calls, after [ops] warm-up
+   calls that let the rings reach their steady-state size. The sample
+   time [0.01 *. i] is boxed when passed: 2 words of every op. *)
+let minor_words_per_op ~ops f =
+  for i = 0 to ops - 1 do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = ops to (2 * ops) - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+let check_words_per_op what ~bound words =
+  (* A 16-word slack over 10^5 ops covers the two Gc.minor_words readings. *)
+  if words > bound +. (16.0 /. 100_000.0) then
+    Alcotest.failf "%.3f minor words per %s, want <= %g" words what bound
+
+let test_rolling_alloc () =
+  let r = Rolling.create ~window_s:1.0 in
+  check_words_per_op "Rolling.add" ~bound:2.0
+    (minor_words_per_op ~ops:100_000 (fun i ->
+         Rolling.add r ~time:(0.01 *. float_of_int i) 28.0))
+
 (* ------------------------------------------------------------------ *)
 (* Ewma                                                                *)
 
@@ -298,6 +322,13 @@ let test_jitter_offset_invariant () =
     Jitter.value j
   in
   Alcotest.(check (float 1e-9)) "identical" (measure 0.0) (measure (-49.0))
+
+let test_jitter_alloc () =
+  (* The boxed sample time and the window stddev Rolling returns. *)
+  let j = Jitter.create () in
+  check_words_per_op "Jitter.add" ~bound:4.0
+    (minor_words_per_op ~ops:100_000 (fun i ->
+         Jitter.add j ~time:(0.01 *. float_of_int i) 28.0))
 
 (* ------------------------------------------------------------------ *)
 (* Detect                                                              *)
@@ -488,6 +519,7 @@ let () =
           tc "matches queue reference" `Quick test_rolling_matches_reference;
           tc "cutoff boundary is strict" `Quick test_rolling_cutoff_boundary;
           tc "extrema track eviction" `Quick test_rolling_extrema_track_eviction;
+          tc "add allocation" `Quick test_rolling_alloc;
         ] );
       ( "ewma",
         [
@@ -500,6 +532,7 @@ let () =
         [
           tc "quiet vs noisy (paper §5)" `Slow test_jitter_quiet_vs_noisy;
           tc "offset invariant" `Quick test_jitter_offset_invariant;
+          tc "add allocation" `Quick test_jitter_alloc;
         ] );
       ( "detect",
         [
