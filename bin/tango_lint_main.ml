@@ -1,29 +1,22 @@
-(* tango_lint — enforce hot-path, domain-safety and determinism
-   discipline over lib/.
+(* tango_lint — enforce hot-path, domain-safety, determinism and
+   dead-export discipline over lib/.
 
-   Usage: tango_lint [--json] [--sarif FILE] [--rules] [--root DIR]
-                     [--cache FILE] [--baseline FILE] [--write-baseline]
-                     [PATH ...]
+   Usage: tango_lint [--json] [--sarif FILE] [--rules] [--root DIR] [PATH ...]
 
-   Exit status: 0 when nothing unwaived-and-unbaselined is found, 1
-   otherwise, 2 on usage errors. Stale baseline entries also exit 1 —
-   the ratchet only turns one way. Run through the dune alias
-   (`dune build @lint`, sandboxed, uncached) or via `make lint`
-   (incremental cache + committed baseline). *)
+   Exit status: 1 if and only if there is an unwaived finding, 0
+   otherwise, 2 on usage errors. A finding has one way out: a waiver
+   with a reason at its site. Run through the dune alias (`dune build
+   @lint`) or `make lint`. *)
 
 module Rules = Tango_lint.Rules
 module Engine = Tango_lint.Engine
 module Report = Tango_lint.Report
 module Sarif = Tango_lint.Sarif
-module Baseline = Tango_lint.Baseline
 
 let () =
   let json = ref false in
   let list_rules = ref false in
   let sarif = ref "" in
-  let cache = ref "" in
-  let baseline = ref "" in
-  let write_baseline = ref false in
   let roots = ref [] in
   let add_root p = roots := p :: !roots in
   let spec =
@@ -32,21 +25,9 @@ let () =
       ("--sarif", Arg.Set_string sarif, "FILE also write a SARIF 2.1.0 report to FILE");
       ("--rules", Arg.Set list_rules, " list the rules and their rationale, then exit");
       ("--root", Arg.String add_root, "DIR directory (or file) to lint; repeatable");
-      ( "--cache",
-        Arg.Set_string cache,
-        "FILE digest-keyed incremental summary cache (read + rewritten)" );
-      ( "--baseline",
-        Arg.Set_string baseline,
-        "FILE committed findings baseline; listed findings are grandfathered" );
-      ( "--write-baseline",
-        Arg.Set write_baseline,
-        " rewrite the --baseline file from the current findings, then exit 0" );
     ]
   in
-  let usage =
-    "tango_lint [--json] [--sarif FILE] [--rules] [--cache FILE] [--baseline \
-     FILE] [--write-baseline] [--root DIR] [PATH ...]"
-  in
+  let usage = "tango_lint [--json] [--sarif FILE] [--rules] [--root DIR] [PATH ...]" in
   Arg.parse (Arg.align spec) add_root usage;
   if !list_rules then begin
     List.iter
@@ -54,37 +35,17 @@ let () =
       Rules.all;
     exit 0
   end;
-  let opt r = match !r with "" -> None | s -> Some s in
-  if !write_baseline && opt baseline = None then begin
-    prerr_endline "tango_lint: --write-baseline requires --baseline FILE";
-    exit 2
-  end;
   let roots = match List.rev !roots with [] -> [ "lib" ] | rs -> rs in
   (match List.find_opt (fun p -> not (Sys.file_exists p)) roots with
   | Some missing ->
       Printf.eprintf "tango_lint: no such path %S\n" missing;
       exit 2
   | None -> ());
-  if !write_baseline then begin
-    (* Findings are computed against an empty baseline, then recorded. *)
-    let result = Engine.run ?cache_path:(opt cache) roots in
-    Baseline.save ~path:!baseline result.Engine.findings;
-    Printf.printf "tango_lint: baseline %s written (%d finding%s)\n" !baseline
-      (List.length result.Engine.findings)
-      (if List.length result.Engine.findings = 1 then "" else "s");
-    exit 0
+  let result = Engine.run roots in
+  if !sarif <> "" then begin
+    let oc = open_out_bin !sarif in
+    Sarif.render oc result.Engine.findings;
+    close_out oc
   end;
-  let result =
-    Engine.run ?cache_path:(opt cache) ?baseline_path:(opt baseline) roots
-  in
-  (match opt sarif with
-  | Some path ->
-      let oc = open_out_bin path in
-      Sarif.render oc result.Engine.findings;
-      close_out oc
-  | None -> ());
   if !json then Report.json stdout result else Report.text stdout result;
-  exit
-    (match (result.Engine.findings, result.Engine.stale_baseline) with
-    | [], [] -> 0
-    | _ -> 1)
+  exit (match result.Engine.findings with [] -> 0 | _ -> 1)

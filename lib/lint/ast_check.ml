@@ -57,17 +57,6 @@ let default =
     require_mli = true;
   }
 
-(* Fingerprint of everything that parameterizes the passes: the
-   incremental cache keys on it so a config (or rule-set) change
-   invalidates stale summaries wholesale. Bump the leading integer when
-   a rule's behaviour changes without a config change. *)
-let fingerprint config =
-  String.concat "|"
-    ([ "3" ]
-    @ config.hot_modules @ [ ";" ] @ config.domsafe_modules @ [ ";" ]
-    @ config.exn_ban_paths @ [ ";" ] @ config.wallclock_allow
-    @ [ (if config.require_mli then "mli" else "nomli") ])
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i =

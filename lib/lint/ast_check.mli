@@ -21,11 +21,6 @@ type config = {
 val default : config
 (** The repo's designated hot modules and per-packet library paths. *)
 
-val fingerprint : config -> string
-(** Stable fingerprint of the config and the rule-set version; the
-    incremental cache stores it so config or rule changes invalidate
-    cached summaries wholesale. *)
-
 val path_matches : string -> string list -> bool
 (** [path_matches path fragments] — substring match on the normalized path. *)
 

@@ -12,6 +12,7 @@ type rule =
   | Float_equal
   | No_failwith
   | Missing_mli
+  | Dead_export
   | Waiver
   | Parse_error
 
@@ -30,6 +31,7 @@ let all =
     Float_equal;
     No_failwith;
     Missing_mli;
+    Dead_export;
     Waiver;
     Parse_error;
   ]
@@ -48,6 +50,7 @@ let id = function
   | Float_equal -> "float-equal"
   | No_failwith -> "no-failwith"
   | Missing_mli -> "missing-mli"
+  | Dead_export -> "dead-export"
   | Waiver -> "waiver"
   | Parse_error -> "parse-error"
 
@@ -99,6 +102,10 @@ let describe = function
       "no failwith / invalid_arg / raise Invalid_argument / raise Failure in \
        per-packet libraries (lib/net, lib/dataplane); declare the exception"
   | Missing_mli -> "every lib/**/*.ml must have a matching .mli interface"
+  | Dead_export ->
+      "every val in a lib/**/*.mli must be referenced by some .ml outside its own \
+       module in lib/, bin/, bench/, examples/ or test/; delete it or waive it \
+       with a reason"
   | Waiver -> "waiver comments must name a known rule and carry a reason"
   | Parse_error -> "the file must parse"
 

@@ -31,6 +31,9 @@ type rule =
   | Float_equal  (** R2b: float (in)equality — NaN hazard *)
   | No_failwith  (** R3: undeclared exceptions in per-packet libraries *)
   | Missing_mli  (** R4: .ml without a matching .mli *)
+  | Dead_export
+      (** R9: a [val] in a library interface that no implementation
+          outside its own module references *)
   | Waiver  (** R5: malformed or unused waiver comments *)
   | Parse_error  (** the file failed to parse at all *)
 

@@ -1,7 +1,8 @@
-(** Parsing and bookkeeping for [(* tango-lint: allow <rule> — <reason> *)]
-    waiver comments. A waiver suppresses findings of its rule on its own
-    line (end-of-line comment) or the line immediately below (comment
-    above the offending expression). *)
+(** Parsing and bookkeeping for waiver comments: [tango-lint: allow
+    <rule> — <reason>] inside an ordinary comment, in a .ml or a .mli.
+    A waiver suppresses findings of its rule on its own line
+    (end-of-line comment) or the line immediately below (comment above
+    the offending expression or [val]). *)
 
 type t = {
   line : int;

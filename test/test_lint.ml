@@ -255,47 +255,25 @@ let test_reach_waived () =
   | other ->
       Alcotest.failf "expected exactly one waived finding, got %d" (List.length other)
 
-(* Incremental cache: cold run misses everything, warm run hits
-   everything, findings identical; a config change invalidates. *)
-let test_cache_roundtrip () =
-  let cache = Filename.temp_file "tango_lint_cache" ".json" in
-  let r1 = Engine.run ~config:fixture_config ~cache_path:cache [ "lint_fixtures" ] in
-  Alcotest.(check int) "cold misses" (List.length r1.Engine.files) r1.Engine.cache_misses;
-  Alcotest.(check int) "cold hits" 0 r1.Engine.cache_hits;
-  let r2 = Engine.run ~config:fixture_config ~cache_path:cache [ "lint_fixtures" ] in
-  Alcotest.(check int) "warm hits" (List.length r2.Engine.files) r2.Engine.cache_hits;
-  Alcotest.(check int) "warm misses" 0 r2.Engine.cache_misses;
-  Alcotest.check pair_t "identical findings" (pairs r1.Engine.findings)
-    (pairs r2.Engine.findings);
-  let altered = { fixture_config with Ast_check.require_mli = true } in
-  let r3 = Engine.run ~config:altered ~cache_path:cache [ "lint_fixtures" ] in
-  Alcotest.(check int) "config change invalidates" 0 r3.Engine.cache_hits;
-  Sys.remove cache
-
-(* Baseline ratchet: recorded findings grandfather (report, don't
-   fail); entries matching nothing surface as stale. *)
-let test_baseline_ratchet () =
-  let baseline = Filename.temp_file "tango_lint_baseline" ".json" in
-  let r0 = Engine.run ~config:fixture_config [ fixture "det_bad.ml" ] in
-  Alcotest.(check bool) "fixture has findings" true
-    (List.length r0.Engine.findings > 0);
-  Baseline.save ~path:baseline r0.Engine.findings;
-  let r1 =
-    Engine.run ~config:fixture_config ~baseline_path:baseline [ fixture "det_bad.ml" ]
+(* R9: dead-export over a fixture tree with sibling lib/, bin/ and
+   test/. Alias, open, local open, functor argument and test-only
+   references all count; a reference from the module's own .ml does
+   not. *)
+let test_dead_export () =
+  let result = Engine.run ~config:fixture_config [ fixture "dead/lib" ] in
+  let name (f : Rules.finding) =
+    (Rules.id f.Rules.rule, List.hd (String.split_on_char ' ' f.Rules.message))
   in
-  Alcotest.check pair_t "all grandfathered" [] (pairs r1.Engine.findings);
-  Alcotest.(check int) "grandfathered count" (List.length r0.Engine.findings)
-    (List.length r1.Engine.grandfathered);
-  Alcotest.(check int) "nothing stale" 0 (List.length r1.Engine.stale_baseline);
-  let ghost = Rules.v ~file:"ghost.ml" ~line:1 ~col:0 Rules.Hot_alloc "never existed" in
-  Baseline.save ~path:baseline (ghost :: r0.Engine.findings);
-  let r2 =
-    Engine.run ~config:fixture_config ~baseline_path:baseline [ fixture "det_bad.ml" ]
-  in
-  (match r2.Engine.stale_baseline with
-  | [ e ] -> Alcotest.(check string) "stale file" "ghost.ml" e.Baseline.e_file
-  | other -> Alcotest.failf "expected one stale entry, got %d" (List.length other));
-  Sys.remove baseline
+  Alcotest.(check (list (pair string string)))
+    "flagged"
+    [ ("dead-export", "Exports.own_only"); ("dead-export", "Exports.unreferenced") ]
+    (List.map name result.Engine.findings);
+  match result.Engine.waived with
+  | [ (f, reason) ] ->
+      Alcotest.(check (pair string string))
+        "waived" ("dead-export", "Exports.waived") (name f);
+      Alcotest.(check string) "reason" "kept for the fixture's waiver case" reason
+  | other -> Alcotest.failf "expected exactly one waived finding, got %d" (List.length other)
 
 (* SARIF export: schema-valid enough to parse, 1-based columns, chain
    in the message text. *)
@@ -363,7 +341,7 @@ let test_waiver_scan () =
   | other -> Alcotest.failf "expected one waiver, got %d" (List.length other)
 
 let test_engine_walk () =
-  let result = Engine.lint_paths ~config:fixture_config [ "lint_fixtures" ] in
+  let result = Engine.run ~config:fixture_config [ "lint_fixtures" ] in
   Alcotest.(check bool) "walk finds the corpus" true (List.length result.Engine.files >= 10);
   Alcotest.(check bool) "corpus has findings" true
     (List.length result.Engine.findings > 0)
@@ -412,11 +390,10 @@ let () =
         [
           Alcotest.test_case "depth-3 chain must-flag" `Quick test_reach_chain;
           Alcotest.test_case "callee-site waiver" `Quick test_reach_waived;
+          Alcotest.test_case "dead-export over sibling readers" `Quick test_dead_export;
         ] );
       ( "scale",
         [
-          Alcotest.test_case "cache round-trip" `Quick test_cache_roundtrip;
-          Alcotest.test_case "baseline ratchet" `Quick test_baseline_ratchet;
           Alcotest.test_case "sarif export" `Quick test_sarif;
         ] );
       ( "waivers",
