@@ -14,71 +14,52 @@ let key_of_string s =
   in
   { k0 = le64 0; k1 = le64 8 }
 
-let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
+let[@inline] rotl x b =
+  Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
-(* One SipRound over the four-lane state. *)
-let[@inline] sipround v0 v1 v2 v3 =
-  let v0 = Int64.add v0 v1 in
-  let v1 = rotl v1 13 in
-  let v1 = Int64.logxor v1 v0 in
-  let v0 = rotl v0 32 in
-  let v2 = Int64.add v2 v3 in
-  let v3 = rotl v3 16 in
-  let v3 = Int64.logxor v3 v2 in
-  let v0 = Int64.add v0 v3 in
-  let v3 = rotl v3 21 in
-  let v3 = Int64.logxor v3 v0 in
-  let v2 = Int64.add v2 v1 in
-  let v1 = rotl v1 17 in
-  let v1 = Int64.logxor v1 v2 in
-  let v2 = rotl v2 32 in
-  (v0, v1, v2, v3)
+(* Little-endian load of the [available] (< 8) bytes at [off]. *)
+let tail_word input off available =
+  let v = ref 0L in
+  for i = available - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 input (off + i)))
+  done;
+  !v
 
+(* One loop over every SipRound, so the four lanes stay in local refs
+   (no tuple per round, no closure over the state): two rounds per
+   message word — the full 8-byte words, then the tail bytes with the
+   length in the top byte — bracketed by v3 ^= m and v0 ^= m, then
+   v2 ^= 0xff and four finalization rounds. *)
 let mac { k0; k1 } input =
   let len = Bytes.length input in
   let v0 = ref (Int64.logxor k0 0x736f6d6570736575L) in
   let v1 = ref (Int64.logxor k1 0x646f72616e646f6dL) in
   let v2 = ref (Int64.logxor k0 0x6c7967656e657261L) in
   let v3 = ref (Int64.logxor k1 0x7465646279746573L) in
-  let word off available =
-    (* Little-endian load of up to 8 bytes. *)
-    let v = ref 0L in
-    for i = min available 8 - 1 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 input (off + i)))
-    done;
-    !v
-  in
-  let rounds m n =
-    v3 := Int64.logxor !v3 m;
-    for _ = 1 to n do
-      let a, b, c, d = sipround !v0 !v1 !v2 !v3 in
-      v0 := a;
-      v1 := b;
-      v2 := c;
-      v3 := d
-    done;
-    v0 := Int64.logxor !v0 m
-  in
   let full_blocks = len / 8 in
-  for block = 0 to full_blocks - 1 do
-    rounds (word (block * 8) 8) 2
-  done;
-  (* Final block: remaining bytes plus the length in the top byte. *)
-  let remaining = len land 7 in
   let last =
     Int64.logor
-      (word (full_blocks * 8) remaining)
+      (tail_word input (full_blocks * 8) (len land 7))
       (Int64.shift_left (Int64.of_int (len land 0xFF)) 56)
   in
-  rounds last 2;
-  v2 := Int64.logxor !v2 0xFFL;
-  for _ = 1 to 4 do
-    let a, b, c, d = sipround !v0 !v1 !v2 !v3 in
-    v0 := a;
-    v1 := b;
-    v2 := c;
-    v3 := d
+  let compression = 2 * (full_blocks + 1) in
+  let m = ref 0L in
+  for r = 0 to compression + 3 do
+    if r < compression && r land 1 = 0 then begin
+      m := if r < compression - 2 then Bytes.get_int64_le input (r * 4) else last;
+      v3 := Int64.logxor !v3 !m
+    end
+    else if r = compression then v2 := Int64.logxor !v2 0xFFL;
+    v0 := Int64.add !v0 !v1;
+    v1 := Int64.logxor (rotl !v1 13) !v0;
+    v0 := rotl !v0 32;
+    v2 := Int64.add !v2 !v3;
+    v3 := Int64.logxor (rotl !v3 16) !v2;
+    v0 := Int64.add !v0 !v3;
+    v3 := Int64.logxor (rotl !v3 21) !v0;
+    v2 := Int64.add !v2 !v1;
+    v1 := Int64.logxor (rotl !v1 17) !v2;
+    v2 := rotl !v2 32;
+    if r < compression && r land 1 = 1 then v0 := Int64.logxor !v0 !m
   done;
   Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
-
-let mac_string k s = mac k (Bytes.of_string s)

@@ -19,5 +19,3 @@ val key_of_string : string -> key
 
 val mac : key -> Bytes.t -> int64
 (** SipHash-2-4 of the byte string. *)
-
-val mac_string : key -> string -> int64
