@@ -47,6 +47,7 @@ module Link = Tango_topo.Link
 module Network = Tango_bgp.Network
 module Addr = Tango_net.Addr
 module Flow = Tango_net.Flow
+module Fnv = Tango_net.Fnv
 module Packet = Tango_net.Packet
 module Fabric = Tango_dataplane.Fabric
 module Batch = Tango_dataplane.Batch
@@ -494,7 +495,7 @@ type result = {
    in — never lane ids or wall time — so the commutative (sum, xor)
    aggregate is identical at every domain count and batch size. *)
 let record_hash (r : Shard.record) =
-  let mix h v = (h lxor v) * 0x100000001B3 land max_int in
+  let mix h v = Fnv.mix h v land max_int in
   let tb = Int64.to_int (Int64.bits_of_float r.Shard.time) land max_int in
   let vb = Int64.to_int (Int64.bits_of_float r.Shard.v) land max_int in
   mix (mix (mix (mix 0x811C9DC5 tb) r.Shard.a) ((r.Shard.b lsl 3) lxor r.Shard.c)) vb
