@@ -112,6 +112,7 @@ let speaker t node_id =
   match Hashtbl.find t.speakers node_id with
   | s -> s
   | exception Not_found ->
+      (* tango-lint: allow hot-reach — raise path only: an unknown node id is a caller bug *)
       invalid_arg (Printf.sprintf "Network.speaker: unknown node %d" node_id)
 
 let session_delay t a b =

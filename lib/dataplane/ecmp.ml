@@ -5,9 +5,10 @@ let uniform_lanes ~count ~spread_ms =
   if spread_ms < 0.0 then Err.invalid "Ecmp.uniform_lanes: negative spread";
   Array.init count (fun i -> float_of_int i *. spread_ms)
 
-let select lanes ~salt flow =
+let lane_of_hash lanes hash =
   let n = Array.length lanes in
   if n = 0 then Err.invalid "Ecmp.select: no lanes";
-  Tango_net.Flow.hash_5tuple ~salt flow mod n
+  hash mod n
 
-let lane_delay_ms lanes ~salt flow = lanes.(select lanes ~salt flow)
+let select lanes ~salt flow = lane_of_hash lanes (Tango_net.Flow.hash_5tuple ~salt flow)
+let lane_delay_ms lanes ~hash = lanes.(lane_of_hash lanes hash)

@@ -17,4 +17,6 @@ val select : lanes -> salt:int -> Tango_net.Flow.t -> int
 (** Deterministic lane index for a flow at a node ([salt] decorrelates
     nodes). *)
 
-val lane_delay_ms : lanes -> salt:int -> Tango_net.Flow.t -> float
+val lane_delay_ms : lanes -> hash:int -> float
+(** Delay offset of the lane {!select} picks, given the flow's salted
+    hash (e.g. {!Tango_net.Packet.forwarding_hash}). *)

@@ -249,7 +249,7 @@ and[@hot] forward t packet ~on_dropped ~on_delivered node next hops =
         let lanes = t.lanes_of next in
         let lane =
           if Array.length lanes = 1 then lanes.(0)
-          else Ecmp.lane_delay_ms lanes ~salt:next (Packet.forwarding_flow packet)
+          else Ecmp.lane_delay_ms lanes ~hash:(Packet.forwarding_hash ~salt:next packet)
         in
         let engine = Network.engine t.net in
         let now_s = Engine.now engine in
@@ -322,6 +322,7 @@ let resolve_route t ~from_node ~dst =
   let delay_s = ref 0.0 in
   let per_byte_s = ref 0.0 in
   let plain = ref true in
+  (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
   let rec walk node hops =
     if hops > hop_limit then None
     else
@@ -337,6 +338,7 @@ let resolve_route t ~from_node ~dst =
                 match t.links.(key) with
                 | None -> None
                 | Some link ->
+                    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
                     links := key :: !links;
                     delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
                     per_byte_s :=
@@ -348,8 +350,10 @@ let resolve_route t ~from_node ~dst =
   in
   match walk from_node 0 with
   | None ->
-      { empty_route with e_from = from_node; e_dst = dst; e_links = [||] }
+      (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
+      { empty_route with e_from = from_node; e_dst = dst }
   | Some dest ->
+      (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
       {
         e_from = from_node;
         e_dst = dst;
