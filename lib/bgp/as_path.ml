@@ -8,8 +8,6 @@ let to_list t = t
 
 let length = List.length
 
-let prepend t asn = asn :: t
-
 let prepend_n t asn n =
   if n < 0 then invalid_arg "As_path.prepend_n: negative count";
   let rec go acc n = if n = 0 then acc else go (asn :: acc) (n - 1) in
@@ -50,8 +48,4 @@ let strip_private t = List.filter (fun asn -> not (is_private asn)) t
 
 let equal = List.equal Int.equal
 
-let compare = List.compare Int.compare
-
 let to_string t = String.concat " " (List.map string_of_int t)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

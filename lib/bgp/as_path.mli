@@ -13,7 +13,6 @@ val length : t -> int
 (** Number of hops, counting repeated (prepended) ASNs individually —
     this is the length BGP's decision process compares. *)
 
-val prepend : t -> int -> t
 val prepend_n : t -> int -> int -> t
 (** [prepend_n t asn n] prepends [asn] [n] times. *)
 
@@ -39,6 +38,4 @@ val strip_private : t -> t
     session ASNs. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

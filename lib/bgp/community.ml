@@ -28,8 +28,6 @@ let of_string s =
           Ok (a, b)
       | _ -> Error (Printf.sprintf "invalid community %S" s))
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 module Set = Stdlib.Set.Make (struct
   type nonrec t = t
 

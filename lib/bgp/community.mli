@@ -17,11 +17,9 @@ type t = int * int
 val v : int -> int -> t
 (** Raises [Invalid_argument] when either half exceeds 16 bits. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val pp : Format.formatter -> t -> unit
 
 module Set : Stdlib.Set.S with type elt = t
 

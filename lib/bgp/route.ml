@@ -32,14 +32,3 @@ let make ~prefix ~path ~next_hop ?learned_from ?(local_pref = 100)
 let local t = Option.is_none t.learned_from
 
 let has_community t c = Community.Set.mem c t.communities
-
-let pp ppf t =
-  Format.fprintf ppf "%a via node %d path [%a] lp=%d w=%d%s"
-    Tango_net.Prefix.pp t.prefix t.next_hop As_path.pp t.path t.local_pref
-    t.neighbor_weight
-    (if Community.Set.is_empty t.communities then ""
-     else
-       " comm {"
-       ^ String.concat ","
-           (List.map Community.to_string (Community.Set.elements t.communities))
-       ^ "}")

@@ -36,4 +36,3 @@ val make :
 
 val local : t -> bool
 val has_community : t -> Community.t -> bool
-val pp : Format.formatter -> t -> unit

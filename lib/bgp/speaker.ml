@@ -31,7 +31,6 @@ type t = {
   mutable fib_routes : Route.t option array;
   adj_out : (Prefix.t * int, Route.t) Hashtbl.t;
   originated : (Prefix.t, origination) Hashtbl.t;
-  mutable updates_processed : int;
 }
 
 let create ~node_id ~asn ?(allowas_in = false)
@@ -50,20 +49,13 @@ let create ~node_id ~asn ?(allowas_in = false)
     fib_routes = [||];
     adj_out = Hashtbl.create 32;
     originated = Hashtbl.create 8;
-    updates_processed = 0;
   }
-
-let node_id t = t.node_id
-
-let asn t = t.asn
 
 let add_neighbor t ~node_id ~asn ~rel ?(weight = 0) ?import_local_pref () =
   if List.exists (fun (n : neighbor) -> n.node_id = node_id) t.neighbor_list then
     invalid_arg (Printf.sprintf "Speaker.add_neighbor: duplicate neighbor %d" node_id);
   t.neighbor_list <-
     t.neighbor_list @ [ { node_id; asn; rel; weight; import_local_pref } ]
-
-let neighbors t = t.neighbor_list
 
 let neighbor_exn t node_id =
   match List.find_opt (fun (n : neighbor) -> n.node_id = node_id) t.neighbor_list with
@@ -247,7 +239,6 @@ let withdraw_origin t prefix =
   recompute t prefix
 
 let receive t ~from_node update =
-  t.updates_processed <- t.updates_processed + 1;
   let neighbor = neighbor_exn t from_node in
   match update with
   | Update.Announce wire ->
@@ -307,5 +298,3 @@ let residual t prefix =
          Hashtbl.mem t.adj_in (prefix, n.node_id)
          || Hashtbl.mem t.adj_out (prefix, n.node_id))
        t.neighbor_list
-
-let updates_processed t = t.updates_processed

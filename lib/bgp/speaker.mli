@@ -33,9 +33,6 @@ val create :
   unit ->
   t
 
-val node_id : t -> int
-val asn : t -> int
-
 val add_neighbor :
   t ->
   node_id:int ->
@@ -46,8 +43,6 @@ val add_neighbor :
   unit ->
   unit
 (** Raises [Invalid_argument] on duplicate neighbor ids. *)
-
-val neighbors : t -> neighbor list
 
 val originate :
   t ->
@@ -69,10 +64,6 @@ val receive : t -> from_node:int -> Update.t -> Update.emission list
 val best : t -> Tango_net.Prefix.t -> Route.t option
 (** Selected route, if any (locally originated prefixes included). *)
 
-val candidates : t -> Tango_net.Prefix.t -> Route.t list
-(** Every usable route for the prefix (adj-RIB-in survivors plus the
-    local route), most preferred first. *)
-
 val loc_rib : t -> (Tango_net.Prefix.t * Route.t) list
 (** The full selected table, in {!Tango_net.Prefix.compare} order. *)
 
@@ -92,6 +83,3 @@ val residual : t -> Tango_net.Prefix.t -> bool
     adj-RIB-out, originations) still references [prefix] — the
     observation hook behind the "no probe-prefix state survives
     discovery" invariant and the reconciler's leak checks. *)
-
-val updates_processed : t -> int
-(** Number of updates this speaker has received (churn metric). *)

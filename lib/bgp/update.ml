@@ -1,7 +1,3 @@
 type t = Announce of Route.t | Withdraw of Tango_net.Prefix.t
 
-let pp ppf = function
-  | Announce r -> Format.fprintf ppf "announce %a" Route.pp r
-  | Withdraw p -> Format.fprintf ppf "withdraw %a" Tango_net.Prefix.pp p
-
 type emission = { to_node : int; update : t }

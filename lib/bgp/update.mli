@@ -7,7 +7,5 @@ type t =
           until the receiver's import policy assigns them. *)
   | Withdraw of Tango_net.Prefix.t
 
-val pp : Format.formatter -> t -> unit
-
 type emission = { to_node : int; update : t }
 (** An update a speaker wants delivered to a neighbor. *)

@@ -13,9 +13,6 @@ type plan = {
   tunnel_prefixes : Tango_net.Prefix.t list;
 }
 
-val max_paths_per_site : int
-(** 15: a site occupies a 16-subnet slice of the block. *)
-
 val carve : block:Tango_net.Prefix.t -> site_index:int -> path_count:int -> plan
 (** [carve ~block ~site_index ~path_count] — subnets are /48s when
     [block] is the default /32-style IPv6 block (16 extra bits are always

@@ -15,12 +15,6 @@ type path = {
   floor_owd_ms : float;
 }
 
-let pp_path ppf p =
-  Format.fprintf ppf "path %d (%s): [%a] via communities {%s}" p.index p.label
-    As_path.pp p.as_path
-    (String.concat ","
-       (List.map Community.to_string (Community.Set.elements p.communities)))
-
 type result = {
   paths : path list;
   iterations : int;

@@ -35,8 +35,6 @@ type path = {
           floor of this path ([infinity] if it could not be resolved). *)
 }
 
-val pp_path : Format.formatter -> path -> unit
-
 type result = {
   paths : path list;
   iterations : int;  (** BGP reconvergence rounds used (= paths + 1). *)

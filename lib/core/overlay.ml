@@ -6,12 +6,6 @@ module Prefix = Tango_net.Prefix
 
 type route = Direct | Relay of int list
 
-let pp_route ppf = function
-  | Direct -> Format.pp_print_string ppf "direct"
-  | Relay hops ->
-      Format.fprintf ppf "relay via %s"
-        (String.concat "," (List.map string_of_int hops))
-
 type plan = {
   src : int;
   dst : int;

@@ -11,8 +11,6 @@ type route =
   | Direct
   | Relay of int list  (** Intermediate PoP indices, in order. *)
 
-val pp_route : Format.formatter -> route -> unit
-
 type plan = {
   src : int;
   dst : int;
@@ -47,9 +45,6 @@ module Triangle : sig
   val eastnet : int
   (** The regional transit connecting CHI and NY (fast). *)
 
-  val slownet : int
-  (** The only transit serving CHI–LA directly. *)
-
   val build : unit -> Tango_topo.Topology.t
   (** Extends {!Tango_topo.Vultr.build} with the third site. *)
 
@@ -59,9 +54,6 @@ module Triangle : sig
       path between two server nodes' host addresses — the floor OWD a
       Tango pair would measure on the default path. [infinity] when
       unroutable. Host prefixes must have been announced already. *)
-
-  val host_prefix : site:int -> Tango_net.Prefix.t
-  (** The host prefix {!announce_hosts} uses for a server node. *)
 
   val announce_hosts : Tango_bgp.Network.t -> unit
   (** Announce a host prefix from each of the three servers and

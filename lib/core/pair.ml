@@ -10,7 +10,6 @@ type t = {
   engine : Engine.t;
   net : Network.t;
   fabric : Fabric.t;
-  scenario : Fig4.t option;
   pop_la : Pop.t;
   pop_ny : Pop.t;
   (* Mutable so the reconciler can record re-discovered tables; the
@@ -83,7 +82,6 @@ let setup ?(seed = 11) ?(policy_a = default_policy) ?(policy_b = default_policy)
     engine;
     net;
     fabric;
-    scenario = None;
     pop_la = pop_a;
     pop_ny = pop_b;
     discovery_to_ny = discovery_to_b;
@@ -94,22 +92,17 @@ let setup_vultr ?(seed = 11) ?(policy_la = default_policy)
     ?(policy_ny = default_policy) ?readmit_backoff_s ?scenario ?lanes_of
     ?(clock_offset_la_ns = 37_000_000L) ?(clock_offset_ny_ns = -12_000_000L) () =
   let extra_delay_ms = Option.map Fig4.extra_delay_ms scenario in
-  let pair =
-    setup ~seed ~policy_a:policy_la ~policy_b:policy_ny ?readmit_backoff_s
-      ?extra_delay_ms ?lanes_of ~clock_offset_a_ns:clock_offset_la_ns
-      ~clock_offset_b_ns:clock_offset_ny_ns ~configure:vultr_overrides
-      ~name_a:"LA" ~name_b:"NY" ~topo:(Vultr.build ())
-      ~server_a:Vultr.server_la ~server_b:Vultr.server_ny ()
-  in
-  { pair with scenario }
+  setup ~seed ~policy_a:policy_la ~policy_b:policy_ny ?readmit_backoff_s
+    ?extra_delay_ms ?lanes_of ~clock_offset_a_ns:clock_offset_la_ns
+    ~clock_offset_b_ns:clock_offset_ny_ns ~configure:vultr_overrides ~name_a:"LA"
+    ~name_b:"NY" ~topo:(Vultr.build ()) ~server_a:Vultr.server_la
+    ~server_b:Vultr.server_ny ()
 
 let engine t = t.engine
 
 let network t = t.net
 
 let fabric t = t.fabric
-
-let scenario t = t.scenario
 
 let pop_la t = t.pop_la
 
@@ -118,10 +111,6 @@ let pop_ny t = t.pop_ny
 let paths_to_ny t = t.discovery_to_ny.Discovery.paths
 
 let paths_to_la t = t.discovery_to_la.Discovery.paths
-
-let discovery_to_ny t = t.discovery_to_ny
-
-let discovery_to_la t = t.discovery_to_la
 
 let update_paths_to_ny t paths =
   t.discovery_to_ny <- { t.discovery_to_ny with Discovery.paths }

@@ -61,7 +61,6 @@ val setup_vultr :
 val engine : t -> Tango_sim.Engine.t
 val network : t -> Tango_bgp.Network.t
 val fabric : t -> Tango_dataplane.Fabric.t
-val scenario : t -> Tango_workload.Fig4.t option
 
 val pop_la : t -> Pop.t
 val pop_ny : t -> Pop.t
@@ -70,9 +69,6 @@ val paths_to_ny : t -> Discovery.path list
 (** Paths for LA→NY traffic, in provider preference order. *)
 
 val paths_to_la : t -> Discovery.path list
-
-val discovery_to_ny : t -> Discovery.result
-val discovery_to_la : t -> Discovery.result
 
 val update_paths_to_ny : t -> Discovery.path list -> unit
 (** Record a reconciled LA→NY path table (discovery metadata other than

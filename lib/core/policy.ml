@@ -113,13 +113,9 @@ let create ?(max_loss = 0.25) ?(max_staleness_s = 1.0) ?(readmit_backoff_s = 0.0
     degraded_episodes = 0;
   }
 
-let spec t = t.spec
-
 let set_max_staleness_s t s =
   if s <= 0.0 then invalid_arg "Policy.set_max_staleness_s: non-positive";
   t.max_staleness_s <- s
-
-let max_staleness_s t = t.max_staleness_s
 
 let[@hot] path_check t id =
   if id < 0 || id >= t.capacity then

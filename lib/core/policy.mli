@@ -68,15 +68,11 @@ val create :
     capacity raises [Invalid_argument]. Raises [Invalid_argument] on a
     negative backoff, non-positive cap, or non-positive capacity. *)
 
-val spec : t -> spec
-
 val set_max_staleness_s : t -> float -> unit
 (** Tune dead-path detection: statistics older than this are treated as
     a silent blackhole. {!Pop.start} derives it from the probe interval
     ([dead_after_probes] missed probes). Raises [Invalid_argument] on a
     non-positive value. *)
-
-val max_staleness_s : t -> float
 
 val choose : ?age_extra:float -> t -> now_s:float -> path_stats array -> int
 (** Select a path id for the next packet. [age_extra] (default 0) is

@@ -213,8 +213,6 @@ let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?(ewma_alpha = 0.1)
     transited = 0;
   }
 
-let name t = t.name
-
 let node t = t.node
 
 let path_count t = Array.length t.tunnels
@@ -580,8 +578,6 @@ let inbound_jitter_ms t ~path =
   check_path t path;
   Jitter.value t.jitter.(path)
 
-let inbound_stats t = inbound_snapshot t
-
 let outbound_stats t = live_outbound_stats t
 
 let detector_events t ~path =
@@ -617,8 +613,6 @@ let policy_evaluations t = t.policy_evals
 let path_cache_hits t = Flow_cache.hits t.path_cache
 
 let path_cache_misses t = Flow_cache.misses t.path_cache
-
-let path_cache_flows t = Flow_cache.flows t.path_cache
 
 let probes_sent t = t.probes_sent
 

@@ -43,7 +43,6 @@ val wire : a:t -> b:t -> unit
 (** Connect two PoPs so each delivers the other's packets. Must be called
     once before any traffic. *)
 
-val name : t -> string
 val node : t -> int
 val engine_of : t -> Tango_sim.Engine.t
 val path_count : t -> int
@@ -70,11 +69,6 @@ val forward_transit : t -> Tango_net.Packet.t -> unit
 
 val transited : t -> int
 (** Packets relayed through this PoP. *)
-
-val send_probe : t -> unit
-(** Send one measurement probe on {e every} outbound path (the paper's
-    per-10 ms probe train). A no-op while probe suppression is
-    active. *)
 
 val set_probe_suppression : t -> bool -> unit
 (** Starve (or resume) the probe train without unscheduling it — the
@@ -168,9 +162,6 @@ val inbound_owd_series : t -> path:int -> Tango_telemetry.Series.t
 val inbound_jitter_ms : t -> path:int -> float
 (** Mean 1-s rolling stddev of the inbound OWD stream. *)
 
-val inbound_stats : t -> Policy.path_stats array
-(** Live snapshot of what this PoP measures on its inbound paths. *)
-
 val outbound_stats : t -> Policy.path_stats array
 (** Latest per-path stats reported by the peer — what the policy sees. *)
 
@@ -216,10 +207,6 @@ val policy_evaluations : t -> int
 
 val path_cache_hits : t -> int
 val path_cache_misses : t -> int
-
-val path_cache_flows : t -> int
-(** Distinct flows holding a cached decision — at most the cache's
-    1,024 slots, which every PoP workload fits without eviction. *)
 
 val probes_sent : t -> int
 val probes_received : t -> int

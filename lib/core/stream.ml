@@ -182,8 +182,6 @@ let start ~sender ~receiver ?(window = 32) ?(segment_bytes = 1200)
   arm_timer t;
   t
 
-let completed_at t = t.completed_at
-
 let delivered_segments t = t.delivered
 
 let retransmissions t = t.retransmissions

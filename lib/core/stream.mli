@@ -30,9 +30,6 @@ val start :
 val finished : t -> bool
 (** All segments delivered in order and acknowledged. *)
 
-val completed_at : t -> float option
-(** Virtual time when the transfer finished. *)
-
 val delivered_segments : t -> int
 (** Segments the receiver has released in order so far. *)
 

@@ -423,8 +423,6 @@ let channel t = t.channel
 
 let checks t = t.checks
 
-let watch t direction = (dir_state t direction).watch
-
 let stats t direction =
   let st = dir_state t direction in
   {
@@ -436,5 +434,3 @@ let stats t direction =
     last_recovery_s = st.last_recovery_s;
     paths = List.length st.paths;
   }
-
-let force_check t direction = check_dir t (dir_state t direction)

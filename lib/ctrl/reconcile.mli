@@ -95,8 +95,3 @@ val channel : t -> Channel.t option
 
 val checks : t -> int
 (** Churn checks run so far (cadence + event-driven). *)
-
-val watch : t -> direction -> Watch.t
-
-val force_check : t -> direction -> unit
-(** Run one check right now (testing / CLI hook). *)

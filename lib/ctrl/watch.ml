@@ -29,14 +29,6 @@ let create ~net ~observer ~prefixes =
   Array.iter (snapshot_of t) t.entries;
   t
 
-let observer t = t.observer
-
-let size t = Array.length t.entries
-
-let prefix t i = t.entries.(i).prefix
-
-let baseline t i = t.entries.(i).baseline
-
 (* The classification itself: pure, allocation-free, and on the hot
    side of every reconciliation check. *)
 let[@hot] verdict_of ~baseline ~current =

@@ -29,17 +29,6 @@ val create :
 (** Snapshot the observer's current best path for every prefix as the
     baseline. *)
 
-val observer : t -> int
-
-val size : t -> int
-(** Number of watched prefixes. *)
-
-val prefix : t -> int -> Tango_net.Prefix.t
-
-val baseline : t -> int -> Tango_bgp.As_path.t option
-(** The snapshotted path ([None] when the prefix was unroutable at
-    snapshot time). *)
-
 val verdict_of :
   baseline:Tango_bgp.As_path.t option ->
   current:Tango_bgp.As_path.t option ->

@@ -9,7 +9,5 @@ let now_ns t ~sim_time_s =
 
 let offset_ns t = t.offset_ns
 
-let drift_ppm t = t.drift_ppm
-
 let step t ~step_ns =
   { t with offset_ns = Int64.add t.offset_ns step_ns }

@@ -19,8 +19,6 @@ val now_ns : t -> sim_time_s:float -> int64
 
 val offset_ns : t -> int64
 
-val drift_ppm : t -> float
-
 val step : t -> step_ns:int64 -> t
 (** [step t ~step_ns] is [t] with its constant offset shifted by
     [step_ns] — an NTP-style clock step. Relative OWD comparison is

@@ -175,7 +175,3 @@ let capacity t = t.capacity
 let resident t = Hashtbl.length t.table
 
 let evictions t = t.evictions
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total

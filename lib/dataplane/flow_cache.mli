@@ -70,6 +70,3 @@ val resident : t -> int
 
 val evictions : t -> int
 (** Entries reclaimed by the clock hand. *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)

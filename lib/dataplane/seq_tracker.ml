@@ -134,8 +134,6 @@ let confirm_below t bound64 =
     t.missing <- fresh
   end
 
-let provisional t = t.provisional
-
 let lost t = t.confirmed_lost + t.provisional
 
 let reordered t = t.reordered
@@ -147,10 +145,6 @@ let recent_loss_rate t = t.recent.(0)
 let loss_rate t =
   let total = t.received + lost t in
   if total = 0 then 0.0 else float_of_int (lost t) /. float_of_int total
-
-let pp ppf t =
-  Format.fprintf ppf "rx=%d lost=%d reordered=%d dup=%d" t.received (lost t)
-    t.reordered t.duplicates
 
 (* A dense keyed population of trackers with memory accounting — the
    10^6-key regime of the million-flow engine, where "how much per-flow
@@ -192,10 +186,6 @@ module Table = struct
       active = 0;
       evictions = 0;
     }
-
-  let keys tbl = Array.length tbl.trackers
-
-  let tracker tbl key = tbl.trackers.(key)
 
   (* [received = 0] characterizes an untouched tracker: the very first
      observe always lands in the in-order branch (next_expected is 0 and
@@ -253,10 +243,6 @@ module Table = struct
     end;
     tbl.generation
 
-  let generation tbl = tbl.generation
-
-  let idle_generations tbl = tbl.idle_generations
-
   let evictions tbl = tbl.evictions
 
   let active_keys tbl = tbl.active
@@ -264,8 +250,6 @@ module Table = struct
   let resident tbl = tbl.resident
 
   let resident_peak tbl = tbl.resident_peak
-
-  let ceiling tbl = tbl.ceiling
 
   let within_ceiling tbl = tbl.ceiling = 0 || tbl.resident_peak <= tbl.ceiling
 

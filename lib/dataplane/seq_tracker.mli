@@ -31,11 +31,6 @@ val confirm_below : t -> int64 -> unit
 val reordered : t -> int
 val duplicates : t -> int
 
-val provisional : t -> int
-(** Sequences currently held in the provisional-missing set — the
-    tracker's resident state. Maintained incrementally, so reading it is
-    one load even at 10^6 trackers. *)
-
 val loss_rate : t -> float
 (** [lost / (received + lost)]; [0.] before any traffic. *)
 
@@ -44,8 +39,6 @@ val recent_loss_rate : t -> float
     climbs within tens of packets of a loss episode and decays
     afterwards (reorder heals are credited back). Feeds failover
     policies. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** A dense keyed population of trackers with O(1) aggregate accounting
     of active keys and resident provisional state — the structure the
@@ -66,12 +59,6 @@ module Table : sig
       horizon for {!advance_generation}: a tracker not observed for
       more than that many whole generations is evicted. Raises
       {!Err.Invalid} when any is negative. *)
-
-  val keys : t -> int
-
-  val tracker : t -> int -> tracker
-  (** Direct access to one tracker (reads only — feeding it sequences
-      directly would bypass the table's accounting). *)
 
   val observe : ?now_s:float -> t -> key:int -> int64 -> unit
   (** {!Seq_tracker.observe} on the keyed tracker, updating the active
@@ -97,11 +84,6 @@ module Table : sig
       sweep is O(keys); call it at generation cadence, not per packet.
       With [idle_generations = 0] only the generation number advances. *)
 
-  val generation : t -> int
-  (** Current generation number (starts at 0). *)
-
-  val idle_generations : t -> int
-
   val evictions : t -> int
   (** Trackers expired by {!advance_generation} sweeps so far. *)
 
@@ -113,8 +95,6 @@ module Table : sig
 
   val resident_peak : t -> int
   (** High-water mark of {!resident} over the table's lifetime. *)
-
-  val ceiling : t -> int
 
   val within_ceiling : t -> bool
   (** [true] iff no ceiling is set or the resident peak stayed at or

@@ -38,9 +38,3 @@ let send t ~clock ~now_s (packet : Packet.t) =
 let owd_ms ~clock ~now_s (tango : Packet.tango_header) =
   let arrival = Clock.now_ns clock ~sim_time_s:now_s in
   Int64.to_float (Int64.sub arrival tango.Packet.timestamp_ns) /. 1e6
-
-let pp ppf (t : t) =
-  Format.fprintf ppf "tunnel %d (%s) %s -> %s udp %d->%d" t.path_id t.label
-    (Tango_net.Addr.to_string t.local_endpoint)
-    (Tango_net.Addr.to_string t.remote_endpoint)
-    t.udp_src t.udp_dst

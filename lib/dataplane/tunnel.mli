@@ -39,5 +39,3 @@ val owd_ms : clock:Clock.t -> now_s:float -> Tango_net.Packet.tango_header -> fl
 (** Receiver measurement: the (offset-shifted) one-way delay in
     milliseconds of a decapsulated shim arriving at [now_s] — the
     receiver clock minus the embedded timestamp. *)
-
-val pp : Format.formatter -> t -> unit

@@ -281,8 +281,6 @@ let clear t =
 
 let cleared t = t.disarmed
 
-let specs t = Array.to_list (Array.map (fun a -> a.spec) t.faults)
-
 let active t = t.active_count
 
 let injected t = t.injected

@@ -42,9 +42,6 @@ val clear : t -> unit
 
 val cleared : t -> bool
 
-val specs : t -> Spec.t list
-(** The armed specs, in arming order. *)
-
 val active : t -> int
 (** Faults currently in their active window. *)
 

@@ -39,18 +39,6 @@ let pops t = Mtopo.pops t.topo
 let[@hot] next_hop t ~dst ~tree ~pop = t.next.((((dst * t.k) + tree) * pops t) + pop)
 let depth t ~dst ~pop = t.depth.((dst * pops t) + pop)
 
-let closer_count t ~dst ~pop =
-  let n = pops t in
-  let dv = t.depth.((dst * n) + pop) in
-  let c = ref 0 in
-  if dv > 0 then
-    for s = Mtopo.slot_base t.topo pop to
-            Mtopo.slot_base t.topo pop + Mtopo.degree t.topo pop - 1 do
-      let du = t.depth.((dst * n) + Mtopo.slot_dst t.topo s) in
-      if du >= 0 && du < dv then incr c
-    done;
-  !c
-
 let distinct_parents t ~dst ~pop =
   let distinct = ref 0 in
   for tree = 0 to t.k - 1 do

@@ -35,16 +35,6 @@ val depth : t -> dst:int -> pop:int -> int
 (** BFS hop distance to [dst] ([-1] if unreachable) — tree 0 realizes
     exactly these shortest paths. *)
 
-val closer_count : t -> dst:int -> pop:int -> int
-(** Number of strictly-closer neighbors: the shortest-path diversity
-    the topology offers at this node regardless of tie-breaks. *)
-
-val distinct_parents : t -> dst:int -> pop:int -> int
-(** Realized count of distinct parents of [pop] across the k trees
-    toward [dst]. At least 2 wherever the low and high parents differ;
-    the property tests assert the low/high paths are internally
-    vertex-disjoint, which is the stronger guarantee. *)
-
 val diversity : t -> float
 (** Mean over all (dst, node) cells of
     [distinct_parents / min k (degree node)]: 1.0 when every node

@@ -29,11 +29,6 @@ type verdict =
 val verdict_code : verdict -> int
 (** Stable small-int encoding (0..4), mixed into delivery fingerprints. *)
 
-val verdict_to_string : verdict -> string
-
-val route_cap : int
-(** Committed-route slots per flow: {!Segment.max_segments}. *)
-
 type t
 
 val create : ?suspect_threshold:int -> pops:int -> flows:int -> unit -> t
@@ -48,8 +43,6 @@ val commit : t -> flow:int -> src:int -> hops:int array -> count:int -> unit
 (** Record the committed route for [flow]: [src] plus the stitched
     entries [hops.(0 .. count-2)] ([count] entries, destination last)
     — the out-of-band commitment exchange done at stitch time. *)
-
-val committed : t -> flow:int -> bool
 
 val route_len : t -> flow:int -> int
 (** Forwarding relays committed for [flow] (0 = no commitment). *)

@@ -51,11 +51,6 @@ let[@hot] slot t ~src ~dst =
   done;
   !found
 
-let lat_ms t ~src ~dst =
-  let s = slot t ~src ~dst in
-  if s < 0 then Err.invalid "Mtopo.lat_ms: %d-%d not adjacent" src dst;
-  t.adj_lat_ms.(s)
-
 (* Deterministic synthetic topology: PoPs scattered on a 60x60 ms-scale
    plane (latency ~ euclidean distance), a ring for guaranteed
    connectivity, plus per-PoP nearest-neighbor chords up to [degree].

@@ -45,6 +45,3 @@ val slot_rev : t -> int -> int
 val slot : t -> src:int -> dst:int -> int
 (** Slot of the directed edge [src]->[dst], or [-1] when not adjacent.
     O(log degree), allocation-free. *)
-
-val lat_ms : t -> src:int -> dst:int -> float
-(** Latency between adjacent PoPs; raises {!Err.Invalid} otherwise. *)

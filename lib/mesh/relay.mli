@@ -67,7 +67,6 @@ val detection_ms_after : t -> pop:int -> after:float -> float
 val sent : t -> int
 val delivered : t -> int
 val dropped : t -> int
-val forwarded : t -> int
 
 val reroutes : t -> int
 (** Arborescence rotations performed (stack-to-arbor flips plus dead
@@ -99,8 +98,6 @@ val set_attest : t -> Attest.t -> unit
     into it, and the destination judges each non-excused delivery
     against the routes committed in the verifier. *)
 
-val attest : t -> Attest.t option
-
 val attest_rejected : t -> int
 (** Frames refused at the destination on a bad verdict — counted here,
     in neither {!delivered} nor {!dropped}. *)
@@ -122,14 +119,6 @@ val quarantines : t -> int
 
 val readmissions : t -> int
 (** Quarantined relays readmitted after serving their backoff. *)
-
-val quarantined : t -> pop:int -> bool
-(** Whether [pop] is quarantined {e right now}: no relay will choose it
-    as a next hop ({!Tango.Policy.ban} bookkeeping plus the same
-    local-viability check that covers dead neighbors), so traffic flips
-    to arborescence steering around it. *)
-
-val quarantined_count : t -> int
 
 val ever_quarantined : t -> pop:int -> bool
 (** Whether [pop] has served any quarantine episode this run. *)

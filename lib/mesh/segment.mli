@@ -29,11 +29,10 @@ type stack = {
   seg_path : int array;
 }
 
-val version : int
 val flag_arbor : int
 
 val flag_attest : int
-(** When set, an {!attest_bytes}-wide per-hop digest chain follows the
+(** When set, an 8-byte per-hop digest chain follows the
     stack entries. Attestation-off frames are byte-identical to the
     pre-attest wire format. *)
 
@@ -41,22 +40,13 @@ val max_segments : int
 (** 15 stack entries — routes beyond that fall back to pure
     arborescence steering from the source. *)
 
-val fixed_bytes : int
-
-val attest_bytes : int
-(** Width of the optional attestation field: 8 bytes. *)
-
 val header_bytes : count:int -> int
 (** Encoded size for a [count]-entry stack {e without} the attest
     field: [18 + 4*count]. *)
 
-val attest_off : count:int -> int
-(** Offset of the attest field relative to the header start (it sits
-    right after the stack entries). *)
-
 val frame_bytes : stack -> int
-(** Full encoded size of [st]: {!header_bytes} plus {!attest_bytes}
-    when {!flag_attest} is set. *)
+(** Full encoded size of [st]: {!header_bytes} plus the 8-byte attest
+    field when {!flag_attest} is set. *)
 
 val max_header_bytes : int
 

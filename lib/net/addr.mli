@@ -6,17 +6,12 @@ val compare : t -> t -> int
 (** V4 sorts before V6; within a family, numeric order. *)
 
 val equal : t -> t -> bool
-val hash : t -> int
 
 val of_string : string -> (t, string) result
 (** Tries IPv4 dotted-quad first, then IPv6. *)
 
 val of_string_exn : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
-val is_v4 : t -> bool
-val is_v6 : t -> bool
 
 val family_bits : t -> int
 (** 32 for V4, 128 for V6. *)

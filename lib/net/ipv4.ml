@@ -44,14 +44,6 @@ let of_string s =
 let of_string_exn s =
   match of_string s with Ok t -> t | Error msg -> Err.invalid "%s" msg
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let add t n = Int32.add t (Int32.of_int n)
 
 let succ t = add t 1
-
-let localhost = of_octets 127 0 0 1
-
-let any = 0l
-
-let broadcast = of_octets 255 255 255 255

@@ -8,23 +8,14 @@ val equal : t -> t -> bool
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
 
-val of_octets : int -> int -> int -> int -> t
-(** [of_octets a b c d] builds [a.b.c.d]; each octet must fit in a byte,
-    otherwise {!Err.Invalid} is raised. *)
-
 val of_string : string -> (t, string) result
 (** Parse dotted-quad notation. *)
 
 val of_string_exn : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val succ : t -> t
 (** Numerically next address, wrapping at [255.255.255.255]. *)
 
 val add : t -> int -> t
 (** [add t n] offsets the address by [n] (mod 2^32). *)
-
-val localhost : t
-val any : t
-val broadcast : t

@@ -11,7 +11,6 @@ type t = private { hi : int64; lo : int64 }
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val make : int64 -> int64 -> t
 (** [make hi lo] from the high and low 64 bits (network order). *)
@@ -28,7 +27,6 @@ val to_groups : t -> int array
 val of_string : string -> (t, string) result
 val of_string_exn : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val add : t -> int64 -> t
 (** 128-bit addition of a non-negative 64-bit offset, with carry. *)
@@ -45,6 +43,3 @@ val shift_right : t -> int -> t
 
 val any : t
 (** [::] *)
-
-val localhost : t
-(** [::1] *)

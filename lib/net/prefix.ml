@@ -44,8 +44,6 @@ let of_string_exn s =
 
 let to_string t = Printf.sprintf "%s/%d" (Addr.to_string t.addr) t.len
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* [mask_v6 len] applied one 64-bit half at a time, so the match stays
    in registers instead of building masks as Ipv6.t records: up to /64
    only the high half is masked and the network's low half must be zero;

@@ -24,7 +24,6 @@ val of_string : string -> (t, string) result
 
 val of_string_exn : string -> t
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val mem : t -> Addr.t -> bool
 (** [mem p a] — does [a] fall inside [p]? Always false across families. *)

@@ -19,15 +19,6 @@ type ipv6_header = {
 
 type udp_header = { src_port : int; dst_port : int; length : int; checksum : int }
 
-val tango_shim_bytes : int
-(** Size of the plain Tango shim: 20 bytes. *)
-
-val tango_shim_auth_bytes : int
-(** Size of the authenticated shim: 28 bytes (a SipHash-2-4 tag over the
-    outer addresses, UDP ports and shim fields is appended). Frames with
-    flag bit 0 set carry it — the §6 "trustworthy telemetry" extension
-    protecting the measurement stream from on-path forgery. *)
-
 val auth_flag : int
 (** Flag bit marking an authenticated shim (0x0001). *)
 
@@ -43,8 +34,6 @@ val set_u16 : Bytes.t -> int -> int -> unit
 val get_u16 : Bytes.t -> int -> int
 val set_u32 : Bytes.t -> int -> int -> unit
 val get_u32 : Bytes.t -> int -> int
-val set_u64 : Bytes.t -> int -> int64 -> unit
-val get_u64 : Bytes.t -> int -> int64
 
 val internet_checksum : Bytes.t -> int
 (** RFC 1071 one's-complement sum over a buffer (odd lengths padded). *)

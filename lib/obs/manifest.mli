@@ -32,9 +32,6 @@ val v :
 val digest_of_string : string -> string
 (** MD5 hex digest of a canonical configuration string. *)
 
-val now_unix_s : unit -> float
-(** [Unix.gettimeofday]. *)
-
 type session
 
 val start : experiment:string -> seed:int -> ?config:string -> unit -> session

@@ -84,8 +84,6 @@ let[@hot] record t ~now ~kind:k a b =
 (* ------------------------------------------------------------------ *)
 (* Read side (cold path)                                               *)
 
-let capacity t = t.capacity
-
 let length t = t.length
 
 let dropped t = t.dropped

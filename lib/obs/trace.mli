@@ -34,8 +34,6 @@ val record : t -> now:float -> kind:int -> int -> int -> unit
 
 (** {1 Read side (cold path)} *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Live records currently in the ring. *)
 

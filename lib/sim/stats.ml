@@ -131,8 +131,3 @@ let summarize (t : t) =
     p90 = quantile t 0.9;
     p99 = quantile t 0.99;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4f std=%.4f min=%.4f p50=%.4f p90=%.4f p99=%.4f max=%.4f"
-    s.n s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

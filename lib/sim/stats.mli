@@ -46,4 +46,3 @@ type summary = {
 }
 
 val summarize : t -> summary
-val pp_summary : Format.formatter -> summary -> unit

@@ -96,6 +96,3 @@ let render ?(width = 72) ?(height = 16) ?t0 ?t1 ?title items =
     Buffer.add_char buf '\n';
     Buffer.contents buf
   end
-
-let render_to_channel oc ?width ?height ?t0 ?t1 ?title items =
-  output_string oc (render ?width ?height ?t0 ?t1 ?title items)

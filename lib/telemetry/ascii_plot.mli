@@ -25,13 +25,3 @@ val render :
     Series with no samples in range are listed in the legend as
     "(no data)". Raises [Invalid_argument] on an empty series list or
     non-positive dimensions. *)
-
-val render_to_channel :
-  out_channel ->
-  ?width:int ->
-  ?height:int ->
-  ?t0:float ->
-  ?t1:float ->
-  ?title:string ->
-  t list ->
-  unit

@@ -2,14 +2,6 @@ type event =
   | Level_shift of { at : float; before_ms : float; after_ms : float }
   | Spike of { at : float; value_ms : float; baseline_ms : float }
 
-let pp_event ppf = function
-  | Level_shift { at; before_ms; after_ms } ->
-      Format.fprintf ppf "level shift at %.1fs: %.2fms -> %.2fms" at before_ms
-        after_ms
-  | Spike { at; value_ms; baseline_ms } ->
-      Format.fprintf ppf "spike at %.1fs: %.2fms (baseline %.2fms)" at value_ms
-        baseline_ms
-
 (* Detection runs on the per-reception hot path (one [add] per data
    packet), so the sample delay line and the event history are flat
    parallel arrays grown cold on overflow — no queues, no boxed
@@ -149,8 +141,6 @@ let[@hot] add t ~time value =
         push_event t ~kind:ev_shift ~at:time ~a:baseline ~b:recent_mean
       end
     end
-
-let event_count t = t.ev_count
 
 let events t =
   let out = ref [] in

@@ -9,8 +9,6 @@ type event =
       (** Transient excursion well above the floor (Fig. 4 right: up to
           78 ms against a 28 ms floor). *)
 
-val pp_event : Format.formatter -> event -> unit
-
 type t
 
 val create :
@@ -30,9 +28,6 @@ val create :
 val add : t -> time:float -> float -> unit
 (** Feed one sample; allocation-free. Any freshly detected event is
     appended to the history read back by {!events}. *)
-
-val event_count : t -> int
-(** Events detected so far, without materializing them. *)
 
 val events : t -> event list
 (** All events so far, oldest first. Allocates; cold read side. *)

@@ -17,8 +17,6 @@ let add t x =
 
 let value t = t.value
 
-let initialized t = t.initialized > 0.0
-
 let reset t =
   t.value <- nan;
   t.initialized <- 0.0

@@ -10,5 +10,4 @@ val add : t -> float -> unit
 val value : t -> float
 (** Current average; [nan] before the first sample. *)
 
-val initialized : t -> bool
 val reset : t -> unit

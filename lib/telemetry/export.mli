@@ -1,18 +1,6 @@
 (** CSV export of measurement series, for offline plotting of the Fig. 4
     reproductions. *)
 
-val series_to_channel :
-  out_channel -> ?header:string * string -> Series.t -> unit
-(** One series as "time,value" rows, with an optional header pair. *)
-
-val aligned_to_channel :
-  out_channel -> labels:string list -> Series.t list -> unit
-(** Several series sharing a sampling grid, one column per series; rows
-    are produced at every time present in the first series and the other
-    series contribute their most recent value at or before that time
-    (empty cell when they have none yet). Raises [Invalid_argument] when
-    labels and series counts differ. *)
-
 val series_to_file :
   string -> ?header:string * string -> Series.t -> unit
 

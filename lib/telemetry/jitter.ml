@@ -29,7 +29,3 @@ let add t ~time value =
 let value t = if t.n = 0 then nan else t.sum_stddev.(0) /. float_of_int t.n
 
 let recent t = Ewma.value t.recent
-
-let current_window_stddev t = Rolling.stddev t.rolling
-
-let samples t = t.n

@@ -21,6 +21,3 @@ val recent : t -> float
     that rises within seconds of an instability episode and decays after
     it. This is what adaptive policies should consume; [nan] before any
     sample. *)
-
-val current_window_stddev : t -> float
-val samples : t -> int

@@ -145,5 +145,3 @@ let min_value t = if t.min_wedge.len = 0 then infinity else ring_front_value t.m
 
 let max_value t =
   if t.max_wedge.len = 0 then neg_infinity else ring_front_value t.max_wedge
-
-let window_s t = t.window_s

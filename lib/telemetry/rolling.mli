@@ -31,5 +31,3 @@ val min_value : t -> float
 val max_value : t -> float
 (** Largest sample currently in the window; same cost model as
     {!min_value}. [neg_infinity] when empty. *)
-
-val window_s : t -> float

@@ -12,7 +12,6 @@ val add : t -> time:float -> float -> unit
 (** Raises [Invalid_argument] if [time] precedes the last sample. *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val time_at : t -> int -> float
 val value_at : t -> int -> float
@@ -34,6 +33,3 @@ val between : t -> t0:float -> t1:float -> t
 val downsample : t -> bucket_s:float -> t
 (** Mean value per time bucket, stamped at the bucket start. Empty
     buckets produce no sample. *)
-
-val values : t -> float array
-val times : t -> float array

@@ -17,7 +17,3 @@ let default = v 1.0
 let transmission_delay_ms t ~bytes =
   if bytes < 0 then invalid_arg "Link.transmission_delay_ms: negative size";
   float_of_int (bytes * 8) /. (t.bandwidth_mbps *. 1000.0)
-
-let pp ppf t =
-  Format.fprintf ppf "%.2fms j=%.3fms %.0fMb/s loss=%.4f" t.delay_ms
-    t.jitter_ms t.bandwidth_mbps t.loss

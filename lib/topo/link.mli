@@ -16,5 +16,3 @@ val default : t
 
 val transmission_delay_ms : t -> bytes:int -> float
 (** Serialization time of [bytes] at the link rate. *)
-
-val pp : Format.formatter -> t -> unit

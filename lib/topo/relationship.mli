@@ -7,7 +7,6 @@
 type t = Customer | Provider | Peer
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val inverse : t -> t

@@ -48,8 +48,6 @@ let node t id =
   | Some n -> n
   | None -> raise Not_found
 
-let node_opt t id = Hashtbl.find_opt t.nodes id
-
 let nodes t = List.rev_map (fun id -> node t id) t.node_order
 
 let asn t id = (node t id).asn
@@ -114,16 +112,3 @@ let is_valley_free t path =
         | Relationship.Customer :: rest -> check ~descending:true ~peered rest
       in
       check ~descending:false ~peered:false moves
-
-let pp ppf t =
-  Format.fprintf ppf "topology: %d nodes, %d edges@." (Hashtbl.length t.nodes)
-    t.edges;
-  List.iter
-    (fun n ->
-      Format.fprintf ppf "  [%d] AS%d %s:" n.id n.asn n.name;
-      List.iter
-        (fun (peer, rel, _) ->
-          Format.fprintf ppf " %d(%s)" peer (Relationship.to_string rel))
-        (neighbors t n.id);
-      Format.fprintf ppf "@.")
-    (nodes t)

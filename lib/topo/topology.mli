@@ -31,7 +31,6 @@ val connect_peers : t -> int -> int -> ?link:Link.t -> unit -> unit
 val node : t -> int -> node
 (** Raises [Not_found] for unknown ids. *)
 
-val node_opt : t -> int -> node option
 val nodes : t -> node list
 (** All nodes in insertion order. *)
 
@@ -59,5 +58,3 @@ val is_valley_free : t -> int list -> bool
 (** Check a node-id path (traffic direction) against Gao–Rexford: once
     the path goes down (provider→customer) or sideways (peer), it must
     keep going down. Vacuously true for paths shorter than 3. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,6 @@ module Rng = Tango_sim.Rng
    hop, and a tuple-keyed table would build and hash a key and return
    an option each time. *)
 type t = {
-  horizon_s : float;
   link_from : int array;
   link_to : int array;
   processes : Delay_process.t array;
@@ -67,15 +66,12 @@ let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
        ~ou_std_ms:0.10 ());
   let registered = Array.of_list (List.rev !registered) in
   {
-    horizon_s;
     link_from = Array.map (fun (transit, _, _) -> transit) registered;
     link_to = Array.map (fun (_, toward, _) -> toward) registered;
     processes = Array.map (fun (_, _, process) -> process) registered;
     route_change = (rc_start, rc_stop);
     instability = (inst_start, inst_stop);
   }
-
-let horizon_s t = t.horizon_s
 
 (* Index of the process on a directed link; -1 when it has none. *)
 let rec find_link t ~from_node ~to_node i =

@@ -30,8 +30,6 @@ val create :
     50 (28 ms floor + 50 = 78 ms peak); the instability window occupies
     [0.70, 0.80). *)
 
-val horizon_s : t -> float
-
 val extra_delay_ms : t -> from_node:int -> to_node:int -> time_s:float -> float
 (** Plug into {!Tango_dataplane.Fabric.create}. *)
 

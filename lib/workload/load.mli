@@ -12,9 +12,6 @@
 
 type cls = Rpc | Bulk | Video
 
-val cls_to_int : cls -> int
-val cls_of_int : int -> cls
-
 type mix = { rpc : float; bulk : float; video : float }
 (** Class shares; must sum to 1. *)
 
@@ -77,9 +74,6 @@ val max_gen_sends : plan -> int
 val gen_sends : plan -> int -> int
 (** Offered packets at one generation. *)
 
-val flow_class : plan -> int -> cls
-val flow_start : plan -> int -> int
-val flow_stride : plan -> int -> int
 val flow_pkts : plan -> int -> int
 
 val sends_at : plan -> flow:int -> gen:int -> bool

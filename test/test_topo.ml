@@ -158,73 +158,6 @@ let test_random_hierarchy_deterministic () =
   Alcotest.(check int) "same edge count" (Topology.edge_count a) (Topology.edge_count b)
 
 (* ------------------------------------------------------------------ *)
-(* Serial format                                                       *)
-
-let test_serial_parse () =
-  let doc = "# tier-1 clique\n1|2|0\n1|10|-1\n2|20|-1\n10|100|-1\n" in
-  match Serial.parse doc with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok t ->
-      Alcotest.(check int) "nodes" 5 (List.length (Topology.nodes t));
-      Alcotest.(check bool) "peers" true
-        (Topology.relationship t 1 2 = Some Relationship.Peer);
-      Alcotest.(check bool) "provider" true
-        (Topology.relationship t 1 10 = Some Relationship.Customer);
-      Alcotest.(check string) "name" "AS100" (Topology.name t 100)
-
-let test_serial_roundtrip () =
-  let t = Builders.random_hierarchy ~seed:3 ~tier1:3 ~tier2:5 ~stubs:8 in
-  match Serial.parse (Serial.to_string t) with
-  | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok t' ->
-      Alcotest.(check int) "same node count"
-        (List.length (Topology.nodes t))
-        (List.length (Topology.nodes t'));
-      Alcotest.(check int) "same edge count" (Topology.edge_count t)
-        (Topology.edge_count t');
-      List.iter
-        (fun (n : Topology.node) ->
-          List.iter
-            (fun (peer, rel, _) ->
-              Alcotest.(check bool) "same relationship" true
-                (Topology.relationship t' n.Topology.id peer = Some rel))
-            (Topology.neighbors t n.Topology.id))
-        (Topology.nodes t)
-
-let test_serial_errors () =
-  let expect doc =
-    match Serial.parse doc with
-    | Ok _ -> Alcotest.failf "accepted %S" doc
-    | Error e ->
-        Alcotest.(check bool) "line number present" true
-          (String.length e > 5 && String.sub e 0 5 = "line ")
-  in
-  expect "1|2";
-  expect "1|2|5";
-  expect "a|2|0";
-  expect "1|1|0";
-  expect "1|2|0\n1|2|-1"
-
-let test_serial_propagation_smoke () =
-  (* A serial-loaded topology drives the BGP machinery unchanged. *)
-  let doc = "1|2|0\n1|10|-1\n2|20|-1\n10|100|-1\n20|100|-1\n" in
-  match Serial.parse doc with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok topo ->
-      let engine = Tango_sim.Engine.create () in
-      let net = Tango_bgp.Network.create topo engine in
-      Tango_bgp.Network.announce net ~node:100
-        (Tango_net.Prefix.of_string_exn "10.0.0.0/8")
-        ();
-      ignore (Tango_bgp.Network.converge net);
-      Alcotest.(check bool) "multi-homed stub visible at both tier-1s" true
-        (Tango_bgp.Network.best_route net ~node:1 (Tango_net.Prefix.of_string_exn "10.0.0.0/8")
-         <> None
-        && Tango_bgp.Network.best_route net ~node:2
-             (Tango_net.Prefix.of_string_exn "10.0.0.0/8")
-           <> None)
-
-(* ------------------------------------------------------------------ *)
 (* Vultr scenario                                                      *)
 
 let test_vultr_shape () =
@@ -320,13 +253,6 @@ let () =
           tc "tier1 mesh" `Quick test_tier1_mesh;
           tc "random well-formed" `Quick test_random_hierarchy_wellformed;
           tc "random deterministic" `Quick test_random_hierarchy_deterministic;
-        ] );
-      ( "serial",
-        [
-          tc "parse" `Quick test_serial_parse;
-          tc "roundtrip" `Quick test_serial_roundtrip;
-          tc "errors" `Quick test_serial_errors;
-          tc "propagation smoke" `Quick test_serial_propagation_smoke;
         ] );
       ( "vultr",
         [
