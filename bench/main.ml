@@ -124,6 +124,16 @@ let () =
     else to_run
   in
   Printf.printf "Tango reproduction harness — HotNets '22\n";
+  (* Every id is checked before any experiment runs: a typo at the end
+     of a long selection must not cost the runs before it. *)
+  (match
+     List.find_opt (fun id -> id <> "micro" && not (List.mem_assoc id experiments)) to_run
+   with
+  | Some id ->
+      Printf.eprintf "unknown experiment %S; known: %s, micro\n" id
+        (String.concat ", " (List.map fst experiments));
+      exit 2
+  | None -> ());
   let obs_requested = Option.is_some !metrics_path || Option.is_some !prom_path in
   let obs_session =
     if not obs_requested then None
@@ -132,10 +142,11 @@ let () =
       Obs_trace.clear Obs_trace.default;
       Obs_metric.set_enabled true;
       Some
-        (Obs_manifest.start ~experiment:(String.concat "," to_run) ~seed:42
+        (Obs_manifest.start ~experiment:(String.concat "," to_run)
+           ~seed:!Experiments.exp_seed
            ~config:
-             (Printf.sprintf "bench horizon=%g probe_interval=%g"
-                !Experiments.horizon !Experiments.probe_interval)
+             (Printf.sprintf "bench horizon=%g probe_interval=%g seed=%d"
+                !Experiments.horizon !Experiments.probe_interval !Experiments.exp_seed)
            ())
     end
   in
@@ -152,13 +163,7 @@ let () =
                 Printf.eprintf "cannot write benchmark JSON: %s\n" msg;
                 exit 2)
       end
-      else
-        match List.assoc_opt id experiments with
-        | Some f -> f ()
-        | None ->
-            Printf.eprintf "unknown experiment %S; known: %s, micro\n" id
-              (String.concat ", " (List.map fst experiments));
-            exit 2)
+      else (List.assoc id experiments) ())
     to_run;
   (match obs_session with
   | None -> ()
