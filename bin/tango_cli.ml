@@ -452,13 +452,16 @@ let print_reconciler ~pair reconciler =
                 (Ctrl_channel.recoveries ch pop))
             [ ("LA", Pair.pop_la pair); ("NY", Pair.pop_ny pair) ])
 
-let faults_run scenario_name seed duration backoff rate_hz with_reconciler =
+(* The pair-fault run [faults] and [reconcile] share: set up the Vultr
+   pair, arm the scenario, then the reconciler if [arm_reconciler]
+   returns one, drive probes and LA->NY app traffic for [duration], and
+   print the timeline and the common summary lines. [head] prints the
+   command's own summary lines before the reconciler line, [tail] its
+   lines after the app summary. *)
+let pair_fault_run ~scenario_name ~seed ~duration ~rate_hz ~backoff
+    ~arm_reconciler ~head ~tail =
   let sc = F_scenario.get scenario_name in
-  let pair =
-    Pair.setup_vultr ~seed
-      ~readmit_backoff_s:(if backoff > 0.0 then backoff else 0.0)
-      ()
-  in
+  let pair = Pair.setup_vultr ~seed ~readmit_backoff_s:backoff () in
   let engine = Pair.engine pair in
   let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
   let t0 = Tango_sim.Engine.now engine in
@@ -467,11 +470,7 @@ let faults_run scenario_name seed duration backoff rate_hz with_reconciler =
     (fun spec -> Printf.printf "  armed: %s\n" (F_spec.to_string spec))
     sc.F_scenario.specs;
   let inj = F_inject.arm ~pair ~seed sc.F_scenario.specs in
-  let reconciler =
-    if with_reconciler then
-      Some (Ctrl.arm ~pair ~seed ~until_s:(t0 +. duration) ())
-    else None
-  in
+  let reconciler = arm_reconciler ~pair ~until_s:(t0 +. duration) in
   let app_sent = ref 0 in
   Pair.start_measurement pair ~probe_interval_s:0.01 ~dead_after_probes:10
     ~for_s:duration ();
@@ -486,44 +485,60 @@ let faults_run scenario_name seed duration backoff rate_hz with_reconciler =
     (F_inject.timeline inj);
   let app = Series.stats (Pop.app_latency_series ny) in
   Printf.printf "summary:\n";
-  Printf.printf "  faults injected %d, path switches inside fault windows %d\n"
-    (F_inject.injected inj)
-    (F_inject.switches_during inj);
-  Printf.printf "  LA policy: switches %d, degraded episodes %d%s\n"
-    (Pop.policy_switches la)
-    (Policy.degraded_episodes (Pop.policy la))
-    (if Pop.policy_degraded la then " (still degraded)" else "");
-  Printf.printf "  NY policy: switches %d, degraded episodes %d\n"
-    (Pop.policy_switches ny)
-    (Policy.degraded_episodes (Pop.policy ny));
+  head ~pair inj;
   print_reconciler ~pair reconciler;
   print_recovery ~t0 ~receiver:ny inj;
   Printf.printf "  app LA->NY: sent %d received %d  mean %.2f ms  p99 %.2f ms\n"
     !app_sent (Pop.app_received ny)
     (app.Stats.mean *. 1000.0)
     (app.Stats.p99 *. 1000.0);
-  let fabric = Pair.fabric pair in
-  Printf.printf "  fabric: sent %d delivered %d dropped %d\n"
-    (Tango_dataplane.Fabric.sent fabric)
-    (Tango_dataplane.Fabric.delivered fabric)
-    (Tango_dataplane.Fabric.dropped fabric);
-  Printf.printf "  LA outbound paths (peer-reported):\n";
-  let labels =
-    List.map (fun p -> p.Discovery.label) (Pair.paths_to_ny pair)
+  tail ~pair
+
+let faults_run scenario_name seed duration backoff rate_hz with_reconciler =
+  let arm_reconciler ~pair ~until_s =
+    if with_reconciler then Some (Ctrl.arm ~pair ~seed ~until_s ()) else None
   in
-  Array.iteri
-    (fun i (s : Policy.path_stats) ->
-      let label = try List.nth labels i with _ -> "?" in
-      Printf.printf
-        "    %d %-7s owd %8.2f ms  loss %.3f  age %6.2f s  samples %d%s\n" i
-        label s.Policy.owd_ewma_ms s.Policy.loss_rate s.Policy.age_s
-        s.Policy.samples
-        (if
-           Policy.readmit_banned (Pop.policy la) ~path:i
-             ~now_s:(Tango_sim.Engine.now engine)
-         then "  [banned]"
-         else ""))
-    (Pop.outbound_stats la)
+  let head ~pair inj =
+    let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
+    Printf.printf "  faults injected %d, path switches inside fault windows %d\n"
+      (F_inject.injected inj)
+      (F_inject.switches_during inj);
+    Printf.printf "  LA policy: switches %d, degraded episodes %d%s\n"
+      (Pop.policy_switches la)
+      (Policy.degraded_episodes (Pop.policy la))
+      (if Pop.policy_degraded la then " (still degraded)" else "");
+    Printf.printf "  NY policy: switches %d, degraded episodes %d\n"
+      (Pop.policy_switches ny)
+      (Policy.degraded_episodes (Pop.policy ny))
+  in
+  let tail ~pair =
+    let la = Pair.pop_la pair in
+    let fabric = Pair.fabric pair in
+    Printf.printf "  fabric: sent %d delivered %d dropped %d\n"
+      (Tango_dataplane.Fabric.sent fabric)
+      (Tango_dataplane.Fabric.delivered fabric)
+      (Tango_dataplane.Fabric.dropped fabric);
+    Printf.printf "  LA outbound paths (peer-reported):\n";
+    let labels =
+      List.map (fun p -> p.Discovery.label) (Pair.paths_to_ny pair)
+    in
+    Array.iteri
+      (fun i (s : Policy.path_stats) ->
+        let label = try List.nth labels i with _ -> "?" in
+        Printf.printf
+          "    %d %-7s owd %8.2f ms  loss %.3f  age %6.2f s  samples %d%s\n" i
+          label s.Policy.owd_ewma_ms s.Policy.loss_rate s.Policy.age_s
+          s.Policy.samples
+          (if
+             Policy.readmit_banned (Pop.policy la) ~path:i
+               ~now_s:(Tango_sim.Engine.now (Pair.engine pair))
+           then "  [banned]"
+           else ""))
+      (Pop.outbound_stats la)
+  in
+  pair_fault_run ~scenario_name ~seed ~duration ~rate_hz
+    ~backoff:(if backoff > 0.0 then backoff else 0.0)
+    ~arm_reconciler ~head ~tail
 
 let faults scenario_name seed duration backoff rate_hz reconcile_flag list_flag
     metrics prom =
@@ -581,50 +596,26 @@ let faults_cmd =
 
 let reconcile_run scenario_name seed duration rate_hz budget cadence no_channel
     =
-  let sc = F_scenario.get scenario_name in
-  let pair = Pair.setup_vultr ~seed ~readmit_backoff_s:0.5 () in
-  let engine = Pair.engine pair in
-  let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
-  let t0 = Tango_sim.Engine.now engine in
-  Printf.printf "scenario %s: %s\n" sc.F_scenario.name sc.F_scenario.description;
-  List.iter
-    (fun spec -> Printf.printf "  armed: %s\n" (F_spec.to_string spec))
-    sc.F_scenario.specs;
-  let inj = F_inject.arm ~pair ~seed sc.F_scenario.specs in
   let config =
     { Ctrl.default_config with Ctrl.budget_msgs = budget; Ctrl.cadence_s = cadence }
   in
-  let reconciler =
-    Ctrl.arm ~pair ~config ~seed ~with_channel:(not no_channel)
-      ~until_s:(t0 +. duration) ()
+  let arm_reconciler ~pair ~until_s =
+    Some
+      (Ctrl.arm ~pair ~config ~seed ~with_channel:(not no_channel) ~until_s ())
   in
-  let app_sent = ref 0 in
-  Pair.start_measurement pair ~probe_interval_s:0.01 ~dead_after_probes:10
-    ~for_s:duration ();
-  Tango_workload.Traffic.periodic engine ~interval_s:(1.0 /. rate_hz)
-    ~until_s:(t0 +. duration) (fun _ ->
-      incr app_sent;
-      ignore (Pop.send_app la ()));
-  Pair.run_for pair (duration +. 1.0);
-  Printf.printf "timeline (t relative to arming):\n";
-  List.iter
-    (fun (at, what) -> Printf.printf "  t=%7.3f %s\n" (at -. t0) what)
-    (F_inject.timeline inj);
-  let app = Series.stats (Pop.app_latency_series ny) in
-  Printf.printf "summary:\n";
-  Printf.printf "  faults injected %d\n" (F_inject.injected inj);
-  print_reconciler ~pair (Some reconciler);
-  print_recovery ~t0 ~receiver:ny inj;
-  Printf.printf "  app LA->NY: sent %d received %d  mean %.2f ms  p99 %.2f ms\n"
-    !app_sent (Pop.app_received ny)
-    (app.Stats.mean *. 1000.0)
-    (app.Stats.p99 *. 1000.0);
-  Printf.printf "  path tables: LA->NY %d paths (epoch %d), NY->LA %d paths \
-                 (epoch %d)\n"
-    (List.length (Pair.paths_to_ny pair))
-    (Pop.table_epoch la)
-    (List.length (Pair.paths_to_la pair))
-    (Pop.table_epoch ny)
+  let head ~pair:_ inj =
+    Printf.printf "  faults injected %d\n" (F_inject.injected inj)
+  in
+  let tail ~pair =
+    Printf.printf "  path tables: LA->NY %d paths (epoch %d), NY->LA %d paths \
+                   (epoch %d)\n"
+      (List.length (Pair.paths_to_ny pair))
+      (Pop.table_epoch (Pair.pop_la pair))
+      (List.length (Pair.paths_to_la pair))
+      (Pop.table_epoch (Pair.pop_ny pair))
+  in
+  pair_fault_run ~scenario_name ~seed ~duration ~rate_hz ~backoff:0.5
+    ~arm_reconciler ~head ~tail
 
 let reconcile scenario_name seed duration rate_hz budget cadence no_channel
     list_flag metrics prom =
