@@ -6,7 +6,7 @@
    the shortest call chain from a root to every reached binding, which
    is what the report prints:
 
-     Fabric.forward -> Packet.forwarding_flow -> Flow.v -> <alloc here>
+     Fabric.lookup_route -> Fabric.resolve_route -> Fabric.walk -> <alloc here>
 
    A reached binding's allocation/blocking facts become Hot_reach
    findings at the callee's location (where the fix goes), each carrying
