@@ -33,6 +33,16 @@ type summary = {
 val flatten_longident : Longident.t -> string
 (** ["Tango_dataplane.Fabric.send"]-style dotted rendering. *)
 
+val aliases : Parsetree.structure -> (string * string) list
+(** [module X = A.B] and [let module X = A.B in ...] aliases of one
+    file, as (name, dotted target) pairs. *)
+
+val expand_alias : (string * string) list -> string -> string
+(** Expand a leading alias segment: with [module F = Tango_x.Fabric],
+    ["F.send"] becomes ["Tango_x.Fabric.send"] and ["F"] becomes
+    ["Tango_x.Fabric"]. One level — the tree aliases library modules,
+    not aliases of aliases. *)
+
 val extract : Parsetree.structure -> string list * binding list
 (** [(opens, bindings)] of one file. Module aliases
     ([module F = Tango_x.Fabric]) are expanded into call targets at
