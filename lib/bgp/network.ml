@@ -23,7 +23,6 @@ type t = {
   topo : Topology.t;
   engine : Engine.t;
   speakers : (int, Speaker.t) Hashtbl.t;
-  processing_delay_s : float;
   mrai_s : float;
   (* Per-session MRAI state: when a session last sent, what is queued
      (latest update per prefix wins), and whether a flush is armed. *)
@@ -56,14 +55,16 @@ let has_private_customer topo node_id =
     (fun c -> (Topology.node topo c).Topology.private_asn)
     (Topology.customers topo node_id)
 
-let create ?(processing_delay_s = 0.05) ?(mrai_s = 0.0)
-    ?(configure = fun _ -> no_overrides) topo engine =
+(* Per-update processing time at the receiving speaker, added to the
+   link delay of every delivery. *)
+let processing_delay_s = 0.05
+
+let create ?(mrai_s = 0.0) ?(configure = fun _ -> no_overrides) topo engine =
   let t =
     {
       topo;
       engine;
       speakers = Hashtbl.create 64;
-      processing_delay_s;
       mrai_s;
       last_sent = Hashtbl.create 64;
       pending = Hashtbl.create 64;
@@ -121,7 +122,7 @@ let session_delay t a b =
     | Some l -> l.Tango_topo.Link.delay_ms /. 1000.0
     | None -> 0.0
   in
-  link_delay +. t.processing_delay_s
+  link_delay +. processing_delay_s
 
 let prefix_of_update = function
   | Update.Announce r -> r.Route.prefix
@@ -200,9 +201,13 @@ let withdraw t ~node prefix =
   dispatch t ~from_node:node (Speaker.withdraw_origin s prefix);
   notify_origin t ~node prefix
 
-let converge ?(timeout_s = 3600.0) t =
+(* An hour of virtual time: far beyond any convergence the simulated
+   worlds need. *)
+let converge_timeout_s = 3600.0
+
+let converge t =
   let start = Engine.now t.engine in
-  Engine.run ~until:(start +. timeout_s) t.engine;
+  Engine.run ~until:(start +. converge_timeout_s) t.engine;
   Engine.now t.engine -. start
 
 let best_route t ~node prefix = Speaker.best (speaker t node) prefix

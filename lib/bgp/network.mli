@@ -20,7 +20,6 @@ val no_overrides : overrides
 type t
 
 val create :
-  ?processing_delay_s:float ->
   ?mrai_s:float ->
   ?configure:(Tango_topo.Topology.node -> overrides) ->
   Tango_topo.Topology.t ->
@@ -30,8 +29,8 @@ val create :
     [allowas_in] when the node's ASN appears on several nodes;
     [interprets_actions] and [remove_private_on_export] when the node has
     a private-ASN customer (i.e. it is the provider whose community guide
-    the Tango servers follow). [processing_delay_s] (default 0.05) is
-    added to the link delay for each update delivery. *)
+    the Tango servers follow). A fixed 0.05 s of processing is added to
+    the link delay for each update delivery. *)
 
 val topology : t -> Tango_topo.Topology.t
 val engine : t -> Tango_sim.Engine.t
@@ -51,9 +50,9 @@ val announce :
 
 val withdraw : t -> node:int -> Tango_net.Prefix.t -> unit
 
-val converge : ?timeout_s:float -> t -> float
-(** Run the engine until no BGP work remains (or the timeout elapses);
-    returns the virtual time consumed. *)
+val converge : t -> float
+(** Run the engine until no BGP work remains (or an hour of virtual
+    time elapses); returns the virtual time consumed. *)
 
 val best_route : t -> node:int -> Tango_net.Prefix.t -> Route.t option
 

@@ -20,7 +20,6 @@ type result = {
   iterations : int;
   convergence_time_s : float;
   messages : int;
-  truncated : bool;
 }
 
 (* The ASNs of the providers fronting a server: stripped from observed
@@ -87,8 +86,7 @@ let announce_step ~net ~origin ~probe_prefix ~mechanism ~suppressed () =
   Network.announce net ~node:origin probe_prefix ~communities ~poison ()
 
 let observe_step ~net ~origin ~observer ~probe_prefix
-    ?(mechanism = `Communities)
-    ?(transit_namer = Tango_topo.Vultr.transit_name) ~suppressed ~index () =
+    ?(mechanism = `Communities) ~suppressed ~index () =
   match Network.as_path net ~node:observer probe_prefix with
   | None -> None
   | Some as_path ->
@@ -102,7 +100,7 @@ let observe_step ~net ~origin ~observer ~probe_prefix
       let label =
         match List.rev transits with
         | [] -> "direct"
-        | distinguishing :: _ -> transit_namer distinguishing
+        | distinguishing :: _ -> Tango_topo.Vultr.transit_name distinguishing
       in
       Some
         {
@@ -149,34 +147,19 @@ let suppression_of ~mechanism paths =
     [] paths
 
 let run ~net ~origin ~observer ~probe_prefix ?(mechanism = `Communities)
-    ?(max_paths = 16) ?(transit_namer = Tango_topo.Vultr.transit_name)
-    ?(resume = []) ?message_budget ?(iteration_cost_hint = 0) () =
+    ?(max_paths = 16) () =
   let messages_before = Network.messages_delivered net in
-  let spent () = Network.messages_delivered net - messages_before in
   let time_spent = ref 0.0 in
   let iterations = ref 0 in
-  let truncated = ref false in
-  (* Cost of the most expensive iteration so far: the budget gate is
-     conservative — skip the next announce if it could overrun. *)
-  let hint = ref iteration_cost_hint in
-  let budget_allows () =
-    match message_budget with None -> true | Some b -> spent () + !hint <= b
-  in
   let rec explore suppressed acc index =
     if index >= max_paths then List.rev acc
-    else if not (budget_allows ()) then begin
-      truncated := true;
-      List.rev acc
-    end
     else begin
-      let before_iter = spent () in
       announce_step ~net ~origin ~probe_prefix ~mechanism ~suppressed ();
       time_spent := !time_spent +. Network.converge net;
       incr iterations;
-      hint := max !hint (spent () - before_iter);
       match
         observe_step ~net ~origin ~observer ~probe_prefix ~mechanism
-          ~transit_namer ~suppressed ~index ()
+          ~suppressed ~index ()
       with
       | None -> List.rev acc
       | Some p
@@ -190,17 +173,12 @@ let run ~net ~origin ~observer ~probe_prefix ?(mechanism = `Communities)
           | Some grown -> explore grown (p :: acc) (index + 1))
     end
   in
-  let paths =
-    explore
-      (suppression_of ~mechanism resume)
-      (List.rev resume) (List.length resume)
-  in
+  let paths = explore [] [] 0 in
   Network.withdraw net ~node:origin probe_prefix;
   time_spent := !time_spent +. Network.converge net;
   {
     paths;
     iterations = !iterations;
     convergence_time_s = !time_spent;
-    messages = spent ();
-    truncated = !truncated;
+    messages = Network.messages_delivered net - messages_before;
   }

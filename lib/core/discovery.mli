@@ -40,9 +40,6 @@ type result = {
   iterations : int;  (** BGP reconvergence rounds used (= paths + 1). *)
   convergence_time_s : float;  (** Total virtual time spent converging. *)
   messages : int;  (** BGP updates exchanged during discovery. *)
-  truncated : bool;
-      (** Exploration stopped early because the message budget would
-          have been exceeded (never set when no budget was given). *)
 }
 
 val run :
@@ -52,28 +49,17 @@ val run :
   probe_prefix:Tango_net.Prefix.t ->
   ?mechanism:mechanism ->
   ?max_paths:int ->
-  ?transit_namer:(int -> string) ->
-  ?resume:path list ->
-  ?message_budget:int ->
-  ?iteration_cost_hint:int ->
   unit ->
   result
 (** Discover the paths from [observer] toward [origin] (announcements
     flow origin→observer; data will flow observer→origin over them —
     and symmetrically, the same paths carry origin-bound traffic of the
     origin's own prefixes). The probe prefix is withdrawn before
-    returning. [max_paths] (default 16) bounds the loop.
-    [transit_namer] renders labels (defaults to {!Tango_topo.Vultr.transit_name}).
-
-    [resume] (incremental re-discovery) is a trusted prefix of
-    previously discovered paths: exploration starts from the
-    suppression set those paths imply ({!suppression_of}) instead of
-    from scratch, and the resumed paths are included in the result.
-    [message_budget] caps the BGP updates this run may cause: before
-    each announce the run stops — marking the result [truncated] — if
-    the messages already spent plus the cost of the most expensive
-    iteration seen so far (seeded by [iteration_cost_hint]) would
-    exceed the budget. *)
+    returning. [max_paths] (default 16) bounds the loop. Labels come
+    from {!Tango_topo.Vultr.transit_name}. Exploration starts from an
+    empty suppression set and has no message budget; the reconciler
+    ([Tango_ctrl.Reconcile]) runs its own budgeted epochs over the
+    per-iteration steps below. *)
 
 (** {1 Per-iteration steps}
 
@@ -100,14 +86,14 @@ val observe_step :
   observer:int ->
   probe_prefix:Tango_net.Prefix.t ->
   ?mechanism:mechanism ->
-  ?transit_namer:(int -> string) ->
   suppressed:int list ->
   index:int ->
   unit ->
   path option
 (** Read the observer's current best path for the probe prefix and
-    build the [path] record for iteration [index]; [None] when the
-    prefix is unreachable at the observer. *)
+    build the [path] record for iteration [index], labelled by
+    {!Tango_topo.Vultr.transit_name}; [None] when the prefix is
+    unreachable at the observer. *)
 
 val next_suppression :
   mechanism:mechanism -> suppressed:int list -> path -> int list option

@@ -35,8 +35,13 @@ let infer ~tolerance_ms floors =
   in
   { lanes; spread_ms }
 
-let probe ~fabric ~from_node ~src ~dst ?(flows = 64) ?(probes_per_flow = 10)
-    ?(interval_s = 0.002) ?(tolerance_ms = 0.5) () =
+(* Spacing between consecutive probes, and the clustering tolerance
+   that separates two lanes' floors. *)
+let interval_s = 0.002
+
+let tolerance_ms = 0.5
+
+let probe ~fabric ~from_node ~src ~dst ?(flows = 64) ?(probes_per_flow = 10) () =
   if flows <= 0 || probes_per_flow <= 0 then
     invalid_arg "Ecmp_map.probe: need positive flow/probe counts";
   let engine = Tango_bgp.Network.engine (Fabric.network fabric) in

@@ -34,11 +34,10 @@ val probe :
   dst:Tango_net.Addr.t ->
   ?flows:int ->
   ?probes_per_flow:int ->
-  ?interval_s:float ->
-  ?tolerance_ms:float ->
   unit ->
   t
 (** Active measurement: send [flows] distinct-port probe flows (default
-    64) with [probes_per_flow] packets each (default 10), then infer the
-    lane structure from the per-flow floors. Runs the engine until the
-    probes drain. *)
+    64) with [probes_per_flow] packets each (default 10), one probe
+    every 2 ms, then infer the lane structure from the per-flow floors
+    with a 0.5 ms clustering tolerance ({!infer}). Runs the engine
+    until the probes drain. *)

@@ -16,7 +16,6 @@ type t = {
   pops : (int * int, Pop.t) Hashtbl.t;
   discovered : (int * int, Discovery.path list) Hashtbl.t;
   routes : (int * int, Overlay.route) Hashtbl.t;
-  relay_overhead_ms : float;
 }
 
 let fabric t = t.fabric
@@ -43,9 +42,9 @@ let paths t ~src ~dst =
    for traffic from [src]. *)
 let pair_slice ~site_count ~src ~dst = 32 + (src * site_count) + dst
 
-let setup_triangle ?(seed = 11)
-    ?(policy = Policy.Lowest_owd { hysteresis_ms = 1.0; min_dwell_s = 1.0 })
-    ?(relay_overhead_ms = 0.1) () =
+let policy = Policy.Lowest_owd { hysteresis_ms = 1.0; min_dwell_s = 1.0 }
+
+let setup_triangle ?(seed = 11) () =
   let topo = Overlay.Triangle.build () in
   let engine = Engine.create ~seed () in
   let net = Network.create ~configure:Pair.vultr_overrides topo engine in
@@ -149,7 +148,6 @@ let setup_triangle ?(seed = 11)
       pops;
       discovered;
       routes = Hashtbl.create 8;
-      relay_overhead_ms;
     }
   in
   (* Relaying: any packet a site receives for a foreign host prefix is
@@ -186,13 +184,9 @@ let sorted_pop_keys t =
   |> List.sort (fun (a1, a2) (b1, b2) ->
          match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
 
-let start_measurement t ?probe_interval_s ?report_interval_s ~for_s () =
+let start_measurement t ~for_s () =
   let until_s = Engine.now t.engine +. for_s in
-  List.iter
-    (fun k ->
-      Pop.start (Hashtbl.find t.pops k) ?probe_interval_s ?report_interval_s
-        ~until_s ())
-    (sorted_pop_keys t)
+  List.iter (fun k -> Pop.start (Hashtbl.find t.pops k) ~until_s ()) (sorted_pop_keys t)
 
 let run_for t duration = Engine.run ~until:(Engine.now t.engine +. duration) t.engine
 
@@ -232,7 +226,7 @@ let plan_routes t =
   let plans =
     Overlay.plan_routes
       ~owd_ms:(fun ~src ~dst -> measured_owd_ms t ~src ~dst)
-      ~relay_overhead_ms:t.relay_overhead_ms ~sites:(sites t) ()
+      ~sites:(sites t) ()
   in
   List.iter
     (fun (p : Overlay.plan) ->
@@ -243,14 +237,14 @@ let route t ~src ~dst =
   check_pair t src dst;
   Hashtbl.find t.routes (src, dst)
 
-let send_app t ~src ~dst ?payload_bytes () =
+let send_app t ~src ~dst () =
   check_pair t src dst;
   match route t ~src ~dst with
-  | Overlay.Direct -> ignore (Pop.send_app (Hashtbl.find t.pops (src, dst)) ?payload_bytes ())
+  | Overlay.Direct -> ignore (Pop.send_app (Hashtbl.find t.pops (src, dst)) ())
   | Overlay.Relay (first :: _) ->
       let final_dst = Prefix.nth_address t.site_list.(dst).host_prefix 0x11L in
       ignore
-        (Pop.send_app (Hashtbl.find t.pops (src, first)) ?payload_bytes ~final_dst ())
+        (Pop.send_app (Hashtbl.find t.pops (src, first)) ~final_dst ())
   | Overlay.Relay [] -> assert false
 
 let fold_site_pops t ~site ~init ~f =

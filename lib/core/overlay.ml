@@ -14,10 +14,8 @@ type plan = {
   direct_ms : float;
 }
 
-let plan_routes ~owd_ms ?(relay_overhead_ms = 0.1) ?(max_relays = 1) ~sites () =
+let plan_routes ~owd_ms ?(relay_overhead_ms = 0.1) ~sites () =
   if sites < 2 then invalid_arg "Overlay.plan_routes: need at least two sites";
-  if max_relays < 1 || max_relays > 2 then
-    invalid_arg "Overlay.plan_routes: max_relays must be 1 or 2";
   let all = List.init sites Fun.id in
   let pairs =
     List.concat_map (fun s -> List.filter_map (fun d -> if s = d then None else Some (s, d)) all) all
@@ -31,19 +29,7 @@ let plan_routes ~owd_ms ?(relay_overhead_ms = 0.1) ?(max_relays = 1) ~sites () =
         (fun r ->
           if r <> src && r <> dst then begin
             let one_hop = owd_ms ~src ~dst:r +. owd_ms ~src:r ~dst +. relay_overhead_ms in
-            consider one_hop (Relay [ r ]);
-            if max_relays >= 2 then
-              List.iter
-                (fun r2 ->
-                  if r2 <> src && r2 <> dst && r2 <> r then begin
-                    let two_hop =
-                      owd_ms ~src ~dst:r +. owd_ms ~src:r ~dst:r2
-                      +. owd_ms ~src:r2 ~dst
-                      +. (2.0 *. relay_overhead_ms)
-                    in
-                    consider two_hop (Relay [ r; r2 ])
-                  end)
-                all
+            consider one_hop (Relay [ r ])
           end)
         all;
       let owd, route = !best in

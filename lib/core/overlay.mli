@@ -22,16 +22,14 @@ type plan = {
 val plan_routes :
   owd_ms:(src:int -> dst:int -> float) ->
   ?relay_overhead_ms:float ->
-  ?max_relays:int ->
   sites:int ->
   unit ->
   plan list
 (** Compute, for every ordered pair of the [sites] PoPs, the best route
-    using up to [max_relays] (default 1) intermediate PoPs. [owd_ms]
-    gives the measured best direct delay of each segment ([infinity]
-    when two sites have no direct connectivity). [relay_overhead_ms]
-    defaults to 0.1. Raises [Invalid_argument] when [sites < 2] or
-    [max_relays] is not 1 or 2. *)
+    through at most one intermediate PoP. [owd_ms] gives the measured
+    best direct delay of each segment ([infinity] when two sites have
+    no direct connectivity). [relay_overhead_ms] defaults to 0.1.
+    Raises [Invalid_argument] when [sites < 2]. *)
 
 val gain_ms : plan -> float
 (** [direct_ms - owd_ms]: how much the overlay saves (0 for direct). *)

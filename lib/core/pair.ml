@@ -28,7 +28,7 @@ let default_policy =
   Policy.Lowest_owd { hysteresis_ms = 1.0; min_dwell_s = 1.0 }
 
 let setup ?(seed = 11) ?(policy_a = default_policy) ?(policy_b = default_policy)
-    ?readmit_backoff_s ?extra_delay_ms ?lanes_of ?(clock_offset_a_ns = 0L)
+    ?readmit_backoff_s ?extra_delay_ms ?(clock_offset_a_ns = 0L)
     ?(clock_offset_b_ns = 0L) ?(configure = fun _ -> Network.no_overrides)
     ?(name_a = "A") ?(name_b = "B") ~topo ~server_a ~server_b () =
   let engine = Engine.create ~seed () in
@@ -64,7 +64,7 @@ let setup ?(seed = 11) ?(policy_a = default_policy) ?(policy_b = default_policy)
   announce_site ~node:server_a ~plan:plan_a ~paths:discovery_to_a.Discovery.paths;
   announce_site ~node:server_b ~plan:plan_b ~paths:discovery_to_b.Discovery.paths;
   ignore (Network.converge net);
-  let fabric = Fabric.create ~seed:(seed + 1) ?lanes_of ?extra_delay_ms net in
+  let fabric = Fabric.create ~seed:(seed + 1) ?extra_delay_ms net in
   let pop_a =
     Pop.create ~name:name_a ~node:server_a ~fabric
       ~clock_offset_ns:clock_offset_a_ns ?readmit_backoff_s ~plan:plan_a
@@ -89,11 +89,11 @@ let setup ?(seed = 11) ?(policy_a = default_policy) ?(policy_b = default_policy)
   }
 
 let setup_vultr ?(seed = 11) ?(policy_la = default_policy)
-    ?(policy_ny = default_policy) ?readmit_backoff_s ?scenario ?lanes_of
+    ?(policy_ny = default_policy) ?readmit_backoff_s ?scenario
     ?(clock_offset_la_ns = 37_000_000L) ?(clock_offset_ny_ns = -12_000_000L) () =
   let extra_delay_ms = Option.map Fig4.extra_delay_ms scenario in
   setup ~seed ~policy_a:policy_la ~policy_b:policy_ny ?readmit_backoff_s
-    ?extra_delay_ms ?lanes_of ~clock_offset_a_ns:clock_offset_la_ns
+    ?extra_delay_ms ~clock_offset_a_ns:clock_offset_la_ns
     ~clock_offset_b_ns:clock_offset_ny_ns ~configure:vultr_overrides ~name_a:"LA"
     ~name_b:"NY" ~topo:(Vultr.build ()) ~server_a:Vultr.server_la
     ~server_b:Vultr.server_ny ()

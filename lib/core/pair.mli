@@ -25,7 +25,6 @@ val setup :
   ?policy_b:Policy.spec ->
   ?readmit_backoff_s:float ->
   ?extra_delay_ms:(from_node:int -> to_node:int -> time_s:float -> float) ->
-  ?lanes_of:(int -> Tango_dataplane.Ecmp.lanes) ->
   ?clock_offset_a_ns:int64 ->
   ?clock_offset_b_ns:int64 ->
   ?configure:(Tango_topo.Topology.node -> Tango_bgp.Network.overrides) ->
@@ -40,7 +39,8 @@ val setup :
     directions between the given server nodes, per-path prefix
     announcements, tunnels and PoPs. Site A maps onto the accessors
     named [la] below and site B onto [ny] (the Vultr deployment is
-    [setup_vultr], a thin wrapper). Clock offsets default to 0 here. *)
+    [setup_vultr], a thin wrapper). Every transit forwards on a single
+    ECMP lane. Clock offsets default to 0 here. *)
 
 val setup_vultr :
   ?seed:int ->
@@ -48,7 +48,6 @@ val setup_vultr :
   ?policy_ny:Policy.spec ->
   ?readmit_backoff_s:float ->
   ?scenario:Tango_workload.Fig4.t ->
-  ?lanes_of:(int -> Tango_dataplane.Ecmp.lanes) ->
   ?clock_offset_la_ns:int64 ->
   ?clock_offset_ny_ns:int64 ->
   unit ->

@@ -60,6 +60,13 @@ let ctrl_port = 4791
 
 let max_paths = 16
 
+(* Weight of each new OWD sample in a path's EWMA. *)
+let ewma_alpha = 0.1
+
+(* The policy is fully re-evaluated at most once per this much virtual
+   time: one probe interval. *)
+let policy_refresh_s = 0.01
+
 type Packet.content += App_seq of int | Report of Policy.path_stats array
 
 type t = {
@@ -69,7 +76,6 @@ type t = {
   (* Mutable so the fault engine can apply NTP-style clock steps
      mid-run ({!step_clock}); [Clock.t] itself stays immutable. *)
   mutable clock : Clock.t;
-  ewma_alpha : float;
   plan : Addressing.plan;
   remote_plan : Addressing.plan;
   (* Host address 1 of each side's plan: the endpoints of every flow
@@ -87,7 +93,6 @@ type t = {
      per [policy_refresh_s] (one "flow epoch"); between evaluations,
      per-flow decisions come from the cache. A changed preference
      invalidates every cached flow at once. *)
-  policy_refresh_s : float;
   path_cache : Flow_cache.t;
   mutable last_choice : int;
   mutable last_choice_at : float;
@@ -156,18 +161,14 @@ let tunnels_of ~plan ~remote_plan outbound_paths =
            ())
        outbound_paths)
 
-let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?(ewma_alpha = 0.1)
-    ?(jitter_window_s = 1.0) ?(policy_refresh_s = 0.01) ?readmit_backoff_s
+let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
     ~plan ~remote_plan ~outbound_paths ~policy () =
-  if policy_refresh_s < 0.0 then
-    invalid_arg "Pop.create: negative policy refresh interval";
   let tunnels = tunnels_of ~plan ~remote_plan outbound_paths in
   {
     name;
     node;
     fabric;
     clock = Clock.create ~offset_ns:clock_offset_ns ();
-    ewma_alpha;
     plan;
     remote_plan;
     local_host = Addressing.host_address plan 1L;
@@ -177,7 +178,6 @@ let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?(ewma_alpha = 0.1)
       Array.of_list (List.map (fun (p : Discovery.path) -> p.Discovery.label) outbound_paths);
     table_epoch = 0;
     policy = Policy.create ?readmit_backoff_s policy;
-    policy_refresh_s;
     path_cache = Flow_cache.create ();
     last_choice = (match policy with Policy.Static i -> i | _ -> 0);
     last_choice_at = neg_infinity;
@@ -186,7 +186,7 @@ let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?(ewma_alpha = 0.1)
        and the used ones grow by doubling. *)
     owd_series = Array.init max_paths (fun _ -> Series.create ~capacity:16 ());
     owd_ewma = Array.init max_paths (fun _ -> Ewma.create ~alpha:ewma_alpha);
-    jitter = Array.init max_paths (fun _ -> Jitter.create ~window_s:jitter_window_s ());
+    jitter = Array.init max_paths (fun _ -> Jitter.create ());
     detectors = Array.init max_paths (fun _ -> Detect.create ());
     trackers = Array.init max_paths (fun _ -> Seq_tracker.create ());
     inbound_samples = Array.make max_paths 0;
@@ -350,7 +350,7 @@ let live_outbound_stats t =
    of virtual time; a changed preference invalidates the per-flow cache
    so every flow migrates on its next packet. *)
 let[@hot] refresh_policy t ~now =
-  if (not t.pinned) && now -. t.last_choice_at > t.policy_refresh_s then begin
+  if (not t.pinned) && now -. t.last_choice_at > policy_refresh_s then begin
     let path =
       Policy.choose t.policy ~now_s:now
         ~age_extra:(now -. t.outbound_stats_at)

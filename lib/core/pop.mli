@@ -16,9 +16,6 @@ val create :
   node:int ->
   fabric:Tango_dataplane.Fabric.t ->
   ?clock_offset_ns:int64 ->
-  ?ewma_alpha:float ->
-  ?jitter_window_s:float ->
-  ?policy_refresh_s:float ->
   ?readmit_backoff_s:float ->
   plan:Addressing.plan ->
   remote_plan:Addressing.plan ->
@@ -29,10 +26,14 @@ val create :
 (** [outbound_paths] are the discovery results for the direction
     this PoP → peer (i.e. discovery run with the {e peer} as origin).
 
-    [policy_refresh_s] (default 0.01, one probe interval) bounds how
-    often the path-selection policy is fully re-evaluated: within a
-    refresh interval, packets take the per-flow decision cache instead
-    — one int-keyed lookup, no stats rebase, no policy scan. When a
+    Each inbound path's OWD is smoothed by an EWMA with weight 0.1
+    per sample, and its jitter is measured over a 1 s window
+    ({!Tango_telemetry.Jitter.create}).
+
+    The path-selection policy is fully re-evaluated at most once per
+    0.01 s of virtual time (one probe interval): within a refresh
+    interval, packets take the per-flow decision cache instead — one
+    int-keyed lookup, no stats rebase, no policy scan. When a
     re-evaluation flips the preferred path the cache is invalidated in
     O(1) and every flow migrates on its next packet.
 
@@ -202,8 +203,8 @@ val policy_switches : t -> int
 
 val policy_evaluations : t -> int
 (** Full policy evaluations actually run — with the decision cache this
-    is bounded by elapsed virtual time / [policy_refresh_s], not by the
-    packet count. *)
+    is bounded by elapsed virtual time / 0.01 s, not by the packet
+    count. *)
 
 val path_cache_hits : t -> int
 val path_cache_misses : t -> int

@@ -7,10 +7,7 @@ type Packet.content += Segment of int | Ack of int
 type t = {
   sender : Pop.t;
   receiver : Pop.t;
-  window : int;
-  segment_bytes : int;
   route : [ `Policy | `Path of int ];
-  min_rto_s : float;
   total_segments : int;
   engine : Engine.t;
   inorder : Inorder.t;
@@ -35,11 +32,18 @@ type t = {
   mutable ssthresh : float;
 }
 
+(* Segments in flight at most, bytes per segment, and the RTO bounds. *)
+let window = 32
+
+let segment_bytes = 1200
+
+let min_rto_s = 0.05
+
 let max_rto_s = 2.0
 
 let rto t =
   if Float.is_nan t.srtt then 0.2
-  else Float.min max_rto_s (Float.max t.min_rto_s (t.srtt +. (4.0 *. t.rttvar)))
+  else Float.min max_rto_s (Float.max min_rto_s (t.srtt +. (4.0 *. t.rttvar)))
 
 let update_rtt t sample =
   if Float.is_nan t.srtt then begin
@@ -74,7 +78,7 @@ let rec arm_timer t =
         end)
   end
 
-and effective_window t = max 1 (min t.window (int_of_float t.cwnd))
+and effective_window t = max 1 (min window (int_of_float t.cwnd))
 
 and fill_window t =
   let limit = min t.total_segments (t.base + effective_window t) in
@@ -91,7 +95,7 @@ and fill_window t =
       Hashtbl.replace t.sent_at seq (Engine.now t.engine)
     end;
     ignore
-      (Pop.send_stream t.sender ~payload_bytes:t.segment_bytes ~route:t.route
+      (Pop.send_stream t.sender ~payload_bytes:segment_bytes ~route:t.route
          ~content:(Segment seq) ())
   done
 
@@ -135,18 +139,13 @@ let on_segment t ~now seq =
     (Pop.send_stream t.receiver ~payload_bytes:40 ~route:t.route
        ~content:(Ack t.delivered) ())
 
-let start ~sender ~receiver ?(window = 32) ?(segment_bytes = 1200)
-    ?(route = `Policy) ?(min_rto_s = 0.05) ~total_segments () =
-  if window < 1 then invalid_arg "Stream.start: window must be positive";
+let start ~sender ~receiver ?(route = `Policy) ~total_segments () =
   if total_segments < 1 then invalid_arg "Stream.start: nothing to send";
   let t =
     {
       sender;
       receiver;
-      window;
-      segment_bytes;
       route;
-      min_rto_s;
       total_segments;
       engine = Pop.engine_of sender;
       inorder = Inorder.create ();
@@ -193,7 +192,7 @@ let goodput_mbps t =
   let elapsed = stop -. t.started_at in
   if elapsed <= 0.0 || t.delivered = 0 then 0.0
   else
-    float_of_int (t.delivered * t.segment_bytes * 8) /. elapsed /. 1e6
+    float_of_int (t.delivered * segment_bytes * 8) /. elapsed /. 1e6
 
 let srtt_s t = t.srtt
 

@@ -15,17 +15,16 @@ type t
 val start :
   sender:Pop.t ->
   receiver:Pop.t ->
-  ?window:int ->
-  ?segment_bytes:int ->
   ?route:[ `Policy | `Path of int ] ->
-  ?min_rto_s:float ->
   total_segments:int ->
   unit ->
   t
 (** Begin transferring [total_segments] segments from [sender] to
-    [receiver] (both must already be wired). Defaults: window 32,
-    segments of 1200 B, [`Policy] routing, 50 ms RTO floor. The transfer
-    progresses as the simulation runs. *)
+    [receiver] (both must already be wired), routed by [`Policy]
+    unless [route] pins a path. The window is 32 segments of 1200 B
+    and the RTO floor is 50 ms. The transfer progresses as the
+    simulation runs. Raises [Invalid_argument] when [total_segments]
+    is not positive. *)
 
 val finished : t -> bool
 (** All segments delivered in order and acknowledged. *)

@@ -57,10 +57,14 @@ type endpoint = {
   mutable recoveries : int;
 }
 
+(* An endpoint heartbeats this often and declares peer loss after
+   hearing nothing for [peer_timeout_s]: five missed heartbeats. *)
+let heartbeat_interval_s = 0.1
+
+let peer_timeout_s = 0.5
+
 type t = {
   engine : Engine.t;
-  heartbeat_interval_s : float;
-  peer_timeout_s : float;
   a : endpoint;
   b : endpoint;
   epoch_of : Pop.t -> int;
@@ -91,7 +95,7 @@ let send_heartbeat t ep =
 
 let check_timeout t ep =
   let now = Engine.now t.engine in
-  if ep.peer_alive && now -. ep.last_heard_s > t.peer_timeout_s then begin
+  if ep.peer_alive && now -. ep.last_heard_s > peer_timeout_s then begin
     (* Peer loss: stat reports have stopped with the heartbeats, so the
        adaptive policy would be flying blind on staleness. Pin it —
        unilateral mode — until the peer is heard again. *)
@@ -131,12 +135,7 @@ let tick t _engine =
   check_timeout t t.a;
   check_timeout t t.b
 
-let attach ~engine ~pop_a ~pop_b ?(heartbeat_interval_s = 0.1)
-    ?(peer_timeout_s = 0.5) ?until_s ~epoch_of ~digest_of () =
-  if heartbeat_interval_s <= 0.0 then
-    invalid_arg "Channel.attach: non-positive heartbeat interval";
-  if peer_timeout_s <= heartbeat_interval_s then
-    invalid_arg "Channel.attach: peer timeout must exceed the heartbeat interval";
+let attach ~engine ~pop_a ~pop_b ?until_s ~epoch_of ~digest_of () =
   let now = Engine.now engine in
   let endpoint pop =
     {
@@ -155,8 +154,6 @@ let attach ~engine ~pop_a ~pop_b ?(heartbeat_interval_s = 0.1)
   let t =
     {
       engine;
-      heartbeat_interval_s;
-      peer_timeout_s;
       a = endpoint pop_a;
       b = endpoint pop_b;
       epoch_of;

@@ -1,15 +1,14 @@
 (** The in-band pair control channel: heartbeats and path-table digests
     riding the pair's own tunnels (DESIGN.md §10).
 
-    Each endpoint sends a heartbeat every [heartbeat_interval_s] on the
-    path its live policy currently prefers — control fate-shares with
+    Each endpoint sends a heartbeat every 0.1 s on the path its live
+    policy currently prefers — control fate-shares with
     data and fails over with it. A heartbeat carries the sender's
     path-table generation ({!Tango.Pop.table_epoch}) and a digest of its
     outbound table, so the peer can tell when a reconciliation swapped
     tables on the far side.
 
-    An endpoint that has heard nothing for [peer_timeout_s] declares
-    peer loss: its PoP is pinned ({!Tango.Pop.set_pinned}) into
+    An endpoint that has heard nothing for 0.5 s declares peer loss: its PoP is pinned ({!Tango.Pop.set_pinned}) into
     unilateral mode — with the peer gone, stat reports have stopped too,
     and the adaptive policy would be driven purely by staleness noise.
     While lost, heartbeats rotate across {e every} tunnel, so one live
@@ -31,18 +30,15 @@ val attach :
   engine:Tango_sim.Engine.t ->
   pop_a:Tango.Pop.t ->
   pop_b:Tango.Pop.t ->
-  ?heartbeat_interval_s:float ->
-  ?peer_timeout_s:float ->
   ?until_s:float ->
   epoch_of:(Tango.Pop.t -> int) ->
   digest_of:(Tango.Pop.t -> int) ->
   unit ->
   t
 (** Install ctrl-port handlers on both PoPs and schedule the heartbeat
-    tick. Defaults: heartbeat every 0.1 s, peer timeout 0.5 s.
-    [epoch_of]/[digest_of] supply what each endpoint advertises about
-    its own outbound table. Raises [Invalid_argument] unless
-    [0 < heartbeat_interval_s < peer_timeout_s]. *)
+    tick (every 0.1 s; the peer timeout is 0.5 s). [epoch_of]/[digest_of]
+    supply what each endpoint advertises about its own outbound
+    table. *)
 
 val set_on_recover : t -> (Tango.Pop.t -> unit) -> unit
 (** Hook invoked (with the local PoP) when a lost peer is heard again —

@@ -355,7 +355,7 @@ let make_dir ~net ~pair ~direction =
   }
 
 let arm ~pair ?(config = default_config) ?(seed = 0) ?(with_channel = true)
-    ?heartbeat_interval_s ?peer_timeout_s ~until_s () =
+    ~until_s () =
   if config.settle_s <= 0.0 then invalid_arg "Reconcile.arm: non-positive settle";
   if config.budget_msgs <= 0 then invalid_arg "Reconcile.arm: non-positive budget";
   let engine = Pair.engine pair in
@@ -402,8 +402,8 @@ let arm ~pair ?(config = default_config) ?(seed = 0) ?(with_channel = true)
          else Pair.paths_to_la pair)
     in
     let channel =
-      Channel.attach ~engine ~pop_a:pop_la ~pop_b:pop_ny ?heartbeat_interval_s
-        ?peer_timeout_s ~until_s ~epoch_of:Pop.table_epoch ~digest_of ()
+      Channel.attach ~engine ~pop_a:pop_la ~pop_b:pop_ny ~until_s
+        ~epoch_of:Pop.table_epoch ~digest_of ()
     in
     (* Re-sync on recovery: a partition may have hidden churn from the
        watches' event sources, so check both directions at once. *)

@@ -64,15 +64,14 @@ val arm :
   ?config:config ->
   ?seed:int ->
   ?with_channel:bool ->
-  ?heartbeat_interval_s:float ->
-  ?peer_timeout_s:float ->
   until_s:float ->
   unit ->
   t
 (** Arm reconciliation on a live pair: snapshot watches, register the
     BGP origin listener, schedule cadence checks until [until_s]
     (absolute virtual time), and — unless [with_channel] is [false] —
-    attach the in-band control channel. [seed] feeds only the backoff
+    attach the in-band control channel ({!Channel.attach}: heartbeat
+    every 0.1 s, peer timeout 0.5 s). [seed] feeds only the backoff
     jitter, so runs are reproducible. Raises [Invalid_argument] on a
     non-positive settle time or budget. *)
 

@@ -5,14 +5,12 @@
     and the receiver subtracts with its own, so every OWD is shifted by
     the same constant offset and {e relative} comparisons across paths
     remain exact. This module models that: a clock is the virtual time
-    plus a constant offset (and optional drift, for experiments probing
-    the paper's footnote-1 caveat). *)
+    plus a constant offset. It does not drift. *)
 
 type t
 
-val create : ?offset_ns:int64 -> ?drift_ppm:float -> unit -> t
-(** [offset_ns] is the constant skew versus true (virtual) time;
-    [drift_ppm] a linear drift in parts-per-million (default 0). *)
+val create : ?offset_ns:int64 -> unit -> t
+(** [offset_ns] is the constant skew versus true (virtual) time. *)
 
 val now_ns : t -> sim_time_s:float -> int64
 (** Clock reading when the simulation clock shows [sim_time_s]. *)

@@ -28,16 +28,13 @@ let drop_unroutable = 1
 
 let drop_link_failure = 2
 
-let drop_loss = 3
-
-let drop_fault = 4
+let drop_fault = 3
 
 let drop_counters =
   [|
     Metric.counter ~help:"Drops: hop limit exceeded" "fabric_drops_ttl_total";
     Metric.counter ~help:"Drops: no route" "fabric_drops_unroutable_total";
     Metric.counter ~help:"Drops: failed link" "fabric_drops_link_failure_total";
-    Metric.counter ~help:"Drops: random link loss" "fabric_drops_loss_total";
     Metric.counter ~help:"Drops: injected fault loss (lib/faults brownout)"
       "fabric_drops_fault_total";
   |]
@@ -49,7 +46,7 @@ let k_deliver = Trace.kind "fabric.deliver"
 (* Resolved end-to-end route, the unit of the direct batched path: the
    full node walk for one (from, dst) pair with its delay terms
    pre-summed. [plain] marks routes with no stochastic terms anywhere
-   (zero jitter, zero loss on every link) — only those can skip the
+   (zero jitter on every link) — only those can skip the
    hop-by-hop machinery, because their delivery time is a closed-form
    function of the send time and the packet size. *)
 type route_entry = {
@@ -232,8 +229,6 @@ and[@hot] forward t packet ~on_dropped ~on_delivered node next hops =
   | Some link ->
       if Bytes.get t.failed_links key <> '\000' then
         drop t packet ~on_dropped "link-failure" drop_link_failure
-      else if link.Link.loss > 0.0 && Rng.float t.rng 1.0 < link.Link.loss then
-        drop t packet ~on_dropped "loss" drop_loss
       else if
         t.fault_count > 0
         && t.fault_loss.(key) > 0.0
@@ -290,7 +285,7 @@ let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
 
    - per fabric: no fault hooks installed, no custom lanes_of or
      extra_delay_ms hooks;
-   - per route: every link has zero jitter and zero loss ([e_plain]);
+   - per route: every link has zero jitter ([e_plain]);
    - per batch: no failed link along the snapshot.
 
    Anything else falls back to the canonical [send], packet by packet,
@@ -343,8 +338,7 @@ let resolve_route t ~from_node ~dst =
                     delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
                     per_byte_s :=
                       !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
-                    if link.Link.jitter_ms > 0.0 || link.Link.loss > 0.0 then
-                      plain := false;
+                    if link.Link.jitter_ms > 0.0 then plain := false;
                     walk next (hops + 1))
           end
   in
@@ -401,8 +395,7 @@ let route_plain t ~from_node ~dst =
     e.e_plain && links_ok_from t e.e_links 0
   end
 
-let[@hot] send_batch_direct t ~from_node ~now_s ?(on_dropped = drop_ignored)
-    ~on_delivered_at batch =
+let[@hot] send_batch_direct t ~from_node ~now_s ~on_delivered_at batch =
   let eligible = batch_eligible t in
   if eligible then revalidate_routes t;
   let engine = Network.engine t.net in
@@ -435,7 +428,7 @@ let[@hot] send_batch_direct t ~from_node ~now_s ?(on_dropped = drop_ignored)
     in
     if not fast then begin
       t.direct_fallbacks <- t.direct_fallbacks + 1;
-      send t ~from_node ~on_dropped ~on_delivered packet
+      send t ~from_node ~on_delivered packet
     end
   done
 

@@ -41,14 +41,13 @@ val send :
 (** Inject a packet at [from_node]; it is forwarded toward the
     destination of its {!Tango_net.Packet.forwarding_flow}. Exactly one
     of the callbacks eventually fires (drop reasons: ["unroutable"],
-    ["loss"], ["ttl"], ["link-failure"] for a {!fail_link} blackhole and
+    ["ttl"], ["link-failure"] for a {!fail_link} blackhole and
     ["fault-loss"] for a {!set_link_fault} brownout). *)
 
 val send_batch_direct :
   t ->
   from_node:int ->
   now_s:float ->
-  ?on_dropped:(reason:string -> Tango_net.Packet.t -> unit) ->
   on_delivered_at:(node:int -> at_s:float -> Tango_net.Packet.t -> unit) ->
   Batch.t ->
   unit
@@ -56,8 +55,8 @@ val send_batch_direct :
     multicore lane path: synchronous, engine-free and registry-free,
     safe to call from a non-main domain. The direct path applies when
     the fabric carries no faults and no custom hooks, {e and} the
-    packet's route is "plain" (zero jitter and zero loss on every link,
-    none failed). Plain routes are resolved once per (from, dst) pair —
+    packet's route is "plain" (zero jitter on every link, none
+    failed). Plain routes are resolved once per (from, dst) pair —
     a FIB snapshot validated against {!Tango_bgp.Network.revision} —
     and their packets are "delivered" immediately with their
     closed-form virtual arrival time [at_s] (measured from the
@@ -67,12 +66,12 @@ val send_batch_direct :
     {!quiesce_metrics}. Ineligible packets fall back to {!send} (which
     does touch the registry and the engine — lane code must keep
     {!direct_fallbacks} at zero, and the throughput pipeline asserts
-    that). *)
+    that); a fallback packet that is dropped is only counted. *)
 
 val route_plain : t -> from_node:int -> dst:Tango_net.Addr.t -> bool
 (** Whether {!send_batch_direct} from [from_node] to [dst] would take
     the direct path right now — fabric eligible, route resolvable,
-    every link jitter-free, loss-free and healthy. Setup-time probe for
+    every link jitter-free and healthy. Setup-time probe for
     lane pipelines that require [direct_fallbacks] to stay zero. *)
 
 val direct_fallbacks : t -> int

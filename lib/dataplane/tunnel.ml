@@ -5,17 +5,13 @@ type t = {
   label : string;
   local_endpoint : Tango_net.Addr.t;
   remote_endpoint : Tango_net.Addr.t;
-  udp_src : int;
-  udp_dst : int;
   mutable next_seq : int64;
 }
 
-let create ~path_id ~label ~local_endpoint ~remote_endpoint ?udp_src
-    ?(udp_dst = 4789) () =
+let create ~path_id ~label ~local_endpoint ~remote_endpoint () =
   if path_id < 0 || path_id > 0xFFFF then
     Err.invalid "Tunnel.create: path_id outside 16 bits";
-  let udp_src = match udp_src with Some p -> p | None -> 40000 + path_id in
-  { path_id; label; local_endpoint; remote_endpoint; udp_src; udp_dst; next_seq = 0L }
+  { path_id; label; local_endpoint; remote_endpoint; next_seq = 0L }
 
 let send t ~clock ~now_s (packet : Packet.t) =
   let seq = t.next_seq in
@@ -24,8 +20,8 @@ let send t ~clock ~now_s (packet : Packet.t) =
     {
       Packet.outer_src = t.local_endpoint;
       outer_dst = t.remote_endpoint;
-      udp_src = t.udp_src;
-      udp_dst = t.udp_dst;
+      udp_src = 40000 + t.path_id;
+      udp_dst = 4789;
       tango =
         {
           Packet.timestamp_ns = Clock.now_ns clock ~sim_time_s:now_s;

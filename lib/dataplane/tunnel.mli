@@ -13,8 +13,6 @@ type t = {
   label : string;  (** Human name of the path, e.g. "GTT". *)
   local_endpoint : Tango_net.Addr.t;
   remote_endpoint : Tango_net.Addr.t;
-  udp_src : int;
-  udp_dst : int;
   mutable next_seq : int64;
 }
 
@@ -23,16 +21,16 @@ val create :
   label:string ->
   local_endpoint:Tango_net.Addr.t ->
   remote_endpoint:Tango_net.Addr.t ->
-  ?udp_src:int ->
-  ?udp_dst:int ->
   unit ->
   t
-(** Default ports: source [40000 + path_id] (distinct per tunnel),
-    destination 4789. *)
+(** The tunnel's UDP ports are fixed: source [40000 + path_id]
+    (distinct per tunnel), destination 4789. Raises {!Err.Invalid}
+    when [path_id] does not fit in 16 bits. *)
 
 val send : t -> clock:Clock.t -> now_s:float -> Tango_net.Packet.t -> unit
 (** Sender program: encapsulate the packet on this tunnel, stamping the
-    sender clock and the tunnel's next sequence number (which advances).
+    sender clock and the tunnel's next sequence number (which advances),
+    with the UDP ports {!create} names.
     Raises {!Err.Invalid} if the packet is already encapsulated. *)
 
 val owd_ms : clock:Clock.t -> now_s:float -> Tango_net.Packet.tango_header -> float

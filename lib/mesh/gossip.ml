@@ -14,11 +14,14 @@ module Metric = Tango_obs.Metric
 
 let m_msgs = Metric.counter ~help:"Mesh gossip messages delivered" "mesh_gossip_msgs_total"
 
+(* Rows each live PoP pushes per round, and the round interval. *)
+let fanout = 2
+
+let interval_s = 0.1
+
 type t = {
   topo : Mtopo.t;
   engine : Engine.t;
-  fanout : int;
-  interval_s : float;
   view : Bytes.t; (* observer*pops + subject: 1 = alive *)
   stamp : float array; (* version stamp (virtual time) of each fact *)
   table_version : int array; (* per pop, bumped on arborescence rotation *)
@@ -27,15 +30,11 @@ type t = {
   mutable msgs : int;
 }
 
-let create ?(fanout = 2) ?(interval_s = 0.1) ~topo ~engine () =
-  if fanout < 1 then Err.invalid "Gossip.create: fanout %d below 1" fanout;
-  if interval_s <= 0.0 then Err.invalid "Gossip.create: non-positive interval";
+let create ~topo ~engine () =
   let n = Mtopo.pops topo in
   {
     topo;
     engine;
-    fanout;
-    interval_s;
     view = Bytes.make (n * n) '\001';
     stamp = Array.make (n * n) 0.0;
     table_version = Array.make n 0;
@@ -128,15 +127,15 @@ let distinct_digests t ~pop_alive =
    event — gossip traffic rides the same virtual links as data. *)
 let start t ~pop_alive ~until =
   let n = Mtopo.pops t.topo in
-  Engine.every t.engine ~interval:t.interval_s ~until (fun engine ->
+  Engine.every t.engine ~interval:interval_s ~until (fun engine ->
       let r = t.round in
       t.round <- r + 1;
       for p = 0 to n - 1 do
         if pop_alive p then begin
           let deg = Mtopo.degree t.topo p in
           let base = Mtopo.slot_base t.topo p in
-          for j = 0 to min t.fanout deg - 1 do
-            let s = base + (((r * t.fanout) + j) mod deg) in
+          for j = 0 to min fanout deg - 1 do
+            let s = base + (((r * fanout) + j) mod deg) in
             let target = Mtopo.slot_dst t.topo s in
             let lat = Mtopo.slot_lat_ms t.topo s /. 1000.0 in
             Engine.schedule engine ~delay:lat (fun engine ->

@@ -17,10 +17,9 @@
 
 type t
 
-val create :
-  ?fanout:int -> ?interval_s:float -> topo:Mtopo.t -> engine:Tango_sim.Engine.t -> unit -> t
-(** Defaults: [fanout] 2, [interval_s] 0.1. Everyone starts believed
-    alive. Raises {!Err.Invalid} on a non-positive fanout/interval. *)
+val create : topo:Mtopo.t -> engine:Tango_sim.Engine.t -> unit -> t
+(** Rounds run every 0.1 s with a fanout of 2. Everyone starts believed
+    alive. *)
 
 val start : t -> pop_alive:(int -> bool) -> until:float -> unit
 (** Schedule anti-entropy rounds on the engine until [until].

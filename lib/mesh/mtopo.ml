@@ -7,7 +7,6 @@ module Rng = Tango_sim.Rng
    per neighbor. *)
 type t = {
   pops : int;
-  regions : int;
   region : int array;
   xs : float array;
   ys : float array;
@@ -18,8 +17,10 @@ type t = {
   rev : int array; (* per slot (u->v): the slot of (v->u) *)
 }
 
+(* Partition faults cut along the plane's four quadrants. *)
+let regions = 4
+
 let pops t = t.pops
-let regions t = t.regions
 
 let region t pop =
   if pop < 0 || pop >= t.pops then Err.invalid "Mtopo.region: pop %d" pop;
@@ -55,26 +56,21 @@ let[@hot] slot t ~src ~dst =
    plane (latency ~ euclidean distance), a ring for guaranteed
    connectivity, plus per-PoP nearest-neighbor chords up to [degree].
    Every draw comes from one seeded Rng in a fixed order, so the graph
-   is a pure function of (pops, degree, regions, seed). *)
-let generate ?(degree = 4) ?(regions = 4) ~pops ~seed () =
+   is a pure function of (pops, degree, seed). *)
+let generate ?(degree = 4) ~pops ~seed () =
   if pops < 2 then Err.invalid "Mtopo.generate: need at least 2 pops, got %d" pops;
   if pops > 4096 then Err.invalid "Mtopo.generate: %d pops exceeds 4096" pops;
   if degree < 2 then Err.invalid "Mtopo.generate: degree %d below 2" degree;
-  if regions < 1 then Err.invalid "Mtopo.generate: no regions";
   let rng = Rng.create ~seed in
   let xs = Array.make pops 0.0 and ys = Array.make pops 0.0 in
   for i = 0 to pops - 1 do
     xs.(i) <- Rng.float rng 60.0;
     ys.(i) <- Rng.float rng 60.0
   done;
-  (* Geographic quadrants folded onto [regions] ids: partition faults
-     cut along these boundaries. *)
+  (* Geographic quadrants are the region ids. *)
   let region =
     Array.init pops (fun i ->
-        let q =
-          (if xs.(i) >= 30.0 then 1 else 0) + if ys.(i) >= 30.0 then 2 else 0
-        in
-        q mod regions)
+        (if xs.(i) >= 30.0 then 1 else 0) + if ys.(i) >= 30.0 then 2 else 0)
   in
   let adj = Bytes.make (pops * pops) '\000' in
   let link i j =
@@ -149,7 +145,6 @@ let generate ?(degree = 4) ?(regions = 4) ~pops ~seed () =
   let t =
     {
       pops;
-      regions;
       region;
       xs;
       ys;

@@ -3,19 +3,21 @@
     PoPs are dense integer ids; every directed edge is a {e slot}, and
     per-edge state across the library (liveness bits, hello
     timestamps) lives in flat arrays indexed by slot. Generation is a
-    pure function of [(pops, degree, regions, seed)]: a 60x60 ms-scale
+    pure function of [(pops, degree, seed)]: a 60x60 ms-scale
     coordinate plane (latency ~ distance), a ring for guaranteed
-    connectivity, nearest-neighbor chords up to [degree], and
-    geographic quadrant regions for partition faults. *)
+    connectivity, nearest-neighbor chords up to [degree], and the
+    plane's four quadrants as regions for partition faults. *)
 
 type t
 
-val generate : ?degree:int -> ?regions:int -> pops:int -> seed:int -> unit -> t
-(** Defaults: [degree] 4, [regions] 4. Raises {!Err.Invalid} for
-    [pops < 2], [pops > 4096], [degree < 2] or [regions < 1]. *)
+val generate : ?degree:int -> pops:int -> seed:int -> unit -> t
+(** Default [degree] 4. Raises {!Err.Invalid} for [pops < 2],
+    [pops > 4096] or [degree < 2]. *)
 
 val pops : t -> int
-val regions : t -> int
+
+val regions : int
+(** Number of regions: 4, one per quadrant of the plane. *)
 
 val region : t -> int -> int
 (** Region id of a PoP; raises {!Err.Invalid} out of range. *)

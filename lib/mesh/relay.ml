@@ -57,15 +57,21 @@ let excused_code = 5
 (* A re-quarantined relay serves quarantine_s * 2^(n-1), capped. *)
 let quarantine_cap_s = 60.0
 
+(* Each PoP sends hellos every [hello_interval_s]; a neighbor silent
+   for [dead_after_s] (four hellos) is dead, and each tree that fails
+   over is banned for [ban_s]. *)
+let hello_interval_s = 0.025
+
+let dead_after_s = 0.1
+
+let ban_s = 1.0
+
 type t = {
   topo : Mtopo.t;
   arbor : Arbor.t;
   engine : Engine.t;
   gossip : Gossip.t;
   trees : int;
-  hello_interval_s : float;
-  dead_after_s : float;
-  ban_s : float;
   pop_up : Bytes.t; (* per pop: ground truth *)
   link_up : Bytes.t; (* per slot: ground truth *)
   heard_s : float array; (* per slot (u->v): when v last heard u's hello *)
@@ -100,13 +106,7 @@ type t = {
   mutable fp_xor : int;
 }
 
-let create ?(hello_interval_s = 0.025) ?(dead_after_s = 0.1) ?(ban_s = 1.0)
-    ?(quarantine_s = 2.0) ~topo ~arbor ~engine ~gossip () =
-  if hello_interval_s <= 0.0 then Err.invalid "Relay.create: non-positive hello interval";
-  if dead_after_s <= hello_interval_s then
-    Err.invalid "Relay.create: dead-after %g must exceed the hello interval %g"
-      dead_after_s hello_interval_s;
-  if ban_s <= 0.0 then Err.invalid "Relay.create: non-positive ban duration";
+let create ?(quarantine_s = 2.0) ~topo ~arbor ~engine ~gossip () =
   if quarantine_s <= 0.0 then
     Err.invalid "Relay.create: non-positive quarantine duration";
   let n = Mtopo.pops topo in
@@ -118,9 +118,6 @@ let create ?(hello_interval_s = 0.025) ?(dead_after_s = 0.1) ?(ban_s = 1.0)
     engine;
     gossip;
     trees;
-    hello_interval_s;
-    dead_after_s;
-    ban_s;
     pop_up = Bytes.make n '\001';
     link_up = Bytes.make slots '\001';
     heard_s = Array.make slots 0.0;
@@ -200,7 +197,7 @@ let revive_pop t ~pop =
   Bytes.set_uint8 t.pop_up pop 1
 
 let set_region_links t ~region ~up =
-  if region < 0 || region >= Mtopo.regions t.topo then
+  if region < 0 || region >= Mtopo.regions then
     Err.invalid "Relay: region %d out of range" region;
   let v = if up then 1 else 0 in
   let n = Mtopo.pops t.topo in
@@ -274,7 +271,7 @@ let tick t pop engine =
       let u = Mtopo.slot_dst t.topo s in
       (* [pop]'s view of [u] lives on the reverse slot (u->pop). *)
       let rs = Mtopo.slot_rev t.topo s in
-      let alive = now -. t.heard_s.(rs) <= t.dead_after_s in
+      let alive = now -. t.heard_s.(rs) <= dead_after_s in
       let cur = Bytes.get_uint8 t.nbr_alive rs in
       if alive && cur = 0 then begin
         Bytes.set_uint8 t.nbr_alive rs 1;
@@ -296,7 +293,7 @@ let tick t pop engine =
 
 let start_hellos t ~until =
   for pop = 0 to Mtopo.pops t.topo - 1 do
-    Engine.every t.engine ~interval:t.hello_interval_s ~until (tick t pop)
+    Engine.every t.engine ~interval:hello_interval_s ~until (tick t pop)
   done
 
 (* Detection latency for a killed PoP: the slowest of its live
@@ -359,7 +356,7 @@ let[@hot] arbor_next t pop st ~now =
         st.Segment.tree <- tree
       end
       else begin
-        Policy.ban pol ~path:tree ~now_s:now ~for_s:t.ban_s;
+        Policy.ban pol ~path:tree ~now_s:now ~for_s:ban_s;
         incr rot
       end
     end

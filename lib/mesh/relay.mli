@@ -18,9 +18,6 @@
 type t
 
 val create :
-  ?hello_interval_s:float ->
-  ?dead_after_s:float ->
-  ?ban_s:float ->
   ?quarantine_s:float ->
   topo:Mtopo.t ->
   arbor:Arbor.t ->
@@ -28,11 +25,11 @@ val create :
   gossip:Gossip.t ->
   unit ->
   t
-(** Defaults: hellos every 25 ms, a neighbor is dead after 100 ms of
-    silence, dead trees are banned for 1 s, a first quarantine lasts
-    2 s (doubling per episode, capped at 60 s). Raises {!Err.Invalid}
-    when [dead_after_s <= hello_interval_s] or a duration is
-    non-positive. *)
+(** Hellos go every 25 ms, a neighbor is dead after 100 ms of silence
+    and dead trees are banned for 1 s; these are constants. A first
+    quarantine lasts [quarantine_s] (default 2 s), doubling per
+    episode, capped at 60 s. Raises {!Err.Invalid} when [quarantine_s]
+    is not positive. *)
 
 val start_hellos : t -> until:float -> unit
 (** One hello timer per PoP. Hellos are stamped directly into the

@@ -8,7 +8,12 @@ type t = {
   mutable n : int;
 }
 
-let create ?(window_s = 1.0) ?(recent_alpha = 0.01) () =
+(* The paper's 1 s window, and the per-sample weight of {!recent}. *)
+let window_s = 1.0
+
+let recent_alpha = 0.01
+
+let create () =
   {
     rolling = Rolling.create ~window_s;
     recent = Ewma.create ~alpha:recent_alpha;

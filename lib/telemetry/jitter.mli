@@ -1,12 +1,12 @@
 (** The paper's sub-second jitter metric: the {e mean} standard deviation
-    of a rolling window (1 s by default) over the one-way-delay stream
-    (§5: GTT ≈ 0.01 ms vs Telia ≈ 0.33 ms on LA→NY). *)
+    of a 1 s rolling window over the one-way-delay stream (§5: GTT ≈
+    0.01 ms vs Telia ≈ 0.33 ms on LA→NY). *)
 
 type t
 
-val create : ?window_s:float -> ?recent_alpha:float -> unit -> t
-(** Default window: 1 s, as in the paper. [recent_alpha] smooths the
-    {!recent} estimate (default 0.01 per sample). *)
+val create : unit -> t
+(** A 1 s window, as in the paper; the {!recent} estimate is an EWMA
+    with weight 0.01 per sample. *)
 
 val add : t -> time:float -> float -> unit
 (** Feed one OWD sample; the current window stddev is folded into the

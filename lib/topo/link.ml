@@ -2,15 +2,13 @@ type t = {
   delay_ms : float;
   jitter_ms : float;
   bandwidth_mbps : float;
-  loss : float;
 }
 
-let v ?(jitter_ms = 0.02) ?(bandwidth_mbps = 10_000.0) ?(loss = 0.0) delay_ms =
+let v ?(jitter_ms = 0.02) ?(bandwidth_mbps = 10_000.0) delay_ms =
   if delay_ms < 0.0 then invalid_arg "Link.v: negative delay";
   if jitter_ms < 0.0 then invalid_arg "Link.v: negative jitter";
   if bandwidth_mbps <= 0.0 then invalid_arg "Link.v: non-positive bandwidth";
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Link.v: loss outside [0,1)";
-  { delay_ms; jitter_ms; bandwidth_mbps; loss }
+  { delay_ms; jitter_ms; bandwidth_mbps }
 
 let default = v 1.0
 

@@ -19,8 +19,11 @@ let spike_value s ~time_s =
   let dt = time_s -. s.at_s in
   if dt < 0.0 || dt >= s.width_s then 0.0 else s.magnitude_ms
 
-let make_instability ~rng ~start_s ~duration_s ~rate_hz ~max_magnitude_ms
-    ?(width_s = 1.5) () =
+(* How long each instability spike holds its magnitude. *)
+let instability_width_s = 1.5
+
+let make_instability ~rng ~start_s ~duration_s ~rate_hz ~max_magnitude_ms () =
+  let width_s = instability_width_s in
   if duration_s <= 0.0 then invalid_arg "make_instability: non-positive duration";
   if rate_hz <= 0.0 then invalid_arg "make_instability: non-positive rate";
   let rec arrivals t acc =
@@ -57,7 +60,6 @@ type t = {
   base_ms : float;
   diurnal_amplitude_ms : float;
   diurnal_period_s : float;
-  diurnal_phase : float;
   ou_std_ms : float;
   ou_tau_s : float;
   white_std_ms : float;
@@ -74,7 +76,7 @@ let ou_ix = 0
 let last_time_ix = 1
 
 let create ~seed ?(base_ms = 0.0) ?(diurnal_amplitude_ms = 0.0)
-    ?(diurnal_period_s = 86400.0) ?(diurnal_phase = 0.0) ?(ou_std_ms = 0.0)
+    ?(diurnal_period_s = 86400.0) ?(ou_std_ms = 0.0)
     ?(ou_tau_s = 10.0) ?(white_std_ms = 0.0) ?(events = []) () =
   if diurnal_period_s <= 0.0 then invalid_arg "Delay_process: non-positive period";
   if ou_tau_s <= 0.0 then invalid_arg "Delay_process: non-positive tau";
@@ -83,7 +85,6 @@ let create ~seed ?(base_ms = 0.0) ?(diurnal_amplitude_ms = 0.0)
     base_ms;
     diurnal_amplitude_ms;
     diurnal_period_s;
-    diurnal_phase;
     ou_std_ms;
     ou_tau_s;
     white_std_ms;
@@ -126,7 +127,7 @@ let rec sum_events acc events ~time_s =
 let floor_value t ~time_s =
   let diurnal =
     t.diurnal_amplitude_ms
-    *. (1.0 +. sin ((2.0 *. Float.pi *. time_s /. t.diurnal_period_s) +. t.diurnal_phase))
+    *. (1.0 +. sin (2.0 *. Float.pi *. time_s /. t.diurnal_period_s))
     /. 2.0
   in
   sum_events (t.base_ms +. diurnal) t.event_list ~time_s

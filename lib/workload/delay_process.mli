@@ -35,12 +35,11 @@ val make_instability :
   duration_s:float ->
   rate_hz:float ->
   max_magnitude_ms:float ->
-  ?width_s:float ->
   unit ->
   event
 (** Poisson spike arrivals with Pareto magnitudes capped at
-    [max_magnitude_ms]; at least one spike reaches the cap, so the
-    episode's headline peak is deterministic. *)
+    [max_magnitude_ms], each held for 1.5 s; at least one spike reaches
+    the cap, so the episode's headline peak is deterministic. *)
 
 val make_route_change :
   rng:Tango_sim.Rng.t ->
@@ -57,15 +56,15 @@ val create :
   ?base_ms:float ->
   ?diurnal_amplitude_ms:float ->
   ?diurnal_period_s:float ->
-  ?diurnal_phase:float ->
   ?ou_std_ms:float ->
   ?ou_tau_s:float ->
   ?white_std_ms:float ->
   ?events:event list ->
   unit ->
   t
-(** All stochastic terms default to zero/off. [base_ms] is a constant
-    positive floor; noisy processes need one large enough that the
+(** All stochastic terms default to zero/off. The diurnal sinusoid
+    starts at phase 0, at the midpoint of its swing. [base_ms] is a
+    constant positive floor; noisy processes need one large enough that the
     zero-clamp never bites, or their noise distribution is truncated. *)
 
 val value : t -> time_s:float -> float

@@ -13,8 +13,13 @@ type t = {
   instability : float * float;
 }
 
-let create ?(seed = 77) ?(horizon_s = 600.0) ?(route_change_magnitude_ms = 5.0)
-    ?(instability_peak_extra_ms = 50.0) () =
+(* Fig. 4's westbound GTT events: a +5 ms level shift, and spikes
+   peaking 50 ms above the 28 ms floor. *)
+let route_change_magnitude_ms = 5.0
+
+let instability_peak_extra_ms = 50.0
+
+let create ?(seed = 77) ?(horizon_s = 600.0) () =
   if horizon_s <= 0.0 then invalid_arg "Fig4.create: non-positive horizon";
   let rng = Rng.create ~seed in
   let registered = ref [] in

@@ -17,18 +17,11 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?horizon_s:float ->
-  ?route_change_magnitude_ms:float ->
-  ?instability_peak_extra_ms:float ->
-  unit ->
-  t
-(** [horizon_s] defaults to 600 s (the compressed "8 days").
-    [route_change_magnitude_ms] defaults to 5; the route change occupies
-    [0.40, 0.60) of the horizon. [instability_peak_extra_ms] defaults to
-    50 (28 ms floor + 50 = 78 ms peak); the instability window occupies
-    [0.70, 0.80). *)
+val create : ?seed:int -> ?horizon_s:float -> unit -> t
+(** [horizon_s] defaults to 600 s (the compressed "8 days"). The route
+    change adds 5 ms and occupies [0.40, 0.60) of the horizon. The
+    instability spikes peak 50 ms above the floor (28 ms floor + 50 =
+    78 ms peak) and occupy [0.70, 0.80). *)
 
 val extra_delay_ms : t -> from_node:int -> to_node:int -> time_s:float -> float
 (** Plug into {!Tango_dataplane.Fabric.create}. *)

@@ -35,7 +35,7 @@ let prop_never_stale =
           (List.mapi (fun i (owd, age) -> stats ~path_id:i ~owd ~age) per_path)
       in
       let p =
-        Policy.create ~max_staleness_s:1.0
+        Policy.create
           (Policy.Lowest_owd { hysteresis_ms = 0.0; min_dwell_s = 0.0 })
       in
       let chosen = Policy.choose p ~now_s:10.0 arr in
@@ -55,7 +55,7 @@ let prop_never_stale_with_backoff =
            (pair (float_range 1.0 100.0) (float_range 0.0 3.0))))
     (fun rounds ->
       let p =
-        Policy.create ~max_staleness_s:1.0 ~readmit_backoff_s:0.5
+        Policy.create ~readmit_backoff_s:0.5
           (Policy.Lowest_owd { hysteresis_ms = 0.0; min_dwell_s = 0.0 })
       in
       List.for_all
@@ -85,7 +85,7 @@ let prop_never_stale_with_backoff =
    policy oscillates at the flap frequency. *)
 let run_flap ~readmit_backoff_s =
   let p =
-    Policy.create ~max_staleness_s:1.0 ~readmit_backoff_s
+    Policy.create ~readmit_backoff_s
       (Policy.Lowest_owd { hysteresis_ms = 0.5; min_dwell_s = 0.1 })
   in
   let dt = 0.25 in
@@ -121,7 +121,7 @@ let test_backoff_bounds_flap_switches () =
 
 let test_backoff_caps_at_max () =
   let p =
-    Policy.create ~max_staleness_s:1.0 ~readmit_backoff_s:1.0 ~backoff_max_s:4.0
+    Policy.create ~readmit_backoff_s:1.0 ~backoff_max_s:4.0
       (Policy.Lowest_owd { hysteresis_ms = 0.0; min_dwell_s = 0.0 })
   in
   (* Drive many fast up/down cycles; the ban must never exceed the cap. *)

@@ -56,7 +56,7 @@ let test_topo_deterministic () =
   done
 
 let test_topo_regions () =
-  let t = Mtopo.generate ~pops:16 ~regions:4 ~seed:42 () in
+  let t = Mtopo.generate ~pops:16 ~seed:42 () in
   let seen = Array.make 4 false in
   for p = 0 to 15 do
     let r = Mtopo.region t p in

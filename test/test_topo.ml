@@ -43,9 +43,7 @@ let test_rel_local_pref () =
 
 let test_link_validation () =
   Alcotest.(check bool) "negative delay" true
-    (try ignore (Link.v (-1.0)); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "loss 1.0" true
-    (try ignore (Link.v ~loss:1.0 1.0); false with Invalid_argument _ -> true)
+    (try ignore (Link.v (-1.0)); false with Invalid_argument _ -> true)
 
 let test_link_transmission () =
   let l = Link.v ~bandwidth_mbps:1000.0 1.0 in
