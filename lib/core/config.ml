@@ -320,6 +320,11 @@ let measurement_args t = (t.probe_interval_s, t.report_interval_s)
 let apply_vultr t =
   let find name = List.find_opt (fun s -> s.name = name) t.sites in
   match (find "LA", find "NY", List.length t.sites) with
+  | _ when not (Prefix.equal t.block Addressing.default_block) ->
+      Error
+        (Printf.sprintf "apply_vultr: block %s is not the Vultr deployment's %s"
+           (Prefix.to_string t.block)
+           (Prefix.to_string Addressing.default_block))
   | Some la, Some ny, 2 ->
       Ok
         (Pair.setup_vultr ~policy_la:la.policy ~policy_ny:ny.policy

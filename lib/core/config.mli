@@ -60,9 +60,12 @@ val to_string : t -> string
 
 val apply_vultr : t -> (Pair.t, string) result
 (** Instantiate the two-site Vultr deployment from a configuration with
-    exactly two sites named ["LA"] and ["NY"] (in any order). The pair is
-    fully set up (discovery done); measurement must still be started
-    with the configured cadence, see {!measurement_args}. *)
+    exactly two sites named ["LA"] and ["NY"] (in any order). The Vultr
+    deployment carves its prefixes from
+    {!Addressing.default_block}, so a configuration naming any other
+    [block] is an [Error] that names the block. The pair is fully set
+    up (discovery done); measurement must still be started with the
+    configured cadence, see {!measurement_args}. *)
 
 val measurement_args : t -> float * float
 (** [(probe_interval_s, report_interval_s)]. *)

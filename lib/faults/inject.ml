@@ -188,10 +188,8 @@ let activate t (a : armed) ~end_s engine =
     | Spec.Community_drop -> a.undo <- apply_community_drop t a ()
     | Spec.Relay_kill | Spec.Mesh_partition _ | Spec.Relay_detour
     | Spec.Relay_tamper _ | Spec.Relay_replay ->
-        Err.invalid
-          "Inject: %s targets a mesh world; arm it through Tango_mesh.Mesh.run, \
-           not a pair"
-          (Spec.kind_to_string a.spec.kind)
+        (* [arm] rejects mesh faults before any is scheduled. *)
+        assert false
   end
 
 let deactivate t (a : armed) engine =
@@ -253,6 +251,11 @@ let arm ~pair ?(seed = 42) spec_list =
   in
   Array.iter
     (fun (a : armed) ->
+      if Spec.targets_mesh a.spec.kind then
+        Err.invalid
+          "Inject.arm: %s targets a mesh world; arm it through \
+           Tango_mesh.Mesh.run, not a pair"
+          (Spec.kind_to_string a.spec.kind);
       if path_targeted a.spec.kind then begin
         let count = List.length (paths t a.spec.dir) in
         if a.spec.path >= count then

@@ -31,8 +31,10 @@ val arm : pair:Tango.Pair.t -> ?seed:int -> Spec.t list -> t
 (** Validate the specs against the deployment (path ids must exist in
     their direction) and schedule every activation/deactivation
     relative to the engine's current time. [seed] (default 42) feeds
-    only the brownout delay bursts. Raises {!Err.Invalid} on an
-    out-of-range path id (and propagates {!Spec.validate} failures). *)
+    only the brownout delay bursts. Raises {!Err.Invalid}, before
+    anything is scheduled, on a mesh-only kind ({!Spec.targets_mesh})
+    or an out-of-range path id (and propagates {!Spec.validate}
+    failures). *)
 
 val clear : t -> unit
 (** Immediately deactivate every active fault, restoring links, link

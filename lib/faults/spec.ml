@@ -42,6 +42,13 @@ let[@hot] kind_code kind =
   | Relay_tamper { truncate = true } -> 12
   | Relay_replay -> 13
 
+let targets_mesh = function
+  | Relay_kill | Mesh_partition _ | Relay_detour | Relay_tamper _ | Relay_replay ->
+      true
+  | Blackhole | Flap _ | Brownout _ | Probe_starvation | Clock_step _
+  | Bgp_withdraw | Bgp_flap _ | Community_drop ->
+      false
+
 let kind_to_string = function
   | Blackhole -> "blackhole"
   | Flap { period_s } -> Printf.sprintf "flap(period=%gs)" period_s

@@ -90,6 +90,11 @@ val validate : t -> unit
 val kind_code : kind -> int
 (** Stable small-int code per kind (trace-record payload). *)
 
+val targets_mesh : kind -> bool
+(** Whether the kind is a mesh-only fault, armed through
+    [Tango_mesh.Mesh.run]; every other kind targets the two-site pair
+    and is armed through {!Inject.arm}. *)
+
 val kind_to_string : kind -> string
 
 val dir_to_string : dir -> string

@@ -213,6 +213,23 @@ let test_arm_rejects_bad_path () =
     (invalid (fun () ->
          Inject.arm ~pair [ Spec.v ~path:99 ~start_s:1.0 ~duration_s:1.0 Spec.Blackhole ]))
 
+(* A mesh-only fault is refused when armed on a pair, before any event
+   is scheduled — not when its window opens. *)
+let test_arm_rejects_mesh_faults () =
+  let pair = Pair.setup_vultr ~seed:3 () in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (Spec.kind_to_string kind) true
+        (invalid (fun () ->
+             Inject.arm ~pair [ Spec.v ~start_s:1.0 ~duration_s:1.0 kind ])))
+    [
+      Spec.Relay_kill;
+      Spec.Mesh_partition { region = 0 };
+      Spec.Relay_detour;
+      Spec.Relay_tamper { truncate = true };
+      Spec.Relay_replay;
+    ]
+
 let test_timeline_records_on_off () =
   let pair = Pair.setup_vultr ~seed:3 () in
   let inj =
@@ -250,6 +267,7 @@ let () =
           tc "blackholed path never delivers" `Quick test_blackhole_never_delivers;
           tc "clear equals fault-free twin" `Quick test_clear_equals_fault_free_twin;
           tc "arm rejects bad path" `Quick test_arm_rejects_bad_path;
+          tc "arm rejects mesh faults" `Quick test_arm_rejects_mesh_faults;
           tc "timeline records on/off" `Quick test_timeline_records_on_off;
         ] );
     ]
