@@ -637,19 +637,6 @@ let run () = ignore (run_measured ())
 (* BENCH.json: the machine-readable perf trajectory future PRs regress
    against (see EXPERIMENTS.md for the schema).                        *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_number = function
   | Some v when Float.is_finite v -> Printf.sprintf "%.3f" v
   | Some _ | None -> "null"
@@ -665,7 +652,7 @@ let write_json path rows =
     (fun i r ->
       Printf.fprintf oc
         "    { \"name\": \"%s\", \"ns_per_op\": %s, \"minor_words_per_op\": %s, \"major_words_per_op\": %s, \"pps\": %s }%s\n"
-        (json_escape r.name) (json_number r.ns_per_op)
+        (Tango_obs.Json.escape r.name) (json_number r.ns_per_op)
         (json_number r.minor_words_per_op)
         (json_number r.major_words_per_op)
         (json_number r.pps)

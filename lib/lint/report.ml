@@ -1,3 +1,5 @@
+module Json = Tango_obs.Json
+
 let text oc (r : Engine.result) =
   List.iter
     (fun (f : Rules.finding) ->
@@ -14,33 +16,20 @@ let text oc (r : Engine.result) =
     (if List.length r.Engine.findings = 1 then "" else "s")
     (List.length r.Engine.waived)
 
-(* Same hand-rolled JSON idiom as bench/micro.ml: the schema is small
-   and stable, documented in EXPERIMENTS.md. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Hand-rolled JSON: the schema is small and stable, documented in
+   EXPERIMENTS.md. *)
 let json_chain (f : Rules.finding) =
   match f.chain with
   | [] -> ""
   | chain ->
       Printf.sprintf ", \"chain\": [%s]"
         (String.concat ", "
-           (List.map (fun c -> "\"" ^ json_escape c ^ "\"") chain))
+           (List.map (fun c -> "\"" ^ Json.escape c ^ "\"") chain))
 
 let json_finding oc ~last (f : Rules.finding) =
   Printf.fprintf oc
     "    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \"message\": \"%s\"%s }%s\n"
-    (json_escape f.file) f.line f.col (Rules.id f.rule) (json_escape f.message)
+    (Json.escape f.file) f.line f.col (Rules.id f.rule) (Json.escape f.message)
     (json_chain f)
     (if last then "" else ",")
 
@@ -63,7 +52,7 @@ let json oc (r : Engine.result) =
     (fun i ((f : Rules.finding), reason) ->
       Printf.fprintf oc
         "    { \"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"reason\": \"%s\" }%s\n"
-        (json_escape f.file) f.line (Rules.id f.rule) (json_escape reason)
+        (Json.escape f.file) f.line (Rules.id f.rule) (Json.escape reason)
         (if i = n_waived - 1 then "" else ","))
     r.Engine.waived;
   output_string oc "  ],\n";

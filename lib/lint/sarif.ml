@@ -6,20 +6,7 @@
    the message text (SARIF codeFlows are overkill for a syntactic
    linter and triple the output size). *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Tango_obs.Json
 
 let message_text (f : Rules.finding) =
   match f.chain with
@@ -41,7 +28,7 @@ let render oc (findings : Rules.finding list) =
       Printf.fprintf oc
         "\n            {\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}"
         (Rules.id rule)
-        (escape (Rules.describe rule)))
+        (Json.escape (Rules.describe rule)))
     Rules.all;
   output_string oc "\n          ]\n        }\n      },\n";
   output_string oc "      \"results\": [";
@@ -54,8 +41,8 @@ let render oc (findings : Rules.finding list) =
          {\"artifactLocation\": {\"uri\": \"%s\"}, \"region\": {\"startLine\": \
          %d, \"startColumn\": %d}}}]}"
         (Rules.id f.rule)
-        (escape (message_text f))
-        (escape f.file) f.line (f.col + 1))
+        (Json.escape (message_text f))
+        (Json.escape f.file) f.line (f.col + 1))
     findings;
   (match findings with [] -> () | _ -> output_string oc "\n      ");
   output_string oc "]\n    }\n  ]\n}\n"

@@ -180,6 +180,20 @@ let parse (s : string) : t =
   if !pos <> n then fail "trailing garbage";
   v
 
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
 let number_opt v = match v with Some (Num x) -> Some x | _ -> None

@@ -1,7 +1,7 @@
 (** Minimal strict JSON reader for machine-written artifacts
-    (BENCH.json, --metrics JSON-lines). Cold path: the regression gate
-    and the schema validator parse with it; nothing in the simulator
-    does. *)
+    (BENCH.json, --metrics JSON-lines), and the one string escaper
+    their writers share. Cold path: the regression gate and the schema
+    validator parse with it; nothing in the simulator does. *)
 
 type t =
   | Null
@@ -17,6 +17,12 @@ exception Parse_error of string
 val parse : string -> t
 (** Parse one complete JSON value; trailing garbage is an error.
     [\uXXXX] escapes outside ASCII decode as ['?']. *)
+
+val escape : string -> string
+(** [s] escaped for the inside of a JSON string literal: a double
+    quote or a backslash gets a backslash before it, a newline becomes
+    the two characters backslash-n, and every other control character
+    a backslash-u escape with four hex digits. *)
 
 (** {1 Accessors} *)
 
