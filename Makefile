@@ -80,7 +80,9 @@ throughput-smoke:
 # Relay-mesh smoke: the E15 gates at the N=64 design point, plus a
 # 16-PoP relay-kill run through the CLI (lib/mesh end to end).
 mesh-smoke:
-	dune exec bench/main.exe -- --experiment mesh-scaling --pops 64 --no-micro > /dev/null
+	dune exec bench/main.exe -- --experiment mesh-scaling --pops 64 --no-micro > _build/mesh_smoke.out
+	grep -c "GATE: PASS" _build/mesh_smoke.out | grep -qx 4
+	! grep -q "GATE: FAIL" _build/mesh_smoke.out
 	dune exec bin/tango_cli.exe -- mesh --pops 16 --scenario relay-kill --fingerprint > /dev/null
 
 # Load-engine smoke: the E16 gates at a narrowed 20k-flow point (ratio,

@@ -11,11 +11,6 @@
    write the snapshot afterwards (schema in EXPERIMENTS.md); without
    them recording stays off and output is byte-identical. *)
 
-module Obs_metric = Tango_obs.Metric
-module Obs_trace = Tango_obs.Trace
-module Obs_manifest = Tango_obs.Manifest
-module Obs_export = Tango_obs.Export
-
 let experiments =
   [
     ("fig3", Experiments.fig3);
@@ -134,57 +129,32 @@ let () =
         (String.concat ", " (List.map fst experiments));
       exit 2
   | None -> ());
-  let obs_requested = Option.is_some !metrics_path || Option.is_some !prom_path in
-  let obs_session =
-    if not obs_requested then None
-    else begin
-      Obs_metric.reset_values ();
-      Obs_trace.clear Obs_trace.default;
-      Obs_metric.set_enabled true;
-      Some
-        (Obs_manifest.start ~experiment:(String.concat "," to_run)
-           ~seed:!Experiments.exp_seed
-           ~config:
-             (Printf.sprintf "bench horizon=%g probe_interval=%g seed=%d"
-                !Experiments.horizon !Experiments.probe_interval !Experiments.exp_seed)
-           ())
-    end
-  in
+  Tango_obs.Export.with_recording
+    ~experiment:(String.concat "," to_run)
+    ~seed:!Experiments.exp_seed
+    ~config:
+      (Printf.sprintf "bench horizon=%g probe_interval=%g seed=%d"
+         !Experiments.horizon !Experiments.probe_interval !Experiments.exp_seed)
+    ~metrics:!metrics_path ~prom:!prom_path
+    (fun () ->
+      List.iter
+        (fun id ->
+          if id = "micro" then begin
+            let rows = Micro.run_measured () in
+            match !json_path with
+            | None -> ()
+            | Some path -> (
+                match Micro.write_json path rows with
+                | () ->
+                    Printf.printf "  [microbenchmark results written to %s]\n"
+                      path
+                | exception Sys_error msg ->
+                    Printf.eprintf "cannot write benchmark JSON: %s\n" msg;
+                    exit 2)
+          end
+          else (List.assoc id experiments) ())
+        to_run);
   List.iter
-    (fun id ->
-      if id = "micro" then begin
-        let rows = Micro.run_measured () in
-        match !json_path with
-        | None -> ()
-        | Some path -> (
-            match Micro.write_json path rows with
-            | () -> Printf.printf "  [microbenchmark results written to %s]\n" path
-            | exception Sys_error msg ->
-                Printf.eprintf "cannot write benchmark JSON: %s\n" msg;
-                exit 2)
-      end
-      else (List.assoc id experiments) ())
-    to_run;
-  (match obs_session with
-  | None -> ()
-  | Some session ->
-      Obs_metric.set_enabled false;
-      let manifest =
-        Obs_manifest.finish session
-          ~virtual_s:
-            (Obs_metric.gauge_value (Obs_metric.gauge "sim_virtual_time_seconds"))
-          ~sim_events:(Obs_metric.counter_value (Obs_metric.counter "sim_events_total"))
-          Obs_trace.default
-      in
-      let snapshot = Obs_export.snapshot () in
-      Option.iter
-        (fun path ->
-          Obs_export.write_jsonl ~manifest path snapshot;
-          Printf.printf "  [obs snapshot written to %s]\n" path)
-        !metrics_path;
-      Option.iter
-        (fun path ->
-          Obs_export.write_prometheus path snapshot;
-          Printf.printf "  [obs snapshot written to %s]\n" path)
-        !prom_path);
+    (Printf.printf "  [obs snapshot written to %s]\n")
+    (List.filter_map Fun.id [ !metrics_path; !prom_path ]);
   Printf.printf "\nDone.\n"

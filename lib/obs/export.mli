@@ -26,9 +26,18 @@ val to_prometheus : snapshot -> string
     Trace events and the manifest have no Prometheus representation and
     are omitted. *)
 
-val write_jsonl : ?manifest:Manifest.t -> string -> snapshot -> unit
-(** [write_jsonl path snap] writes {!to_jsonl} output to [path]. *)
-
-val write_prometheus : string -> snapshot -> unit
-(** [write_prometheus path snap] writes {!to_prometheus} output to
-    [path]. *)
+val with_recording :
+  experiment:string ->
+  seed:int ->
+  config:string ->
+  metrics:string option ->
+  prom:string option ->
+  (unit -> unit) ->
+  unit
+(** [with_recording ~experiment ~seed ~config ~metrics ~prom f] runs
+    [f]. When [metrics] or [prom] names a file, the run is recorded:
+    metric values and the default trace are reset, recording is on
+    while [f] runs, and afterwards the snapshot is written to [metrics]
+    as {!to_jsonl} output, with a {!Manifest} of [experiment], [seed]
+    and [config], and to [prom] as {!to_prometheus} output. With
+    neither, [f] just runs. Prints nothing. *)
