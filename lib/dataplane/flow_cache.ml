@@ -6,15 +6,19 @@
    are overwritten in place on their next miss, so flipping the
    preferred path never walks the table.
 
-   Resident state is bounded: the table maps flow hash -> slot in flat
-   arrays of [capacity] entries and a clock hand evicts when the slots
-   fill. The hand is generation-aware: a slot stamped with an older
-   generation is already worthless (a lookup would miss anyway), so it
-   is reclaimed on sight, while fresh entries get the classic one-bit
-   second chance. A hit stays zero-allocation: one Hashtbl probe, one
-   array load, one ref-bit store. A cache whose capacity covers every
-   flow it sees never evicts, which is how callers get the behavior of
-   an unbounded map. *)
+   Resident state is bounded: entries live in flat slot arrays of
+   [capacity] entries, found through an open-addressing index (linear
+   probing over a power-of-two int array at most half full, deletion by
+   backward shift, so no tombstones), and a clock hand evicts when the
+   slots fill. The hand is generation-aware: a slot stamped with an
+   older generation is already worthless (a lookup would miss anyway),
+   so it is reclaimed on sight, while fresh entries get the classic
+   one-bit second chance. Nothing on the per-packet path allocates: a
+   hit is an index probe, one array load and one ref-bit store, and
+   returns one of 256 preallocated [Some path] values; a miss, a store
+   and an eviction only rewrite array cells. A cache whose capacity
+   covers every flow it sees never evicts, which is how callers get the
+   behavior of an unbounded map. *)
 
 module Metric = Tango_obs.Metric
 
@@ -29,6 +33,9 @@ let m_evictions =
 let path_bits = 8
 
 let max_path = (1 lsl path_bits) - 1
+
+(* The option a hit returns, one per path id, built once. *)
+let some_path = Array.init (max_path + 1) (fun p -> Some p)
 
 (* The generation stamp gets everything above the path byte except the
    top bit (packed entries stay positive): int_size - 1 - path_bits
@@ -45,7 +52,8 @@ let gen_mask = (1 lsl gen_bits) - 1
 let max_generation = gen_mask
 
 type t = {
-  table : (int, int) Hashtbl.t;  (* flow hash -> slot *)
+  index : int array;  (* bucket -> slot, -1 when empty *)
+  index_bits : int;  (* Array.length index = 2^index_bits >= 2 * capacity *)
   capacity : int;
   slot_key : int array;  (* length = capacity *)
   slot_packed : int array;
@@ -62,8 +70,13 @@ type t = {
 let create ?(expected_flows = 1024) ?(capacity = expected_flows) () =
   if capacity <= 0 then
     Err.invalid "Flow_cache.create: capacity %d must be positive" capacity;
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * capacity do
+    incr bits
+  done;
   {
-    table = Hashtbl.create capacity;
+    index = Array.make (1 lsl !bits) (-1);
+    index_bits = !bits;
     capacity;
     slot_key = Array.make capacity 0;
     slot_packed = Array.make capacity 0;
@@ -77,22 +90,54 @@ let create ?(expected_flows = 1024) ?(capacity = expected_flows) () =
     invalidations = 0;
   }
 
+(* Home bucket of a flow hash: Fibonacci hashing, the top [index_bits]
+   bits of the product, so keys that differ only in their high bits
+   still spread. *)
+let[@hot] home t key = (key * 0x278DDE6E5FD29F05) lsr (Sys.int_size - t.index_bits)
+
+(* The bucket holding [key], or the empty bucket where it would go: the
+   index is at most half full, so the probe always ends. *)
+let[@hot] rec probe t key b =
+  let s = Array.unsafe_get t.index b in
+  if s < 0 || Array.unsafe_get t.slot_key s = key then b
+  else probe t key ((b + 1) land (Array.length t.index - 1))
+
+(* Empty bucket [hole] by backward shift: walk the probe run after it
+   and move back every entry whose home does not lie cyclically in
+   (hole, j], so every remaining key stays reachable from its home. *)
+let rec close_hole t hole j =
+  let mask = Array.length t.index - 1 in
+  let j = (j + 1) land mask in
+  let s = Array.unsafe_get t.index j in
+  if s < 0 then Array.unsafe_set t.index hole (-1)
+  else begin
+    let h = home t (Array.unsafe_get t.slot_key s) in
+    let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
+    if stays then close_hole t hole j
+    else begin
+      Array.unsafe_set t.index hole s;
+      close_hole t j j
+    end
+  end
+
 let[@hot] find t ~flow_hash =
-  match Hashtbl.find_opt t.table flow_hash with
-  | Some slot ->
-      let packed = Array.unsafe_get t.slot_packed slot in
-      if packed lsr path_bits = t.generation then begin
-        t.hits <- t.hits + 1;
-        Bytes.unsafe_set t.slot_ref slot '\001';
-        Some (packed land max_path)
-      end
-      else begin
-        t.misses <- t.misses + 1;
-        None
-      end
-  | None ->
+  let slot = Array.unsafe_get t.index (probe t flow_hash (home t flow_hash)) in
+  if slot >= 0 then begin
+    let packed = Array.unsafe_get t.slot_packed slot in
+    if packed lsr path_bits = t.generation then begin
+      t.hits <- t.hits + 1;
+      Bytes.unsafe_set t.slot_ref slot '\001';
+      Array.unsafe_get some_path (packed land max_path)
+    end
+    else begin
       t.misses <- t.misses + 1;
       None
+    end
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    None
+  end
 
 (* Advance the clock hand to the next reclaimable slot. Stale-generation
    slots are reclaimed on sight (their entry can never hit again until
@@ -111,33 +156,38 @@ let rec clock_sweep t steps =
   end
   else s
 
+(* Fill [slot] with a new key and point the empty bucket [b] at it. *)
+let[@hot] insert t b slot ~flow_hash packed =
+  Array.unsafe_set t.slot_key slot flow_hash;
+  Array.unsafe_set t.slot_packed slot packed;
+  Bytes.unsafe_set t.slot_ref slot '\001';
+  Array.unsafe_set t.index b slot
+
 let[@hot] store t ~flow_hash path =
   if path < 0 || path > max_path then
     Err.invalid "Flow_cache.store: path %d outside [0, %d]" path max_path;
   let packed = (t.generation lsl path_bits) lor path in
-  match Hashtbl.find_opt t.table flow_hash with
-  | Some slot ->
-      Array.unsafe_set t.slot_packed slot packed;
-      Bytes.unsafe_set t.slot_ref slot '\001'
-  | None ->
-      let slot =
-        if t.filled < t.capacity then begin
-          let s = t.filled in
-          t.filled <- s + 1;
-          s
-        end
-        else begin
-          let s = clock_sweep t 0 in
-          Hashtbl.remove t.table (Array.unsafe_get t.slot_key s);
-          t.evictions <- t.evictions + 1;
-          Metric.incr m_evictions;
-          s
-        end
-      in
-      Array.unsafe_set t.slot_key slot flow_hash;
-      Array.unsafe_set t.slot_packed slot packed;
-      Bytes.unsafe_set t.slot_ref slot '\001';
-      Hashtbl.add t.table flow_hash slot
+  let b = probe t flow_hash (home t flow_hash) in
+  let slot = Array.unsafe_get t.index b in
+  if slot >= 0 then begin
+    Array.unsafe_set t.slot_packed slot packed;
+    Bytes.unsafe_set t.slot_ref slot '\001'
+  end
+  else if t.filled < t.capacity then begin
+    let s = t.filled in
+    t.filled <- s + 1;
+    insert t b s ~flow_hash packed
+  end
+  else begin
+    let s = clock_sweep t 0 in
+    let victim = Array.unsafe_get t.slot_key s in
+    let vb = probe t victim (home t victim) in
+    close_hole t vb vb;
+    t.evictions <- t.evictions + 1;
+    Metric.incr m_evictions;
+    (* The shift may have moved an entry into bucket [b]: probe again. *)
+    insert t (probe t flow_hash (home t flow_hash)) s ~flow_hash packed
+  end
 
 let invalidate t =
   let next = (t.generation + 1) land gen_mask in
@@ -145,10 +195,10 @@ let invalidate t =
      previous trip around, so drop the stored entries outright — a
      once-per-2^54-invalidations O(n) cost that buys an exact "a stale
      generation is never served" guarantee. The slot arrays are
-     implicitly cleared too: no table entry means no slot is ever read,
+     implicitly cleared too: an empty index means no slot is ever read,
      and the fill pointer restarts from zero. *)
   if next = 0 then begin
-    Hashtbl.reset t.table;
+    Array.fill t.index 0 (Array.length t.index) (-1);
     t.filled <- 0;
     t.hand <- 0
   end;
@@ -168,10 +218,12 @@ let misses t = t.misses
 
 let invalidations t = t.invalidations
 
-let flows t = Hashtbl.length t.table
+(* Every filled slot has exactly one index entry: a new key takes a slot
+   and an entry together, an eviction moves the slot to a new key. *)
+let flows t = t.filled
 
 let capacity t = t.capacity
 
-let resident t = Hashtbl.length t.table
+let resident t = t.filled
 
 let evictions t = t.evictions

@@ -7,8 +7,9 @@
     O(1), instantly orphaning every stored decision (stale slots are
     overwritten in place on their next miss) — this is how a telemetry
     update that flips the preferred path flushes the fast path without
-    walking the table. A hit performs one int-keyed lookup and allocates
-    only the returned option.
+    walking the table. Lookups go through a flat open-addressing index
+    from flow hash to slot, and a hit returns a preallocated [Some path]:
+    hits, misses, stores and evictions allocate nothing.
 
     Resident state is bounded: entries live in flat slot arrays and a
     generation-aware clock hand evicts when the slots fill
