@@ -44,12 +44,17 @@ type result = {
   fingerprint_xor : int;
   wall_s : float;  (** Wall time of the parallel phase only. *)
   pps : float;  (** offered / wall_s. *)
+  minor_words_per_packet : float;
+      (** Minor-heap words allocated inside the lanes' generation loops,
+          per offered packet, read on each lane's own domain with
+          [Gc.minor_words] — the steady-path allocation gate. The packet
+          path allocates nothing; what remains is the trackers' sets of
+          missing sequence numbers, which change only on loss and
+          reordering, and a few words per generation. *)
   major_words_per_packet : float;
       (** Major-heap words allocated inside the lanes' generation loops,
-          per offered packet — the steady-path allocation gate (the
-          packet path itself allocates only minor words that die young;
-          residual promotions come from live bookkeeping state, bounded
-          by {!Tango_dataplane.Seq_tracker.confirm_below} pruning). *)
+          per offered packet, read on each lane's own domain with
+          [Gc.counters]. *)
 }
 
 val run :
@@ -67,8 +72,9 @@ val run :
 (** Defaults: 1 domain, batch 64, 512 flows, 2000 generations, seed 42.
     Builds one independent world (star topology, converged BGP tables,
     fabric) per lane on the main domain, then runs the lanes in
-    parallel and reduces. Raises [Failure] if any packet left the
-    batched direct path (the pipeline's zero-fallback invariant), and
+    parallel — lane 0 on the calling domain, one more domain per extra
+    lane — and reduces. Raises [Failure] if any packet left the batched
+    direct path (the pipeline's zero-fallback invariant), and
     [Invalid_argument] for out-of-range parameters ([batch] must lie in
     [1, 64]).
 

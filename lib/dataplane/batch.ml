@@ -1,23 +1,54 @@
-(* Fixed-size packet batches for the batched dataplane (DESIGN.md §11).
+(* Fixed-size columnar batches for the batched dataplane (DESIGN.md §11).
 
-   A batch is a preallocated 64-slot array plus a length: the XDP-style
-   unit of work that lets the lanes' Fabric.send_batch_direct amortize
-   its per-send overhead (eligibility checks, route-cache validation,
-   callback closures, the fault-hook branches) across up to 64 packets.
-   The slot array is allocated once, on the first [add] (OCaml arrays
-   need a seed element, and the first packet is it); after that the
-   steady-state path writes in place and allocates nothing. [clear]
-   only resets the length — slots keep their last packet reference
-   until overwritten, which pins at most one stale batch of packets and
-   costs nothing. *)
+   A batch is 64 slots spread over preallocated flat columns plus a
+   length: the XDP-style unit of work that lets the lanes'
+   Fabric.send_batch_direct amortize its per-send overhead (eligibility
+   checks, route-cache validation, the fault-hook branches) across up to
+   64 sends. A lane encapsulates a send by writing its endpoint, size,
+   path, flow and sequence into the columns — no packet record, no
+   encap record, no boxed int64 — and the fabric writes each slot's
+   arrival into a float column. The packet form ([add]) fills the same
+   columns through the same step and also keeps the packet, for
+   callers that want it back. [clear] only resets the length — slots
+   keep their last packet reference until overwritten, which pins at
+   most one stale batch of packets and costs nothing. *)
 
+module Addr = Tango_net.Addr
 module Packet = Tango_net.Packet
 
 let capacity = 64
 
-type t = { mutable slots : Packet.t array; mutable len : int }
+type t = {
+  dst : Addr.t array;
+  bytes : int array;
+  path : int array;
+  flow : int array;
+  seq : int array;
+  arrival : float array;
+  packets : Packet.t array;
+  mutable stamp_ns : int;
+  mutable len : int;
+}
 
-let create () = { slots = [||]; len = 0 }
+let no_addr = Addr.of_string_exn "::"
+
+let no_packet =
+  Packet.create ~id:(-1)
+    ~flow:(Tango_net.Flow.v ~src:no_addr ~dst:no_addr ~proto:17 ~src_port:0 ~dst_port:0)
+    ~payload_bytes:0 ~created_at:0.0 ()
+
+let create () =
+  {
+    dst = Array.make capacity no_addr;
+    bytes = Array.make capacity 0;
+    path = Array.make capacity 0;
+    flow = Array.make capacity 0;
+    seq = Array.make capacity 0;
+    arrival = Array.make capacity 0.0;
+    packets = Array.make capacity no_packet;
+    stamp_ns = 0;
+    len = 0;
+  }
 
 let length t = t.len
 
@@ -27,32 +58,43 @@ let[@hot] is_empty t = t.len = 0
 
 let[@hot] clear t = t.len <- 0
 
-let[@hot] add t packet =
-  if t.len >= capacity then Err.invalid "Batch.add: batch full (%d slots)" capacity;
-  if Array.length t.slots = 0 then begin
-    (* One-time slot allocation, seeded by the first packet ever added. *)
-    t.slots <- Array.make capacity packet;
-    t.len <- 1
-  end
-  else begin
-    Array.unsafe_set t.slots t.len packet;
-    t.len <- t.len + 1
-  end
+let set_stamp_ns t ns = t.stamp_ns <- ns
+
+(* The one per-slot fill both forms go through. *)
+let[@hot] fill t ~dst ~bytes ~path ~flow ~seq packet =
+  let i = t.len in
+  if i >= capacity then Err.invalid "Batch: batch full (%d slots)" capacity;
+  Array.unsafe_set t.dst i dst;
+  Array.unsafe_set t.bytes i bytes;
+  Array.unsafe_set t.path i path;
+  Array.unsafe_set t.flow i flow;
+  Array.unsafe_set t.seq i seq;
+  Array.unsafe_set t.packets i packet;
+  t.len <- i + 1
+
+let[@hot] encap t ~dst ~bytes ~path ~flow ~seq =
+  fill t ~dst ~bytes ~path ~flow ~seq no_packet
+
+let[@hot] add t (packet : Packet.t) =
+  let bytes = Packet.wire_size packet in
+  match packet.Packet.encap with
+  | Some e ->
+      let h = e.Packet.tango in
+      fill t ~dst:e.Packet.outer_dst ~bytes ~path:h.Packet.path_id
+        ~flow:packet.Packet.id ~seq:(Int64.to_int h.Packet.seq) packet
+  | None ->
+      fill t ~dst:(Packet.forwarding_dst packet) ~bytes ~path:(-1)
+        ~flow:packet.Packet.id ~seq:(-1) packet
 
 let[@hot] get t i =
   if i < 0 || i >= t.len then Err.invalid "Batch.get: index %d outside [0, %d)" i t.len;
-  Array.unsafe_get t.slots i
+  Array.unsafe_get t.packets i
 
 let iter t ~f =
   for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.slots i)
+    f (Array.unsafe_get t.packets i)
   done
 
-(* Drop the stale packet references [clear] leaves behind by refilling
-   every slot with slot 0's packet — after this, the batch keeps at most
-   one packet alive. Lane loops call this at quiesce boundaries so a
-   minor collection there finds no transient packets to promote. *)
 let purge t =
-  if Array.length t.slots > 0 then
-    Array.fill t.slots 0 capacity (Array.unsafe_get t.slots 0);
+  Array.fill t.packets 0 capacity no_packet;
   t.len <- 0

@@ -4,6 +4,15 @@ let create ?(offset_ns = 0L) () = { offset_ns }
 
 let now_ns t ~sim_time_s = Int64.add (Int64.of_float (sim_time_s *. 1e9)) t.offset_ns
 
+let owd_ms_into t ~stamp_ns arrival_s ~into n =
+  let off = Int64.to_int t.offset_ns in
+  for i = 0 to n - 1 do
+    let now_ns =
+      Int64.to_int (Int64.of_float (Array.unsafe_get arrival_s i *. 1e9)) + off
+    in
+    Array.unsafe_set into i (float_of_int (now_ns - stamp_ns) /. 1e6)
+  done
+
 let offset_ns t = t.offset_ns
 
 let step t ~step_ns =

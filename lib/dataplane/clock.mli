@@ -15,6 +15,13 @@ val create : ?offset_ns:int64 -> unit -> t
 val now_ns : t -> sim_time_s:float -> int64
 (** Clock reading when the simulation clock shows [sim_time_s]. *)
 
+val owd_ms_into :
+  t -> stamp_ns:int -> float array -> into:float array -> int -> unit
+(** [owd_ms_into t ~stamp_ns arrival_s ~into n] is the batch form of
+    the receiver's one-way-delay reading: for each [i < n], [into.(i)]
+    gets {!now_ns} at virtual time [arrival_s.(i)] minus the sender's
+    stamp [stamp_ns], in milliseconds. Nothing is boxed. *)
+
 val offset_ns : t -> int64
 
 val step : t -> step_ns:int64 -> t

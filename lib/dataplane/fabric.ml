@@ -395,41 +395,56 @@ let route_plain t ~from_node ~dst =
     e.e_plain && links_ok_from t e.e_links 0
   end
 
-let[@hot] send_batch_direct t ~from_node ~now_s ~on_delivered_at batch =
+(* The per-slot step of the direct path, the same for both batch
+   forms: route slot [i] by its tunnel endpoint and write its
+   closed-form arrival into the batch's arrival column. Returns the
+   delivering node, or -1 when the route is not plain. *)
+let[@hot] direct_slot t ~from_node ~now_s (batch : Batch.t) i =
+  let e = lookup_route t ~from_node ~dst:(Array.unsafe_get batch.Batch.dst i) 0 in
+  if e.e_plain && links_ok_from t e.e_links 0 then begin
+    t.sent <- t.sent + 1;
+    t.direct_sent <- t.direct_sent + 1;
+    Array.unsafe_set batch.Batch.arrival i
+      (now_s +. e.e_delay_s
+      +. (float_of_int (Array.unsafe_get batch.Batch.bytes i) *. e.e_per_byte_s));
+    t.delivered <- t.delivered + 1;
+    t.direct_delivered <- t.direct_delivered + 1;
+    e.e_dest
+  end
+  else -1
+
+(* A slot the direct path cannot carry: counted, its arrival set to nan.
+   A packet slot goes through the canonical [send], whose delivery
+   reports the engine's clock; an encap slot has no packet to send and
+   is not delivered. *)
+let fallback t ~from_node ?on_delivered_at (batch : Batch.t) i =
+  t.direct_fallbacks <- t.direct_fallbacks + 1;
+  batch.Batch.arrival.(i) <- Float.nan;
+  let packet = batch.Batch.packets.(i) in
+  if packet != Batch.no_packet then begin
+    let engine = Network.engine t.net in
+    (* tango-lint: allow hot-reach — one closure per fallback packet, on the canonical-send slow path that direct slots never take *)
+    let on_delivered ~node packet =
+      match on_delivered_at with
+      | Some f -> f ~node ~at_s:(Engine.now engine) packet
+      | None -> ()
+    in
+    send t ~from_node ~on_delivered packet
+  end
+
+let[@hot] send_batch_direct t ~from_node ~now_s ?on_delivered_at (batch : Batch.t) =
   let eligible = batch_eligible t in
   if eligible then revalidate_routes t;
-  let engine = Network.engine t.net in
-  (* tango-lint: allow hot-alloc — one fallback-wrapping closure per batch call, not per packet *)
-  let on_delivered ~node packet =
-    on_delivered_at ~node ~at_s:(Engine.now engine) packet
-  in
-  for i = 0 to Batch.length batch - 1 do
-    let packet = Batch.get batch i in
-    let fast =
-      if not eligible then false
-      else begin
-        let e =
-          lookup_route t ~from_node ~dst:(Packet.forwarding_dst packet) 0
-        in
-        if e.e_plain && links_ok_from t e.e_links 0 then begin
-          t.sent <- t.sent + 1;
-          t.direct_sent <- t.direct_sent + 1;
-          let arrival =
-            now_s +. e.e_delay_s
-            +. (float_of_int (Packet.wire_size packet) *. e.e_per_byte_s)
-          in
-          t.delivered <- t.delivered + 1;
-          t.direct_delivered <- t.direct_delivered + 1;
-          on_delivered_at ~node:e.e_dest ~at_s:arrival packet;
-          true
-        end
-        else false
-      end
-    in
-    if not fast then begin
-      t.direct_fallbacks <- t.direct_fallbacks + 1;
-      send t ~from_node ~on_delivered packet
-    end
+  for i = 0 to batch.Batch.len - 1 do
+    let node = if eligible then direct_slot t ~from_node ~now_s batch i else -1 in
+    if node < 0 then fallback t ~from_node ?on_delivered_at batch i
+    else
+      match on_delivered_at with
+      | Some f ->
+          f ~node
+            ~at_s:(Array.unsafe_get batch.Batch.arrival i)
+            (Array.unsafe_get batch.Batch.packets i)
+      | None -> ()
   done
 
 let direct_fallbacks t = t.direct_fallbacks

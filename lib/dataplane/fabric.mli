@@ -48,25 +48,34 @@ val send_batch_direct :
   t ->
   from_node:int ->
   now_s:float ->
-  on_delivered_at:(node:int -> at_s:float -> Tango_net.Packet.t -> unit) ->
+  ?on_delivered_at:(node:int -> at_s:float -> Tango_net.Packet.t -> unit) ->
   Batch.t ->
   unit
-(** Inject every packet of a batch at [from_node], in batch order — the
+(** Inject every slot of a batch at [from_node], in batch order — the
     multicore lane path: synchronous, engine-free and registry-free,
     safe to call from a non-main domain. The direct path applies when
     the fabric carries no faults and no custom hooks, {e and} the
-    packet's route is "plain" (zero jitter on every link, none
-    failed). Plain routes are resolved once per (from, dst) pair —
-    a FIB snapshot validated against {!Tango_bgp.Network.revision} —
-    and their packets are "delivered" immediately with their
-    closed-form virtual arrival time [at_s] (measured from the
-    caller-supplied virtual send time [now_s]); the caller reorders by
-    [at_s] (see {!Tango_sim.Shard}). No process-wide metric or trace is
-    touched — per-fabric counts accumulate locally and are published by
-    {!quiesce_metrics}. Ineligible packets fall back to {!send} (which
-    does touch the registry and the engine — lane code must keep
+    slot's route is "plain" (zero jitter on every link, none failed).
+    Plain routes are resolved once per (from, dst) pair — a FIB
+    snapshot validated against {!Tango_bgp.Network.revision} — and each
+    slot routed on them gets its closed-form virtual arrival time
+    (measured from the caller-supplied virtual send time [now_s])
+    written into the batch's [arrival] column; the caller reorders by
+    arrival (see {!Tango_sim.Shard}). Without [on_delivered_at] a batch
+    of {!Batch.encap} slots crosses the fabric without allocating.
+    [on_delivered_at], when given, is called per directly delivered
+    slot with the delivering node, the arrival time and the slot's
+    packet. No process-wide metric or trace is touched — per-fabric
+    counts accumulate locally and are published by {!quiesce_metrics}.
+
+    A slot that cannot take the direct path counts in
+    {!direct_fallbacks} and its arrival reads [nan]. A packet slot falls
+    back to {!send} (which does touch the registry and the engine; its
+    delivery calls [on_delivered_at] with the engine's clock, and a
+    dropped fallback packet is only counted); an encap slot has no
+    packet, so it is not delivered at all. Lane code must keep
     {!direct_fallbacks} at zero, and the throughput pipeline asserts
-    that); a fallback packet that is dropped is only counted. *)
+    that. *)
 
 val route_plain : t -> from_node:int -> dst:Tango_net.Addr.t -> bool
 (** Whether {!send_batch_direct} from [from_node] to [dst] would take

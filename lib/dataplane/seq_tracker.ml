@@ -66,12 +66,10 @@ let create () =
 let[@hot] bump_recent t indicator =
   t.recent.(0) <- (recent_alpha *. indicator) +. ((1.0 -. recent_alpha) *. t.recent.(0))
 
-(* [now_s] only stamps the emitted trace records (the tracker itself is
+(* The unchecked core: [seq] is known to lie in [0, max_int]. [now_s]
+   only stamps the emitted trace records (the tracker itself is
    clockless); callers without a clock may omit it. *)
-let[@hot] observe ?(now_s = 0.0) t seq64 =
-  if Int64.compare seq64 (Int64.of_int max_int) > 0 || Int64.compare seq64 0L < 0
-  then Err.invalid "Seq_tracker.observe: sequence outside [0, max_int]";
-  let seq = Int64.to_int seq64 in
+let[@hot] observe_seq ?(now_s = 0.0) t seq =
   if t.resync then begin
     t.resync <- false;
     t.next_expected <- seq
@@ -106,6 +104,16 @@ let[@hot] observe ?(now_s = 0.0) t seq64 =
     Trace.record Trace.default ~now:now_s ~kind:k_duplicate seq 0
   end
 
+(* The wire field is 64-bit; sequences past max_int cannot occur in a
+   simulation and are rejected rather than wrapped. *)
+let[@hot] in_range seq64 =
+  Int64.compare seq64 (Int64.of_int max_int) <= 0 && Int64.compare seq64 0L >= 0
+
+let[@hot] observe ?now_s t seq64 =
+  if not (in_range seq64) then
+    Err.invalid "Seq_tracker.observe: sequence outside [0, max_int]";
+  observe_seq ?now_s t (Int64.to_int seq64)
+
 let received t = t.received
 
 (* Bound the missing set, like the fixed-size map a real switch would
@@ -115,13 +123,8 @@ let received t = t.received
    duplicate, so only call with a bound the reordering horizon can no
    longer reach. The empty-set check keeps the per-call cost of the
    common case at one load. *)
-let confirm_below t bound64 =
-  if
-    Int64.compare bound64 (Int64.of_int max_int) > 0
-    || Int64.compare bound64 0L < 0
-  then Err.invalid "Seq_tracker.confirm_below: bound outside [0, max_int]";
+let confirm_below_seq t bound =
   if not (Int_set.is_empty t.missing) then begin
-    let bound = Int64.to_int bound64 in
     let stale, present, fresh = Int_set.split bound t.missing in
     (* [split] removes [bound] itself from both halves; it is not below
        the bound, so it stays provisional. *)
@@ -133,6 +136,11 @@ let confirm_below t bound64 =
     end;
     t.missing <- fresh
   end
+
+let confirm_below t bound64 =
+  if not (in_range bound64) then
+    Err.invalid "Seq_tracker.confirm_below: bound outside [0, max_int]";
+  confirm_below_seq t (Int64.to_int bound64)
 
 let lost t = t.confirmed_lost + t.provisional
 
@@ -191,11 +199,11 @@ module Table = struct
      observe always lands in the in-order branch (next_expected is 0 and
      sequences are non-negative), so it cannot register only a duplicate
      or only provisional losses. *)
-  let[@hot] observe ?now_s tbl ~key seq64 =
+  let[@hot] observe_checked ?now_s tbl ~key seq =
     let tr = Array.unsafe_get tbl.trackers key in
     let untouched = tr.received = 0 in
     let before = tr.provisional in
-    observe ?now_s tr seq64;
+    observe_seq ?now_s tr seq;
     Array.unsafe_set tbl.last_gen key tbl.generation;
     if untouched then tbl.active <- tbl.active + 1;
     let d = tr.provisional - before in
@@ -204,11 +212,28 @@ module Table = struct
       if tbl.resident > tbl.resident_peak then tbl.resident_peak <- tbl.resident
     end
 
-  let[@hot] confirm_below tbl ~key bound64 =
+  let[@hot] observe_int tbl ~key seq =
+    if seq < 0 then
+      Err.invalid "Seq_tracker.Table.observe_int: negative sequence %d" seq;
+    observe_checked tbl ~key seq
+
+  let[@hot] observe ?now_s tbl ~key seq64 =
+    if not (in_range seq64) then
+      Err.invalid "Seq_tracker.observe: sequence outside [0, max_int]";
+    observe_checked ?now_s tbl ~key (Int64.to_int seq64)
+
+  let[@hot] confirm_below_int tbl ~key bound =
+    if bound < 0 then
+      Err.invalid "Seq_tracker.Table.confirm_below_int: negative bound %d" bound;
     let tr = Array.unsafe_get tbl.trackers key in
     let before = tr.provisional in
-    confirm_below tr bound64;
+    confirm_below_seq tr bound;
     tbl.resident <- tbl.resident + (tr.provisional - before)
+
+  let[@hot] confirm_below tbl ~key bound64 =
+    if not (in_range bound64) then
+      Err.invalid "Seq_tracker.confirm_below: bound outside [0, max_int]";
+    confirm_below_int tbl ~key (Int64.to_int bound64)
 
   let prune tbl ~bound_of =
     for key = 0 to Array.length tbl.trackers - 1 do

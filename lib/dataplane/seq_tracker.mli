@@ -60,13 +60,27 @@ module Table : sig
       more than that many whole generations is evicted. Raises
       {!Err.Invalid} when any is negative. *)
 
+  val observe_int : t -> key:int -> int -> unit
+  (** {!Seq_tracker.observe} on the keyed tracker, with a native-int
+      sequence number, updating the active and resident aggregates. It
+      allocates only when the provisional-missing set changes (a gap or
+      a late arrival), and its trace records carry time 0 — the lanes
+      that call it run with the obs registry frozen, which drops them.
+      Raises {!Err.Invalid} for a negative sequence. *)
+
   val observe : ?now_s:float -> t -> key:int -> int64 -> unit
-  (** {!Seq_tracker.observe} on the keyed tracker, updating the active
-      and resident aggregates. *)
+  (** {!observe_int} for a wire-width sequence number, range-checked to
+      [0, max_int] like {!Seq_tracker.observe}, with its trace records
+      stamped [now_s]. *)
+
+  val confirm_below_int : t -> key:int -> int -> unit
+  (** {!Seq_tracker.confirm_below} on the keyed tracker, with a
+      native-int bound, crediting the pruned entries back to the
+      resident aggregate. Raises {!Err.Invalid} for a negative bound. *)
 
   val confirm_below : t -> key:int -> int64 -> unit
-  (** {!Seq_tracker.confirm_below} on the keyed tracker, crediting the
-      pruned entries back to the resident aggregate. *)
+  (** {!confirm_below_int} for a wire-width bound, range-checked to
+      [0, max_int]. *)
 
   val prune : t -> bound_of:(int -> int64) -> unit
   (** {!confirm_below} every key at its own bound — the full-table sweep

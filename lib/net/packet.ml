@@ -65,6 +65,10 @@ let inner_header_bytes = 40
 
 let tunnel_header_bytes = 40 + 8 + 20
 
+let tunnel_wire_size ~payload_bytes =
+  payload_bytes + inner_header_bytes + tunnel_header_bytes
+
 let wire_size t =
-  t.payload_bytes + inner_header_bytes
-  + match t.encap with None -> 0 | Some _ -> tunnel_header_bytes
+  match t.encap with
+  | None -> t.payload_bytes + inner_header_bytes
+  | Some _ -> tunnel_wire_size ~payload_bytes:t.payload_bytes

@@ -66,3 +66,8 @@ val forwarding_dst : t -> Addr.t
 
 val wire_size : t -> int
 (** Payload plus all header bytes currently on the packet. *)
+
+val tunnel_wire_size : payload_bytes:int -> int
+(** {!wire_size} of an encapsulated packet carrying [payload_bytes]:
+    the payload, the inner IPv6 header, and the outer IPv6, UDP and
+    Tango headers. *)
