@@ -791,8 +791,8 @@ let throughput_scaling () =
   let batch_sweep = match !tp_batch with 0 -> [ 1; 64 ] | b -> [ b ] in
   row "  (flows %d, generations %d, seed %d; one full world per lane)\n" flows
     generations !exp_seed;
-  row "  %-8s %6s %9s %9s %13s %12s\n" "domains" "batch" "wall" "Mpps"
-    "major w/pkt" "fingerprint";
+  row "  %-8s %6s %9s %9s %13s %13s %12s\n" "domains" "batch" "wall" "Mpps"
+    "minor w/pkt" "major w/pkt" "fingerprint";
   let results =
     List.concat_map
       (fun d ->
@@ -809,9 +809,10 @@ let throughput_scaling () =
             in
             let best x y = if x.Throughput.pps >= y.Throughput.pps then x else y in
             let r = best (trial ()) (best (trial ()) (trial ())) in
-            row "  %-8d %6d %8.3fs %9.3f %13.4f %12s\n" d b
+            row "  %-8d %6d %8.3fs %9.3f %13.4f %13.4f %12s\n" d b
               r.Throughput.wall_s
               (r.Throughput.pps /. 1e6)
+              r.Throughput.minor_words_per_packet
               r.Throughput.major_words_per_packet
               (String.sub (Throughput.fingerprint r) 0 12);
             r)

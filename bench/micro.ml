@@ -594,7 +594,7 @@ let pipeline_rows () =
       {
         name;
         ns_per_op = Some (1e9 /. r.Tango.Throughput.pps);
-        minor_words_per_op = None;
+        minor_words_per_op = Some r.Tango.Throughput.minor_words_per_packet;
         major_words_per_op = Some r.Tango.Throughput.major_words_per_packet;
         pps = Some r.Tango.Throughput.pps;
       })

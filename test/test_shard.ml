@@ -151,6 +151,106 @@ let test_run_single_producer_per_lane () =
   Alcotest.(check (list (pair int int))) "merged in virtual-time order" expect
     (List.rev !consumed)
 
+let test_run_lane_zero_on_caller () =
+  (* N lanes use N domains: lane 0 runs on the calling domain. *)
+  let caller = (Domain.self () :> int) in
+  let on = Array.make 3 (-1) in
+  Shard.run ~lanes:3
+    ~capacity_of:(fun ~lane:_ -> 1)
+    ~lane:(fun ~lane _ -> on.(lane) <- (Domain.self () :> int))
+    ~consume:(fun ~lane:_ _ -> ());
+  Alcotest.(check int) "lane 0 on the caller" caller on.(0);
+  Alcotest.(check bool) "other lanes on other domains" true
+    (on.(1) <> caller && on.(2) <> caller && on.(1) <> on.(2))
+
+let test_run_joins_every_lane_on_raise () =
+  (* Lanes 1 and 2 finish only after lane 0 (on the caller) has raised:
+     [run] must still wait for them, then re-raise lane 0's failure. *)
+  let raised = Atomic.make false in
+  let finished = Array.init 3 (fun _ -> Atomic.make false) in
+  (match
+     Shard.run ~lanes:3
+       ~capacity_of:(fun ~lane:_ -> 1)
+       ~lane:(fun ~lane _ ->
+         if lane = 0 then begin
+           Atomic.set raised true;
+           failwith "lane 0"
+         end
+         else begin
+           while not (Atomic.get raised) do
+             Domain.cpu_relax ()
+           done;
+           Atomic.set finished.(lane) true
+         end)
+       ~consume:(fun ~lane:_ _ -> Alcotest.fail "nothing is merged after a raise")
+   with
+  | () -> Alcotest.fail "run returned"
+  | exception Failure m -> Alcotest.(check string) "lane 0's failure" "lane 0" m);
+  Alcotest.(check bool) "lane 1 joined" true (Atomic.get finished.(1));
+  Alcotest.(check bool) "lane 2 joined" true (Atomic.get finished.(2));
+  (* A spawned lane's failure surfaces too. *)
+  match
+    Shard.run ~lanes:2
+      ~capacity_of:(fun ~lane:_ -> 1)
+      ~lane:(fun ~lane _ -> if lane = 1 then failwith "lane 1")
+      ~consume:(fun ~lane:_ _ -> ())
+  with
+  | () -> Alcotest.fail "run returned"
+  | exception Failure m -> Alcotest.(check string) "lane 1's failure" "lane 1" m
+
+(* ------------------------------------------------------------------ *)
+(* Shard.scatter / Shard.drain_into: the in-lane column paths          *)
+
+let test_scatter_by_c () =
+  let rings = Array.init 3 (fun _ -> Shard.Ring.create ~capacity:4) in
+  Shard.scatter rings ~time:[| 1.0; 2.0; 3.0; 4.0; 9.0 |]
+    ~a:[| 10; 11; 12; 13; 14 |] ~b:[| 20; 21; 22; 23; 24 |]
+    ~c:[| 2; 0; 2; 1; 0 |] ~v:[| 0.5; 1.5; 2.5; 3.5; 4.5 |] 4;
+  Alcotest.(check (list int)) "record i lands on ring c.(i), first n only"
+    [ 1; 1; 2 ]
+    (Array.to_list (Array.map Shard.Ring.length rings));
+  let r = Shard.scratch () in
+  Shard.pop_into rings.(2) r;
+  Alcotest.(check (float 0.0)) "first time" 1.0 r.Shard.time;
+  Alcotest.(check (list int)) "fields" [ 10; 20; 2 ] [ r.Shard.a; r.Shard.b; r.Shard.c ];
+  Alcotest.(check (float 0.0)) "v" 0.5 r.Shard.v;
+  Shard.pop_into rings.(2) r;
+  Alcotest.(check (float 0.0)) "ring order is column order" 3.0 r.Shard.time;
+  Alcotest.(check bool) "overflow raises" true
+    (try
+       Shard.scatter rings ~time:(Array.make 5 0.0) ~a:(Array.make 5 0)
+         ~b:(Array.make 5 0) ~c:(Array.make 5 1) ~v:(Array.make 5 0.0) 5;
+       false
+     with Invalid_argument _ -> true)
+
+let test_drain_into_order () =
+  let rings = Array.init 2 (fun _ -> Shard.Ring.create ~capacity:8) in
+  let push ring ~time ~a ~b = Shard.Ring.push ring ~time ~a ~b ~c:0 ~v:0.0 in
+  push rings.(0) ~time:1.0 ~a:0 ~b:5;
+  push rings.(0) ~time:2.0 ~a:1 ~b:1;
+  push rings.(0) ~time:3.0 ~a:2 ~b:0;
+  push rings.(1) ~time:1.0 ~a:3 ~b:3;
+  push rings.(1) ~time:2.0 ~a:4 ~b:1;
+  push rings.(1) ~time:5.0 ~a:5 ~b:0;
+  let out = Shard.Ring.create ~capacity:8 in
+  let a = Array.make 2 (-1) and b = Array.make 2 (-1) in
+  let step upto expect =
+    let k = Shard.drain_into rings ~upto ~out ~a ~b in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "chunk up to %g" upto)
+      expect
+      (List.init k (fun i -> (a.(i), b.(i))))
+  in
+  (* Equal times go by b, then equal (time, b) by ring index. *)
+  step 2.5 [ (3, 3); (0, 5) ];
+  step 2.5 [ (1, 1); (4, 1) ];
+  step 2.5 [];
+  step infinity [ (2, 0); (5, 0) ];
+  let r = Shard.scratch () in
+  let moved = List.init 6 (fun _ -> Shard.pop_into out r; r.Shard.a) in
+  Alcotest.(check (list int)) "out ring holds the merged order" [ 3; 0; 1; 4; 2; 5 ]
+    moved
+
 (* ------------------------------------------------------------------ *)
 (* Batch                                                               *)
 
@@ -192,6 +292,36 @@ let test_batch_fill_and_read () =
   Batch.add b (mk_packet 1);
   Batch.purge b;
   Alcotest.(check bool) "purge empties too" true (Batch.is_empty b)
+
+let test_batch_encap_columns () =
+  let b = Batch.create () in
+  let dst = Tango_net.Addr.of_string_exn "2001:db8:100::1" in
+  Batch.set_stamp_ns b 1_000_000;
+  Batch.encap b ~dst ~bytes:620 ~path:3 ~flow:17 ~seq:41;
+  Batch.add b (mk_packet 5);
+  Alcotest.(check int) "both forms share the slots" 2 (Batch.length b);
+  Alcotest.(check bool) "endpoint column" true (b.Batch.dst.(0) == dst);
+  Alcotest.(check (list int)) "encap slot columns" [ 620; 3; 17; 41 ]
+    [ b.Batch.bytes.(0); b.Batch.path.(0); b.Batch.flow.(0); b.Batch.seq.(0) ];
+  Alcotest.(check bool) "encap slot holds no packet" true
+    (Batch.get b 0 == Batch.no_packet);
+  Alcotest.(check int) "one stamp per batch" 1_000_000 b.Batch.stamp_ns;
+  (* An unencapsulated packet routes on its inner destination and has
+     no Tango header. *)
+  Alcotest.(check (list int)) "packet slot columns" [ 552; -1; 5; -1 ]
+    [ b.Batch.bytes.(1); b.Batch.path.(1); b.Batch.flow.(1); b.Batch.seq.(1) ];
+  Alcotest.(check int) "packet kept" 5 (Batch.get b 1).Tango_net.Packet.id;
+  for _ = 3 to Batch.capacity do
+    Batch.encap b ~dst ~bytes:620 ~path:0 ~flow:0 ~seq:0
+  done;
+  Alcotest.(check bool) "encap past capacity rejected" true
+    (try
+       Batch.encap b ~dst ~bytes:620 ~path:0 ~flow:0 ~seq:0;
+       false
+     with Tango_dataplane.Err.Invalid _ -> true);
+  Batch.purge b;
+  Alcotest.(check bool) "purge drops the packet" true
+    (b.Batch.packets.(1) == Batch.no_packet)
 
 (* ------------------------------------------------------------------ *)
 (* Seq_tracker.confirm_below                                           *)
@@ -324,6 +454,40 @@ let test_conservation () =
   Alcotest.(check int) "no duplicates in a clean fabric" 0
     r.Tango.Throughput.duplicates
 
+(* ------------------------------------------------------------------ *)
+(* Lane allocation                                                     *)
+
+(* The lane loop allocates nothing per packet in steady state: what is
+   left is the trackers' missing-sequence sets (loss and reordering
+   only) and a few words per generation. Bounded on one domain for the
+   uniform blast and for E16's heavy-tailed plan, whose bounded cache
+   evicts on most misses. *)
+let test_lane_allocation () =
+  let bound name (r : Tango.Throughput.result) =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.4f minor words per offered packet <= 1" name
+         r.minor_words_per_packet)
+      true
+      (r.minor_words_per_packet <= 1.0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.4f major words per offered packet <= 0.01" name
+         r.major_words_per_packet)
+      true
+      (r.major_words_per_packet <= 0.01)
+  in
+  bound "blast (512 flows x 1000 generations)"
+    (Tango.Throughput.run ~domains:1 ~flows:512 ~generations:1000 ~seed:42 ());
+  let plan =
+    Tango_workload.Load.plan
+      (Tango_workload.Load.default_config ~flows:10_000 ~generations:256 ~seed:42 ())
+  in
+  let r =
+    Tango.Throughput.run ~domains:1 ~plan ~cache_capacity:2_500
+      ~tracker_ceiling:65_536 ()
+  in
+  Alcotest.(check bool) "heavy-tail cache evicts" true (r.cache_evictions > 0);
+  bound "heavy-tail (10^4 flows x 256 generations, cache 2500)" r
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "shard"
@@ -344,8 +508,21 @@ let () =
         [
           tc "time then lane order" `Quick test_merge_time_then_lane_order;
           tc "run: lanes on domains" `Quick test_run_single_producer_per_lane;
+          tc "run: lane 0 on the caller" `Quick test_run_lane_zero_on_caller;
+          tc "run: every lane joined on a raise" `Quick
+            test_run_joins_every_lane_on_raise;
         ] );
-      ( "batch", [ tc "fill and read" `Quick test_batch_fill_and_read ] );
+      ( "columns",
+        [
+          tc "scatter by c" `Quick test_scatter_by_c;
+          tc "drain_into order" `Quick test_drain_into_order;
+        ] );
+      ( "batch",
+        [
+          tc "fill and read" `Quick test_batch_fill_and_read;
+          tc "encap columns" `Quick test_batch_encap_columns;
+        ] );
+      ("allocation", [ tc "lane words per packet" `Quick test_lane_allocation ]);
       ( "confirm_below",
         [
           tc "counts loss" `Quick test_confirm_below_counts_loss;
