@@ -940,7 +940,7 @@ let mesh_cmd =
       & info [ "pops" ] ~docv:"N"
           ~doc:
             "Host an $(docv)-PoP relay mesh in one process (flat PoP-indexed \
-             state, shared event heap). 0 runs the legacy three-site live \
+             state, shared event queue). 0 runs the legacy three-site live \
              overlay.")
   in
   let trees =

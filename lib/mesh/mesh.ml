@@ -93,7 +93,7 @@ let run ?(pops = 16) ?(degree = 4) ?(trees = 3) ?(seed = 42) ?flows
         Err.invalid "Mesh.run: fault window %g+%g must close before %g"
           s.Spec.start_s s.Spec.duration_s duration_s)
     specs;
-  let engine = Engine.create ~seed ~heap_capacity:(16 * pops) () in
+  let engine = Engine.create ~seed () in
   let topo = Mtopo.generate ~degree ~pops ~seed () in
   let arbor = Arbor.build ~k:trees topo in
   let gossip = Gossip.create ~topo ~engine () in
