@@ -23,36 +23,17 @@ let udp_header_bytes = 8
 let max_frame_bytes ~payload_bytes =
   ipv6_header_bytes + udp_header_bytes + tango_shim_auth_bytes + payload_bytes
 
-let[@hot] set_u16 buf off v =
-  Bytes.set_uint8 buf off ((v lsr 8) land 0xFF);
-  Bytes.set_uint8 buf (off + 1) (v land 0xFF)
+let[@hot] set_u16 buf off v = Bytes.set_uint16_be buf off v
 
-let[@hot] get_u16 buf off = (Bytes.get_uint8 buf off lsl 8) lor Bytes.get_uint8 buf (off + 1)
+let[@hot] get_u16 buf off = Bytes.get_uint16_be buf off
 
-let[@hot] set_u32 buf off v =
-  Bytes.set_uint8 buf off ((v lsr 24) land 0xFF);
-  Bytes.set_uint8 buf (off + 1) ((v lsr 16) land 0xFF);
-  Bytes.set_uint8 buf (off + 2) ((v lsr 8) land 0xFF);
-  Bytes.set_uint8 buf (off + 3) (v land 0xFF)
+let[@hot] set_u32 buf off v = Bytes.set_int32_be buf off (Int32.of_int v)
 
-let[@hot] get_u32 buf off =
-  (Bytes.get_uint8 buf off lsl 24)
-  lor (Bytes.get_uint8 buf (off + 1) lsl 16)
-  lor (Bytes.get_uint8 buf (off + 2) lsl 8)
-  lor Bytes.get_uint8 buf (off + 3)
+let[@hot] get_u32 buf off = Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFF_FFFF
 
-let[@hot] set_u64 buf off v =
-  for i = 0 to 7 do
-    Bytes.set_uint8 buf (off + i)
-      (Int64.to_int (Int64.shift_right_logical v ((7 - i) * 8)) land 0xFF)
-  done
+let[@hot] set_u64 buf off v = Bytes.set_int64_be buf off v
 
-let[@hot] get_u64 buf off =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 buf (off + i)))
-  done;
-  !v
+let[@hot] get_u64 buf off = Bytes.get_int64_be buf off
 
 let[@hot] set_ipv6 buf off a =
   set_u64 buf off (Ipv6.hi a);

@@ -27,8 +27,11 @@ val auth_flag : int
     Big-endian in-place scalar codecs, exported so other wire formats
     (the {!Tango_mesh.Segment} stack, future per-hop MAC chains) reuse
     the same zero-allocation cursor discipline instead of growing their
-    own byte twiddling. All are [\[@hot\]]-clean: no bounds beyond the
-    [Bytes] primitives, no allocation. *)
+    own byte twiddling. Each is one of the stdlib's big-endian [Bytes]
+    accessors: one bounds check per field, [Invalid_argument] past
+    either end, and no allocation. A setter writes the low 16 or 32
+    bits of its int; [get_u32] reads an unsigned value. All are
+    [\[@hot\]]-clean. *)
 
 val set_u16 : Bytes.t -> int -> int -> unit
 val get_u16 : Bytes.t -> int -> int
