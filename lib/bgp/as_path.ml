@@ -20,8 +20,6 @@ let rec origin_as = function
   | [ asn ] -> Some asn
   | _ :: rest -> origin_as rest
 
-let first_hop = function [] -> None | asn :: _ -> Some asn
-
 let neighbor_of_origin t =
   (* Walk from the origin end, skipping prepended repeats of the origin
      ASN; the first differing ASN is the origin's neighbor. Done from the
@@ -36,11 +34,6 @@ let neighbor_of_origin t =
         | [] -> None
       in
       skip rest
-
-let poison t asn =
-  match List.rev t with
-  | [] -> [ asn ]
-  | origin :: rest -> List.rev (origin :: asn :: rest)
 
 let is_private asn = asn >= 64512 && asn <= 65534
 

@@ -20,17 +20,10 @@ val contains : t -> int -> bool
 val origin_as : t -> int option
 (** Last (oldest) ASN. *)
 
-val first_hop : t -> int option
-(** Most recently prepended ASN. *)
-
 val neighbor_of_origin : t -> int option
 (** The ASN adjacent to the origin — for Tango discovery, the provider's
     neighbor that must be suppressed next. [None] for paths with fewer
     than two distinct positions. *)
-
-val poison : t -> int -> t
-(** [poison t asn] inserts [asn] before the origin so that AS [asn] will
-    reject the route by loop detection (AS-path poisoning, §3). *)
 
 val strip_private : t -> t
 (** Remove private ASNs (64512–65534, and 4200000000+ which cannot occur

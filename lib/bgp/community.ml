@@ -17,17 +17,6 @@ let equal a b = compare a b = 0
 
 let to_string (a, b) = Printf.sprintf "%d:%d" a b
 
-let of_string s =
-  match String.index_opt s ':' with
-  | None -> Error (Printf.sprintf "missing ':' in community %S" s)
-  | Some i -> (
-      let upper = String.sub s 0 i in
-      let lower = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt upper, int_of_string_opt lower) with
-      | Some a, Some b when a >= 0 && a <= 0xFFFF && b >= 0 && b <= 0xFFFF ->
-          Ok (a, b)
-      | _ -> Error (Printf.sprintf "invalid community %S" s))
-
 module Set = Stdlib.Set.Make (struct
   type nonrec t = t
 

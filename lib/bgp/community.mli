@@ -14,12 +14,7 @@
 type t = int * int
 (** [(upper, lower)], each 16-bit. *)
 
-val v : int -> int -> t
-(** Raises [Invalid_argument] when either half exceeds 16 bits. *)
-
-val equal : t -> t -> bool
 val to_string : t -> string
-val of_string : string -> (t, string) result
 
 module Set : Stdlib.Set.S with type elt = t
 
@@ -32,8 +27,8 @@ type action =
   | No_export_transit  (** Do not announce to any transit provider. *)
 
 val action_to_community : action -> t
-val action_of_community : t -> action option
-(** Inverse of {!action_to_community}; [None] for ordinary communities. *)
+(** Raises [Invalid_argument] when the neighbor ASN exceeds 16 bits or a
+    prepend count lies outside 1-3. *)
 
 val actions_of_set : Set.t -> action list
 (** All decodable actions carried in a community set, in community

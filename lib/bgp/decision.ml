@@ -18,12 +18,7 @@ let compare (a : Route.t) (b : Route.t) =
                   by
                     (fun r -> Route.origin_rank r.Route.origin)
                     Int.compare
-                    (fun () ->
-                      by
-                        (fun r -> r.Route.med)
-                        Int.compare
-                        (fun () ->
-                          Int.compare a.Route.next_hop b.Route.next_hop))))))
+                    (fun () -> Int.compare a.Route.next_hop b.Route.next_hop)))))
 
 let best = function
   | [] -> None

@@ -7,13 +7,12 @@
     paths regardless of which transit carries them, and the NTT > Telia >
     GTT ordering only breaks ties among equal-length paths. *)
 
-val compare : Route.t -> Route.t -> int
-(** Negative when the first route is preferred. Total order:
-    local routes first, then higher local-pref, shorter AS path, higher
-    neighbor weight, lower origin rank, lower MED, lower advertising
-    node id. *)
-
 val best : Route.t list -> Route.t option
+(** The most preferred candidate under a total order: local routes
+    first, then higher local-pref, shorter AS path, higher neighbor
+    weight, lower origin rank, lower advertising node id. Every route
+    carries MED 0, so MED never decides. Of equal candidates, the first
+    wins. *)
 
 val rank : Route.t list -> Route.t list
 (** All candidates, most preferred first. *)

@@ -54,8 +54,6 @@ val converge : t -> float
 (** Run the engine until no BGP work remains (or an hour of virtual
     time elapses); returns the virtual time consumed. *)
 
-val best_route : t -> node:int -> Tango_net.Prefix.t -> Route.t option
-
 val as_path : t -> node:int -> Tango_net.Prefix.t -> As_path.t option
 (** AS path of the selected route at the node. *)
 
@@ -97,7 +95,9 @@ val add_origin_listener : t -> (node:int -> Tango_net.Prefix.t -> unit) -> unit
     registration order; exceptions propagate to the caller of the
     origination. *)
 
+(* test-hook: test/test_reconcile.ml *)
 val residual_nodes : t -> Tango_net.Prefix.t -> int list
 (** Sorted node ids whose speaker still holds {e any} state for
     [prefix] (adj-RIB-in, loc-RIB, adj-RIB-out or an origination) — []
-    once the prefix has been fully withdrawn and propagated. *)
+    once the prefix has been fully withdrawn and propagated: the audit
+    the reconciler tests run after a withdrawal. *)

@@ -9,13 +9,11 @@ type t = {
   learned_from : int option;
   local_pref : int;
   neighbor_weight : int;
-  med : int;
   origin : origin;
   communities : Community.Set.t;
 }
 
-let make ~prefix ~path ~next_hop ?learned_from ?(local_pref = 100)
-    ?(neighbor_weight = 0) ?(med = 0) ?(origin = Igp)
+let make ~prefix ~path ~next_hop ?learned_from ?(local_pref = 100) ?(origin = Igp)
     ?(communities = Community.Set.empty) () =
   {
     prefix;
@@ -23,8 +21,7 @@ let make ~prefix ~path ~next_hop ?learned_from ?(local_pref = 100)
     next_hop;
     learned_from;
     local_pref;
-    neighbor_weight;
-    med;
+    neighbor_weight = 0;
     origin;
     communities;
   }

@@ -15,8 +15,8 @@ type t = {
   neighbor_weight : int;
       (** Operator preference among otherwise-equal neighbors; a late
           tie-break (after path length) in our decision process —
-          reproducing the transit ordering the paper observed at Vultr. *)
-  med : int;
+          reproducing the transit ordering the paper observed at Vultr.
+          {!make} sets 0; a speaker sets its neighbor's weight on import. *)
   origin : origin;
   communities : Community.Set.t;
 }
@@ -27,8 +27,6 @@ val make :
   next_hop:int ->
   ?learned_from:int ->
   ?local_pref:int ->
-  ?neighbor_weight:int ->
-  ?med:int ->
   ?origin:origin ->
   ?communities:Community.Set.t ->
   unit ->

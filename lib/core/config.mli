@@ -44,19 +44,17 @@ type t = {
   sites : site list;
 }
 
-val default : t
-(** The paper deployment: default block, 10 ms probes, 100 ms reports,
-    sites LA/NY with the deliberate clock skews and lowest-OWD policy. *)
-
-val parse : string -> (t, string) result
-(** Parse a configuration text; errors carry a line number. Unspecified
-    fields take their {!default}s; sites must have unique names. *)
-
 val parse_file : string -> (t, string) result
+(** Read and parse a configuration file; errors carry a line number.
+    Unspecified fields take the paper deployment's defaults: the default
+    block, 10 ms probes, 100 ms reports, and sites LA and NY with
+    clock offsets of +37 ms and -12 ms, each running lowest-OWD (1 ms
+    hysteresis, 1 s dwell). Sites must have unique names. *)
 
+(* test-hook: test/test_tango.ml *)
 val to_string : t -> string
-(** Render back to the concrete syntax ([parse (to_string t)] succeeds
-    and yields an equal configuration). *)
+(** Render back to the concrete syntax: the oracle of the round-trip
+    test ([parse_file] of the text yields an equal configuration). *)
 
 val apply_vultr : t -> (Pair.t, string) result
 (** Instantiate the two-site Vultr deployment from a configuration with

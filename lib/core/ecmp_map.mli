@@ -18,15 +18,6 @@ type t = {
   spread_ms : float;  (** Offset of the slowest lane. *)
 }
 
-val cluster : tolerance_ms:float -> float list -> (float * int) list
-(** Greedy 1-D clustering: sorted values within [tolerance_ms] of the
-    running cluster mean merge; returns (mean, size) per cluster in
-    ascending order. *)
-
-val infer : tolerance_ms:float -> (int * float) list -> t
-(** [infer ~tolerance_ms floors] from per-flow (flow id, min delay ms)
-    observations. Raises [Invalid_argument] on an empty list. *)
-
 val probe :
   fabric:Tango_dataplane.Fabric.t ->
   from_node:int ->
@@ -38,6 +29,7 @@ val probe :
   t
 (** Active measurement: send [flows] distinct-port probe flows (default
     64) with [probes_per_flow] packets each (default 10), one probe
-    every 2 ms, then infer the lane structure from the per-flow floors
-    with a 0.5 ms clustering tolerance ({!infer}). Runs the engine
-    until the probes drain. *)
+    every 2 ms, then infer the lane structure from the per-flow floors:
+    a greedy 1-D clustering merges sorted floors within 0.5 ms of the
+    running cluster mean, and each cluster is a lane at its mean.
+    Runs the engine until the probes drain. *)

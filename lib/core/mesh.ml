@@ -29,10 +29,6 @@ let check_pair t src dst =
   if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then
     invalid_arg (Printf.sprintf "Mesh: invalid site pair (%d,%d)" src dst)
 
-let pop t ~src ~dst =
-  check_pair t src dst;
-  Hashtbl.find t.pops (src, dst)
-
 let paths t ~src ~dst =
   check_pair t src dst;
   Hashtbl.find t.discovered (src, dst)

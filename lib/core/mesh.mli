@@ -20,16 +20,17 @@ val setup_triangle : ?seed:int -> unit -> t
     planning charges the default 0.1 ms per relay
     ({!Overlay.plan_routes}). *)
 
-val sites : t -> int
 val site_name : t -> int -> string
+
+(* test-hook: test/test_tango.ml *)
 val fabric : t -> Tango_dataplane.Fabric.t
+(** The shared fabric, where the tests fail a relay's link. *)
 
-val pop : t -> src:int -> dst:int -> Pop.t
-(** The PoP at site [src] facing site [dst]. Raises [Invalid_argument]
-    for unknown or equal indices. *)
-
+(* test-hook: test/test_tango.ml *)
 val paths : t -> src:int -> dst:int -> Discovery.path list
-(** Discovery result for traffic [src] → [dst]. *)
+(** Discovery result for traffic [src] → [dst], which the tests count.
+    Raises [Invalid_argument] for unknown or equal indices, like every
+    per-pair call here. *)
 
 val start_measurement : t -> for_s:float -> unit -> unit
 (** Start probe trains and reports on every PoP, at {!Pop.start}'s

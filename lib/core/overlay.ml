@@ -14,7 +14,11 @@ type plan = {
   direct_ms : float;
 }
 
-let plan_routes ~owd_ms ?(relay_overhead_ms = 0.1) ~sites () =
+(* What relaying through an intermediate PoP adds: its decap and
+   re-encap. *)
+let relay_overhead_ms = 0.1
+
+let plan_routes ~owd_ms ~sites () =
   if sites < 2 then invalid_arg "Overlay.plan_routes: need at least two sites";
   let all = List.init sites Fun.id in
   let pairs =

@@ -20,16 +20,12 @@ type plan = {
 }
 
 val plan_routes :
-  owd_ms:(src:int -> dst:int -> float) ->
-  ?relay_overhead_ms:float ->
-  sites:int ->
-  unit ->
-  plan list
+  owd_ms:(src:int -> dst:int -> float) -> sites:int -> unit -> plan list
 (** Compute, for every ordered pair of the [sites] PoPs, the best route
     through at most one intermediate PoP. [owd_ms] gives the measured
     best direct delay of each segment ([infinity] when two sites have
-    no direct connectivity). [relay_overhead_ms] defaults to 0.1.
-    Raises [Invalid_argument] when [sites < 2]. *)
+    no direct connectivity). A relay adds 0.1 ms to the two segments'
+    delays. Raises [Invalid_argument] when [sites < 2]. *)
 
 val gain_ms : plan -> float
 (** [direct_ms - owd_ms]: how much the overlay saves (0 for direct). *)
@@ -40,11 +36,10 @@ val gain_ms : plan -> float
 module Triangle : sig
   val server_chi : int
 
-  val eastnet : int
-  (** The regional transit connecting CHI and NY (fast). *)
-
   val build : unit -> Tango_topo.Topology.t
-  (** Extends {!Tango_topo.Vultr.build} with the third site. *)
+  (** Extends {!Tango_topo.Vultr.build} with the third site, reached
+      through EastNet (node 7018), the fast regional transit connecting
+      CHI and NY. *)
 
   val static_owd_ms :
     Tango_bgp.Network.t -> src:int -> dst:int -> float

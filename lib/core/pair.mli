@@ -19,6 +19,7 @@ val vultr_overrides : Tango_topo.Topology.node -> Tango_bgp.Network.overrides
     {!Tango_bgp.Network.create} for any topology built on
     {!Tango_topo.Vultr}. *)
 
+(* test-hook: test/test_tango.ml *)
 val setup :
   ?seed:int ->
   ?policy_a:Policy.spec ->
@@ -40,7 +41,8 @@ val setup :
     announcements, tunnels and PoPs. Site A maps onto the accessors
     named [la] below and site B onto [ny] (the Vultr deployment is
     [setup_vultr], a thin wrapper). Every transit forwards on a single
-    ECMP lane. Clock offsets default to 0 here. *)
+    ECMP lane. Clock offsets default to 0 here. The tests run it on a
+    two-ISP world of their own. *)
 
 val setup_vultr :
   ?seed:int ->

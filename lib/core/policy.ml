@@ -72,7 +72,6 @@ type t = {
      [readmit_backoff_s * 2^(n-1)] (capped at [backoff_max_s]) before it
      is eligible again. 0 disables the mechanism entirely. *)
   readmit_backoff_s : float;
-  backoff_max_s : float;
   (* Set the first time an external ban ({!ban}) is applied, so the
      default (no reconciler, no backoff) scoring pass never has to
      consult per-path ban state. *)
@@ -89,18 +88,17 @@ type t = {
   mutable degraded_episodes : int;
 }
 
-let create ?(readmit_backoff_s = 0.0) ?(backoff_max_s = 30.0)
-    ?(path_capacity = 64) spec =
+let backoff_max_s = 30.0
+
+let create ?(readmit_backoff_s = 0.0) ?(path_capacity = 64) spec =
   if readmit_backoff_s < 0.0 then
     invalid_arg "Policy.create: negative readmit backoff";
-  if backoff_max_s <= 0.0 then invalid_arg "Policy.create: non-positive backoff cap";
   if path_capacity <= 0 then invalid_arg "Policy.create: non-positive path capacity";
   let current = match spec with Static i -> i | _ -> 0 in
   {
     spec;
     max_staleness_s = 1.0;
     readmit_backoff_s;
-    backoff_max_s;
     external_bans = false;
     capacity = path_capacity;
     was_usable = Bytes.make path_capacity '\000';
@@ -151,7 +149,7 @@ let update_damping t ~now_s ~meas stats =
     (* Down transition. An isolated failure long after the previous one
        restarts the doubling rather than continuing it. *)
     t.fails.(id) <-
-      (if now_s -. t.last_down.(id) > t.backoff_max_s *. 4.0 then 1
+      (if now_s -. t.last_down.(id) > backoff_max_s *. 4.0 then 1
        else t.fails.(id) + 1);
     t.last_down.(id) <- now_s
   end
@@ -160,7 +158,7 @@ let update_damping t ~now_s ~meas stats =
        the (exponentially growing, capped) backoff window before it is
        eligible again. *)
     let backoff =
-      Float.min t.backoff_max_s
+      Float.min backoff_max_s
         (t.readmit_backoff_s *. (2.0 ** float_of_int (t.fails.(id) - 1)))
     in
     t.banned_until.(id) <- now_s +. backoff;

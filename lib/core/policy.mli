@@ -16,7 +16,7 @@
 
     Flap damping: with [readmit_backoff_s] > 0, a path that recovers
     after its [n]th failure is banned as a switch target for
-    [readmit_backoff_s * 2^(n-1)] seconds (capped at [backoff_max_s]),
+    [readmit_backoff_s * 2^(n-1)] seconds (capped at 30 s),
     so a flapping path cannot drag the policy into oscillation. When
     {e every} path is unusable or banned, the policy enters a degraded
     mode: it pins the best-known path (lowest smoothed OWD ever
@@ -53,18 +53,13 @@ val spec_to_string : spec -> string
 
 type t
 
-val create :
-  ?readmit_backoff_s:float ->
-  ?backoff_max_s:float ->
-  ?path_capacity:int ->
-  spec ->
-  t
+val create : ?readmit_backoff_s:float -> ?path_capacity:int -> spec -> t
 (** Defaults: [readmit_backoff_s] 0.0 (flap damping off),
-    [backoff_max_s] 30.0, [path_capacity] 64. Per-path damping/ban state is preallocated flat
+    [path_capacity] 64. The backoff is capped at 30 s. Per-path damping/ban state is preallocated flat
     at [path_capacity] so the scoring pass stays allocation-free (it is
     reachable from the [@hot] packet path); a path id at or beyond the
     capacity raises [Invalid_argument]. Raises [Invalid_argument] on a
-    negative backoff, non-positive cap, or non-positive capacity. *)
+    negative backoff or a non-positive capacity. *)
 
 val set_max_staleness_s : t -> float -> unit
 (** Tune dead-path detection: statistics older than this are treated as
@@ -118,5 +113,7 @@ val unban : t -> path:int -> unit
 (** Lift any ban on [path] (no-op for unknown paths) — used when a
     drained path is re-installed after recovery. *)
 
+(* test-hook: test/test_failover.ml *)
 val fail_count : t -> path:int -> int
-(** Consecutive-failure count backing [path]'s exponential backoff. *)
+(** Consecutive-failure count backing [path]'s exponential backoff: the
+    history the flap-damping tests read. *)

@@ -121,10 +121,7 @@ type t = {
      silently skipped, so the peer's inbound stats go stale and its
      policy must detect the dead-path condition by staleness alone. *)
   mutable probes_suppressed : bool;
-  mutable probes_sent : int;
-  mutable probes_received : int;
   mutable app_received : int;
-  mutable reports_received : int;
   (* The fabric delivery callback for everything this PoP sends, built
      once by {!wire} rather than per dispatch; [not_wired] until then. *)
   mutable on_delivered : node:int -> Packet.t -> unit;
@@ -200,10 +197,7 @@ let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
     chosen_paths = Series.create ();
     app_seq = 0;
     next_packet_id = 0;
-    probes_sent = 0;
-    probes_received = 0;
     app_received = 0;
-    reports_received = 0;
     on_delivered = not_wired;
     probes_suppressed = false;
     stream_handler = None;
@@ -247,14 +241,10 @@ let deliver_to_host t ~now (packet : Packet.t) =
     Metric.incr m_transited;
     (Option.get t.transit_handler) ~now packet
   end
-  else if flow.Flow.dst_port = probe_port then begin
-    t.probes_received <- t.probes_received + 1;
-    Metric.incr m_probes_received
-  end
+  else if flow.Flow.dst_port = probe_port then Metric.incr m_probes_received
   else if flow.Flow.dst_port = report_port then begin
     match packet.Packet.content with
     | Some (Report stats) ->
-        t.reports_received <- t.reports_received + 1;
         Metric.incr m_reports_received;
         t.outbound_stats <- stats;
         t.outbound_stats_at <- now
@@ -503,7 +493,6 @@ let send_probe t =
     let now = Engine.now (engine t) in
     let dst = t.remote_host and src = t.local_host in
     for path = 0 to Array.length t.tunnels - 1 do
-      t.probes_sent <- t.probes_sent + 1;
       Metric.incr m_probes_sent;
       let flow =
         Flow.v ~src ~dst ~proto:17 ~src_port:probe_port ~dst_port:probe_port
@@ -584,10 +573,6 @@ let detector_events t ~path =
   check_path t path;
   Detect.events t.detectors.(path)
 
-let tracker t ~path =
-  check_path t path;
-  t.trackers.(path)
-
 let app_latency_series t = t.app_latency
 
 let app_inorder_extra t = t.inorder_extra
@@ -614,10 +599,4 @@ let path_cache_hits t = Flow_cache.hits t.path_cache
 
 let path_cache_misses t = Flow_cache.misses t.path_cache
 
-let probes_sent t = t.probes_sent
-
-let probes_received t = t.probes_received
-
 let app_received t = t.app_received
-
-let reports_received t = t.reports_received

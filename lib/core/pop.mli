@@ -77,7 +77,10 @@ val set_probe_suppression : t -> bool -> unit
     inbound statistics age out and its policy must detect this PoP's
     paths as dead by staleness alone. *)
 
+(* test-hook: test/test_faults.ml *)
 val probes_suppressed : t -> bool
+(** Whether the probe train is starved: part of the state the fault
+    tests compare against a fault-free twin. *)
 
 val start :
   t ->
@@ -152,7 +155,10 @@ val set_pinned : t -> bool -> unit
     and staleness would drive the adaptive policy blind. Unpinning
     forces a re-evaluation on the next packet. *)
 
+(* test-hook: test/test_reconcile.ml *)
 val pinned : t -> bool
+(** Whether the refresh is frozen: the probe that shows the reconciler
+    entering and leaving unilateral mode. *)
 
 (** {1 Measurements} *)
 
@@ -169,7 +175,6 @@ val outbound_stats : t -> Policy.path_stats array
 val detector_events : t -> path:int -> Tango_telemetry.Detect.event list
 (** Route-change / spike events detected on an inbound path. *)
 
-val tracker : t -> path:int -> Tango_dataplane.Seq_tracker.t
 
 (** {1 Application-level metrics} *)
 
@@ -186,7 +191,10 @@ val chosen_path_series : t -> Tango_telemetry.Series.t
 val plan : t -> Addressing.plan
 val remote_plan : t -> Addressing.plan
 
+(* test-hook: test/test_faults.ml *)
 val clock : t -> Tango_dataplane.Clock.t
+(** The receive clock, whose reading the fault tests compare against a
+    fault-free twin. *)
 
 val step_clock : t -> step_ns:int64 -> unit
 (** Apply an NTP-style step to this PoP's receive clock mid-run (the
@@ -209,7 +217,4 @@ val policy_evaluations : t -> int
 val path_cache_hits : t -> int
 val path_cache_misses : t -> int
 
-val probes_sent : t -> int
-val probes_received : t -> int
 val app_received : t -> int
-val reports_received : t -> int

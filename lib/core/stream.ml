@@ -181,7 +181,6 @@ let start ~sender ~receiver ?(route = `Policy) ~total_segments () =
   arm_timer t;
   t
 
-let delivered_segments t = t.delivered
 
 let retransmissions t = t.retransmissions
 
@@ -194,6 +193,5 @@ let goodput_mbps t =
   else
     float_of_int (t.delivered * segment_bytes * 8) /. elapsed /. 1e6
 
-let srtt_s t = t.srtt
 
 let max_stall_s t = t.max_stall

@@ -29,9 +29,6 @@ val start :
 val finished : t -> bool
 (** All segments delivered in order and acknowledged. *)
 
-val delivered_segments : t -> int
-(** Segments the receiver has released in order so far. *)
-
 val retransmissions : t -> int
 val timeouts : t -> int
 
@@ -39,9 +36,6 @@ val goodput_mbps : t -> float
 (** In-order delivered payload divided by elapsed transfer time (from
     first send to completion, or to "now" while running). [0.] before
     any delivery. *)
-
-val srtt_s : t -> float
-(** Current smoothed RTT estimate; [nan] before the first sample. *)
 
 val max_stall_s : t -> float
 (** Longest gap between consecutive in-order deliveries at the receiver

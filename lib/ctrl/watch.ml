@@ -4,11 +4,6 @@ module Prefix = Tango_net.Prefix
 
 type verdict = Live | Moved | Gone
 
-let verdict_to_string = function
-  | Live -> "live"
-  | Moved -> "moved"
-  | Gone -> "gone"
-
 type entry = { prefix : Prefix.t; mutable baseline : As_path.t option }
 
 type t = { net : Network.t; observer : int; entries : entry array }

@@ -20,8 +20,6 @@
 
 type verdict = Live | Moved | Gone
 
-val verdict_to_string : verdict -> string
-
 type t
 
 val create :
@@ -34,9 +32,6 @@ val verdict_of :
   current:Tango_bgp.As_path.t option ->
   verdict
 (** The pure classification rule. *)
-
-val classify : t -> int -> verdict
-(** Classify one watched prefix against the live table. *)
 
 val check : t -> verdict array
 (** Classify every watched prefix, in watch order. *)

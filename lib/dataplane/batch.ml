@@ -52,8 +52,6 @@ let create () =
 
 let length t = t.len
 
-let[@hot] is_full t = t.len >= capacity
-
 let[@hot] is_empty t = t.len = 0
 
 let[@hot] clear t = t.len <- 0
@@ -85,15 +83,6 @@ let[@hot] add t (packet : Packet.t) =
   | None ->
       fill t ~dst:(Packet.forwarding_dst packet) ~bytes ~path:(-1)
         ~flow:packet.Packet.id ~seq:(-1) packet
-
-let[@hot] get t i =
-  if i < 0 || i >= t.len then Err.invalid "Batch.get: index %d outside [0, %d)" i t.len;
-  Array.unsafe_get t.packets i
-
-let iter t ~f =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.packets i)
-  done
 
 let purge t =
   Array.fill t.packets 0 capacity no_packet;

@@ -47,7 +47,6 @@ val create : unit -> t
 (** All columns are allocated here, at full size. *)
 
 val length : t -> int
-val is_full : t -> bool
 val is_empty : t -> bool
 
 val set_stamp_ns : t -> int -> unit
@@ -56,7 +55,7 @@ val set_stamp_ns : t -> int -> unit
 
 val encap : t -> dst:Tango_net.Addr.t -> bytes:int -> path:int -> flow:int -> seq:int -> unit
 (** Append one encapsulated send. Allocates nothing. Raises
-    {!Err.Invalid} when full — callers flush on {!is_full}. *)
+    {!Err.Invalid} when full — callers flush at {!capacity}. *)
 
 val add : t -> Tango_net.Packet.t -> unit
 (** Append a packet: its {!Tango_net.Packet.forwarding_dst},
@@ -64,12 +63,6 @@ val add : t -> Tango_net.Packet.t -> unit
     sequence, -1 for a packet with no tunnel header) go into the
     columns, the packet into [packets]. Raises {!Err.Invalid} when
     full. *)
-
-val get : t -> int -> Tango_net.Packet.t
-(** The i-th slot's packet ({!no_packet} for an {!encap} slot). Raises
-    {!Err.Invalid} outside [0, length). *)
-
-val iter : t -> f:(Tango_net.Packet.t -> unit) -> unit
 
 val clear : t -> unit
 (** Reset the length (slots keep their last packet references until

@@ -13,7 +13,5 @@ let owd_ms_into t ~stamp_ns arrival_s ~into n =
     Array.unsafe_set into i (float_of_int (now_ns - stamp_ns) /. 1e6)
   done
 
-let offset_ns t = t.offset_ns
-
 let step t ~step_ns =
   { offset_ns = Int64.add t.offset_ns step_ns }

@@ -22,8 +22,6 @@ val owd_ms_into :
     gets {!now_ns} at virtual time [arrival_s.(i)] minus the sender's
     stamp [stamp_ns], in milliseconds. Nothing is boxed. *)
 
-val offset_ns : t -> int64
-
 val step : t -> step_ns:int64 -> t
 (** [step t ~step_ns] is [t] with its constant offset shifted by
     [step_ns] — an NTP-style clock step. Relative OWD comparison is

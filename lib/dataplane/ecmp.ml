@@ -7,8 +7,7 @@ let uniform_lanes ~count ~spread_ms =
 
 let lane_of_hash lanes hash =
   let n = Array.length lanes in
-  if n = 0 then Err.invalid "Ecmp.select: no lanes";
+  if n = 0 then Err.invalid "Ecmp.lane_delay_ms: no lanes";
   hash mod n
 
-let select lanes ~salt flow = lane_of_hash lanes (Tango_net.Flow.hash_5tuple ~salt flow)
 let lane_delay_ms lanes ~hash = lanes.(lane_of_hash lanes hash)

@@ -13,10 +13,8 @@ type lanes = float array
 val uniform_lanes : count:int -> spread_ms:float -> lanes
 (** [count] lanes at offsets [0, spread, 2*spread, ...]. *)
 
-val select : lanes -> salt:int -> Tango_net.Flow.t -> int
-(** Deterministic lane index for a flow at a node ([salt] decorrelates
-    nodes). *)
-
 val lane_delay_ms : lanes -> hash:int -> float
-(** Delay offset of the lane {!select} picks, given the flow's salted
-    hash (e.g. {!Tango_net.Packet.forwarding_hash}). *)
+(** Delay offset of the lane a flow takes at a node, given the flow's
+    salted hash (e.g. {!Tango_net.Packet.forwarding_hash}; the salt
+    decorrelates nodes): lane [hash mod count], the same lane for every
+    packet of the flow. *)

@@ -26,10 +26,12 @@ val create :
 
 val network : t -> Tango_bgp.Network.t
 
+(* test-hook: test/test_dataplane.ml *)
 val link : t -> from_node:int -> to_node:int -> Tango_topo.Link.t option
 (** The directed link the forwarding loop uses between two nodes: the
-    snapshot of {!Tango_topo.Topology.link} taken at creation. Raises
-    {!Err.Invalid} for an id that is not a node of the topology. *)
+    snapshot of {!Tango_topo.Topology.link} taken at creation, which the
+    tests hold to the topology's. Raises {!Err.Invalid} for an id that
+    is not a node of the topology. *)
 
 val send :
   t ->
@@ -39,7 +41,7 @@ val send :
   Tango_net.Packet.t ->
   unit
 (** Inject a packet at [from_node]; it is forwarded toward the
-    destination of its {!Tango_net.Packet.forwarding_flow}. Exactly one
+    destination of its {!Tango_net.Packet.forwarding_dst}. Exactly one
     of the callbacks eventually fires (drop reasons: ["unroutable"],
     ["ttl"], ["link-failure"] for a {!fail_link} blackhole and
     ["fault-loss"] for a {!set_link_fault} brownout). *)
@@ -124,8 +126,10 @@ val set_link_fault :
 val clear_link_fault : t -> from_node:int -> to_node:int -> unit
 (** Remove the fault on one directed link. Idempotent. *)
 
+(* test-hook: test/test_dataplane.ml *)
 val fault_count : t -> int
-(** Number of directed links currently carrying a fault. *)
+(** Number of directed links currently carrying a fault: the probe the
+    fault tests read to see a fault installed, rejected or cleared. *)
 
 val link_fault_extra_ms :
   t -> from_node:int -> to_node:int -> time_s:float -> float

@@ -64,7 +64,6 @@ type t = {
   mutable generation : int;
   mutable hits : int;
   mutable misses : int;
-  mutable invalidations : int;
 }
 
 let create ?(expected_flows = 1024) ?(capacity = expected_flows) () =
@@ -87,7 +86,6 @@ let create ?(expected_flows = 1024) ?(capacity = expected_flows) () =
     generation = 0;
     hits = 0;
     misses = 0;
-    invalidations = 0;
   }
 
 (* Home bucket of a flow hash: Fibonacci hashing, the top [index_bits]
@@ -202,8 +200,7 @@ let invalidate t =
     t.filled <- 0;
     t.hand <- 0
   end;
-  t.generation <- next;
-  t.invalidations <- t.invalidations + 1
+  t.generation <- next
 
 let generation t = t.generation
 
@@ -216,14 +213,8 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-let invalidations t = t.invalidations
-
 (* Every filled slot has exactly one index entry: a new key takes a slot
    and an entry together, an eviction moves the slot to a new key. *)
-let flows t = t.filled
-
-let capacity t = t.capacity
-
 let resident t = t.filled
 
 let evictions t = t.evictions

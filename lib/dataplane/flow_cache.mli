@@ -20,10 +20,6 @@
 
 type t
 
-val max_path : int
-(** Largest storable path id (255 — path ids pack into the low byte of
-    a generation-stamped entry). *)
-
 val create : ?expected_flows:int -> ?capacity:int -> unit -> t
 (** [capacity] bounds resident entries (default [expected_flows], which
     defaults to 1024); the slot arrays are allocated here, at full
@@ -37,7 +33,8 @@ val find : t -> flow_hash:int -> int option
 val store : t -> flow_hash:int -> int -> unit
 (** Record the decision for the current generation, evicting a victim
     first when the cache is full and the flow is new. Raises
-    {!Err.Invalid} for path ids outside [0, 255]. *)
+    {!Err.Invalid} for path ids outside [0, 255] (path ids pack into
+    the low byte of a generation-stamped entry). *)
 
 val invalidate : t -> unit
 (** Orphan every cached decision (O(1) generation bump). The stamp is a
@@ -45,29 +42,26 @@ val invalidate : t -> unit
     modulo [max_generation + 1], and on wrap the table is reset so an
     entry stamped in the stamp's previous life can never read as fresh. *)
 
+(* test-hook: test/test_dataplane.ml *)
 val max_generation : int
 (** Largest generation stamp; {!invalidate} wraps past it to 0. *)
 
+(* test-hook: test/test_dataplane.ml *)
 val set_generation : t -> int -> unit
 (** Force the generation stamp — a test hook for exercising wraparound
     without 2^54 {!invalidate} calls. Raises {!Err.Invalid} outside
     [0, max_generation]. *)
 
+(* test-hook: test/test_dataplane.ml *)
 val generation : t -> int
+(** The current stamp, read by the wraparound test. *)
+
 val hits : t -> int
 val misses : t -> int
-val invalidations : t -> int
-
-val flows : t -> int
-(** Number of distinct flows currently stored (including stale slots;
-    never exceeds {!capacity}). *)
-
-val capacity : t -> int
-(** The resident-entry bound. *)
 
 val resident : t -> int
-(** Entries currently occupying slots — same value as {!flows}, named
-    for the obs gauge it feeds. *)
+(** Distinct flows currently occupying slots, stale ones included;
+    never exceeds the capacity. *)
 
 val evictions : t -> int
 (** Entries reclaimed by the clock hand. *)

@@ -137,11 +137,6 @@ let confirm_below_seq t bound =
     t.missing <- fresh
   end
 
-let confirm_below t bound64 =
-  if not (in_range bound64) then
-    Err.invalid "Seq_tracker.confirm_below: bound outside [0, max_int]";
-  confirm_below_seq t (Int64.to_int bound64)
-
 let lost t = t.confirmed_lost + t.provisional
 
 let reordered t = t.reordered
@@ -149,10 +144,6 @@ let reordered t = t.reordered
 let duplicates t = t.duplicates
 
 let recent_loss_rate t = t.recent.(0)
-
-let loss_rate t =
-  let total = t.received + lost t in
-  if total = 0 then 0.0 else float_of_int (lost t) /. float_of_int total
 
 (* A dense keyed population of trackers with memory accounting — the
    10^6-key regime of the million-flow engine, where "how much per-flow
@@ -166,7 +157,6 @@ module Table = struct
 
   type nonrec t = {
     trackers : tracker array;
-    ceiling : int;  (* advisory bound on resident provisional entries *)
     idle_generations : int;  (* expiry horizon; 0 = aging off *)
     last_gen : int array;  (* generation of each key's last observation *)
     mutable generation : int;
@@ -185,7 +175,6 @@ module Table = struct
         idle_generations;
     {
       trackers = Array.init keys (fun _ -> create ());
-      ceiling;
       idle_generations;
       last_gen = Array.make (max keys 1) 0;
       generation = 0;
@@ -235,11 +224,6 @@ module Table = struct
       Err.invalid "Seq_tracker.confirm_below: bound outside [0, max_int]";
     confirm_below_int tbl ~key (Int64.to_int bound64)
 
-  let prune tbl ~bound_of =
-    for key = 0 to Array.length tbl.trackers - 1 do
-      confirm_below tbl ~key (bound_of key)
-    done
-
   (* Expire one idle tracker: its provisional set is freed (credited
      back to the resident aggregate, entries counting as confirmed
      losses — they can no longer heal), and the tracker re-anchors on
@@ -275,8 +259,6 @@ module Table = struct
   let resident tbl = tbl.resident
 
   let resident_peak tbl = tbl.resident_peak
-
-  let within_ceiling tbl = tbl.ceiling = 0 || tbl.resident_peak <= tbl.ceiling
 
   let total f tbl = Array.fold_left (fun acc tr -> acc + f tr) 0 tbl.trackers
 

@@ -14,26 +14,6 @@ val observe : ?now_s:float -> t -> int64 -> unit
     (counters plus trace records stamped [now_s]; the tracker itself is
     clockless, so callers without a clock may omit it). *)
 
-val received : t -> int
-val lost : t -> int
-(** Numbers missing: gaps never filled, plus everything confirmed by
-    {!confirm_below}. *)
-
-val confirm_below : t -> int64 -> unit
-(** Declare every still-missing sequence strictly below the bound
-    permanently lost: pruned from the provisional set (bounding its
-    size, like the fixed-size map a real switch keeps) while still
-    counting in {!lost}. Only call with bounds the reordering horizon
-    can no longer reach — a late arrival of a confirmed sequence counts
-    as a duplicate. Cost is one load when nothing is provisionally
-    missing. Raises {!Err.Invalid} for bounds outside [0, max_int]. *)
-
-val reordered : t -> int
-val duplicates : t -> int
-
-val loss_rate : t -> float
-(** [lost / (received + lost)]; [0.] before any traffic. *)
-
 val recent_loss_rate : t -> float
 (** EWMA of the per-packet loss indicator — a {e live} estimate that
     climbs within tens of packets of a loss episode and decays
@@ -43,19 +23,18 @@ val recent_loss_rate : t -> float
 (** A dense keyed population of trackers with O(1) aggregate accounting
     of active keys and resident provisional state — the structure the
     million-flow load engine keeps per dataplane lane (DESIGN.md §14).
-    The [ceiling] is an advisory bound checked against the resident
-    peak: callers keep under it by pruning with {!confirm_below} as
-    flows advance, and {!within_ceiling} reports whether they
-    succeeded. *)
+    Callers bound the resident peak by pruning with {!confirm_below} as
+    flows advance, and check {!resident_peak} against their ceiling. *)
 module Table : sig
   type tracker = t
 
   type t
 
   val create : ?ceiling:int -> ?idle_generations:int -> keys:int -> unit -> t
-  (** A table of [keys] fresh trackers. [ceiling] bounds (advisorily)
-      the total provisional entries; [0] (default) means unbounded.
-      [idle_generations] (default [0] = aging off) is the expiry
+  (** A table of [keys] fresh trackers. [ceiling] is only validated:
+      the table reads it nowhere, its callers check {!resident_peak}
+      against their own copy. [idle_generations] (default [0] = aging
+      off) is the expiry
       horizon for {!advance_generation}: a tracker not observed for
       more than that many whole generations is evicted. Raises
       {!Err.Invalid} when any is negative. *)
@@ -74,17 +53,19 @@ module Table : sig
       stamped [now_s]. *)
 
   val confirm_below_int : t -> key:int -> int -> unit
-  (** {!Seq_tracker.confirm_below} on the keyed tracker, with a
-      native-int bound, crediting the pruned entries back to the
-      resident aggregate. Raises {!Err.Invalid} for a negative bound. *)
+  (** Declare every still-missing sequence of the keyed tracker strictly
+      below the native-int bound permanently lost: pruned from its
+      provisional set (bounding its size, like the fixed-size map a real
+      switch keeps, and crediting the entries back to the resident
+      aggregate) while still counting in {!lost_total}. Only call with
+      bounds the reordering horizon can no longer reach — a late
+      arrival of a confirmed sequence counts as a duplicate. Cost is one
+      load when nothing is provisionally missing. Raises {!Err.Invalid}
+      for a negative bound. *)
 
   val confirm_below : t -> key:int -> int64 -> unit
   (** {!confirm_below_int} for a wire-width bound, range-checked to
       [0, max_int]. *)
-
-  val prune : t -> bound_of:(int -> int64) -> unit
-  (** {!confirm_below} every key at its own bound — the full-table sweep
-      a memory-pressure response would run. *)
 
   val advance_generation : t -> int
   (** Close the current generation and open the next, returning its
@@ -110,12 +91,16 @@ module Table : sig
   val resident_peak : t -> int
   (** High-water mark of {!resident} over the table's lifetime. *)
 
-  val within_ceiling : t -> bool
-  (** [true] iff no ceiling is set or the resident peak stayed at or
-      under it. *)
-
+  (* test-hook: test/test_load.ml *)
   val received_total : t -> int
+  (** Arrivals that were neither duplicates nor below a confirmed bound,
+      summed over the keys: the count the differential tests hold the
+      table to against a reference model. *)
+
   val lost_total : t -> int
+  (** Sequence numbers missing — gaps never filled, plus everything
+      confirmed by {!confirm_below} — summed over the keys. *)
+
   val reordered_total : t -> int
   val duplicates_total : t -> int
 end

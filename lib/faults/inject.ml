@@ -282,8 +282,6 @@ let clear t =
     Array.iter (fun a -> deactivate t a engine) t.faults
   end
 
-let cleared t = t.disarmed
-
 let active t = t.active_count
 
 let injected t = t.injected

@@ -36,16 +36,19 @@ val arm : pair:Tango.Pair.t -> ?seed:int -> Spec.t list -> t
     or an out-of-range path id (and propagates {!Spec.validate}
     failures). *)
 
+(* test-hook: test/test_faults.ml *)
 val clear : t -> unit
 (** Immediately deactivate every active fault, restoring links, link
     faults, probe trains, clocks and announcements — and disarm every
     not-yet-fired activation (their scheduled events become no-ops).
-    Idempotent. *)
+    Idempotent. It runs each fault's end-of-window undo early: the
+    tests compare a cleared run with a fault-free twin to show the
+    undo leaves no residue. *)
 
-val cleared : t -> bool
-
+(* test-hook: test/test_faults.ml *)
 val active : t -> int
-(** Faults currently in their active window. *)
+(** Faults currently in their active window: the probe the fault tests
+    read mid-window. *)
 
 val injected : t -> int
 (** Activations fired so far (a flap counts once, not per toggle). *)

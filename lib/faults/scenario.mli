@@ -14,11 +14,6 @@ type t = {
 val all : t list
 (** Every built-in scenario, in documentation order. *)
 
-val names : unit -> string list
-
-val find : string -> t option
-(** Lookup by exact name. *)
-
 val get : string -> t
-(** Like {!find} but raises {!Err.Invalid} with the known names on a
+(** Lookup by exact name; raises {!Err.Invalid} with the known names on a
     miss — the CLI error path. *)

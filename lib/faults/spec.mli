@@ -103,8 +103,9 @@ val to_string : t -> string
 (** One-line rendering, e.g.
     ["brownout(loss=0.30,extra=25ms) to-ny path=1 @5s+10s"]. *)
 
+(* test-hook: test/test_faults.ml *)
 val random : seed:int -> paths:int -> n:int -> t list
 (** [n] pseudo-random valid specs over path ids [0, paths)], fully
     determined by [seed] — the generator behind the fuzz-shaped
-    property tests and the ["random"] scenario. Raises {!Err.Invalid}
-    when [paths <= 0] or [n < 0]. *)
+    property tests. Raises {!Err.Invalid} when [paths <= 0] or
+    [n < 0]. *)

@@ -31,9 +31,10 @@ val next_hop : t -> dst:int -> tree:int -> pop:int -> int
 (** Parent of [pop] on [tree] toward [dst]; [-1] at the destination
     itself (or for an unreachable node). Allocation-free O(1). *)
 
+(* test-hook: test/test_mesh.ml *)
 val depth : t -> dst:int -> pop:int -> int
 (** BFS hop distance to [dst] ([-1] if unreachable) — tree 0 realizes
-    exactly these shortest paths. *)
+    exactly these shortest paths, which the tests check against it. *)
 
 val diversity : t -> float
 (** Mean over all (dst, node) cells of

@@ -10,7 +10,7 @@
     per-packet allocation.
 
     The verifier state is preallocated at creation: the hot entry
-    points ({!chain_seed}, {!fold_hop}, {!check}, {!verify}) touch no
+    points ({!chain_seed}, {!fold_hop}, {!check}, {!judge}) touch no
     heap beyond the amortized growth of the per-flow replay bitsets. *)
 
 type verdict =
@@ -62,16 +62,14 @@ val check : t -> Segment.stack -> bool
     flow and compare — the dominant per-packet verify cost (benched as
     [attest.verify]). *)
 
-val verify : t -> Segment.stack -> verdict
+val judge : t -> Segment.stack -> verdict
 (** Classify a delivered frame. Stateful: marks [(flow, seq)] seen, so
-    calling twice on the same frame yields [Replayed]. Frames for
+    judging the same frame twice yields [Replayed]. Frames for
     uncommitted flows are [Verified] (nothing to check against); a
     flow id outside the verifier's universe or a seq past the replay
     window is [Forged] — no honest source produces either, and the
-    check is total on arbitrary decoded headers (it never raises). *)
-
-val judge : t -> Segment.stack -> verdict
-(** {!verify} plus culprit handling: localizes Truncated/Wrong_path
+    check is total on arbitrary decoded headers (it never raises).
+    Then culprit handling: localizes Truncated/Wrong_path
     evidence (see {!last_culprit}) and bumps route-intermediate
     suspicion on unlocalizable bad verdicts. Clean deliveries do {e
     not} exonerate — a replaying relay's original traffic still

@@ -40,13 +40,9 @@ val max_segments : int
 (** 15 stack entries — routes beyond that fall back to pure
     arborescence steering from the source. *)
 
-val header_bytes : count:int -> int
-(** Encoded size for a [count]-entry stack {e without} the attest
-    field: [18 + 4*count]. *)
-
 val frame_bytes : stack -> int
-(** Full encoded size of [st]: {!header_bytes} plus the 8-byte attest
-    field when {!flag_attest} is set. *)
+(** Full encoded size of a [count]-entry stack [st]: [18 + 4*count],
+    plus the 8-byte attest field when {!flag_attest} is set. *)
 
 val max_header_bytes : int
 

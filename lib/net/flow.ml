@@ -16,27 +16,6 @@ let v ~src ~dst ~proto ~src_port ~dst_port =
     Err.invalid "Flow.v: protocol %d out of range" proto;
   { src; dst; proto; src_port; dst_port }
 
-let compare a b =
-  let c = Addr.compare a.src b.src in
-  if c <> 0 then c
-  else begin
-    let c = Addr.compare a.dst b.dst in
-    if c <> 0 then c
-    else begin
-      let c = Int.compare a.proto b.proto in
-      if c <> 0 then c
-      else begin
-        let c = Int.compare a.src_port b.src_port in
-        if c <> 0 then c else Int.compare a.dst_port b.dst_port
-      end
-    end
-  end
-
-let equal a b = compare a b = 0
-
-let reverse t =
-  { t with src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port }
-
 (* FNV-1a, folding every byte of both addresses, the ports, the protocol
    and the salt. Stable across runs: ECMP decisions must be reproducible.
    The state is threaded through inlined steps rather than held in a ref

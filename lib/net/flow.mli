@@ -11,11 +11,6 @@ type t = {
 val v :
   src:Addr.t -> dst:Addr.t -> proto:int -> src_port:int -> dst_port:int -> t
 
-val equal : t -> t -> bool
-
-val reverse : t -> t
-(** Swap source and destination (address and port). *)
-
 val hash_5tuple : ?salt:int -> t -> int
 (** Deterministic FNV-1a over the 5-tuple, non-negative. Core routers use
     [salt] to decorrelate hash decisions at different hops. *)

@@ -41,9 +41,4 @@ let of_string s =
       | _ -> Error (Printf.sprintf "invalid IPv4 octet in %S" s))
   | _ -> Error (Printf.sprintf "invalid IPv4 address %S" s)
 
-let of_string_exn s =
-  match of_string s with Ok t -> t | Error msg -> Err.invalid "%s" msg
-
 let add t n = Int32.add t (Int32.of_int n)
-
-let succ t = add t 1

@@ -11,11 +11,7 @@ val to_int32 : t -> int32
 val of_string : string -> (t, string) result
 (** Parse dotted-quad notation. *)
 
-val of_string_exn : string -> t
 val to_string : t -> string
-
-val succ : t -> t
-(** Numerically next address, wrapping at [255.255.255.255]. *)
 
 val add : t -> int -> t
 (** [add t n] offsets the address by [n] (mod 2^32). *)

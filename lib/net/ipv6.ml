@@ -198,18 +198,4 @@ let shift_left t n =
       lo = Int64.shift_left t.lo n;
     }
 
-let shift_right t n =
-  if n < 0 || n > 128 then Err.invalid "Ipv6.shift_right: shift out of range";
-  if n = 0 then t
-  else if n >= 128 then { hi = 0L; lo = 0L }
-  else if n >= 64 then { hi = 0L; lo = Int64.shift_right_logical t.hi (n - 64) }
-  else
-    {
-      hi = Int64.shift_right_logical t.hi n;
-      lo =
-        Int64.logor
-          (Int64.shift_right_logical t.lo n)
-          (Int64.shift_left t.hi (64 - n));
-    }
-
 let any = { hi = 0L; lo = 0L }

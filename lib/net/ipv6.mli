@@ -18,12 +18,6 @@ val make : int64 -> int64 -> t
 val hi : t -> int64
 val lo : t -> int64
 
-val of_groups : int array -> t
-(** From eight 16-bit groups, most significant first. Raises
-    {!Err.Invalid} unless exactly eight in-range groups are given. *)
-
-val to_groups : t -> int array
-
 val of_string : string -> (t, string) result
 val of_string_exn : string -> t
 val to_string : t -> string
@@ -37,9 +31,6 @@ val lognot : t -> t
 
 val shift_left : t -> int -> t
 (** [shift_left t n] for [0 <= n <= 128]. *)
-
-val shift_right : t -> int -> t
-(** Logical right shift, [0 <= n <= 128]. *)
 
 val any : t
 (** [::] *)

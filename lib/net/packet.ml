@@ -42,13 +42,6 @@ let decapsulate t =
 
 let is_encapsulated t = Option.is_some t.encap
 
-let forwarding_flow t =
-  match t.encap with
-  | None -> t.flow
-  | Some e ->
-      Flow.v ~src:e.outer_src ~dst:e.outer_dst ~proto:17 ~src_port:e.udp_src
-        ~dst_port:e.udp_dst
-
 let forwarding_hash ~salt t =
   match t.encap with
   | None -> Flow.hash_5tuple ~salt t.flow

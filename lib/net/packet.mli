@@ -51,17 +51,15 @@ val decapsulate : t -> encap
 
 val is_encapsulated : t -> bool
 
-val forwarding_flow : t -> Flow.t
-(** The 5-tuple the core sees: the outer UDP flow when encapsulated,
-    otherwise the inner flow. *)
-
 val forwarding_hash : salt:int -> t -> int
-(** [Flow.hash_5tuple ~salt (forwarding_flow t)] without building the
-    outer flow record: what ECMP hashes at every multi-lane hop. *)
+(** [Flow.hash_5tuple ~salt] of the 5-tuple the core sees — the outer
+    UDP flow when encapsulated, otherwise the inner flow — without
+    building the outer flow record: what ECMP hashes at every
+    multi-lane hop. *)
 
 val forwarding_dst : t -> Addr.t
-(** Destination address the core routes on — [forwarding_flow]'s [dst]
-    without materializing the flow record (the batched fast path resolves
+(** Destination address the core routes on — the outer destination
+    when encapsulated, otherwise the inner one — without materializing the flow record (the batched fast path resolves
     routes by destination only, so it never needs the full 5-tuple). *)
 
 val wire_size : t -> int

@@ -18,8 +18,6 @@ let v addr len =
     Err.invalid "Prefix.v: length %d out of range for /%d family" len bits;
   { addr = canonicalize addr len; len }
 
-let addr t = t.addr
-
 let length t = t.len
 
 let compare a b =

@@ -6,13 +6,6 @@
 
 type t
 
-val v : Addr.t -> int -> t
-(** [v addr len] canonicalizes [addr] to [len] bits. Raises
-    {!Err.Invalid} if [len] is outside the family's range. *)
-
-val addr : t -> Addr.t
-(** Canonical (masked) network address. *)
-
 val length : t -> int
 (** Prefix length in bits. *)
 
@@ -28,10 +21,16 @@ val to_string : t -> string
 val mem : t -> Addr.t -> bool
 (** [mem p a] — does [a] fall inside [p]? Always false across families. *)
 
+(* test-hook: test/test_tango.ml *)
 val subsumes : t -> t -> bool
-(** [subsumes p q] — is [q] (as a set of addresses) contained in [p]? *)
+(** [subsumes p q] — is [q] (as a set of addresses) contained in [p]?
+    The oracle that checks the addressing plan's prefixes lie inside
+    its block. *)
 
+(* test-hook: test/test_tango.ml *)
 val overlaps : t -> t -> bool
+(** Whether [p] and [q] share an address: the oracle that checks the
+    addressing plan's prefixes are disjoint. *)
 
 val subnet : t -> int -> int -> t
 (** [subnet p extra i] is the [i]-th subdivision of [p] into prefixes of

@@ -19,9 +19,6 @@ type ipv6_header = {
 
 type udp_header = { src_port : int; dst_port : int; length : int; checksum : int }
 
-val auth_flag : int
-(** Flag bit marking an authenticated shim (0x0001). *)
-
 (** {2 Cursor primitives}
 
     Big-endian in-place scalar codecs, exported so other wire formats
@@ -38,8 +35,10 @@ val get_u16 : Bytes.t -> int -> int
 val set_u32 : Bytes.t -> int -> int -> unit
 val get_u32 : Bytes.t -> int -> int
 
+(* test-hook: test/test_net.ml *)
 val internet_checksum : Bytes.t -> int
-(** RFC 1071 one's-complement sum over a buffer (odd lengths padded). *)
+(** RFC 1071 one's-complement sum over a buffer (odd lengths padded):
+    the reference the RFC's worked example checks. *)
 
 val udp_checksum :
   src:Ipv6.t -> dst:Ipv6.t -> udp:Bytes.t -> int
@@ -64,7 +63,7 @@ val encode_tunnel :
   Bytes.t
 (** [encode_tunnel ... payload] produces the full outer frame: IPv6 + UDP + Tango shim + payload, with
     a valid UDP checksum and payload lengths filled in. With [auth_key]
-    the shim is the 28-byte authenticated variant and {!auth_flag} is
+    the shim is the 28-byte authenticated variant and flag bit 0x0001 is
     set in the flags on the wire. Allocates exactly the returned frame;
     the zero-allocation path is {!encode_tunnel_into}. *)
 

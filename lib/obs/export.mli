@@ -7,19 +7,24 @@ type event = { time : float; kind : string; a : int; b : int }
 
 type snapshot = { metrics : Metric.view list; events : event list }
 
+(* test-hook: test/test_obs.ml *)
 val snapshot : ?trace:Trace.t -> unit -> snapshot
 (** Capture every registered metric plus the live trace records
-    (oldest-first) from [trace] (default {!Trace.default}). *)
+    (oldest-first) from [trace] (default {!Trace.default}). What
+    {!with_recording} renders; the tests render snapshots they build. *)
 
+(* test-hook: test/validate_obs.ml *)
 val schema_version : int
 (** Version stamped into the manifest line; bumped on any incompatible
-    shape change. *)
+    shape change. The obs validator checks a metrics file against it. *)
 
+(* test-hook: test/test_obs.ml *)
 val to_jsonl : ?manifest:Manifest.t -> snapshot -> string
 (** JSON-lines rendering: the manifest line (when given), then one line
     per counter/gauge/histogram, then one line per trace event.
     Non-finite floats render as [null]. *)
 
+(* test-hook: test/test_obs.ml *)
 val to_prometheus : snapshot -> string
 (** Prometheus text format: metric names prefixed [tango_], histograms
     as cumulative [_bucket{le="..."}] series plus [_sum]/[_count].

@@ -33,5 +33,7 @@ val number_opt : t option -> float option
 
 val string_opt : t option -> string option
 
+(* test-hook: test/validate_obs.ml *)
 val int_opt : t option -> int option
-(** [Some] only for numbers with no fractional part. *)
+(** [Some] only for numbers with no fractional part: how the obs
+    validator reads integer fields. *)

@@ -15,20 +15,6 @@ type t = {
   trace_dropped : int;
 }
 
-let v ~experiment ~seed ?(config_digest = "") ~started_unix_s ~wall_s
-    ~virtual_s ~sim_events ~trace_recorded ~trace_dropped () =
-  {
-    experiment;
-    seed;
-    config_digest;
-    started_unix_s;
-    wall_s;
-    virtual_s;
-    sim_events;
-    trace_recorded;
-    trace_dropped;
-  }
-
 let digest_of_string s = Digest.to_hex (Digest.string s)
 
 let now_unix_s () = Unix.gettimeofday ()

@@ -15,29 +15,13 @@ type t = {
   trace_dropped : int;  (** trace records lost to wraparound *)
 }
 
-val v :
-  experiment:string ->
-  seed:int ->
-  ?config_digest:string ->
-  started_unix_s:float ->
-  wall_s:float ->
-  virtual_s:float ->
-  sim_events:int ->
-  trace_recorded:int ->
-  trace_dropped:int ->
-  unit ->
-  t
-(** Assemble a manifest from explicit fields (tests and replays). *)
-
-val digest_of_string : string -> string
-(** MD5 hex digest of a canonical configuration string. *)
-
 type session
 
 val start : experiment:string -> seed:int -> ?config:string -> unit -> session
 (** Pin the wall clock at run start; [config] is the raw configuration
     text to digest (the file contents, a CLI summary — anything
-    canonical). *)
+    canonical): the manifest's [config_digest] is its MD5 hex ([""]
+    without one). *)
 
 val finish : session -> virtual_s:float -> sim_events:int -> Trace.t -> t
 (** Close the session into a manifest, reading the trace counters. *)

@@ -224,29 +224,6 @@ let counter_value c = state.counters.(c)
 
 let gauge_value g = Float.Array.get state.gauges g
 
-let histogram_bucket_count h = state.hists.(h).bucket_count
-
-let bucket_of h v =
-  let layout = state.hists.(h) in
-  bucket_index layout.lo_exp layout.bucket_count v
-
-let bucket_upper_bound h i =
-  let layout = state.hists.(h) in
-  if i < 0 || i > layout.bucket_count then
-    invalid_arg (Printf.sprintf "Metric.bucket_upper_bound: no bucket %d" i)
-  else if i = layout.bucket_count then infinity
-  else Float.ldexp 1.0 (layout.lo_exp + i)
-
-let bucket_count_value h i =
-  let layout = state.hists.(h) in
-  if i < 0 || i > layout.bucket_count then
-    invalid_arg (Printf.sprintf "Metric.bucket_count_value: no bucket %d" i)
-  else state.hist_counts.(layout.base + i)
-
-let histogram_sum h = Float.Array.get state.hist_sums h
-
-let histogram_total h = state.hist_totals.(h)
-
 type view = {
   name : string;
   help : string;

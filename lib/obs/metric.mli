@@ -64,26 +64,6 @@ val counter_value : counter -> int
 
 val gauge_value : gauge -> float
 
-val histogram_bucket_count : histogram -> int
-(** Finite bucket count; the overflow bucket at that index is extra. *)
-
-val bucket_of : histogram -> float -> int
-(** The bucket index {!observe} would count [v] into (works with the
-    switch off). *)
-
-val bucket_upper_bound : histogram -> int -> float
-(** Inclusive upper bound of a bucket; [infinity] for the overflow
-    bucket. Raises [Invalid_argument] outside [0, bucket_count]. *)
-
-val bucket_count_value : histogram -> int -> int
-(** Observations recorded in one bucket. *)
-
-val histogram_sum : histogram -> float
-(** Sum of every finite observed value (nan excluded). *)
-
-val histogram_total : histogram -> int
-(** Total observations, overflow bucket included. *)
-
 type view = { name : string; help : string; value : value }
 
 and value =
@@ -91,10 +71,13 @@ and value =
   | Gauge_value of float
   | Histogram_value of {
       upper_bounds : float array;
-          (** finite bucket bounds, ascending; overflow implicit *)
-      counts : int array;  (** [bucket_count + 1] entries, overflow last *)
-      sum : float;
-      count : int;
+          (** inclusive upper bounds of the finite buckets, ascending
+              powers of two; a value at or below the first (NaN and
+              non-positive values too) counts in bucket 0, and one above
+              the last in the overflow bucket *)
+      counts : int array;  (** one entry per finite bucket, then the overflow bucket *)
+      sum : float;  (** sum of every finite observed value (NaN excluded) *)
+      count : int;  (** total observations, overflow included *)
     }
 
 val views : unit -> view list

@@ -84,8 +84,6 @@ let[@hot] record t ~now ~kind:k a b =
 (* ------------------------------------------------------------------ *)
 (* Read side (cold path)                                               *)
 
-let length t = t.length
-
 let dropped t = t.dropped
 
 let recorded t = t.length + t.dropped

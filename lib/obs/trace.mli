@@ -34,14 +34,11 @@ val record : t -> now:float -> kind:int -> int -> int -> unit
 
 (** {1 Read side (cold path)} *)
 
-val length : t -> int
-(** Live records currently in the ring. *)
-
 val dropped : t -> int
 (** Records overwritten after wraparound. *)
 
 val recorded : t -> int
-(** Total records ever written: [length + dropped]. *)
+(** Total records ever written: the live records plus {!dropped}. *)
 
 val iter :
   t -> (time:float -> kind:int -> a:int -> b:int -> unit) -> unit

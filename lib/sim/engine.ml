@@ -357,12 +357,3 @@ let run ?until ?max_events t =
           loop ()
   in
   loop ()
-
-let cancel_all t =
-  t.size <- 0;
-  Array.fill t.callbacks 0 (Array.length t.callbacks) noop;
-  Array.fill t.days 0 (Array.length t.days) (-1);
-  Array.fill t.heads 0 (Array.length t.heads) (-1);
-  Array.fill t.tails 0 (Array.length t.tails) (-1);
-  t.cur_day <- max_day;
-  free_from t 0

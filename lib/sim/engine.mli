@@ -3,8 +3,7 @@
     The engine owns a virtual clock (in seconds, as a float) and a pending
     event queue. Callbacks scheduled for the same instant fire in FIFO
     order of scheduling, which keeps runs fully deterministic. Every run
-    also owns a root {!Rng.t}; subsystems should {!Rng.split} from it so
-    that adding a new consumer does not perturb existing streams.
+    also owns a root {!Rng.t} seeded from the run's seed.
 
     The queue is a calendar queue over (time, scheduling order): each
     pending event owns a slot in flat columns (unboxed time, sequence
@@ -49,8 +48,9 @@ val every : t -> interval:float -> ?until:float -> (t -> unit) -> unit
     seconds, stopping once the clock would pass [until] (if given). An
     [interval] that is not positive, or NaN, raises [Invalid_argument]. *)
 
+(* test-hook: test/test_sim.ml *)
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events: what the engine oracle compares. *)
 
 val step : t -> bool
 (** Execute the single earliest event. Returns [false] when the queue was
@@ -63,6 +63,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     it stay queued); [max_events] bounds the number of callbacks executed,
     guarding against runaway feedback loops. An [until] before [now t],
     or NaN, raises [Invalid_argument]: the clock never moves back. *)
-
-val cancel_all : t -> unit
-(** Drop every queued event. *)

@@ -14,8 +14,6 @@ let of_state s =
 
 let create ~seed = of_state (Int64.of_int seed)
 
-let copy t = Bytes.copy t
-
 (* SplitMix64 output function: state advances by the golden gamma, the
    mixed value is returned. *)
 let[@inline] next t =
@@ -39,17 +37,11 @@ let[@inline] positive_unit t =
 
 let bits64 t = next t
 
-let split t = of_state (next t)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's native int non-negatively. *)
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
-
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
 
 let float t bound = bound *. unit t
 
@@ -69,10 +61,6 @@ let pareto t ~scale ~shape =
   if scale <= 0.0 || shape <= 0.0 then
     invalid_arg "Rng.pareto: scale and shape must be positive";
   scale /. (positive_unit t ** (1.0 /. shape))
-
-let choice t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -1,9 +1,7 @@
 (** Deterministic pseudo-random number generation for simulations.
 
     The generator is SplitMix64: fast, statistically solid for simulation
-    purposes, and — crucially for reproducible experiments — splittable, so
-    that independent subsystems can draw from independent streams derived
-    from a single seed without sharing mutable state ordering. *)
+    purposes, and a pure function of its seed, so experiments reproduce. *)
 
 type t
 (** A mutable generator. Two generators created with the same seed produce
@@ -12,22 +10,12 @@ type t
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator. Any integer seed is valid. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves independently. *)
-
-val split : t -> t
-(** [split t] derives a new generator whose stream is (for simulation
-    purposes) independent of [t]'s future stream. [t] advances. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] draws uniformly from the inclusive range [lo, hi]. *)
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
@@ -43,10 +31,6 @@ val exponential : t -> rate:float -> float
 
 val pareto : t -> scale:float -> shape:float -> float
 (** Pareto deviate, [>= scale]; heavy-tailed for spike magnitudes. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniform pick from a non-empty array. Raises [Invalid_argument] on
-    an empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -25,7 +25,6 @@ module Ring : sig
       [Invalid_argument] when non-positive. *)
 
   val capacity : t -> int
-  val length : t -> int
   val is_empty : t -> bool
 
   val push : t -> time:float -> a:int -> b:int -> c:int -> v:float -> unit

@@ -47,20 +47,11 @@ let add t x =
       if j < t.reservoir_cap then t.reservoir.(j) <- x
     end
 
-let count t = t.n
-
 let mean t = if t.n = 0 then nan else t.acc.(mean_ix)
 
 let variance t = if t.n < 2 then 0.0 else t.acc.(m2_ix) /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
-let min_value t = t.acc.(min_ix)
-
-let max_value t = t.acc.(max_ix)
-
 let quantile t q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0,1]";
   if t.reservoir_n = 0 then nan
   else begin
     let sample = Array.sub t.reservoir 0 t.reservoir_n in
@@ -74,40 +65,6 @@ let quantile t q =
       ((1.0 -. w) *. sample.(lo)) +. (w *. sample.(hi))
     end
   end
-
-let merge a b =
-  let t = create ~reservoir:(max a.reservoir_cap b.reservoir_cap) () in
-  let feed src =
-    (* Reconstruct moments exactly via Chan's parallel update. *)
-    if src.n > 0 then begin
-      let n_a = float_of_int t.n and n_b = float_of_int src.n in
-      let delta = src.acc.(mean_ix) -. t.acc.(mean_ix) in
-      let n_ab = n_a +. n_b in
-      let mean = t.acc.(mean_ix) +. (delta *. n_b /. n_ab) in
-      let m2 =
-        t.acc.(m2_ix) +. src.acc.(m2_ix) +. (delta *. delta *. n_a *. n_b /. n_ab)
-      in
-      t.n <- t.n + src.n;
-      t.acc.(mean_ix) <- mean;
-      t.acc.(m2_ix) <- m2;
-      if src.acc.(min_ix) < t.acc.(min_ix) then t.acc.(min_ix) <- src.acc.(min_ix);
-      if src.acc.(max_ix) > t.acc.(max_ix) then t.acc.(max_ix) <- src.acc.(max_ix)
-    end;
-    for i = 0 to src.reservoir_n - 1 do
-      if t.reservoir_cap > 0 then
-        if t.reservoir_n < t.reservoir_cap then begin
-          t.reservoir.(t.reservoir_n) <- src.reservoir.(i);
-          t.reservoir_n <- t.reservoir_n + 1
-        end
-        else begin
-          let j = Rng.int t.rng (t.reservoir_n + i + 1) in
-          if j < t.reservoir_cap then t.reservoir.(j) <- src.reservoir.(i)
-        end
-    done
-  in
-  feed a;
-  feed b;
-  t
 
 type summary = {
   n : int;
@@ -124,9 +81,9 @@ let summarize (t : t) =
   {
     n = t.n;
     mean = mean t;
-    stddev = stddev t;
-    min = min_value t;
-    max = max_value t;
+    stddev = sqrt (variance t);
+    min = t.acc.(min_ix);
+    max = t.acc.(max_ix);
     p50 = quantile t 0.5;
     p90 = quantile t 0.9;
     p99 = quantile t 0.99;

@@ -13,36 +13,20 @@ val create : ?reservoir:int -> ?seed:int -> unit -> t
 val add : t -> float -> unit
 (** Feed one observation. *)
 
-val count : t -> int
-val mean : t -> float
-(** Mean of observations; [nan] when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two observations. *)
-
-val stddev : t -> float
-val min_value : t -> float
-(** Smallest observation; [infinity] when empty. *)
-
-val max_value : t -> float
-(** Largest observation; [neg_infinity] when empty. *)
-
-val quantile : t -> float -> float
-(** [quantile t q] estimates the [q]-quantile ([0 <= q <= 1]) from the
-    reservoir. [nan] when empty or when the reservoir is disabled. *)
-
-val merge : t -> t -> t
-(** Combine two accumulators (reservoirs are concatenated then trimmed). *)
-
 type summary = {
   n : int;
-  mean : float;
+  mean : float;  (** [nan] when empty *)
   stddev : float;
-  min : float;
-  max : float;
+      (** square root of the unbiased sample variance; [0.] with fewer
+          than two observations *)
+  min : float;  (** [infinity] when empty *)
+  max : float;  (** [neg_infinity] when empty *)
   p50 : float;
   p90 : float;
   p99 : float;
+      (** quantiles estimated from the reservoir, interpolating between
+          its order statistics; [nan] when empty or when the reservoir
+          is disabled *)
 }
 
 val summarize : t -> summary

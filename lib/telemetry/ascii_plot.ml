@@ -8,9 +8,13 @@ let span items =
       | _ -> (lo, hi))
     (infinity, neg_infinity) items
 
-let render ?(width = 72) ?(height = 16) ?t0 ?t1 ?title items =
+(* The canvas, in characters. *)
+let width = 72
+
+let height = 16
+
+let render ?t0 ?t1 ?title items =
   if List.is_empty items then invalid_arg "Ascii_plot.render: no series";
-  if width < 8 || height < 2 then invalid_arg "Ascii_plot.render: canvas too small";
   let auto_lo, auto_hi = span items in
   let t0 = match t0 with Some v -> v | None -> auto_lo in
   let t1 = match t1 with Some v -> v | None -> auto_hi in

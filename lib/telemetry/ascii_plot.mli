@@ -11,17 +11,9 @@ type t = {
   series : Series.t;
 }
 
-val render :
-  ?width:int ->
-  ?height:int ->
-  ?t0:float ->
-  ?t1:float ->
-  ?title:string ->
-  t list ->
-  string
+val render : ?t0:float -> ?t1:float -> ?title:string -> t list -> string
 (** Render the series between [t0] and [t1] (defaults: the union of
-    their spans) onto a [width] × [height] canvas (default 72 × 16).
-    Returns the complete multi-line plot including axes and a legend.
-    Series with no samples in range are listed in the legend as
-    "(no data)". Raises [Invalid_argument] on an empty series list or
-    non-positive dimensions. *)
+    their spans) onto a 72 × 16 canvas. Returns the complete multi-line
+    plot including axes and a legend. Series with no samples in range
+    are listed in the legend as "(no data)". Raises [Invalid_argument]
+    on an empty series list or an empty time range. *)

@@ -23,9 +23,6 @@ type t = {
   mutable buf_head : int;
   mutable buf_len : int;
   window_s : float;
-  shift_threshold_ms : float;
-  spike_threshold_ms : float;
-  cooldown_s : float;
   mutable last_shift_at : float;
   mutable last_spike_at : float;
   (* Event history, oldest first, flat: kind tag plus (at, a, b) where
@@ -38,8 +35,16 @@ type t = {
   mutable ev_count : int;
 }
 
-let create ?(window_s = 5.0) ?(shift_threshold_ms = 2.0)
-    ?(spike_threshold_ms = 10.0) ?(cooldown_s = 30.0) () =
+(* Minimum difference of window means to report a shift, excursion
+   above the older window's mean to report a spike, and the hold-off
+   that keeps one route change from reporting twice. *)
+let shift_threshold_ms = 2.0
+
+let spike_threshold_ms = 10.0
+
+let shift_cooldown_s = 30.0
+
+let create ?(window_s = 5.0) () =
   {
     older = Rolling.create ~window_s;
     recent = Rolling.create ~window_s;
@@ -48,9 +53,6 @@ let create ?(window_s = 5.0) ?(shift_threshold_ms = 2.0)
     buf_head = 0;
     buf_len = 0;
     window_s;
-    shift_threshold_ms;
-    spike_threshold_ms;
-    cooldown_s;
     last_shift_at = neg_infinity;
     last_spike_at = neg_infinity;
     ev_kinds = Array.make 16 0;
@@ -123,7 +125,7 @@ let[@hot] add t ~time value =
   let baseline = Rolling.mean t.older in
   if Rolling.count t.older >= 10 && not (Float.is_nan baseline) then
     if
-      value -. baseline > t.spike_threshold_ms
+      value -. baseline > spike_threshold_ms
       && time -. t.last_spike_at > t.window_s
     then begin
       t.last_spike_at <- time;
@@ -134,8 +136,8 @@ let[@hot] add t ~time value =
       if
         Rolling.count t.recent >= 10
         && (not (Float.is_nan recent_mean))
-        && abs_float (recent_mean -. baseline) > t.shift_threshold_ms
-        && time -. t.last_shift_at > t.cooldown_s
+        && abs_float (recent_mean -. baseline) > shift_threshold_ms
+        && time -. t.last_shift_at > shift_cooldown_s
       then begin
         t.last_shift_at <- time;
         push_event t ~kind:ev_shift ~at:time ~a:baseline ~b:recent_mean

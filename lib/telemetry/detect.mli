@@ -11,18 +11,11 @@ type event =
 
 type t
 
-val create :
-  ?window_s:float ->
-  ?shift_threshold_ms:float ->
-  ?spike_threshold_ms:float ->
-  ?cooldown_s:float ->
-  unit ->
-  t
+val create : ?window_s:float -> unit -> t
 (** [window_s] (default 5): length of each of the two adjacent comparison
-    windows for level shifts. [shift_threshold_ms] (default 2): minimum
-    difference of window means to report a shift. [spike_threshold_ms]
-    (default 10): excursion above the older window's mean to report a
-    spike. [cooldown_s] (default 30 for shifts, spikes use [window_s])
+    windows for level shifts. A shift is a difference of window means
+    above 2 ms; a spike is an excursion more than 10 ms above the older
+    window's mean. A cooldown (30 s for shifts, [window_s] for spikes)
     suppresses duplicate reports of one incident. *)
 
 val add : t -> time:float -> float -> unit

@@ -16,7 +16,3 @@ let add t x =
   end
 
 let value t = t.value
-
-let reset t =
-  t.value <- nan;
-  t.initialized <- 0.0

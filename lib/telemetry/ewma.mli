@@ -10,4 +10,3 @@ val add : t -> float -> unit
 val value : t -> float
 (** Current average; [nan] before the first sample. *)
 
-val reset : t -> unit

@@ -1,9 +1,3 @@
-let series_to_channel oc ?header series =
-  (match header with
-  | Some (a, b) -> Printf.fprintf oc "%s,%s\n" a b
-  | None -> ());
-  Series.iter series (fun ~time ~value -> Printf.fprintf oc "%.6f,%.6f\n" time value)
-
 (* Index of the last sample at or before [target], or -1. *)
 let last_at_or_before series target =
   let n = Series.length series in
@@ -37,9 +31,6 @@ let aligned_to_channel oc ~labels series_list =
 let with_file path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
-let series_to_file path ?header series =
-  with_file path (fun oc -> series_to_channel oc ?header series)
 
 let aligned_to_file path ~labels series_list =
   with_file path (fun oc -> aligned_to_channel oc ~labels series_list)

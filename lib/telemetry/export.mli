@@ -1,7 +1,4 @@
 (** CSV export of measurement series, for offline plotting of the Fig. 4
     reproductions. *)
 
-val series_to_file :
-  string -> ?header:string * string -> Series.t -> unit
-
 val aligned_to_file : string -> labels:string list -> Series.t list -> unit

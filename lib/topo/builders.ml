@@ -9,29 +9,6 @@ let chain n =
   done;
   t
 
-let star ~center ~leaves =
-  if leaves < 0 then invalid_arg "Builders.star: negative leaf count";
-  let t = Topology.create () in
-  Topology.add_node t ~id:center ~asn:center "hub";
-  for i = 1 to leaves do
-    let id = center + i in
-    Topology.add_node t ~id ~asn:id (Printf.sprintf "leaf-%d" i);
-    Topology.connect t ~provider:center ~customer:id ()
-  done;
-  t
-
-let tier1_mesh asns =
-  let t = Topology.create () in
-  List.iter (fun asn -> Topology.add_node t ~id:asn ~asn (Printf.sprintf "t1-%d" asn)) asns;
-  let rec mesh = function
-    | [] -> ()
-    | a :: rest ->
-        List.iter (fun b -> Topology.connect_peers t a b ()) rest;
-        mesh rest
-  in
-  mesh asns;
-  t
-
 let random_hierarchy ~seed ~tier1 ~tier2 ~stubs =
   if tier1 < 1 then invalid_arg "Builders.random_hierarchy: need a tier-1";
   let rng = Tango_sim.Rng.create ~seed in

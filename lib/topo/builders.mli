@@ -1,15 +1,10 @@
-(** Topology generators for tests, examples and benchmarks. *)
+(** Topology generators for tests and benchmarks. *)
 
+(* test-hook: test/test_bgp.ml *)
 val chain : int -> Topology.t
 (** [chain n] — node 0 is the top provider, node [i] is the provider of
-    node [i+1]. Node ids and ASNs are [0 .. n-1]. *)
-
-val star : center:int -> leaves:int -> Topology.t
-(** One provider with [leaves] customers; node ids [center] and
-    [center+1 ..]. *)
-
-val tier1_mesh : int list -> Topology.t
-(** Fully peered mesh over the given ASNs (node id = ASN). *)
+    node [i+1]. Node ids and ASNs are [0 .. n-1]. The smallest
+    hierarchy, the fixture of the BGP, dataplane and pair tests. *)
 
 val random_hierarchy :
   seed:int -> tier1:int -> tier2:int -> stubs:int -> Topology.t

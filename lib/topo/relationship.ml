@@ -5,11 +5,6 @@ let equal a b =
   | Customer, Customer | Provider, Provider | Peer, Peer -> true
   | (Customer | Provider | Peer), _ -> false
 
-let to_string = function
-  | Customer -> "customer"
-  | Provider -> "provider"
-  | Peer -> "peer"
-
 let inverse = function
   | Customer -> Provider
   | Provider -> Customer

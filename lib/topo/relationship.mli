@@ -7,7 +7,6 @@
 type t = Customer | Provider | Peer
 
 val equal : t -> t -> bool
-val to_string : t -> string
 
 val inverse : t -> t
 (** How the neighbor sees me: a customer's neighbor is its provider. *)

@@ -6,11 +6,10 @@ type t = {
   nodes : (int, node) Hashtbl.t;
   mutable node_order : int list;  (* reversed insertion order *)
   adjacency : (int, (int * Relationship.t * Link.t) list ref) Hashtbl.t;
-  mutable edges : int;
 }
 
 let create () =
-  { nodes = Hashtbl.create 64; node_order = []; adjacency = Hashtbl.create 64; edges = 0 }
+  { nodes = Hashtbl.create 64; node_order = []; adjacency = Hashtbl.create 64 }
 
 let add_node t ~id ~asn ?(private_asn = false) name =
   if Hashtbl.mem t.nodes id then
@@ -33,8 +32,7 @@ let add_edge t a b rel_of_b link =
     invalid_arg (Printf.sprintf "Topology: duplicate edge %d-%d" a b);
   let adj_a = adjacency_exn t a and adj_b = adjacency_exn t b in
   adj_a := !adj_a @ [ (b, rel_of_b, link) ];
-  adj_b := !adj_b @ [ (a, Relationship.inverse rel_of_b, link) ];
-  t.edges <- t.edges + 1
+  adj_b := !adj_b @ [ (a, Relationship.inverse rel_of_b, link) ]
 
 let connect t ~provider ~customer ?(link = Link.default) () =
   (* From the provider's viewpoint the neighbor is a Customer. *)
@@ -52,7 +50,6 @@ let nodes t = List.rev_map (fun id -> node t id) t.node_order
 
 let asn t id = (node t id).asn
 
-let name t id = (node t id).name
 
 let relationship t a b =
   match Hashtbl.find_opt t.adjacency a with
@@ -68,10 +65,6 @@ let link t a b =
 
 let neighbors t id = !(adjacency_exn t id)
 
-let degree t id = List.length (neighbors t id)
-
-let edge_count t = t.edges
-
 let filter_neighbors t id rel =
   List.filter_map
     (fun (n, r, _) -> if Relationship.equal r rel then Some n else None)
@@ -80,8 +73,6 @@ let filter_neighbors t id rel =
 let customers t id = filter_neighbors t id Relationship.Customer
 
 let providers t id = filter_neighbors t id Relationship.Provider
-
-let peers_of t id = filter_neighbors t id Relationship.Peer
 
 let is_valley_free t path =
   (* Classify each step of the traffic path: Up (customer→provider),

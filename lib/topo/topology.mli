@@ -35,7 +35,6 @@ val nodes : t -> node list
 (** All nodes in insertion order. *)
 
 val asn : t -> int -> int
-val name : t -> int -> string
 
 val relationship : t -> int -> int -> Relationship.t option
 (** [relationship t a b]: [b]'s role relative to [a] ([Some Customer] =
@@ -47,14 +46,12 @@ val neighbors : t -> int -> (int * Relationship.t * Link.t) list
 (** Adjacent node ids with the neighbor's role and the link, in edge
     insertion order (deterministic). *)
 
-val degree : t -> int -> int
-val edge_count : t -> int
-
 val customers : t -> int -> int list
 val providers : t -> int -> int list
-val peers_of : t -> int -> int list
 
+(* test-hook: test/test_bgp.ml *)
 val is_valley_free : t -> int list -> bool
 (** Check a node-id path (traffic direction) against Gao–Rexford: once
     the path goes down (provider→customer) or sideways (peer), it must
-    keep going down. Vacuously true for paths shorter than 3. *)
+    keep going down. Vacuously true for paths shorter than 3. The oracle
+    the BGP tests hold converged paths to. *)

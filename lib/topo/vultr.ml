@@ -79,9 +79,3 @@ let vultr_neighbor_weight id =
   else if id = gtt then 110
   else if id = cogent || id = level3 then 105
   else 100
-
-let expected_owd_ms ~via =
-  if via = ntt then Some 36.4
-  else if via = telia then Some 31.0
-  else if via = gtt then Some 28.0
-  else None

@@ -27,12 +27,11 @@ val transit_name : int -> string
 (** Human name for a transit node id ("NTT", "Telia", ...). *)
 
 val build : unit -> Topology.t
+(** The nine-node world. Link delays are calibrated so the static
+    server-to-server one-way delay through NTT is 36.4 ms, through Telia
+    31.0 ms and through GTT 28.0 ms. *)
 
 val vultr_neighbor_weight : int -> int
 (** Vultr's per-transit preference used as a late tie-break in its route
     decision, reproducing the order the paper observed:
     NTT > Telia > GTT > (Cogent | Level3). *)
-
-val expected_owd_ms : via:int -> float option
-(** Calibrated static one-way delay server-to-server through the given
-    transit (the direct paths only): NTT 36.4, Telia 31.0, GTT 28.0. *)

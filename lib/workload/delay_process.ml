@@ -153,5 +153,3 @@ let value t ~time_s =
     else 0.0
   in
   Float.max 0.0 (floor_value t ~time_s +. t.noise.(ou_ix) +. white)
-
-let events t = t.event_list

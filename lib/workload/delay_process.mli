@@ -25,9 +25,8 @@ type event =
       onset : spike list;  (** Brief instability around the change. *)
     }
   | Instability of { start_s : float; duration_s : float; spikes : spike list }
-
-val spike_value : spike -> time_s:float -> float
-(** Triangular contribution of one spike at a given time. *)
+      (** A spike contributes [magnitude_ms] from [at_s] for [width_s],
+          then nothing. *)
 
 val make_instability :
   rng:Tango_sim.Rng.t ->
@@ -72,8 +71,7 @@ val value : t -> time_s:float -> float
     clamped at zero). Advances the internal noise state: query times must
     be non-decreasing. *)
 
+(* test-hook: test/test_workload.ml *)
 val floor_value : t -> time_s:float -> float
-(** Deterministic part only (diurnal + events, no noise) — useful for
-    tests and calibration. *)
-
-val events : t -> event list
+(** Deterministic part only (diurnal + events, no noise): the ground
+    truth the calibration tests read under the noise. *)

@@ -31,6 +31,7 @@ val route_change_window : t -> float * float
 
 val instability_window : t -> float * float
 
+(* test-hook: test/test_workload.ml *)
 val process_for :
   t -> transit:int -> toward:int -> Delay_process.t option
 (** The process attached to the [transit -> toward] directed link, for

@@ -9,10 +9,8 @@ type t = {
   mutable next_seq : int;
   mutable ring : float array;
   mutable head : int;  (* slot of [next_seq] *)
-  mutable pending : int;  (* non-NaN slots *)
   mutable run : float array;  (* arrival times of the last released run *)
   mutable run_len : int;
-  mutable released : int;
 }
 
 let initial_capacity = 64
@@ -22,10 +20,8 @@ let create () =
     next_seq = 0;
     ring = Array.make initial_capacity nan;
     head = 0;
-    pending = 0;
     run = Array.make initial_capacity nan;
     run_len = 0;
-    released = 0;
   }
 
 (* Double the ring until it spans [ahead + 1] slots, unrolling the wrap
@@ -55,7 +51,6 @@ let arrive t ~seq ~time =
     if not (Float.is_nan t.ring.(slot)) then 0 (* a duplicate *)
     else begin
       t.ring.(slot) <- time;
-      t.pending <- t.pending + 1;
       if ahead > 0 then 0
       else begin
         (* This arrival fills the head: release the contiguous run. *)
@@ -72,8 +67,6 @@ let arrive t ~seq ~time =
           incr n
         done;
         t.next_seq <- t.next_seq + !n;
-        t.pending <- t.pending - !n;
-        t.released <- t.released + !n;
         t.run_len <- !n;
         !n
       end
@@ -84,7 +77,3 @@ let run_arrival t i =
   if i < 0 || i >= t.run_len then
     invalid_arg "Inorder.run_arrival: no such packet in the last run";
   t.run.(i)
-
-let released t = t.released
-
-let pending t = t.pending

@@ -33,6 +33,3 @@ val run_arrival : t -> int -> float
     spent blocked behind the missing packet — is the release time minus
     this. Raises [Invalid_argument] outside the last run. *)
 
-val released : t -> int
-val pending : t -> int
-(** Packets buffered, waiting for a gap to fill. *)

@@ -210,11 +210,7 @@ let flows plan = plan.config.flows
 
 let generations plan = plan.config.generations
 
-let total_packets plan = plan.total_packets
-
 let max_gen_sends plan = plan.max_gen_sends
-
-let gen_sends plan g = plan.gen_sends.(g)
 
 let flow_pkts plan f = plan.pkts.(f)
 
@@ -242,7 +238,6 @@ let[@inline] seq_index plan ~flow ~gen =
 module Sends = struct
   type t = {
     plan : plan;
-    window : int;
     starters : int array;  (* flows sorted by (start window, flow) *)
     win_first : int array;  (* window w's starters: [win_first.(w), win_first.(w+1)) *)
     active : int array;  (* flows with sends after [hi], ascending *)
@@ -275,10 +270,12 @@ module Sends = struct
       let st = Array.unsafe_get plan.stride f in
       Int.min (Array.unsafe_get plan.pkts f) ((g - start + st - 1) / st)
 
-  (* Default window: long enough to amortize a window's merge over its
-     sends, short enough that one window's lists stay cache-resident. *)
-  let create ?(window = 32) plan ~flows =
-    if window < 1 then invalid_arg "Load.Sends.create: window must be >= 1";
+  (* Generations compiled at a time: long enough to amortize a window's
+     merge over its sends, short enough that one window's lists stay
+     cache-resident. *)
+  let window = 32
+
+  let create plan ~flows =
     let gens = plan.config.generations in
     let n = Array.length flows in
     Array.iteri
@@ -323,7 +320,6 @@ module Sends = struct
     let cap = Array.fold_left Int.max 0 win_sends + (span * slice_pad) in
     {
       plan;
-      window;
       starters;
       win_first;
       active = Array.make n 0;
@@ -341,8 +337,8 @@ module Sends = struct
   let compile_next t =
     let plan = t.plan in
     let w = t.next in
-    let g0 = w * t.window in
-    let g1 = Int.min plan.config.generations (g0 + t.window) in
+    let g0 = w * window in
+    let g1 = Int.min plan.config.generations (g0 + window) in
     (* Merge the carried active set with this window's starters. *)
     let active = t.active and merged = t.merged in
     let na = t.n_active in
@@ -438,24 +434,6 @@ let class_counts plan =
       if c = 0 then incr rpc else if c = 1 then incr bulk else incr video)
     plan.cls;
   (!rpc, !bulk, !video)
-
-(* FNV-1a fold over every schedule-determining int — two plans are
-   byte-identical iff their fingerprints match (modulo 2^60-rare
-   collisions), which is what the same-seed determinism tests compare. *)
-let fingerprint plan =
-  let h = ref 1469598103934665603 in
-  let mix v = h := Tango_net.Fnv.mix !h v land max_int in
-  mix plan.config.flows;
-  mix plan.config.generations;
-  mix plan.config.seed;
-  mix plan.total_packets;
-  for f = 0 to plan.config.flows - 1 do
-    mix plan.cls.(f);
-    mix plan.start_gen.(f);
-    mix plan.stride.(f);
-    mix plan.pkts.(f)
-  done;
-  Printf.sprintf "%015x" (!h land max_int)
 
 let pp_summary ppf plan =
   let rpc, bulk, video = class_counts plan in

@@ -35,20 +35,20 @@ val default_config :
 (** 50% RPC / 30% bulk / 20% video, Pareto(1.3) on [8, 2000] packets,
     two diurnal waves at depth 0.6. *)
 
+(* test-hook: test/test_workload.ml *)
 val bounded_pareto : Tango_sim.Rng.t -> alpha:float -> lo:float -> hi:float -> float
 (** Inverse-CDF draw from the bounded Pareto on [lo, hi] with tail
-    exponent [alpha]. *)
+    exponent [alpha]: the bulk-flow size sampler, whose draws the tests
+    hold to the distribution. *)
 
-val diurnal_weight :
-  generations:int -> waves:float -> depth:float -> int -> float
-(** Relative arrival intensity at a generation: [1 + depth * sin] over
-    [waves] full periods. Mass-conserving: the weights over the horizon
-    sum to [generations] (up to the half-sample phase offset). *)
-
+(* test-hook: test/test_workload.ml *)
 val diurnal_cumulative :
   generations:int -> waves:float -> depth:float -> float array
-(** Cumulative sums of {!diurnal_weight} — the inverse-CDF table flow
-    start times sample from. *)
+(** Cumulative sums of the relative arrival intensity per generation,
+    [1 + depth * sin] over [waves] full periods — the inverse-CDF table
+    flow start times sample from, which the tests check conserves mass:
+    the last entry is [generations] (up to the half-sample phase
+    offset). *)
 
 type plan
 
@@ -64,17 +64,12 @@ val uniform : flows:int -> generations:int -> plan
 val flows : plan -> int
 val generations : plan -> int
 
-val total_packets : plan -> int
-(** Packets scheduled inside the horizon, summed over flows. *)
-
 val max_gen_sends : plan -> int
 (** Peak offered packets in any single generation — sizes in-flight
     rings. *)
 
-val gen_sends : plan -> int -> int
-(** Offered packets at one generation. *)
-
 val flow_pkts : plan -> int -> int
+(** Packets the flow sends inside the horizon. *)
 
 val sends_at : plan -> flow:int -> gen:int -> bool
 (** Does this flow put a packet on the wire at this generation? O(1),
@@ -98,11 +93,10 @@ val seq_index : plan -> flow:int -> gen:int -> int
 module Sends : sig
   type t
 
-  val create : ?window:int -> plan -> flows:int array -> t
+  val create : plan -> flows:int array -> t
   (** Compiler over [flows] (strictly ascending plan flow ids) in
-      windows of [window] generations (default 32). Compiles nothing
-      yet. Raises [Invalid_argument] on [window < 1] or malformed
-      [flows]. *)
+      windows of 32 generations. Compiles nothing yet. Raises
+      [Invalid_argument] on malformed [flows]. *)
 
   val seek : t -> gen:int -> unit
   (** Compile forward until [gen]'s window is loaded. Generations must
@@ -124,11 +118,7 @@ module Sends : sig
   (** Send indices, parallel to {!flows}. *)
 end
 
-val class_counts : plan -> int * int * int
-(** (rpc, bulk, video) flow counts. *)
-
-val fingerprint : plan -> string
-(** FNV-1a fold over every schedule-determining int; equal for
-    byte-identical plans. *)
-
 val pp_summary : Format.formatter -> plan -> unit
+(** [flows=F (rpc=R bulk=B video=V) gens=G packets=P peak-gen=M]: the
+    class counts, the packets scheduled inside the horizon and the peak
+    {!max_gen_sends}. *)

@@ -1,5 +1,4 @@
 module Engine = Tango_sim.Engine
-module Rng = Tango_sim.Rng
 
 let periodic engine ~interval_s ?start_s ?until_s f =
   if interval_s <= 0.0 then invalid_arg "Traffic.periodic: non-positive interval";
@@ -12,39 +11,3 @@ let periodic engine ~interval_s ?start_s ?until_s f =
         Engine.schedule e ~delay:interval_s tick)
   in
   Engine.schedule_at engine ~time:(Float.max start (Engine.now engine)) tick
-
-let poisson engine ~rng ~rate_hz ?until_s f =
-  if rate_hz <= 0.0 then invalid_arg "Traffic.poisson: non-positive rate";
-  let rec next e =
-    let gap = Rng.exponential rng ~rate:rate_hz in
-    let at = Engine.now e +. gap in
-    match until_s with
-    | Some stop when at > stop -> ()
-    | Some _ | None ->
-        Engine.schedule e ~delay:gap (fun e ->
-            f e;
-            next e)
-  in
-  next engine
-
-let on_off engine ~rng ~rate_hz ~burst_s ~idle_s ?until_s f =
-  if rate_hz <= 0.0 || burst_s <= 0.0 || idle_s <= 0.0 then
-    invalid_arg "Traffic.on_off: non-positive parameter";
-  let interval = 1.0 /. rate_hz in
-  let expired e =
-    match until_s with Some stop -> Engine.now e > stop | None -> false
-  in
-  let rec burst e remaining =
-    if not (expired e) then
-      if remaining <= 0.0 then begin
-        let gap = Rng.exponential rng ~rate:(1.0 /. idle_s) in
-        Engine.schedule e ~delay:gap (fun e ->
-            burst e (Rng.exponential rng ~rate:(1.0 /. burst_s)))
-      end
-      else begin
-        f e;
-        Engine.schedule e ~delay:interval (fun e -> burst e (remaining -. interval))
-      end
-  in
-  Engine.schedule engine ~delay:0.0 (fun e ->
-      burst e (Rng.exponential rng ~rate:(1.0 /. burst_s)))

@@ -1,4 +1,4 @@
-(** Traffic generators driving the measurement and application planes. *)
+(** The traffic generator driving the measurement and application planes. *)
 
 val periodic :
   Tango_sim.Engine.t ->
@@ -10,25 +10,3 @@ val periodic :
 (** Fire [f] every [interval_s] starting at [start_s] (default: now),
     stopping after [until_s]. The paper's probe train is
     [periodic ~interval_s:0.01]. *)
-
-val poisson :
-  Tango_sim.Engine.t ->
-  rng:Tango_sim.Rng.t ->
-  rate_hz:float ->
-  ?until_s:float ->
-  (Tango_sim.Engine.t -> unit) ->
-  unit
-(** Poisson arrivals at [rate_hz]. *)
-
-val on_off :
-  Tango_sim.Engine.t ->
-  rng:Tango_sim.Rng.t ->
-  rate_hz:float ->
-  burst_s:float ->
-  idle_s:float ->
-  ?until_s:float ->
-  (Tango_sim.Engine.t -> unit) ->
-  unit
-(** Bursty source: periodic sends at [rate_hz] during exponentially-sized
-    bursts (mean [burst_s]) separated by exponential idle gaps (mean
-    [idle_s]). *)

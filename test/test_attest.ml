@@ -73,7 +73,7 @@ let qcheck_honest_verifies =
       let a = fresh_verifier () in
       commit_route a ~flow:3 ~dst ~route;
       let st = honest_stack ~flow:3 ~seq:17 ~src:route.(0) ~dst ~route in
-      Attest.check a st && Attest.verify a st = Attest.Verified)
+      Attest.check a st && Attest.judge a st = Attest.Verified)
 
 let qcheck_tamper_detected =
   QCheck.Test.make ~name:"garbled evidence never verifies" ~count:200
@@ -83,7 +83,7 @@ let qcheck_tamper_detected =
       commit_route a ~flow:3 ~dst ~route;
       let st = honest_stack ~flow:3 ~seq:17 ~src:route.(0) ~dst ~route in
       st.Segment.digest <- st.Segment.digest lxor (1 + (garble land 0xFFFF));
-      Attest.verify a st <> Attest.Verified)
+      Attest.judge a st <> Attest.Verified)
 
 let qcheck_detour_detected =
   QCheck.Test.make ~name:"inserted hop reads as wrong-path" ~count:200
@@ -99,7 +99,7 @@ let qcheck_detour_detected =
       let detoured = Array.append route [| x |] in
       let st = honest_stack ~flow:3 ~seq:17 ~src:route.(0) ~dst ~route:detoured in
       st.Segment.count <- n;
-      Attest.verify a st = Attest.Wrong_path)
+      Attest.judge a st = Attest.Wrong_path)
 
 let qcheck_truncation_detected =
   QCheck.Test.make ~name:"dropped tail reads as truncated" ~count:200 route_arb
@@ -113,7 +113,7 @@ let qcheck_truncation_detected =
       let short = Array.sub route 0 (n - 1) in
       let st = honest_stack ~flow:3 ~seq:17 ~src:route.(0) ~dst ~route:short in
       st.Segment.count <- n;
-      Attest.verify a st = Attest.Truncated)
+      Attest.judge a st = Attest.Truncated)
 
 let qcheck_replay_detected =
   QCheck.Test.make ~name:"second delivery of a seq is replayed" ~count:200
@@ -122,8 +122,8 @@ let qcheck_replay_detected =
       let a = fresh_verifier () in
       commit_route a ~flow:3 ~dst ~route;
       let st = honest_stack ~flow:3 ~seq:17 ~src:route.(0) ~dst ~route in
-      Attest.verify a st = Attest.Verified
-      && Attest.verify a st = Attest.Replayed)
+      Attest.judge a st = Attest.Verified
+      && Attest.judge a st = Attest.Replayed)
 
 (* ------------------------------------------------------------------ *)
 (* Localization                                                        *)

@@ -159,17 +159,17 @@ let test_overlay_relay_when_direct_poor () =
     | 0, 2 | 2, 0 -> 100.0
     | _ -> 10.0
   in
-  let plans = Tango.Overlay.plan_routes ~owd_ms:owd ~sites:3 ~relay_overhead_ms:0.5 () in
+  let plans = Tango.Overlay.plan_routes ~owd_ms:owd ~sites:3 () in
   let p02 = List.find (fun (p : Tango.Overlay.plan) -> p.Tango.Overlay.src = 0 && p.Tango.Overlay.dst = 2) plans in
   Alcotest.(check bool) "relays via 1" true
     (p02.Tango.Overlay.route = Tango.Overlay.Relay [ 1 ]);
-  Alcotest.(check (float 1e-9)) "owd" 20.5 p02.Tango.Overlay.owd_ms;
-  Alcotest.(check (float 1e-9)) "gain" 79.5 (Tango.Overlay.gain_ms p02)
+  Alcotest.(check (float 1e-9)) "owd" 20.1 p02.Tango.Overlay.owd_ms;
+  Alcotest.(check (float 1e-9)) "gain" 79.9 (Tango.Overlay.gain_ms p02)
 
 let test_overlay_relay_overhead_counts () =
   (* A relay that would tie with direct must lose due to overhead. *)
   let owd ~src ~dst = match (src, dst) with 0, 2 | 2, 0 -> 20.0 | _ -> 10.0 in
-  let plans = Tango.Overlay.plan_routes ~owd_ms:owd ~sites:3 ~relay_overhead_ms:1.0 () in
+  let plans = Tango.Overlay.plan_routes ~owd_ms:owd ~sites:3 () in
   let p02 = List.find (fun (p : Tango.Overlay.plan) -> p.Tango.Overlay.src = 0 && p.Tango.Overlay.dst = 2) plans in
   Alcotest.(check bool) "stays direct" true (p02.Tango.Overlay.route = Tango.Overlay.Direct)
 

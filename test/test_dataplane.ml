@@ -110,7 +110,7 @@ let test_tracker_alloc () =
     Seq_tracker.observe t (Int64.of_int i)
   done;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "all received" ops (Seq_tracker.received t);
+  Alcotest.(check bool) "no loss inferred" true (Seq_tracker.recent_loss_rate t = 0.0);
   (* 16 words of slack cover the two Gc.minor_words readings. *)
   if words > float_of_int ((3 * ops) + 16) then
     Alcotest.failf "%.3f minor words per observe, want <= 3" (words /. float_of_int ops)
@@ -144,42 +144,43 @@ let test_tracker_table_int_forms () =
   Alcotest.(check bool) "negative bound rejected" true
     (rejects (fun () -> T.confirm_below_int a ~key:0 (-1)))
 
+(* One tracker, fed and read through a one-key table: the counts the
+   lanes report. *)
+let tracker_of seqs =
+  let t = Seq_tracker.Table.create ~keys:1 () in
+  List.iter (fun s -> Seq_tracker.Table.observe t ~key:0 (Int64.of_int s)) seqs;
+  t
+
 let test_tracker_in_order () =
-  let t = Seq_tracker.create () in
-  List.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "received" 4 (Seq_tracker.received t);
-  Alcotest.(check int) "no loss" 0 (Seq_tracker.lost t);
-  Alcotest.(check int) "no reorder" 0 (Seq_tracker.reordered t)
+  let t = tracker_of [ 0; 1; 2; 3 ] in
+  Alcotest.(check int) "received" 4 (Seq_tracker.Table.received_total t);
+  Alcotest.(check int) "no loss" 0 (Seq_tracker.Table.lost_total t);
+  Alcotest.(check int) "no reorder" 0 (Seq_tracker.Table.reordered_total t)
 
 let test_tracker_loss () =
-  let t = Seq_tracker.create () in
-  List.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) [ 0; 1; 4 ];
-  Alcotest.(check int) "two missing" 2 (Seq_tracker.lost t);
-  Alcotest.(check (float 1e-9)) "loss rate" 0.4 (Seq_tracker.loss_rate t)
+  let t = tracker_of [ 0; 1; 4 ] in
+  Alcotest.(check int) "two missing" 2 (Seq_tracker.Table.lost_total t)
 
 let test_tracker_reorder_heals_loss () =
-  let t = Seq_tracker.create () in
-  List.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) [ 0; 2; 1; 3 ];
-  Alcotest.(check int) "nothing lost" 0 (Seq_tracker.lost t);
-  Alcotest.(check int) "one reorder" 1 (Seq_tracker.reordered t);
-  Alcotest.(check int) "all received" 4 (Seq_tracker.received t)
+  let t = tracker_of [ 0; 2; 1; 3 ] in
+  Alcotest.(check int) "nothing lost" 0 (Seq_tracker.Table.lost_total t);
+  Alcotest.(check int) "one reorder" 1 (Seq_tracker.Table.reordered_total t);
+  Alcotest.(check int) "all received" 4 (Seq_tracker.Table.received_total t)
 
 let test_tracker_duplicates () =
-  let t = Seq_tracker.create () in
-  List.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) [ 0; 1; 1; 0 ];
-  Alcotest.(check int) "two dups" 2 (Seq_tracker.duplicates t);
-  Alcotest.(check int) "two received" 2 (Seq_tracker.received t)
+  let t = tracker_of [ 0; 1; 1; 0 ] in
+  Alcotest.(check int) "two dups" 2 (Seq_tracker.Table.duplicates_total t);
+  Alcotest.(check int) "two received" 2 (Seq_tracker.Table.received_total t)
 
 let tracker_qcheck_permutation_no_loss =
   QCheck.Test.make ~name:"any permutation of 0..n-1 shows no loss" ~count:200
     QCheck.(int_bound 50)
     (fun n ->
-      let t = Seq_tracker.create () in
       let arr = Array.init (n + 1) Fun.id in
       let rng = Tango_sim.Rng.create ~seed:n in
       Tango_sim.Rng.shuffle rng arr;
-      Array.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) arr;
-      Seq_tracker.lost t = 0 && Seq_tracker.received t = n + 1)
+      let t = tracker_of (Array.to_list arr) in
+      Seq_tracker.Table.lost_total t = 0 && Seq_tracker.Table.received_total t = n + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Ecmp                                                                *)
@@ -192,9 +193,8 @@ let test_ecmp_lane_stability () =
       ~dst:(Addr.of_string_exn "2001:db8::2")
       ~proto:17 ~src_port:40000 ~dst_port:4789
   in
-  let l1 = Ecmp.select lanes ~salt:7 flow in
-  let l2 = Ecmp.select lanes ~salt:7 flow in
-  Alcotest.(check int) "same flow same lane" l1 l2
+  let lane () = Ecmp.lane_delay_ms lanes ~hash:(Flow.hash_5tuple ~salt:7 flow) in
+  Alcotest.(check (float 0.0)) "same flow same lane" (lane ()) (lane ())
 
 let test_ecmp_spread () =
   let lanes = Ecmp.uniform_lanes ~count:4 ~spread_ms:2.0 in
@@ -206,7 +206,7 @@ let test_ecmp_spread () =
         ~dst:(Addr.of_string_exn "2001:db8::2")
         ~proto:17 ~src_port:port ~dst_port:4789
     in
-    Hashtbl.replace seen (Ecmp.select lanes ~salt:7 flow) ()
+    Hashtbl.replace seen (Ecmp.lane_delay_ms lanes ~hash:(Flow.hash_5tuple ~salt:7 flow)) ()
   done;
   Alcotest.(check int) "different flows cover all lanes" 4 (Hashtbl.length seen)
 
@@ -542,17 +542,16 @@ let test_flow_cache_invalidation () =
   Alcotest.(check (option int)) "all flows stale" None (Flow_cache.find c ~flow_hash:9);
   Flow_cache.store c ~flow_hash:1 7;
   Alcotest.(check (option int)) "restored in new generation" (Some 7)
-    (Flow_cache.find c ~flow_hash:1);
-  Alcotest.(check int) "invalidations counted" 1 (Flow_cache.invalidations c)
+    (Flow_cache.find c ~flow_hash:1)
 
 let test_flow_cache_path_bounds () =
   let c = Flow_cache.create () in
-  Flow_cache.store c ~flow_hash:1 Flow_cache.max_path;
-  Alcotest.(check (option int)) "max path roundtrips" (Some Flow_cache.max_path)
+  Flow_cache.store c ~flow_hash:1 255;
+  Alcotest.(check (option int)) "max path roundtrips" (Some 255)
     (Flow_cache.find c ~flow_hash:1);
   Alcotest.(check bool) "path above max rejected" true
     (try
-       Flow_cache.store c ~flow_hash:2 (Flow_cache.max_path + 1);
+       Flow_cache.store c ~flow_hash:2 256;
        false
      with Err.Invalid _ -> true);
   Alcotest.(check bool) "negative path rejected" true
@@ -577,7 +576,7 @@ let test_flow_cache_generation_wraparound () =
     (Flow_cache.find c ~flow_hash:11);
   Flow_cache.invalidate c;
   Alcotest.(check int) "stamp wrapped to zero" 0 (Flow_cache.generation c);
-  Alcotest.(check int) "table reset on wrap" 0 (Flow_cache.flows c);
+  Alcotest.(check int) "table reset on wrap" 0 (Flow_cache.resident c);
   Alcotest.(check (option int)) "previous-life entry not served" None
     (Flow_cache.find c ~flow_hash:11);
   (* A fresh store in the wrapped generation behaves normally. *)
@@ -610,7 +609,7 @@ let flow_cache_qcheck_stale_never_served =
         else gen_offset
       in
       Flow_cache.set_generation c g;
-      Flow_cache.store c ~flow_hash (flow_hash land Flow_cache.max_path);
+      Flow_cache.store c ~flow_hash (flow_hash land 255);
       Flow_cache.invalidate c;
       Flow_cache.find c ~flow_hash = None)
 
@@ -620,11 +619,10 @@ let flow_cache_qcheck_stale_never_served =
 let test_flow_cache_capacity_enforced () =
   let cap = 4 in
   let c = Flow_cache.create ~capacity:cap () in
-  Alcotest.(check int) "capacity visible" cap (Flow_cache.capacity c);
   for k = 0 to 9 do
-    Flow_cache.store c ~flow_hash:k (k land Flow_cache.max_path)
+    Flow_cache.store c ~flow_hash:k (k land 255)
   done;
-  Alcotest.(check bool) "resident bounded" true (Flow_cache.resident c <= cap);
+  Alcotest.(check int) "resident bounded by the capacity" cap (Flow_cache.resident c);
   Alcotest.(check int) "evictions account for the overflow" 6
     (Flow_cache.evictions c);
   (* The most recent insert is always resident. *)
@@ -635,8 +633,13 @@ let test_flow_cache_capacity_enforced () =
   for k = 0 to 9 do
     Flow_cache.store u ~flow_hash:k 1
   done;
-  Alcotest.(check int) "default capacity is 1024" 1024 (Flow_cache.capacity u);
-  Alcotest.(check int) "default never evicts here" 0 (Flow_cache.evictions u)
+  Alcotest.(check int) "default never evicts here" 0 (Flow_cache.evictions u);
+  for k = 10 to 1023 do
+    Flow_cache.store u ~flow_hash:k 1
+  done;
+  Alcotest.(check int) "default capacity holds 1024" 0 (Flow_cache.evictions u);
+  Flow_cache.store u ~flow_hash:1024 1;
+  Alcotest.(check int) "default capacity is 1024" 1 (Flow_cache.evictions u)
 
 (* Second chance: inserts set the ref bit, so the first overflow sweeps
    one full round (clearing every bit) and evicts the oldest slot,
@@ -728,7 +731,7 @@ let flow_cache_qcheck_bounded_matches_unbounded =
         (fun (key, op) ->
           if op < 8 then begin
             (* store *)
-            let path = (key * 7) land Flow_cache.max_path in
+            let path = (key * 7) land 255 in
             Flow_cache.store b ~flow_hash:key path;
             Unbounded_cache.store u ~flow_hash:key path
           end

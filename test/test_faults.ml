@@ -111,6 +111,8 @@ let prop_random_seed_sensitive =
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)
 
+let names () = List.map (fun s -> s.Scenario.name) Scenario.all
+
 let test_scenario_lookup () =
   List.iter
     (fun name ->
@@ -118,13 +120,12 @@ let test_scenario_lookup () =
       Alcotest.(check string) "name matches" name sc.Scenario.name;
       Alcotest.(check bool) "has specs" true (sc.Scenario.specs <> []);
       List.iter Spec.validate sc.Scenario.specs)
-    (Scenario.names ());
-  Alcotest.(check bool) "find on unknown" true (Scenario.find "no-such" = None);
+    (names ());
   Alcotest.(check bool) "get on unknown raises" true
     (invalid (fun () -> Scenario.get "no-such"))
 
 let test_scenario_names_unique () =
-  let names = Scenario.names () in
+  let names = names () in
   Alcotest.(check int) "unique" (List.length names)
     (List.length (List.sort_uniq String.compare names))
 
@@ -169,7 +170,8 @@ let structural_state pair =
   ( paths,
     Fabric.fault_count (Pair.fabric pair),
     (Pop.probes_suppressed la, Pop.probes_suppressed ny),
-    (Clock.offset_ns (Pop.clock la), Clock.offset_ns (Pop.clock ny)) )
+    ( Clock.now_ns (Pop.clock la) ~sim_time_s:0.0,
+      Clock.now_ns (Pop.clock ny) ~sim_time_s:0.0 ) )
 
 let twin ~faults =
   let pair = Pair.setup_vultr ~seed:5 () in
@@ -192,7 +194,6 @@ let twin ~faults =
   | Some inj ->
       Alcotest.(check int) "all five active mid-window" 5 (Inject.active inj);
       Inject.clear inj;
-      Alcotest.(check bool) "cleared" true (Inject.cleared inj);
       Alcotest.(check int) "none active after clear" 0 (Inject.active inj);
       (* Idempotent. *)
       Inject.clear inj

@@ -89,7 +89,8 @@ let test_segment_roundtrip () =
   fill_stack st;
   let buf = Bytes.create Segment.max_header_bytes in
   let len = Segment.encode_into ~buf ~off:0 st in
-  Alcotest.(check int) "encoded size" (Segment.header_bytes ~count:5) len;
+  Alcotest.(check int) "encoded size" (18 + (4 * 5)) len;
+  Alcotest.(check int) "frame size" (Segment.frame_bytes st) len;
   let out = Segment.create_stack () in
   Alcotest.(check bool) "decodes" true
     (Segment.decode_into ~buf ~off:0 ~len out);

@@ -6,10 +6,12 @@ open Tango_net
 (* ------------------------------------------------------------------ *)
 (* IPv4                                                                *)
 
+let ipv4 s = match Ipv4.of_string s with Ok a -> a | Error e -> Alcotest.fail e
+
 let test_ipv4_roundtrip () =
   List.iter
     (fun s ->
-      Alcotest.(check string) s s (Ipv4.to_string (Ipv4.of_string_exn s)))
+      Alcotest.(check string) s s (Ipv4.to_string (ipv4 s)))
     [ "0.0.0.0"; "1.2.3.4"; "255.255.255.255"; "10.0.0.1"; "192.168.100.200" ]
 
 let test_ipv4_invalid () =
@@ -21,17 +23,17 @@ let test_ipv4_invalid () =
     [ "256.1.1.1"; "1.2.3"; "1.2.3.4.5"; "a.b.c.d"; ""; "1..2.3"; "-1.2.3.4" ]
 
 let test_ipv4_ordering () =
-  let lo = Ipv4.of_string_exn "9.255.255.255" in
-  let hi = Ipv4.of_string_exn "10.0.0.0" in
+  let lo = ipv4 "9.255.255.255" in
+  let hi = ipv4 "10.0.0.0" in
   Alcotest.(check bool) "ordering" true (Ipv4.compare lo hi < 0);
   (* Unsigned comparison: 200.x must be above 100.x. *)
-  let big = Ipv4.of_string_exn "200.0.0.1" in
+  let big = ipv4 "200.0.0.1" in
   Alcotest.(check bool) "unsigned" true (Ipv4.compare hi big < 0)
 
 let test_ipv4_arith () =
-  let a = Ipv4.of_string_exn "10.0.0.255" in
-  Alcotest.(check string) "succ crosses octet" "10.0.1.0"
-    (Ipv4.to_string (Ipv4.succ a));
+  let a = ipv4 "10.0.0.255" in
+  Alcotest.(check string) "add 1 crosses octet" "10.0.1.0"
+    (Ipv4.to_string (Ipv4.add a 1));
   Alcotest.(check string) "add 257" "10.0.2.0"
     (Ipv4.to_string (Ipv4.add a 257))
 
@@ -79,9 +81,13 @@ let test_ipv6_invalid () =
       "1.2.3.4";
     ]
 
+(* Eight groups in, the same eight out: parsing packs the groups into
+   the two words, printing unpacks them. *)
 let test_ipv6_groups_roundtrip () =
-  let groups = [| 0x2001; 0xdb8; 0; 0x42; 0; 0; 0xdead; 0xbeef |] in
-  Alcotest.(check (array int)) "groups" groups (Ipv6.to_groups (Ipv6.of_groups groups))
+  let a = Ipv6.of_string_exn "2001:db8:0:42:0:0:dead:beef" in
+  Alcotest.(check int64) "high word" 0x20010db800000042L (Ipv6.hi a);
+  Alcotest.(check int64) "low word" 0x00000000deadbeefL (Ipv6.lo a);
+  Alcotest.(check string) "groups" "2001:db8:0:42::dead:beef" (Ipv6.to_string a)
 
 let test_ipv6_add_carry () =
   let a = Ipv6.make 0L Int64.minus_one in
@@ -93,8 +99,7 @@ let test_ipv6_shifts () =
   let one = Ipv6.make 0L 1L in
   let shifted = Ipv6.shift_left one 64 in
   Alcotest.(check int64) "into hi" 1L (Ipv6.hi shifted);
-  let back = Ipv6.shift_right shifted 64 in
-  Alcotest.(check bool) "roundtrip" true (Ipv6.equal one back);
+  Alcotest.(check int64) "out of lo" 0L (Ipv6.lo shifted);
   let wide = Ipv6.shift_left one 127 in
   Alcotest.(check int64) "top bit" Int64.min_int (Ipv6.hi wide)
 
@@ -172,7 +177,7 @@ let test_prefix_invalid () =
 
 (* [Prefix.mem] as it stood before it stopped building v6 masks as
    Ipv6.t records, verbatim apart from reading the prefix through its
-   accessors. *)
+   accessors (its network address is its 0th address). *)
 let old_mask_v4 len =
   if len = 0 then 0l
   else Int32.shift_left Int32.minus_one (32 - len)
@@ -181,7 +186,7 @@ let old_mask_v6 len =
   Ipv6.shift_left (Ipv6.lognot Ipv6.any) (128 - len)
 
 let old_mem p a =
-  match (Prefix.addr p, a) with
+  match (Prefix.nth_address p 0L, a) with
   | Addr.V4 net, Addr.V4 x ->
       Int32.equal (Ipv4.to_int32 net)
         (Int32.logand (Ipv4.to_int32 x) (old_mask_v4 (Prefix.length p)))
@@ -218,7 +223,7 @@ let prefix_qcheck_mem_matches_old =
       let agrees base bits probes =
         List.for_all
           (fun len ->
-            let p = Prefix.v base len in
+            let p = Prefix.of_string_exn (Addr.to_string base ^ "/" ^ string_of_int len) in
             List.for_all (fun a -> Prefix.mem p a = old_mem p a) probes
             && Prefix.mem p base
             && (len = 0
@@ -248,14 +253,6 @@ let flow_a () =
     ~src:(Addr.of_string_exn "2001:db8::1")
     ~dst:(Addr.of_string_exn "2001:db8::2")
     ~proto:17 ~src_port:1234 ~dst_port:4789
-
-let test_flow_reverse () =
-  let f = flow_a () in
-  let r = Flow.reverse f in
-  Alcotest.(check bool) "src/dst swapped" true
-    (Addr.equal r.Flow.src f.Flow.dst && Addr.equal r.Flow.dst f.Flow.src);
-  Alcotest.(check int) "ports swapped" f.Flow.src_port r.Flow.dst_port;
-  Alcotest.(check bool) "double reverse" true (Flow.equal f (Flow.reverse r))
 
 let test_flow_hash_deterministic () =
   let f = flow_a () in
@@ -400,15 +397,25 @@ let test_packet_double_encap_rejected () =
        false
      with Err.Invalid _ -> true)
 
+(* The 5-tuple the core sees: the inner flow on a raw packet, the outer
+   UDP flow (protocol 17) once encapsulated. *)
 let test_packet_forwarding_flow () =
   let p = Packet.create ~id:1 ~flow:(flow_a ()) ~payload_bytes:0 ~created_at:0.0 () in
-  Alcotest.(check bool) "raw: inner flow" true
-    (Flow.equal (Packet.forwarding_flow p) (flow_a ()));
-  Packet.encapsulate p (sample_encap ());
-  let f = Packet.forwarding_flow p in
+  List.iter
+    (fun salt ->
+      Alcotest.(check int) "raw: inner flow"
+        (Flow.hash_5tuple ~salt (flow_a ())) (Packet.forwarding_hash ~salt p))
+    [ 0; 1; 7; 0x12345 ];
+  Alcotest.(check string) "raw: inner dst" "2001:db8::2"
+    (Addr.to_string (Packet.forwarding_dst p));
+  let e = sample_encap () in
+  Packet.encapsulate p e;
   Alcotest.(check string) "outer dst drives forwarding" "2001:db8:200::1"
-    (Addr.to_string f.Flow.dst);
-  Alcotest.(check int) "udp proto" 17 f.Flow.proto;
+    (Addr.to_string (Packet.forwarding_dst p));
+  let f =
+    Flow.v ~src:e.Packet.outer_src ~dst:e.Packet.outer_dst ~proto:17 ~src_port:e.Packet.udp_src
+      ~dst_port:e.Packet.udp_dst
+  in
   List.iter
     (fun salt ->
       Alcotest.(check int) "forwarding_hash hashes the outer flow"
@@ -566,7 +573,7 @@ let test_wire_auth_roundtrip () =
   | Ok (_, _, tango, payload) ->
       Alcotest.(check int64) "timestamp" 55L tango.Packet.timestamp_ns;
       Alcotest.(check bool) "auth flag set on wire" true
-        (tango.Packet.flags land Wire.auth_flag <> 0);
+        (tango.Packet.flags land 0x0001 <> 0);
       Alcotest.(check string) "payload" "measurement payload" (Bytes.to_string payload)
   | Error e -> Alcotest.failf "auth roundtrip failed: %s" e
 
@@ -802,7 +809,6 @@ let () =
       ( "flow",
         [
           tc "family ordering" `Quick test_addr_family_ordering;
-          tc "reverse" `Quick test_flow_reverse;
           tc "hash deterministic" `Quick test_flow_hash_deterministic;
           tc "hash sensitivity" `Quick test_flow_hash_sensitivity;
           tc "hash pinned values" `Quick test_flow_hash_pinned;

@@ -48,7 +48,40 @@ let test_gauge () =
 (* ------------------------------------------------------------------ *)
 (* Histogram bucket math                                               *)
 
-let hist = Metric.histogram ~help:"test" "test_hist_seconds"
+let hist_name = "test_hist_seconds"
+
+let hist = Metric.histogram ~help:"test" hist_name
+
+type histogram_view = {
+  upper_bounds : float array;
+  counts : int array;
+  sum : float;
+  count : int;
+}
+
+(* A histogram as the registry reports it. *)
+let histogram_view name =
+  match List.find_opt (fun v -> String.equal v.Metric.name name) (Metric.views ()) with
+  | Some { Metric.value = Metric.Histogram_value { upper_bounds; counts; sum; count }; _ } ->
+      { upper_bounds; counts; sum; count }
+  | Some _ | None -> Alcotest.failf "no histogram %s" name
+
+(* Finite bucket count; the overflow bucket at that index is extra. *)
+let bucket_count name = Array.length (histogram_view name).upper_bounds
+
+(* Inclusive upper bound of a bucket; [infinity] for the overflow bucket. *)
+let upper_bound name i =
+  let bounds = (histogram_view name).upper_bounds in
+  if i = Array.length bounds then infinity else bounds.(i)
+
+(* The bucket [observe] counts [v] into: observe it alone and see which
+   count moves. *)
+let bucket_of name h v =
+  Metric.reset_values ();
+  with_recording (fun () -> Metric.observe h v);
+  let counts = (histogram_view name).counts in
+  let rec find i = if counts.(i) > 0 then i else find (i + 1) in
+  find 0
 
 (* Round-trip property: the bucket chosen for [v] is the unique one
    whose (exclusive lower, inclusive upper] range contains it. *)
@@ -57,76 +90,82 @@ let bucket_round_trip =
     QCheck.(float_range (-10.0) 30.0)
     (fun exponent ->
       let v = Float.exp exponent in
-      let n = Metric.histogram_bucket_count hist in
-      let i = Metric.bucket_of hist v in
+      let n = bucket_count hist_name in
+      let i = bucket_of hist_name hist v in
       if i < 0 || i > n then false
       else begin
-        let upper_ok = v <= Metric.bucket_upper_bound hist i in
-        let lower_ok =
-          i = 0 || v > Metric.bucket_upper_bound hist (i - 1)
-        in
+        let upper_ok = v <= upper_bound hist_name i in
+        let lower_ok = i = 0 || v > upper_bound hist_name (i - 1) in
         upper_ok && lower_ok
       end)
 
 (* Exact power-of-two boundaries are inclusive upper bounds. *)
 let test_bucket_boundaries () =
-  let n = Metric.histogram_bucket_count hist in
+  let n = bucket_count hist_name in
   for i = 0 to n - 1 do
-    let bound = Metric.bucket_upper_bound hist i in
+    let bound = upper_bound hist_name i in
     Alcotest.(check int)
       (Printf.sprintf "2^e boundary lands in bucket %d" i)
       i
-      (Metric.bucket_of hist bound);
+      (bucket_of hist_name hist bound);
     if i + 1 <= n then
       Alcotest.(check int)
         (Printf.sprintf "just above boundary %d spills over" i)
         (i + 1)
-        (Metric.bucket_of hist (bound *. (1.0 +. epsilon_float)))
+        (bucket_of hist_name hist (bound *. (1.0 +. epsilon_float)))
   done;
-  Alcotest.(check int) "non-positive values in bucket 0" 0
-    (Metric.bucket_of hist 0.0);
-  Alcotest.(check int) "negative values in bucket 0" 0
-    (Metric.bucket_of hist (-3.0))
+  Alcotest.(check int) "non-positive values in bucket 0" 0 (bucket_of hist_name hist 0.0);
+  Alcotest.(check int) "negative values in bucket 0" 0 (bucket_of hist_name hist (-3.0))
 
 let test_overflow_bucket () =
-  let h = Metric.histogram ~help:"test" "test_overflow_seconds" in
-  let n = Metric.histogram_bucket_count h in
-  Alcotest.(check int) "huge value overflows" n (Metric.bucket_of h 1e30);
-  Alcotest.(check int) "inf overflows" n (Metric.bucket_of h infinity);
-  Alcotest.(check int) "nan overflows" n (Metric.bucket_of h nan);
-  Alcotest.(check (float 0.0))
-    "overflow upper bound is +inf" infinity
-    (Metric.bucket_upper_bound h n);
+  let name = "test_overflow_seconds" in
+  let h = Metric.histogram ~help:"test" name in
+  let n = bucket_count name in
+  Alcotest.(check int) "huge value overflows" n (bucket_of name h 1e30);
+  Alcotest.(check int) "inf overflows" n (bucket_of name h infinity);
+  Alcotest.(check int) "nan overflows" n (bucket_of name h nan);
+  Alcotest.(check int) "overflow upper bound is +inf" (n + 1)
+    (Array.length (histogram_view name).counts);
+  Metric.reset_values ();
   with_recording (fun () ->
       Metric.observe h 1e30;
       Metric.observe h nan;
       Metric.observe h 0.001);
-  Alcotest.(check int) "overflow bucket counted" 2 (Metric.bucket_count_value h n);
-  Alcotest.(check int) "total includes overflow" 3 (Metric.histogram_total h);
-  Alcotest.(check (float 1e-9)) "nan excluded from sum" (1e30 +. 0.001)
-    (Metric.histogram_sum h)
+  let view = histogram_view name in
+  Alcotest.(check int) "overflow bucket counted" 2 view.counts.(n);
+  Alcotest.(check int) "total includes overflow" 3 view.count;
+  Alcotest.(check (float 1e-9)) "nan excluded from sum" (1e30 +. 0.001) view.sum
 
 let test_observe_and_reset () =
-  let h = Metric.histogram ~help:"test" "test_observe_seconds" in
+  let name = "test_observe_seconds" in
+  let h = Metric.histogram ~help:"test" name in
   let values = [ 1e-6; 2e-6; 0.001; 0.25; 3.0 ] in
+  let buckets = List.map (bucket_of name h) values in
+  Metric.reset_values ();
   with_recording (fun () -> List.iter (Metric.observe h) values);
-  Alcotest.(check int) "count" (List.length values) (Metric.histogram_total h);
-  Alcotest.(check (float 1e-12)) "sum" (List.fold_left ( +. ) 0.0 values)
-    (Metric.histogram_sum h);
-  List.iter
-    (fun v ->
-      let i = Metric.bucket_of h v in
+  let view = histogram_view name in
+  Alcotest.(check int) "count" (List.length values) view.count;
+  Alcotest.(check (float 1e-12)) "sum" (List.fold_left ( +. ) 0.0 values) view.sum;
+  List.iter2
+    (fun v i ->
       Alcotest.(check bool)
         (Printf.sprintf "bucket for %g non-empty" v)
         true
-        (Metric.bucket_count_value h i > 0))
-    values;
+        (view.counts.(i) > 0))
+    values buckets;
   Metric.reset_values ();
-  Alcotest.(check int) "reset zeroes count" 0 (Metric.histogram_total h);
-  Alcotest.(check (float 0.0)) "reset zeroes sum" 0.0 (Metric.histogram_sum h)
+  let view = histogram_view name in
+  Alcotest.(check int) "reset zeroes count" 0 view.count;
+  Alcotest.(check (float 0.0)) "reset zeroes sum" 0.0 view.sum
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring                                                          *)
+
+(* Live records in the ring, counted by visiting them. *)
+let live t =
+  let n = ref 0 in
+  Trace.iter t (fun ~time:_ ~kind:_ ~a:_ ~b:_ -> incr n);
+  !n
 
 let test_trace_wraparound () =
   let t = Trace.create ~capacity:4 () in
@@ -135,7 +174,7 @@ let test_trace_wraparound () =
       for i = 0 to 6 do
         Trace.record t ~now:(float_of_int i) ~kind:k i (i * 10)
       done);
-  Alcotest.(check int) "length capped at capacity" 4 (Trace.length t);
+  Alcotest.(check int) "length capped at capacity" 4 (live t);
   Alcotest.(check int) "three overwritten" 3 (Trace.dropped t);
   Alcotest.(check int) "recorded = length + dropped" 7 (Trace.recorded t);
   let seen = ref [] in
@@ -146,25 +185,35 @@ let test_trace_wraparound () =
   Alcotest.(check (list (float 0.0)))
     "oldest-first survivors" [ 3.0; 4.0; 5.0; 6.0 ] (List.rev !seen);
   Trace.clear t;
-  Alcotest.(check int) "clear empties" 0 (Trace.length t);
+  Alcotest.(check int) "clear empties" 0 (live t);
   Alcotest.(check int) "clear zeroes dropped" 0 (Trace.dropped t)
 
 let test_trace_gating_and_kinds () =
   let t = Trace.create ~capacity:4 () in
   let k = Trace.kind "test.gate" in
   Trace.record t ~now:1.0 ~kind:k 1 2;
-  Alcotest.(check int) "off: record is a no-op" 0 (Trace.length t);
+  Alcotest.(check int) "off: record is a no-op" 0 (live t);
   Alcotest.(check int) "kind lookup is idempotent" k (Trace.kind "test.gate");
   Alcotest.(check string) "kind name round-trips" "test.gate" (Trace.kind_name k)
 
 (* ------------------------------------------------------------------ *)
 (* Export golden renderings (constructed snapshot: fully deterministic) *)
 
+(* MD5 hex of "golden config". *)
+let golden_digest = "d2f2d206aa502fcd775838f5357980f0"
+
 let golden_manifest =
-  Manifest.v ~experiment:"golden" ~seed:42
-    ~config_digest:(Manifest.digest_of_string "golden config")
-    ~started_unix_s:1700000000.0 ~wall_s:0.5 ~virtual_s:12.0 ~sim_events:100
-    ~trace_recorded:1 ~trace_dropped:0 ()
+  {
+    Manifest.experiment = "golden";
+    seed = 42;
+    config_digest = golden_digest;
+    started_unix_s = 1700000000.0;
+    wall_s = 0.5;
+    virtual_s = 12.0;
+    sim_events = 100;
+    trace_recorded = 1;
+    trace_dropped = 0;
+  }
 
 let golden_snapshot =
   {
@@ -200,7 +249,7 @@ let expected_jsonl =
   String.concat "\n"
     [
       "{\"type\":\"manifest\",\"schema_version\":1,\"tool\":\"tango-obs\",\"experiment\":\"golden\",\"seed\":42,\"config_digest\":\""
-      ^ Manifest.digest_of_string "golden config"
+      ^ golden_digest
       ^ "\",\"started_unix_s\":1700000000,\"wall_s\":0.5,\"virtual_s\":12,\"sim_events\":100,\"trace_recorded\":1,\"trace_dropped\":0}";
       "{\"type\":\"counter\",\"name\":\"golden_sent_total\",\"help\":\"Packets sent\",\"value\":42}";
       "{\"type\":\"gauge\",\"name\":\"golden_queue_depth\",\"help\":\"Queue depth\",\"value\":1.5}";
@@ -299,8 +348,7 @@ let test_manifest_session () =
   let m = Manifest.finish session ~virtual_s:3.5 ~sim_events:9 ring in
   Alcotest.(check string) "experiment" "unit" m.Manifest.experiment;
   Alcotest.(check int) "seed" 7 m.Manifest.seed;
-  Alcotest.(check string) "digest matches"
-    (Manifest.digest_of_string "canonical text")
+  Alcotest.(check string) "digest matches" "f8300ae5ebf7db27469ec04a821bea21"
     m.Manifest.config_digest;
   Alcotest.(check bool) "wall time non-negative" true (m.Manifest.wall_s >= 0.0);
   Alcotest.(check int) "trace recorded" 5 m.Manifest.trace_recorded;

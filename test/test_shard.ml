@@ -62,12 +62,12 @@ let test_ring_fifo_order () =
     Shard.Ring.push ring ~time:(float_of_int i) ~a:(10 + i) ~b:(20 + i) ~c:(30 + i)
       ~v:(0.5 +. float_of_int i)
   done;
-  Alcotest.(check int) "length tracks pushes" 5 (Shard.Ring.length ring);
   Alcotest.(check (float 0.0)) "peek_time sees the head" 0.0
     (Shard.Ring.peek_time ring);
   Alcotest.(check int) "peek_b sees the head" 20 (Shard.Ring.peek_b ring);
   let r = Shard.scratch () in
   for i = 0 to 4 do
+    Alcotest.(check bool) "length tracks pushes" false (Shard.Ring.is_empty ring);
     Shard.pop_into ring r;
     Alcotest.(check (float 0.0)) "time in push order" (float_of_int i) r.Shard.time;
     Alcotest.(check int) "a field" (10 + i) r.Shard.a;
@@ -206,16 +206,27 @@ let test_scatter_by_c () =
   Shard.scatter rings ~time:[| 1.0; 2.0; 3.0; 4.0; 9.0 |]
     ~a:[| 10; 11; 12; 13; 14 |] ~b:[| 20; 21; 22; 23; 24 |]
     ~c:[| 2; 0; 2; 1; 0 |] ~v:[| 0.5; 1.5; 2.5; 3.5; 4.5 |] 4;
-  Alcotest.(check (list int)) "record i lands on ring c.(i), first n only"
-    [ 1; 1; 2 ]
-    (Array.to_list (Array.map Shard.Ring.length rings));
   let r = Shard.scratch () in
+  let drain_times ring =
+    let rec go acc =
+      if Shard.Ring.is_empty ring then List.rev acc
+      else begin
+        Shard.pop_into ring r;
+        go (r.Shard.time :: acc)
+      end
+    in
+    go []
+  in
+  Alcotest.(check (list (list (float 0.0))))
+    "record i lands on ring c.(i), first n only" [ [ 2.0 ]; [ 4.0 ] ]
+    [ drain_times rings.(0); drain_times rings.(1) ];
   Shard.pop_into rings.(2) r;
   Alcotest.(check (float 0.0)) "first time" 1.0 r.Shard.time;
   Alcotest.(check (list int)) "fields" [ 10; 20; 2 ] [ r.Shard.a; r.Shard.b; r.Shard.c ];
   Alcotest.(check (float 0.0)) "v" 0.5 r.Shard.v;
   Shard.pop_into rings.(2) r;
   Alcotest.(check (float 0.0)) "ring order is column order" 3.0 r.Shard.time;
+  Alcotest.(check bool) "ring 2 holds two" true (Shard.Ring.is_empty rings.(2));
   Alcotest.(check bool) "overflow raises" true
     (try
        Shard.scatter rings ~time:(Array.make 5 0.0) ~a:(Array.make 5 0)
@@ -270,25 +281,16 @@ let test_batch_fill_and_read () =
   for i = 0 to Batch.capacity - 1 do
     Batch.add b (mk_packet i)
   done;
-  Alcotest.(check bool) "full at capacity" true (Batch.is_full b);
   Alcotest.(check int) "length" Batch.capacity (Batch.length b);
-  Alcotest.(check int) "get preserves insertion order" 7
-    (Batch.get b 7).Tango_net.Packet.id;
+  Alcotest.(check int) "slots keep insertion order" 7
+    b.Batch.packets.(7).Tango_net.Packet.id;
   Alcotest.(check bool) "add past capacity rejected" true
     (try
        Batch.add b (mk_packet 99);
        false
      with Tango_dataplane.Err.Invalid _ -> true);
-  let seen = ref 0 in
-  Batch.iter b ~f:(fun _ -> incr seen);
-  Alcotest.(check int) "iter covers every slot" Batch.capacity !seen;
   Batch.clear b;
   Alcotest.(check bool) "clear empties" true (Batch.is_empty b);
-  Alcotest.(check bool) "get past length rejected" true
-    (try
-       ignore (Batch.get b 0);
-       false
-     with Tango_dataplane.Err.Invalid _ -> true);
   Batch.add b (mk_packet 1);
   Batch.purge b;
   Alcotest.(check bool) "purge empties too" true (Batch.is_empty b)
@@ -304,13 +306,13 @@ let test_batch_encap_columns () =
   Alcotest.(check (list int)) "encap slot columns" [ 620; 3; 17; 41 ]
     [ b.Batch.bytes.(0); b.Batch.path.(0); b.Batch.flow.(0); b.Batch.seq.(0) ];
   Alcotest.(check bool) "encap slot holds no packet" true
-    (Batch.get b 0 == Batch.no_packet);
+    (b.Batch.packets.(0) == Batch.no_packet);
   Alcotest.(check int) "one stamp per batch" 1_000_000 b.Batch.stamp_ns;
   (* An unencapsulated packet routes on its inner destination and has
      no Tango header. *)
   Alcotest.(check (list int)) "packet slot columns" [ 552; -1; 5; -1 ]
     [ b.Batch.bytes.(1); b.Batch.path.(1); b.Batch.flow.(1); b.Batch.seq.(1) ];
-  Alcotest.(check int) "packet kept" 5 (Batch.get b 1).Tango_net.Packet.id;
+  Alcotest.(check int) "packet kept" 5 b.Batch.packets.(1).Tango_net.Packet.id;
   for _ = 3 to Batch.capacity do
     Batch.encap b ~dst ~bytes:620 ~path:0 ~flow:0 ~seq:0
   done;
@@ -326,27 +328,29 @@ let test_batch_encap_columns () =
 (* ------------------------------------------------------------------ *)
 (* Seq_tracker.confirm_below                                           *)
 
+module Table = Seq_tracker.Table
+
 let test_confirm_below_counts_loss () =
-  let t = Seq_tracker.create () in
+  let t = Table.create ~keys:1 () in
   List.iter
-    (fun s -> Seq_tracker.observe t (Int64.of_int s))
+    (fun s -> Table.observe t ~key:0 (Int64.of_int s))
     [ 0; 1; 4; 5 ] (* 2 and 3 provisionally missing *);
-  Alcotest.(check int) "provisional loss" 2 (Seq_tracker.lost t);
-  Seq_tracker.confirm_below t 4L;
-  Alcotest.(check int) "still lost after confirm" 2 (Seq_tracker.lost t);
+  Alcotest.(check int) "provisional loss" 2 (Table.lost_total t);
+  Table.confirm_below t ~key:0 4L;
+  Alcotest.(check int) "still lost after confirm" 2 (Table.lost_total t);
   (* A late arrival of a confirmed sequence is a duplicate, not a heal. *)
-  Seq_tracker.observe t 2L;
-  Alcotest.(check int) "confirmed loss cannot heal" 2 (Seq_tracker.lost t);
-  Alcotest.(check int) "late confirmed arrival is a dup" 1 (Seq_tracker.duplicates t);
-  Alcotest.(check int) "no reorder credited" 0 (Seq_tracker.reordered t)
+  Table.observe t ~key:0 2L;
+  Alcotest.(check int) "confirmed loss cannot heal" 2 (Table.lost_total t);
+  Alcotest.(check int) "late confirmed arrival is a dup" 1 (Table.duplicates_total t);
+  Alcotest.(check int) "no reorder credited" 0 (Table.reordered_total t)
 
 let test_confirm_below_is_idempotent () =
-  let t = Seq_tracker.create () in
-  List.iter (fun s -> Seq_tracker.observe t (Int64.of_int s)) [ 0; 3 ];
-  Seq_tracker.confirm_below t 3L;
-  Seq_tracker.confirm_below t 3L;
-  Seq_tracker.confirm_below t 2L;
-  Alcotest.(check int) "loss counted once" 2 (Seq_tracker.lost t)
+  let t = Table.create ~keys:1 () in
+  List.iter (fun s -> Table.observe t ~key:0 (Int64.of_int s)) [ 0; 3 ];
+  Table.confirm_below t ~key:0 3L;
+  Table.confirm_below t ~key:0 3L;
+  Table.confirm_below t ~key:0 2L;
+  Alcotest.(check int) "loss counted once" 2 (Table.lost_total t)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain differential determinism                               *)

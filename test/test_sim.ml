@@ -33,14 +33,6 @@ let test_rng_int_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
-let test_rng_int_in () =
-  let rng = Rng.create ~seed:4 in
-  for _ = 1 to 1000 do
-    let v = Rng.int_in rng (-5) 5 in
-    Alcotest.(check bool) "in [-5,5]" true (v >= -5 && v <= 5)
-  done;
-  Alcotest.(check int) "degenerate range" 9 (Rng.int_in rng 9 9)
-
 let test_rng_float_bounds () =
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 1000 do
@@ -48,28 +40,15 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
-let test_rng_split_independent () =
-  let parent = Rng.create ~seed:6 in
-  let child = Rng.split parent in
-  (* The child must not replay the parent's stream. *)
-  let p = Array.init 8 (fun _ -> Rng.bits64 parent) in
-  let c = Array.init 8 (fun _ -> Rng.bits64 child) in
-  Alcotest.(check bool) "distinct streams" true (p <> c)
-
-let test_rng_copy () =
-  let a = Rng.create ~seed:7 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy replays" (Rng.bits64 a) (Rng.bits64 b)
-
 let test_rng_gaussian_moments () =
   let rng = Rng.create ~seed:8 in
   let stats = Stats.create () in
   for _ = 1 to 20_000 do
     Stats.add stats (Rng.gaussian rng ~mean:5.0 ~std:2.0)
   done;
-  Alcotest.(check bool) "mean close" true (abs_float (Stats.mean stats -. 5.0) < 0.1);
-  Alcotest.(check bool) "std close" true (abs_float (Stats.stddev stats -. 2.0) < 0.1)
+  let r = Stats.summarize stats in
+  Alcotest.(check bool) "mean close" true (abs_float (r.Stats.mean -. 5.0) < 0.1);
+  Alcotest.(check bool) "std close" true (abs_float (r.Stats.stddev -. 2.0) < 0.1)
 
 let test_rng_exponential_mean () =
   let rng = Rng.create ~seed:9 in
@@ -77,18 +56,15 @@ let test_rng_exponential_mean () =
   for _ = 1 to 20_000 do
     Stats.add stats (Rng.exponential rng ~rate:4.0)
   done;
-  Alcotest.(check bool) "mean ~ 1/rate" true (abs_float (Stats.mean stats -. 0.25) < 0.02)
+  Alcotest.(check bool) "mean ~ 1/rate" true
+    (abs_float ((Stats.summarize stats).Stats.mean -. 0.25) < 0.02)
 
 let test_rng_invalid_params () =
   let rng = Rng.create ~seed:99 in
-  Alcotest.(check bool) "int_in empty range" true
-    (try ignore (Rng.int_in rng 5 4); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "exponential rate 0" true
     (try ignore (Rng.exponential rng ~rate:0.0); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "pareto bad shape" true
-    (try ignore (Rng.pareto rng ~scale:1.0 ~shape:0.0); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "choice empty" true
-    (try ignore (Rng.choice rng [||]); false with Invalid_argument _ -> true)
+    (try ignore (Rng.pareto rng ~scale:1.0 ~shape:0.0); false with Invalid_argument _ -> true)
 
 let test_rng_pareto_scale () =
   let rng = Rng.create ~seed:10 in
@@ -103,13 +79,6 @@ let test_rng_shuffle_permutation () =
   let sorted = Array.copy arr in
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
-
-let test_rng_choice () =
-  let rng = Rng.create ~seed:12 in
-  let arr = [| "a"; "b"; "c" |] in
-  for _ = 1 to 50 do
-    Alcotest.(check bool) "member" true (Array.mem (Rng.choice rng arr) arr)
-  done
 
 let test_rng_gaussian_alloc () =
   (* Per draw, only the boxed result may be allocated. *)
@@ -230,13 +199,6 @@ let test_engine_schedule_past () =
         Alcotest.fail "expected Invalid_argument"
       with Invalid_argument _ -> ());
   Engine.run e
-
-let test_engine_cancel_all () =
-  let e = Engine.create () in
-  Engine.schedule e ~delay:1.0 (fun _ -> Alcotest.fail "should not run");
-  Engine.cancel_all e;
-  Engine.run e;
-  check_float "clock untouched" 0.0 (Engine.now e)
 
 let test_engine_rejects_nan () =
   (* At 0.5 s a callback asks for a NaN delay while events wait at 1 s
@@ -394,10 +356,6 @@ module Old_heap = struct
       end;
       Some top
     end
-
-  let clear t =
-    t.size <- 0;
-    t.data <- [||]
 end
 
 module Old_engine = struct
@@ -478,8 +436,6 @@ module Old_engine = struct
                 loop ())
     in
     loop ()
-
-  let cancel_all t = Heap.clear t.queue
 end
 
 (* Most times are multiples of half a second drawn from a handful of
@@ -503,7 +459,6 @@ type op =
       (** run until [now] + [k] half-seconds, then schedule [10 ** x]
           ahead: after a run that stopped short of its next event, an
           earlier event *)
-  | Cancel_all
 
 type entry =
   | Fired of int * float
@@ -534,7 +489,6 @@ module type ENGINE = sig
   val pending : t -> int
   val step : t -> bool
   val run : ?until:float -> ?max_events:int -> t -> unit
-  val cancel_all : t -> unit
 end
 
 module Replay (E : ENGINE) = struct
@@ -586,7 +540,6 @@ module Replay (E : ENGINE) = struct
       | Short_run (k, x) ->
           E.run ~until:(E.now e +. half k) ~max_events:run_cap e;
           E.schedule e ~delay:(10.0 ** x) (fresh ~depth:0)
-      | Cancel_all -> E.cancel_all e
     in
     let guarded op =
       (try apply op with Boom -> emit Raised | Invalid_argument _ -> emit Invalid);
@@ -627,7 +580,6 @@ let show_op = function
         (match u with Some k -> Printf.sprintf " until +%d" k | None -> "")
         (match m with Some m -> Printf.sprintf " max %d" m | None -> "")
   | Short_run (k, x) -> Printf.sprintf "run until +%d, schedule 1e%.17g" k x
-  | Cancel_all -> "cancel_all"
 
 let gen_op =
   let open QCheck.Gen in
@@ -650,7 +602,6 @@ let gen_op =
           (opt (int_bound 4)) (int_bound 40) );
       (1, map2 (fun u m -> Run (Some u, Some m)) (int_bound 4) (int_bound 40));
       (2, map2 (fun k x -> Short_run (k, x)) (int_bound 4) log_exponent);
-      (1, return Cancel_all);
     ]
 
 let engine_matches_oracle =
@@ -667,32 +618,35 @@ let engine_matches_oracle =
 let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.count s);
-  check_float "mean" 2.5 (Stats.mean s);
-  check_float "min" 1.0 (Stats.min_value s);
-  check_float "max" 4.0 (Stats.max_value s);
+  let r = Stats.summarize s in
+  Alcotest.(check int) "count" 4 r.Stats.n;
+  check_float "mean" 2.5 r.Stats.mean;
+  check_float "min" 1.0 r.Stats.min;
+  check_float "max" 4.0 r.Stats.max;
   (* Sample variance of 1..4 is 5/3. *)
-  Alcotest.(check (float 1e-9)) "variance" (5.0 /. 3.0) (Stats.variance s)
+  Alcotest.(check (float 1e-9)) "variance" (5.0 /. 3.0) (r.Stats.stddev *. r.Stats.stddev)
 
 let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.mean s));
-  check_float "variance 0" 0.0 (Stats.variance s)
+  let r = Stats.summarize (Stats.create ()) in
+  Alcotest.(check bool) "mean nan" true (Float.is_nan r.Stats.mean);
+  check_float "variance 0" 0.0 r.Stats.stddev
 
 let test_stats_single () =
   let s = Stats.create () in
   Stats.add s 42.0;
-  check_float "mean" 42.0 (Stats.mean s);
-  check_float "variance" 0.0 (Stats.variance s)
+  let r = Stats.summarize s in
+  check_float "mean" 42.0 r.Stats.mean;
+  check_float "variance" 0.0 r.Stats.stddev
 
 let test_stats_quantile () =
   let s = Stats.create () in
   for i = 1 to 101 do
     Stats.add s (float_of_int i)
   done;
-  check_float "median" 51.0 (Stats.quantile s 0.5);
-  check_float "q0" 1.0 (Stats.quantile s 0.0);
-  check_float "q1" 101.0 (Stats.quantile s 1.0)
+  let r = Stats.summarize s in
+  check_float "median" 51.0 r.Stats.p50;
+  check_float "p90" 91.0 r.Stats.p90;
+  check_float "p99" 100.0 r.Stats.p99
 
 let test_stats_reservoir_overflow () =
   (* More samples than the reservoir: quantiles remain sane estimates. *)
@@ -700,18 +654,8 @@ let test_stats_reservoir_overflow () =
   for i = 1 to 100_000 do
     Stats.add s (float_of_int (i mod 1000))
   done;
-  let q = Stats.quantile s 0.5 in
+  let q = (Stats.summarize s).Stats.p50 in
   Alcotest.(check bool) "median plausible" true (q > 200.0 && q < 800.0)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  List.iter (Stats.add a) [ 1.0; 2.0; 3.0 ];
-  List.iter (Stats.add b) [ 10.0; 20.0 ];
-  let m = Stats.merge a b in
-  Alcotest.(check int) "count" 5 (Stats.count m);
-  check_float "mean" 7.2 (Stats.mean m);
-  check_float "min" 1.0 (Stats.min_value m);
-  check_float "max" 20.0 (Stats.max_value m)
 
 let stats_qcheck_mean =
   QCheck.Test.make ~name:"streaming mean matches direct mean" ~count:200
@@ -720,26 +664,11 @@ let stats_qcheck_mean =
       let s = Stats.create () in
       List.iter (Stats.add s) l;
       let direct = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
-      abs_float (Stats.mean s -. direct) < 1e-6 *. (1.0 +. abs_float direct))
-
-let stats_qcheck_merge_is_concat =
-  QCheck.Test.make ~name:"merge equals feeding concatenation" ~count:200
-    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (l1, l2) ->
-      let a = Stats.create () and b = Stats.create () and c = Stats.create () in
-      List.iter (Stats.add a) l1;
-      List.iter (Stats.add b) l2;
-      List.iter (Stats.add c) (l1 @ l2);
-      let m = Stats.merge a b in
-      Stats.count m = Stats.count c
-      &&
-      (Stats.count c = 0
-      || abs_float (Stats.mean m -. Stats.mean c) < 1e-6
-         && abs_float (Stats.variance m -. Stats.variance c) < 1e-4))
+      abs_float ((Stats.summarize s).Stats.mean -. direct) < 1e-6 *. (1.0 +. abs_float direct))
 
 (* Literal summaries of fixed streams: one of 10^4 samples (past the
-   default 4096-sample reservoir), one into a 512-sample reservoir with
-   its own seed, and their merge. Fields are n, then mean, stddev, min,
+   default 4096-sample reservoir) and one into a 512-sample reservoir
+   with its own seed. Fields are n, then mean, stddev, min,
    max, p50, p90 and p99 as IEEE bit patterns. *)
 let test_stats_pinned () =
   let a = Stats.create () and b = Stats.create ~reservoir:512 ~seed:3 () in
@@ -766,12 +695,6 @@ let test_stats_pinned () =
       4558361607252512548L; 4604545425729371251L; -4616189698055289555L;
       4607182339939750410L; -4647124670886697998L; 4606578539119555493L;
       4607175285481028656L;
-    ];
-  check "merge" (Stats.merge a b) 13_000
-    [
-      4630604403039903473L; 4629830723002408767L; -4616189698055289555L;
-      4636730254480218522L; 4631424451169222656L; 4635945642982637568L;
-      4636653200705343980L;
     ]
 
 let () =
@@ -785,16 +708,12 @@ let () =
           tc "seed sensitivity" `Quick test_rng_seed_sensitivity;
           tc "int bounds" `Quick test_rng_int_bounds;
           tc "int invalid" `Quick test_rng_int_invalid;
-          tc "int_in" `Quick test_rng_int_in;
           tc "float bounds" `Quick test_rng_float_bounds;
-          tc "split independent" `Quick test_rng_split_independent;
-          tc "copy" `Quick test_rng_copy;
           tc "gaussian moments" `Slow test_rng_gaussian_moments;
           tc "exponential mean" `Slow test_rng_exponential_mean;
           tc "pareto scale" `Quick test_rng_pareto_scale;
           tc "invalid params" `Quick test_rng_invalid_params;
           tc "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          tc "choice member" `Quick test_rng_choice;
           tc "pinned outputs" `Quick test_rng_pinned;
           tc "gaussian allocation" `Quick test_rng_gaussian_alloc;
         ] );
@@ -808,7 +727,6 @@ let () =
           tc "max events" `Quick test_engine_max_events;
           tc "negative delay" `Quick test_engine_negative_delay;
           tc "schedule in past" `Quick test_engine_schedule_past;
-          tc "cancel all" `Quick test_engine_cancel_all;
           tc "rejects NaN" `Quick test_engine_rejects_nan;
           tc "until never rewinds" `Quick test_engine_until_never_rewinds;
           tc "releases fired callbacks" `Quick test_engine_releases_fired;
@@ -822,9 +740,7 @@ let () =
           tc "single" `Quick test_stats_single;
           tc "quantiles" `Quick test_stats_quantile;
           tc "reservoir overflow" `Slow test_stats_reservoir_overflow;
-          tc "merge" `Quick test_stats_merge;
           qc stats_qcheck_mean;
-          qc stats_qcheck_merge_is_concat;
           tc "pinned summaries" `Quick test_stats_pinned;
         ] );
     ]

@@ -99,7 +99,7 @@ let test_discovery_withdraws_probe () =
     (Discovery.run ~net ~origin:Vultr.server_ny ~observer:Vultr.server_la
        ~probe_prefix:probe ());
   Alcotest.(check bool) "probe gone" true
-    (Tango_bgp.Network.best_route net ~node:Vultr.server_la probe = None)
+    (Tango_bgp.Network.as_path net ~node:Vultr.server_la probe = None)
 
 let test_discovery_max_paths () =
   let net = vultr_net () in
@@ -237,33 +237,9 @@ let test_policy_no_measurements_fallback () =
 (* ------------------------------------------------------------------ *)
 (* ECMP reverse engineering                                            *)
 
-let test_ecmp_map_cluster () =
-  let clusters =
-    Ecmp_map.cluster ~tolerance_ms:0.5 [ 10.1; 10.0; 12.0; 12.2; 9.9; 14.05; 14.0 ]
-  in
-  Alcotest.(check int) "three clusters" 3 (List.length clusters);
-  match clusters with
-  | [ (m1, n1); (m2, n2); (m3, n3) ] ->
-      Alcotest.(check int) "sizes" 7 (n1 + n2 + n3);
-      Alcotest.(check bool) "means ordered" true (m1 < m2 && m2 < m3);
-      Alcotest.(check bool) "first near 10" true (abs_float (m1 -. 10.0) < 0.2)
-  | _ -> Alcotest.fail "unexpected shape"
-
-let test_ecmp_map_cluster_single () =
-  Alcotest.(check int) "one cluster" 1
-    (List.length (Ecmp_map.cluster ~tolerance_ms:1.0 [ 5.0; 5.1; 5.2; 4.9 ]))
-
-let test_ecmp_map_infer () =
-  let floors = [ (0, 28.0); (1, 30.0); (2, 28.1); (3, 32.0); (4, 30.1) ] in
-  let map = Ecmp_map.infer ~tolerance_ms:0.5 floors in
-  Alcotest.(check int) "three lanes" 3 (List.length map.Ecmp_map.lanes);
-  Alcotest.(check (float 0.1)) "spread" 3.95 map.Ecmp_map.spread_ms;
-  (match map.Ecmp_map.lanes with
-  | first :: _ -> Alcotest.(check (float 1e-9)) "fastest at 0" 0.0 first.Ecmp_map.offset_ms
-  | [] -> Alcotest.fail "no lanes")
-
-let test_ecmp_map_probe_end_to_end () =
-  (* A transit with 4 lanes 2 ms apart must be inferred from probes. *)
+(* Probe LA -> NY across NTT split into [count] ECMP lanes [spread_ms]
+   apart: the map [Ecmp_map.probe] infers from the per-flow floors. *)
+let probe_lanes ?(flows = 64) ~count ~spread_ms () =
   let net = vultr_net () in
   let plan = Addressing.carve ~block:Addressing.default_block ~site_index:1 ~path_count:0 in
   Tango_bgp.Network.announce net ~node:Vultr.server_ny plan.Addressing.host_prefix ();
@@ -271,20 +247,48 @@ let test_ecmp_map_probe_end_to_end () =
   let fabric =
     Tango_dataplane.Fabric.create ~seed:3
       ~lanes_of:(fun node ->
-        if node = Vultr.ntt then
-          Tango_dataplane.Ecmp.uniform_lanes ~count:4 ~spread_ms:2.0
+        if node = Vultr.ntt then Tango_dataplane.Ecmp.uniform_lanes ~count ~spread_ms
         else [| 0.0 |])
       net
   in
-  let map =
-    Ecmp_map.probe ~fabric ~from_node:Vultr.server_la
-      ~src:
-        (Addressing.host_address
-           (Addressing.carve ~block:Addressing.default_block ~site_index:0 ~path_count:0)
-           1L)
-      ~dst:(Addressing.host_address plan 1L)
-      ~flows:64 ~probes_per_flow:8 ()
-  in
+  Ecmp_map.probe ~fabric ~from_node:Vultr.server_la
+    ~src:
+      (Addressing.host_address
+         (Addressing.carve ~block:Addressing.default_block ~site_index:0 ~path_count:0)
+         1L)
+    ~dst:(Addressing.host_address plan 1L)
+    ~flows ~probes_per_flow:8 ()
+
+(* Floors 2 ms apart sit four tolerances apart: one cluster per lane,
+   every flow in one of them, in ascending order. *)
+let test_ecmp_map_cluster () =
+  let map = probe_lanes ~flows:7 ~count:3 ~spread_ms:2.0 () in
+  Alcotest.(check int) "three clusters" 3 (List.length map.Ecmp_map.lanes);
+  match map.Ecmp_map.lanes with
+  | [ l1; l2; l3 ] ->
+      Alcotest.(check int) "sizes" 7 (l1.Ecmp_map.flows + l2.Ecmp_map.flows + l3.Ecmp_map.flows);
+      Alcotest.(check bool) "means ordered" true
+        (l1.Ecmp_map.offset_ms < l2.Ecmp_map.offset_ms
+        && l2.Ecmp_map.offset_ms < l3.Ecmp_map.offset_ms);
+      Alcotest.(check bool) "second near 2" true (abs_float (l2.Ecmp_map.offset_ms -. 2.0) < 0.2)
+  | _ -> Alcotest.fail "unexpected shape"
+
+(* Floors 0.2 ms apart all merge within the tolerance. *)
+let test_ecmp_map_cluster_single () =
+  Alcotest.(check int) "one cluster" 1
+    (List.length (probe_lanes ~count:4 ~spread_ms:0.1 ()).Ecmp_map.lanes)
+
+let test_ecmp_map_infer () =
+  let map = probe_lanes ~count:3 ~spread_ms:2.0 () in
+  Alcotest.(check int) "three lanes" 3 (List.length map.Ecmp_map.lanes);
+  Alcotest.(check (float 0.1)) "spread" 4.0 map.Ecmp_map.spread_ms;
+  (match map.Ecmp_map.lanes with
+  | first :: _ -> Alcotest.(check (float 1e-9)) "fastest at 0" 0.0 first.Ecmp_map.offset_ms
+  | [] -> Alcotest.fail "no lanes")
+
+let test_ecmp_map_probe_end_to_end () =
+  (* A transit with 4 lanes 2 ms apart must be inferred from probes. *)
+  let map = probe_lanes ~count:4 ~spread_ms:2.0 () in
   Alcotest.(check int) "four lanes found" 4 (List.length map.Ecmp_map.lanes);
   Alcotest.(check (float 0.3)) "spread ~6ms" 6.0 map.Ecmp_map.spread_ms
 
@@ -418,16 +422,13 @@ let test_stream_basic_transfer () =
   in
   Pair.run_for pair 31.0;
   Alcotest.(check bool) "finished" true (Stream.finished stream);
-  Alcotest.(check int) "all delivered" 500 (Stream.delivered_segments stream);
   Alcotest.(check int) "no loss, no retransmit" 0 (Stream.retransmissions stream);
   (* Window 32 of 1200 B over a ~56.8 ms RTT: ~5.4 Mb/s. *)
   let goodput = Stream.goodput_mbps stream in
   Alcotest.(check bool)
     (Printf.sprintf "plausible goodput (%.2f Mb/s)" goodput)
     true
-    (goodput > 3.0 && goodput < 8.0);
-  Alcotest.(check bool) "srtt near 57ms" true
-    (abs_float (Stream.srtt_s stream -. 0.0568) < 0.01)
+    (goodput > 3.0 && goodput < 8.0)
 
 let test_stream_recovers_from_blackhole () =
   (* A short outage on the pinned path: the stream must retransmit and
@@ -475,6 +476,20 @@ let measured_pair () =
   Pair.run_for pair 10.5;
   pair
 
+(* [f ()] with the obs counters recording from zero, then the value of
+   each counter in [names]: how a run reports its probes and reports. *)
+let counted f names =
+  let module Metric = Tango_obs.Metric in
+  Metric.reset_values ();
+  Metric.set_enabled true;
+  let result = Fun.protect ~finally:(fun () -> Metric.set_enabled false) f in
+  let value name =
+    match List.find_opt (fun v -> String.equal v.Metric.name name) (Metric.views ()) with
+    | Some { Metric.value = Metric.Counter_value n; _ } -> n
+    | Some _ | None -> Alcotest.failf "no counter %s" name
+  in
+  (result, List.map value names)
+
 let test_pair_measurement_plane () =
   let pair = measured_pair () in
   let ny = Pair.pop_ny pair in
@@ -496,18 +511,16 @@ let test_pair_measurement_plane () =
   Alcotest.(check bool) "Telia - GTT = 3ms" true (abs_float (telia -. gtt -. 3.0) < 0.3);
   (* The absolute values are skew-shifted (LA clock +37ms, NY -12ms). *)
   Alcotest.(check bool) "absolute OWD shows skew" true (gtt < 0.0);
-  (* No loss on quiet paths. *)
-  for path = 0 to 3 do
-    Alcotest.(check int)
-      (Printf.sprintf "path %d no loss" path)
-      0
-      (Tango_dataplane.Seq_tracker.lost (Pop.tracker ny ~path))
-  done
+  (* No loss on quiet paths: NY's trackers report none back to LA. *)
+  Array.iteri
+    (fun path (s : Policy.path_stats) ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "path %d no loss" path) 0.0 s.Policy.loss_rate)
+    (Pop.outbound_stats (Pair.pop_la pair))
 
 let test_pair_reports_flow () =
-  let pair = measured_pair () in
+  let pair, reports = counted measured_pair [ "pop_reports_received_total" ] in
   let la = Pair.pop_la pair in
-  Alcotest.(check bool) "reports received" true (Pop.reports_received la > 50);
+  Alcotest.(check bool) "reports received" true (List.hd reports > 50);
   let outbound = Pop.outbound_stats la in
   Alcotest.(check int) "four paths reported" 4 (Array.length outbound);
   Array.iter
@@ -569,12 +582,12 @@ let test_pair_silent_blackhole_failover () =
   Alcotest.(check bool) "traffic kept flowing" true (Pop.app_received la > 700)
 
 let test_pair_probe_accounting () =
-  let pair = measured_pair () in
-  let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
-  Alcotest.(check bool) "probes sent" true (Pop.probes_sent la > 3500);
-  (* Every probe LA sent arrived at NY (no loss configured). *)
-  Alcotest.(check int) "all probes delivered" (Pop.probes_sent la)
-    (Pop.probes_received ny)
+  match counted measured_pair [ "pop_probes_sent_total"; "pop_probes_received_total" ] with
+  | _, [ sent; received ] ->
+      Alcotest.(check bool) "probes sent" true (sent > 3500);
+      (* Every probe sent arrived (no loss configured). *)
+      Alcotest.(check int) "all probes delivered" sent received
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Config DSL                                                          *)
@@ -600,8 +613,17 @@ site "NY" {
 }
 |}
 
+(* Parse [text] the way the CLI does: from a file. *)
+let parse_config text =
+  let path = Filename.temp_file "tango" ".conf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Config.parse_file path)
+
 let test_config_parse () =
-  match Config.parse sample_config with
+  match parse_config sample_config with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok cfg ->
       Alcotest.(check (float 1e-9)) "probe" 0.02 cfg.Config.probe_interval_s;
@@ -617,17 +639,30 @@ let test_config_parse () =
       | _ -> Alcotest.fail "wrong policy parsed")
 
 let test_config_roundtrip () =
-  match Config.parse sample_config with
+  match parse_config sample_config with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok cfg -> (
-      match Config.parse (Config.to_string cfg) with
+      match parse_config (Config.to_string cfg) with
       | Error e -> Alcotest.failf "reparse failed: %s" e
       | Ok cfg' -> Alcotest.(check bool) "roundtrip equal" true (cfg = cfg'))
 
 let test_config_defaults () =
-  match Config.parse "" with
+  let lowest_owd = Policy.Lowest_owd { hysteresis_ms = 1.0; min_dwell_s = 1.0 } in
+  let default =
+    {
+      Config.block = Addressing.default_block;
+      probe_interval_s = 0.01;
+      report_interval_s = 0.1;
+      sites =
+        [
+          { Config.name = "LA"; clock_offset_ns = 37_000_000L; policy = lowest_owd };
+          { Config.name = "NY"; clock_offset_ns = -12_000_000L; policy = lowest_owd };
+        ];
+    }
+  in
+  match parse_config "" with
   | Error e -> Alcotest.failf "empty config should parse: %s" e
-  | Ok cfg -> Alcotest.(check bool) "defaults" true (cfg = Config.default)
+  | Ok cfg -> Alcotest.(check bool) "defaults" true (cfg = default)
 
 let contains ~needle s =
   let n = String.length needle in
@@ -638,7 +673,7 @@ let contains ~needle s =
 
 let test_config_errors () =
   let expect_error ~needle text =
-    match Config.parse text with
+    match parse_config text with
     | Ok _ -> Alcotest.failf "accepted bad config %S" text
     | Error e ->
         Alcotest.(check bool)
@@ -653,7 +688,7 @@ let test_config_errors () =
   expect_error ~needle:"unknown setting" "measurement { cadence 5; }"
 
 let test_config_apply () =
-  match Config.parse sample_config with
+  match parse_config sample_config with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok cfg -> (
       match Config.apply_vultr cfg with
@@ -669,7 +704,7 @@ let test_config_apply_rejects_other_block () =
   let text =
     "block 2001:db8:8000::/34;\nsite \"LA\" { }\nsite \"NY\" { }"
   in
-  match Config.parse text with
+  match parse_config text with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok cfg -> (
       match Config.apply_vultr cfg with
@@ -681,7 +716,7 @@ let test_config_apply_rejects_other_block () =
             (contains ~needle:"2001:db8:8000::/34" e))
 
 let test_config_apply_needs_both_sites () =
-  match Config.parse "site \"LA\" { }" with
+  match parse_config "site \"LA\" { }" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok cfg -> (
       match Config.apply_vultr cfg with
@@ -693,15 +728,15 @@ let test_config_apply_needs_both_sites () =
 
 let test_mesh_setup () =
   let mesh = Mesh.setup_triangle ~seed:21 () in
-  Alcotest.(check int) "three sites" 3 (Mesh.sites mesh);
-  Alcotest.(check string) "names" "CHI" (Mesh.site_name mesh 2);
+  Alcotest.(check (list string)) "three sites" [ "LA"; "NY"; "CHI" ]
+    (List.map (Mesh.site_name mesh) [ 0; 1; 2 ]);
   (* LA<->NY keep their four paths; CHI pairs are single-homed per
      direction. *)
   Alcotest.(check int) "LA->NY paths" 4 (List.length (Mesh.paths mesh ~src:0 ~dst:1));
   Alcotest.(check int) "CHI->LA paths" 1 (List.length (Mesh.paths mesh ~src:2 ~dst:0));
   Alcotest.(check int) "NY->CHI paths" 1 (List.length (Mesh.paths mesh ~src:1 ~dst:2));
   Alcotest.(check bool) "pair lookup validates" true
-    (try ignore (Mesh.pop mesh ~src:1 ~dst:1); false with Invalid_argument _ -> true)
+    (try ignore (Mesh.measured_owd_ms mesh ~src:1 ~dst:1); false with Invalid_argument _ -> true)
 
 let test_mesh_measurement_and_planning () =
   let mesh = Mesh.setup_triangle ~seed:22 () in
@@ -728,8 +763,6 @@ let test_mesh_live_relay () =
   Mesh.run_for mesh 3.0;
   Mesh.plan_routes mesh;
   (* 100 app packets CHI -> LA over the planned (relayed) route. *)
-  let engine = Tango_sim.Engine.now (Pop.engine_of (Mesh.pop mesh ~src:2 ~dst:0)) in
-  ignore engine;
   for _ = 1 to 100 do
     Mesh.send_app mesh ~src:2 ~dst:0 ()
   done;
@@ -756,8 +789,9 @@ let test_mesh_replans_around_dead_relay () =
     (Mesh.route mesh ~src:2 ~dst:0 = Tango.Overlay.Relay [ 1 ]);
   (* Kill the link carrying CHI -> NY traffic (EastNet's handoff to the
      NY site); probes on that segment stop arriving, its stats go stale. *)
-  Tango_dataplane.Fabric.fail_link (Mesh.fabric mesh)
-    ~from_node:Overlay.Triangle.eastnet ~to_node:Vultr.vultr_ny;
+  let eastnet = 7018 in
+  Tango_dataplane.Fabric.fail_link (Mesh.fabric mesh) ~from_node:eastnet
+    ~to_node:Vultr.vultr_ny;
   Mesh.run_for mesh 6.0;
   Alcotest.(check bool) "segment now unusable" true
     (Mesh.measured_owd_ms mesh ~src:2 ~dst:1 = infinity);

@@ -11,10 +11,15 @@ let test_rel_inverse () =
   Alcotest.(check bool) "peer self-inverse" true
     (Relationship.equal (Relationship.inverse Relationship.Peer) Relationship.Peer)
 
+let role = function
+  | Relationship.Customer -> "customer"
+  | Relationship.Provider -> "provider"
+  | Relationship.Peer -> "peer"
+
 let test_rel_export_rules () =
   let check lf et expect =
     Alcotest.(check bool)
-      (Printf.sprintf "%s->%s" (Relationship.to_string lf) (Relationship.to_string et))
+      (Printf.sprintf "%s->%s" (role lf) (role et))
       expect
       (Relationship.export_allowed ~learned_from:lf ~exporting_to:et)
   in
@@ -78,10 +83,7 @@ let test_topology_queries () =
   let t = triangle () in
   Alcotest.(check (list int)) "customers of 1" [ 2; 3 ] (Topology.customers t 1);
   Alcotest.(check (list int)) "providers of 2" [ 1 ] (Topology.providers t 2);
-  Alcotest.(check (list int)) "peers of 3" [ 2 ] (Topology.peers_of t 3);
-  Alcotest.(check int) "edge count" 3 (Topology.edge_count t);
-  Alcotest.(check int) "degree" 2 (Topology.degree t 2);
-  Alcotest.(check string) "name" "p" (Topology.name t 1);
+  Alcotest.(check string) "name" "p" (Topology.node t 1).Topology.name;
   Alcotest.(check int) "asn" 300 (Topology.asn t 3)
 
 let test_topology_duplicates_rejected () =
@@ -121,21 +123,10 @@ let test_valley_free () =
 
 let test_chain () =
   let t = Builders.chain 4 in
-  Alcotest.(check int) "edges" 3 (Topology.edge_count t);
+  Alcotest.(check (list int)) "neighbors per node" [ 1; 2; 2; 1 ]
+    (List.map (fun i -> List.length (Topology.neighbors t i)) [ 0; 1; 2; 3 ]);
   Alcotest.(check bool) "0 provides 1" true
     (Topology.relationship t 0 1 = Some Relationship.Customer)
-
-let test_star () =
-  let t = Builders.star ~center:100 ~leaves:5 in
-  Alcotest.(check int) "degree" 5 (Topology.degree t 100);
-  Alcotest.(check (list int)) "customers" [ 101; 102; 103; 104; 105 ]
-    (Topology.customers t 100)
-
-let test_tier1_mesh () =
-  let t = Builders.tier1_mesh [ 10; 20; 30 ] in
-  Alcotest.(check int) "edges" 3 (Topology.edge_count t);
-  Alcotest.(check bool) "peers" true
-    (Topology.relationship t 10 30 = Some Relationship.Peer)
 
 let test_random_hierarchy_wellformed () =
   let t = Builders.random_hierarchy ~seed:5 ~tier1:3 ~tier2:6 ~stubs:10 in
@@ -153,7 +144,13 @@ let test_random_hierarchy_wellformed () =
 let test_random_hierarchy_deterministic () =
   let a = Builders.random_hierarchy ~seed:9 ~tier1:2 ~tier2:4 ~stubs:6 in
   let b = Builders.random_hierarchy ~seed:9 ~tier1:2 ~tier2:4 ~stubs:6 in
-  Alcotest.(check int) "same edge count" (Topology.edge_count a) (Topology.edge_count b)
+  let adjacency t =
+    List.map
+      (fun (n : Topology.node) ->
+        List.map (fun (m, _, _) -> m) (Topology.neighbors t n.Topology.id))
+      (Topology.nodes t)
+  in
+  Alcotest.(check (list (list int))) "same adjacency" (adjacency a) (adjacency b)
 
 (* ------------------------------------------------------------------ *)
 (* Vultr scenario                                                      *)
@@ -208,11 +205,9 @@ let test_vultr_calibration () =
     +. d Vultr.vultr_ny Vultr.server_ny
   in
   List.iter
-    (fun via ->
-      match Vultr.expected_owd_ms ~via with
-      | Some target -> Alcotest.(check (float 1e-6)) (Vultr.transit_name via) target (owd via)
-      | None -> ())
-    [ Vultr.ntt; Vultr.telia; Vultr.gtt ];
+    (fun (via, target) ->
+      Alcotest.(check (float 1e-6)) (Vultr.transit_name via) target (owd via))
+    [ (Vultr.ntt, 36.4); (Vultr.telia, 31.0); (Vultr.gtt, 28.0) ];
   (* The headline ratio: default (NTT) is 30% above the best (GTT). *)
   Alcotest.(check (float 1e-3)) "30%% gap" 1.3 (owd Vultr.ntt /. owd Vultr.gtt)
 
@@ -247,8 +242,6 @@ let () =
       ( "builders",
         [
           tc "chain" `Quick test_chain;
-          tc "star" `Quick test_star;
-          tc "tier1 mesh" `Quick test_tier1_mesh;
           tc "random well-formed" `Quick test_random_hierarchy_wellformed;
           tc "random deterministic" `Quick test_random_hierarchy_deterministic;
         ] );

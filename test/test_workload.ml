@@ -12,12 +12,20 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 (* Delay_process                                                       *)
 
+(* One spike in an otherwise silent, noiseless process: the delay is
+   the spike's contribution. *)
 let test_spike_shape () =
   let s = { Delay_process.at_s = 10.0; magnitude_ms = 50.0; width_s = 2.0 } in
-  check_float "before" 0.0 (Delay_process.spike_value s ~time_s:9.9);
-  check_float "onset" 50.0 (Delay_process.spike_value s ~time_s:10.0);
-  check_float "holds" 50.0 (Delay_process.spike_value s ~time_s:11.0);
-  check_float "sharp trailing edge" 0.0 (Delay_process.spike_value s ~time_s:12.0)
+  let p =
+    Delay_process.create ~seed:1
+      ~events:[ Delay_process.Instability { start_s = 0.0; duration_s = 100.0; spikes = [ s ] } ]
+      ()
+  in
+  let at time_s = Delay_process.value p ~time_s in
+  check_float "before" 0.0 (at 9.9);
+  check_float "onset" 50.0 (at 10.0);
+  check_float "holds" 50.0 (at 11.0);
+  check_float "sharp trailing edge" 0.0 (at 12.0)
 
 let test_level_shift_floor () =
   let rng = Rng.create ~seed:1 in
@@ -82,7 +90,7 @@ let test_white_noise_statistics () =
   done;
   (* Clamped at zero, so the observed std of a zero-floor process is
      below the nominal; it must still be clearly nonzero. *)
-  Alcotest.(check bool) "noisy" true (Tango_sim.Stats.stddev stats > 0.1)
+  Alcotest.(check bool) "noisy" true ((Tango_sim.Stats.summarize stats).stddev > 0.1)
 
 let test_process_values_nonnegative () =
   let p =
@@ -117,8 +125,6 @@ let test_fig4_gtt_westbound_has_events () =
   match Fig4.process_for sc ~transit:Vultr.gtt ~toward:Vultr.vultr_la with
   | None -> Alcotest.fail "missing GTT westbound process"
   | Some p ->
-      let events = Delay_process.events p in
-      Alcotest.(check int) "two events" 2 (List.length events);
       let rc0, _ = Fig4.route_change_window sc in
       (* Level shift is +5 ms inside its window. *)
       Alcotest.(check bool) "shift visible" true
@@ -139,7 +145,7 @@ let test_fig4_telia_noisier_than_gtt_eastbound () =
         for i = 0 to 5_000 do
           Tango_sim.Stats.add stats (Delay_process.value p ~time_s:(float_of_int i *. 0.01))
         done;
-        Tango_sim.Stats.stddev stats
+        (Tango_sim.Stats.summarize stats).stddev
   in
   let telia = sample Vultr.telia and gtt = sample Vultr.gtt in
   Alcotest.(check bool) "telia much noisier" true (telia > (5.0 *. gtt))
@@ -164,24 +170,6 @@ let test_traffic_periodic_start () =
   Engine.run e;
   check_float "starts at 2" 2.0 !first
 
-let test_traffic_poisson_rate () =
-  let e = Engine.create () in
-  let rng = Rng.create ~seed:10 in
-  let count = ref 0 in
-  Traffic.poisson e ~rng ~rate_hz:100.0 ~until_s:10.0 (fun _ -> incr count);
-  Engine.run e;
-  Alcotest.(check bool) "about 1000 arrivals" true (!count > 850 && !count < 1150)
-
-let test_traffic_on_off_bursty () =
-  let e = Engine.create () in
-  let rng = Rng.create ~seed:11 in
-  let count = ref 0 in
-  Traffic.on_off e ~rng ~rate_hz:100.0 ~burst_s:0.5 ~idle_s:0.5 ~until_s:10.0
-    (fun _ -> incr count);
-  Engine.run e;
-  (* Duty cycle ~50%: far fewer than a constant 100 Hz source. *)
-  Alcotest.(check bool) "bursty" true (!count > 100 && !count < 900)
-
 (* ------------------------------------------------------------------ *)
 (* Inorder                                                             *)
 
@@ -194,7 +182,8 @@ let test_inorder_sequential () =
   Alcotest.(check (list (float 1e-9))) "release 0" [ 1.0 ] (run_arrivals io r0);
   let r1 = Inorder.arrive io ~seq:1 ~time:2.0 in
   Alcotest.(check (list (float 1e-9))) "release 1" [ 2.0 ] (run_arrivals io r1);
-  Alcotest.(check int) "pending" 0 (Inorder.pending io)
+  (* Nothing was buffered: the next packet releases only itself. *)
+  Alcotest.(check int) "pending" 1 (Inorder.arrive io ~seq:2 ~time:3.0)
 
 let test_inorder_head_of_line () =
   let io = Inorder.create () in
@@ -202,9 +191,9 @@ let test_inorder_head_of_line () =
   (* Packet 1 is delayed; 2 and 3 arrive and must wait. *)
   Alcotest.(check int) "2 blocked" 0 (Inorder.arrive io ~seq:2 ~time:1.1);
   Alcotest.(check int) "3 blocked" 0 (Inorder.arrive io ~seq:3 ~time:1.2);
-  Alcotest.(check int) "two pending" 2 (Inorder.pending io);
-  (* Packet 1 releases 1, 2 and 3 at 1.5 s. *)
+  (* Packet 1 releases 1, 2 and 3 at 1.5 s: the two pending behind it. *)
   let n = Inorder.arrive io ~seq:1 ~time:1.5 in
+  Alcotest.(check int) "two pending" 3 n;
   Alcotest.(check (list (float 1e-9))) "burst release" [ 1.5; 1.1; 1.2 ]
     (run_arrivals io n);
   (* Packet 2 waited 0.4 s behind the slow packet 1. *)
@@ -219,9 +208,9 @@ let test_inorder_head_of_line () =
 
 let test_inorder_duplicates_ignored () =
   let io = Inorder.create () in
-  ignore (Inorder.arrive io ~seq:0 ~time:1.0);
+  let first = Inorder.arrive io ~seq:0 ~time:1.0 in
   Alcotest.(check int) "dup ignored" 0 (Inorder.arrive io ~seq:0 ~time:2.0);
-  Alcotest.(check int) "one released" 1 (Inorder.released io)
+  Alcotest.(check int) "one released" 1 first
 
 let inorder_qcheck_all_released =
   QCheck.Test.make ~name:"any permutation fully releases in order" ~count:200
@@ -235,11 +224,12 @@ let inorder_qcheck_all_released =
          the arrival time of the packet in that position of the run. *)
       let arrived_at = Array.make (n + 1) 0 in
       Array.iteri (fun i seq -> arrived_at.(seq) <- i) arr;
-      let runs_ok = ref true in
+      let runs_ok = ref true and total = ref 0 in
       Array.iteri
         (fun i seq ->
           let released = Inorder.arrive io ~seq ~time:(float_of_int i) in
-          let first = Inorder.released io - released in
+          let first = !total in
+          total := !total + released;
           for k = 0 to released - 1 do
             if
               not
@@ -248,7 +238,8 @@ let inorder_qcheck_all_released =
             then runs_ok := false
           done)
         arr;
-      !runs_ok && Inorder.released io = n + 1 && Inorder.pending io = 0)
+      (* Every packet released, so none is left pending. *)
+      !runs_ok && !total = n + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Load: the million-flow workload engine (DESIGN.md §14)              *)
@@ -315,22 +306,22 @@ let diurnal_qcheck_mass_conserved =
     (fun (gens, waves, depth100) ->
       let waves = float_of_int waves in
       let depth = float_of_int depth100 /. 100.0 in
-      let sum = ref 0.0 in
-      let positive = ref true in
-      for g = 0 to gens - 1 do
-        let w = Load.diurnal_weight ~generations:gens ~waves ~depth g in
-        if w <= 0.0 then positive := false;
-        sum := !sum +. w
-      done;
       let cum = Load.diurnal_cumulative ~generations:gens ~waves ~depth in
-      let monotone = ref true in
+      (* The weights are the table's steps: all positive, so the table
+         is (strictly) monotone, and they sum to its last entry. *)
+      let positive = ref true in
       Array.iteri
-        (fun i c -> if i > 0 && c < cum.(i - 1) then monotone := false)
+        (fun i c ->
+          let w = if i = 0 then c else c -. cum.(i - 1) in
+          if w <= 0.0 then positive := false)
         cum;
-      !positive && !monotone
+      !positive
       && Array.length cum = gens
-      && Float.abs (!sum -. float_of_int gens) < 1e-6 *. float_of_int gens
-      && Float.abs (cum.(gens - 1) -. !sum) < 1e-6 *. float_of_int gens)
+      && Float.abs (cum.(gens - 1) -. float_of_int gens) < 1e-6 *. float_of_int gens)
+
+let summary p = Format.asprintf "%a" Load.pp_summary p
+
+let total_packets p = List.fold_left ( + ) 0 (List.init (Load.flows p) (Load.flow_pkts p))
 
 let load_qcheck_same_seed_identical =
   QCheck.Test.make ~name:"same seed builds a byte-identical schedule"
@@ -339,25 +330,24 @@ let load_qcheck_same_seed_identical =
     (fun (flows, seed) ->
       let cfg = Load.default_config ~flows ~generations:64 ~seed () in
       let p1 = Load.plan cfg and p2 = Load.plan cfg in
-      (* The digest plus a direct sample of the schedule itself. *)
-      let spot = ref true in
-      for f = 0 to min 40 flows - 1 do
+      (* The summary plus the whole schedule itself. *)
+      let same = ref true in
+      for f = 0 to flows - 1 do
+        if Load.flow_pkts p1 f <> Load.flow_pkts p2 f then same := false;
         for g = 0 to 63 do
           if
             Load.sends_at p1 ~flow:f ~gen:g <> Load.sends_at p2 ~flow:f ~gen:g
-          then spot := false
+          then same := false
         done
       done;
-      String.equal (Load.fingerprint p1) (Load.fingerprint p2)
-      && Load.total_packets p1 = Load.total_packets p2
-      && !spot)
+      String.equal (summary p1) (summary p2) && !same)
 
 let test_load_seed_changes_schedule () =
   let p seed =
     Load.plan (Load.default_config ~flows:2_000 ~generations:64 ~seed ())
   in
-  Alcotest.(check bool) "seeds 1 and 2 differ" false
-    (String.equal (Load.fingerprint (p 1)) (Load.fingerprint (p 2)))
+  let sizes p = List.init (Load.flows p) (Load.flow_pkts p) in
+  Alcotest.(check bool) "seeds 1 and 2 differ" false (sizes (p 1) = sizes (p 2))
 
 let load_qcheck_class_mix =
   QCheck.Test.make ~name:"class mix lands within a 4-sigma binomial CI"
@@ -366,7 +356,9 @@ let load_qcheck_class_mix =
     (fun seed ->
       let flows = 20_000 in
       let p = Load.plan (Load.default_config ~flows ~generations:32 ~seed ()) in
-      let rpc, bulk, video = Load.class_counts p in
+      let rpc, bulk, video =
+        Scanf.sscanf (summary p) "flows=%_d (rpc=%d bulk=%d video=%d)" (fun r b v -> (r, b, v))
+      in
       let within share count =
         let n = float_of_int flows in
         let sigma = sqrt (share *. (1.0 -. share) /. n) in
@@ -390,7 +382,6 @@ let load_qcheck_schedule_accounting =
         for f = 0 to flows - 1 do
           if Load.sends_at p ~flow:f ~gen:g then incr c
         done;
-        if Load.gen_sends p g <> !c then ok := false;
         total := !total + !c;
         if !c > !peak then peak := !c
       done;
@@ -407,11 +398,11 @@ let load_qcheck_schedule_accounting =
         done;
         if !k > Load.flow_pkts p f then ok := false
       done;
-      !ok && !total = Load.total_packets p && !peak = Load.max_gen_sends p)
+      !ok && !total = total_packets p && !peak = Load.max_gen_sends p)
 
 let test_load_uniform_matches_e14_blast () =
   let p = Load.uniform ~flows:16 ~generations:10 in
-  Alcotest.(check int) "every flow every generation" 160 (Load.total_packets p);
+  Alcotest.(check int) "every flow every generation" 160 (total_packets p);
   Alcotest.(check int) "peak generation" 16 (Load.max_gen_sends p);
   for f = 0 to 15 do
     for g = 0 to 9 do
@@ -425,8 +416,9 @@ let test_load_uniform_matches_e14_blast () =
    generation, the slice holds exactly the lane's flows where [sends_at]
    holds, each once, in ascending flow order, numbered by [seq_index].
    Plans vary the class mix and the video stride (and include the
-   uniform blast); windows cover 1, 7, 64 and longer than the horizon;
-   lanes are [Shard.lane_of_hash] subsets at 1-4 lanes. *)
+   uniform blast); horizons of 1 to 160 generations fill one to five
+   32-generation windows, the last one partly; lanes are
+   [Shard.lane_of_hash] subsets at 1-4 lanes. *)
 let sends_qcheck_matches_reference =
   QCheck.Test.make
     ~name:"compiled send lists = sends_at/seq_index, ascending, each once"
@@ -434,8 +426,8 @@ let sends_qcheck_matches_reference =
     QCheck.(
       pair
         (quad (int_range 1 300) (int_range 1 160) (int_bound 10_000) (int_range 1 9))
-        (triple (int_bound 3) (int_range 1 4) (int_bound 3)))
-    (fun ((flows, gens, seed, video_stride), (mix_i, lanes, win_i)) ->
+        (pair (int_bound 3) (int_range 1 4)))
+    (fun ((flows, gens, seed, video_stride), (mix_i, lanes)) ->
       let plan =
         if mix_i = 3 then Load.uniform ~flows ~generations:gens
         else
@@ -449,13 +441,12 @@ let sends_qcheck_matches_reference =
             { (Load.default_config ~flows ~generations:gens ~seed ()) with
               mix; video_stride }
       in
-      let window = match win_i with 0 -> 1 | 1 -> 7 | 2 -> 64 | _ -> gens + 5 in
       let lane_of f = Shard.lane_of_hash ~lanes (Hashtbl.hash (seed, f)) in
       let ok = ref true in
       for lane = 0 to lanes - 1 do
         let own = List.filter (fun f -> lane_of f = lane) (List.init flows Fun.id) in
         let own = Array.of_list own in
-        let s = Load.Sends.create ~window plan ~flows:own in
+        let s = Load.Sends.create plan ~flows:own in
         for gen = 0 to gens - 1 do
           Load.Sends.seek s ~gen;
           let sf = Load.Sends.flows s and sq = Load.Sends.seqs s in
@@ -480,14 +471,13 @@ let sends_qcheck_matches_reference =
 let test_sends_rejects_misuse () =
   let plan = Load.plan (Load.default_config ~flows:50 ~generations:40 ~seed:3 ()) in
   let raises f = try f (); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "window 0 rejected" true
-    (raises (fun () -> ignore (Load.Sends.create ~window:0 plan ~flows:[| 0 |])));
   Alcotest.(check bool) "unsorted flows rejected" true
     (raises (fun () -> ignore (Load.Sends.create plan ~flows:[| 3; 1 |])));
   Alcotest.(check bool) "flow outside the plan rejected" true
     (raises (fun () -> ignore (Load.Sends.create plan ~flows:[| 50 |])));
-  let s = Load.Sends.create ~window:8 plan ~flows:(Array.init 50 Fun.id) in
-  Load.Sends.seek s ~gen:20;
+  (* The 40 generations compile in windows [0, 32) and [32, 40). *)
+  let s = Load.Sends.create plan ~flows:(Array.init 50 Fun.id) in
+  Load.Sends.seek s ~gen:35;
   Alcotest.(check bool) "seeking behind the window rejected" true
     (raises (fun () -> Load.Sends.seek s ~gen:3));
   Alcotest.(check bool) "seeking past the horizon rejected" true
@@ -522,8 +512,6 @@ let () =
         [
           tc "periodic count" `Quick test_traffic_periodic_count;
           tc "periodic start" `Quick test_traffic_periodic_start;
-          tc "poisson rate" `Quick test_traffic_poisson_rate;
-          tc "on-off bursty" `Quick test_traffic_on_off_bursty;
         ] );
       ( "inorder",
         [
