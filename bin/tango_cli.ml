@@ -50,17 +50,40 @@ let with_obs ~experiment ~seed ~config metrics prom f =
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
+(* A number outside its bound is a usage error (exit 124, nothing on
+   stdout) before the command runs: one converter per kind of bound. *)
+let bounded conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = bounded Arg.int ~ok:(fun n -> n > 0) ~expect:"a positive integer"
+
+let positive_float =
+  bounded Arg.float
+    ~ok:(fun x -> Float.is_finite x && x > 0.0)
+    ~expect:"a positive finite number"
+
+let batch_size =
+  bounded Arg.int
+    ~ok:(fun n -> n >= 1 && n <= Tango_dataplane.Batch.capacity)
+    ~expect:(Printf.sprintf "between 1 and %d" Tango_dataplane.Batch.capacity)
+
 let seed_arg =
   let doc = "Deterministic simulation seed." in
   Arg.(value & opt int 11 & info [ "seed" ] ~docv:"N" ~doc)
 
 let duration_arg default =
   let doc = "Virtual seconds of measurement." in
-  Arg.(value & opt float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let probe_arg =
   let doc = "Probe spacing in seconds (the paper used 0.01)." in
-  Arg.(value & opt float 0.01 & info [ "probe-interval" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 0.01 & info [ "probe-interval" ] ~docv:"SECONDS" ~doc)
 
 let scenario_arg =
   let doc = "Enable the Fig. 4 dynamics (route change + instability)." in
@@ -277,7 +300,7 @@ let simulate seed duration policy rate_hz metrics prom =
 let simulate_cmd =
   let rate =
     Arg.(
-      value & opt float 50.0
+      value & opt positive_float 50.0
       & info [ "rate" ] ~docv:"HZ" ~doc:"Application packet rate.")
   in
   Cmd.v
@@ -549,7 +572,7 @@ let pair_scenario_arg default =
 
 let rate_hz_arg =
   Arg.(
-    value & opt float 50.0
+    value & opt positive_float 50.0
     & info [ "rate" ] ~docv:"HZ" ~doc:"Application packet rate LA -> NY.")
 
 let faults_cmd =
@@ -622,13 +645,13 @@ let reconcile (sc : F_scenario.t) seed duration rate_hz budget cadence
 let reconcile_cmd =
   let budget =
     Arg.(
-      value & opt int Ctrl.default_config.Ctrl.budget_msgs
+      value & opt positive_int Ctrl.default_config.Ctrl.budget_msgs
       & info [ "budget" ] ~docv:"MSGS"
           ~doc:"Hard BGP-message budget per re-discovery epoch.")
   in
   let cadence =
     Arg.(
-      value & opt float Ctrl.default_config.Ctrl.cadence_s
+      value & opt positive_float Ctrl.default_config.Ctrl.cadence_s
       & info [ "cadence" ] ~docv:"SECONDS"
           ~doc:"Periodic churn-check interval.")
   in
@@ -670,22 +693,22 @@ let throughput domains batch flows generations seed fingerprint_only metrics
 let throughput_cmd =
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:"Dataplane lanes, one OCaml domain each.")
   in
   let batch =
     Arg.(
-      value & opt int 64
+      value & opt batch_size 64
       & info [ "batch" ] ~docv:"N"
           ~doc:"Packet-batch flush threshold, between 1 and 64.")
   in
   let flows =
-    Arg.(value & opt int 512 & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flows.")
+    Arg.(value & opt positive_int 512 & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flows.")
   in
   let generations =
     Arg.(
-      value & opt int 2000
+      value & opt positive_int 2000
       & info [ "generations" ] ~docv:"N"
           ~doc:"Packets per flow (one per 1 ms virtual generation).")
   in
@@ -749,24 +772,24 @@ let load domains batch flows generations seed cache ceiling idle_gens sweep
 let load_cmd =
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:"Dataplane lanes, one OCaml domain each.")
   in
   let batch =
     Arg.(
-      value & opt int 64
+      value & opt batch_size 64
       & info [ "batch" ] ~docv:"N"
           ~doc:"Packet-batch flush threshold, between 1 and 64.")
   in
   let flows =
     Arg.(
-      value & opt int 10_000
+      value & opt positive_int 10_000
       & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flows (ignored with --sweep).")
   in
   let generations =
     Arg.(
-      value & opt int 400
+      value & opt positive_int 400
       & info [ "generations" ] ~docv:"N"
           ~doc:"Workload horizon in 1 ms virtual generations.")
   in
@@ -886,7 +909,7 @@ let mesh_n ~pops ~trees ~seed ~scenario ~fingerprint_only ~duration ~attest
     Printf.printf "fingerprint: %s\n" r.Nmesh.fingerprint
   end
 
-let mesh seed duration pops trees scenario fingerprint_only attest quarantine_s
+let mesh_run seed duration pops trees scenario fingerprint_only attest quarantine_s
     suspect_threshold metrics prom =
   if pops > 0 then
     with_obs ~experiment:"mesh" ~seed
@@ -933,10 +956,21 @@ let mesh seed duration pops trees scenario fingerprint_only attest quarantine_s
     (Mesh.transited_at m ~site:1)
     (lat.Tango_sim.Stats.p50 *. 1000.0)
 
+(* A mesh fault scenario and attestation act on the N-PoP mesh only. *)
+let mesh seed duration pops trees scenario fingerprint_only attest quarantine_s
+    suspect_threshold metrics prom =
+  if pops = 0 && (Option.is_some scenario || attest) then
+    `Error (true, "--scenario and --attest need --pops")
+  else
+    `Ok
+      (mesh_run seed duration pops trees scenario fingerprint_only attest
+         quarantine_s suspect_threshold metrics prom)
+
 let mesh_cmd =
   let pops =
     Arg.(
-      value & opt int 0
+      value
+      & opt (bounded int ~ok:(fun n -> n = 0 || n >= 2) ~expect:"0 or at least 2") 0
       & info [ "pops" ] ~docv:"N"
           ~doc:
             "Host an $(docv)-PoP relay mesh in one process (flat PoP-indexed \
@@ -945,7 +979,7 @@ let mesh_cmd =
   in
   let trees =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "trees" ] ~docv:"K"
           ~doc:"Precomputed arborescences per destination (O(1) failover).")
   in
@@ -960,7 +994,7 @@ let mesh_cmd =
                 (List.map
                    (fun (s : F_scenario.t) -> s.F_scenario.name)
                    (scenarios_for ~mesh:true))
-            ^ ". Only meaningful with --pops."))
+            ^ ". Needs --pops."))
   in
   let fingerprint_flag =
     Arg.(
@@ -975,7 +1009,7 @@ let mesh_cmd =
           ~doc:
             "Verifiable forwarding: stamp per-hop digest chains, judge every \
              delivery against the committed route, and quarantine convicted \
-             relays. Only meaningful with --pops.")
+             relays. Needs --pops.")
   in
   let quarantine_s =
     Arg.(
@@ -987,7 +1021,7 @@ let mesh_cmd =
   in
   let suspect_threshold =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "suspect-threshold" ] ~docv:"N"
           ~doc:
             "Unlocalized bad verdicts a route intermediate accumulates before \
@@ -996,9 +1030,10 @@ let mesh_cmd =
   Cmd.v
     (Cmd.info "mesh" ~doc:"Run the Tango-of-N overlay (triangle or N-PoP mesh)")
     Term.(
-      const mesh $ seed_arg $ duration_arg 20.0 $ pops $ trees $ scenario
-      $ fingerprint_flag $ attest_flag $ quarantine_s $ suspect_threshold
-      $ metrics_arg $ prom_arg)
+      ret
+        (const mesh $ seed_arg $ duration_arg 20.0 $ pops $ trees $ scenario
+       $ fingerprint_flag $ attest_flag $ quarantine_s $ suspect_threshold
+       $ metrics_arg $ prom_arg))
 
 let () =
   let info =
