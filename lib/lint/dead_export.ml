@@ -1,5 +1,9 @@
 (* Rule dead-export (DESIGN.md §12): a [val] in a library interface
-   that no implementation outside its own module references.
+   that no program outside its own module references. Programs are the
+   library's implementations and the executables beside it; tests are
+   not, so a val only a test needs survives only behind a test-hook
+   marker, [(* test-hook: test/test_x.ml *)] on the line above it, and
+   the named test must reference it.
 
    Resolution is by name, like Callgraph's, but over whole files:
    module-initialization code ([let () = ...] bodies, experiment
@@ -128,25 +132,79 @@ let rec enclosing_modules acc = function
       let acc = match acc with [] -> [ m ] | p :: _ -> (p ^ "." ^ m) :: acc in
       enclosing_modules acc rest
 
-let check index ~mli signature =
-  let own = Filename.remove_extension mli ^ ".ml" in
-  let read_elsewhere tbl key =
+(* Whether a reader in [index] other than [own] references the val at
+   [segments], by its path or through an enclosing module used whole. *)
+let reads ?(own = "") index segments =
+  let read tbl key =
     match Hashtbl.find_opt tbl key with
     | Some files -> List.exists (fun f -> not (String.equal f own)) files
     | None -> false
   in
-  List.filter_map
-    (fun (segments, (loc : Location.t)) ->
-      let segments = module_name mli :: segments in
-      let key = String.concat "." segments in
-      if
-        read_elsewhere index.values_by_key key
-        || List.exists (read_elsewhere index.modules_by_key) (enclosing_modules [] segments)
-      then None
-      else
-        Some
-          (Ast_check.loc_finding ~file:mli ~loc Rules.Dead_export
-             (Printf.sprintf
-                "%s is exported but no implementation outside its module references it"
-                key)))
-    (vals [] signature)
+  read index.values_by_key (String.concat "." segments)
+  || List.exists (read index.modules_by_key) (enclosing_modules [] segments)
+
+(* Built by concatenation so that this file holds no marker. *)
+let hook_marker = "(* " ^ "test-hook:"
+
+(* [(line, named test file)] of every line of [source] that opens with
+   a test-hook marker. *)
+let hooks source =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let line = String.trim line in
+         if not (String.starts_with ~prefix:hook_marker line) then []
+         else
+           let n = String.length hook_marker in
+           let rest = String.trim (String.sub line n (String.length line - n)) in
+           [ (i + 1, List.hd (String.split_on_char ' ' rest)) ])
+       (String.split_on_char '\n' source))
+
+let check index ~test_reader ~mli ~source signature =
+  let own = Filename.remove_extension mli ^ ".ml" in
+  let finding line message =
+    Rules.v ~file:mli ~line ~col:0 Rules.Dead_export message
+  in
+  let hooks = hooks source in
+  let vals = vals [] signature in
+  let val_lines = List.map (fun (_, (loc : Location.t)) -> loc.loc_start.pos_lnum) vals in
+  let orphans =
+    List.filter_map
+      (fun (line, _) ->
+        if List.mem (line + 1) val_lines then None
+        else Some (finding line "test-hook marker is not on the line above a val"))
+      hooks
+  in
+  orphans
+  @ List.filter_map
+      (fun (segments, (loc : Location.t)) ->
+        let segments = module_name mli :: segments in
+        let key = String.concat "." segments in
+        let line = loc.loc_start.pos_lnum in
+        let read_by_program = reads ~own index segments in
+        match List.assoc_opt (line - 1) hooks with
+        | None when read_by_program -> None
+        | None ->
+            Some
+              (Ast_check.loc_finding ~file:mli ~loc Rules.Dead_export
+                 (Printf.sprintf
+                    "%s is exported but no program outside its module references it" key))
+        | Some test when read_by_program ->
+            Some
+              (finding (line - 1)
+                 (Printf.sprintf "stale test-hook for %s (%s): a program references it" key
+                    test))
+        | Some test -> (
+            match test_reader test with
+            | Some test_index when reads test_index segments -> None
+            | Some _ ->
+                Some
+                  (finding (line - 1)
+                     (Printf.sprintf "test-hook for %s names %s, which does not reference it"
+                        key test))
+            | None ->
+                Some
+                  (finding (line - 1)
+                     (Printf.sprintf "test-hook for %s names %s, which is not a test file" key
+                        test))))
+      vals

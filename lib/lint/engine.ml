@@ -5,8 +5,9 @@
        -> whole-program passes over the summaries (Hotset hot-reach)
        -> missing-mli check
        -> dead-export check: each .mli under a root directory against
-          the references of every .ml under the root and the reader
-          trees beside it (bin/, bench/, examples/, test/)
+          the references of every .ml under the root and the program
+          trees beside it (bin/, bench/, examples/); a test file is
+          read only where a test-hook marker names it
        -> waiver application (after the graph passes, so a waiver on an
           interprocedural finding registers as used)
        -> unused-waiver findings
@@ -111,49 +112,64 @@ let apply_waivers ~waivers_by_file findings =
 
 let is_dir path = Sys.file_exists path && Sys.is_directory path
 
-let rec files_under ~skip path =
-  if List.mem path skip then []
-  else if is_dir path then
+let rec files_under path =
+  if is_dir path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.concat_map (fun entry -> files_under ~skip (Filename.concat path entry))
+    |> List.concat_map (fun entry -> files_under (Filename.concat path entry))
   else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
     [ path ]
   else []
 
-(* The .ml files that read a lint root's exports besides the root's
-   own: those under its siblings bin/, bench/, examples/ and test/,
-   minus the lint and bench fixture corpora (never compiled). *)
-let reader_files root =
+(* The programs that read a lint root's exports besides the root's own
+   .ml files: those under its siblings bin/, bench/ and examples/. *)
+let sibling root d =
   let parent = Filename.dirname root in
-  let sibling d =
-    if String.equal parent Filename.current_dir_name then d else Filename.concat parent d
-  in
-  let skip = List.map sibling [ "test/lint_fixtures"; "test/bench_fixtures" ] in
-  List.concat_map (fun d -> files_under ~skip (sibling d)) [ "bin"; "bench"; "examples"; "test" ]
+  if String.equal parent Filename.current_dir_name then d else Filename.concat parent d
+
+let reader_files root =
+  List.concat_map (fun d -> files_under (sibling root d)) [ "bin"; "bench"; "examples" ]
   |> List.filter (fun f -> Filename.check_suffix f ".ml")
 
+let refs_of file =
+  match parse Parse.implementation file (read_file file) with
+  | Ok structure -> Dead_export.references structure
+  | Error _ -> no_refs
+
 (* dead-export over [mlis], with [lib_refs] (the roots' own .ml files)
-   and the reader trees of every directory root as readers. Returns each
-   interface's waivers, which join the engine's waiver table, and the
-   findings. *)
+   and the program trees of every directory root as readers. A test
+   file named by a test-hook marker is read, once, relative to the
+   parent of the marker's root. Returns each interface's waivers, which
+   join the engine's waiver table, and the findings. *)
 let dead_exports ~lib_refs ~mlis roots =
+  let roots = List.filter is_dir roots in
   let reader_refs =
-    List.concat_map reader_files (List.filter is_dir roots)
+    List.concat_map reader_files roots
     |> List.sort_uniq String.compare
     |> List.filter (fun f -> not (List.mem_assoc f lib_refs))
-    |> List.map (fun file ->
-           match parse Parse.implementation file (read_file file) with
-           | Ok structure -> (file, Dead_export.references structure)
-           | Error _ -> (file, no_refs))
+    |> List.map (fun file -> (file, refs_of file))
   in
   let index = Dead_export.index (lib_refs @ reader_refs) in
+  let tests = Hashtbl.create 16 in
+  let test_reader ~mli test =
+    match List.find_opt (fun root -> String.starts_with ~prefix:root mli) roots with
+    | None -> None
+    | Some root ->
+        let file = sibling root test in
+        if not (Filename.check_suffix file ".ml" && Sys.file_exists file) then None
+        else begin
+          if not (Hashtbl.mem tests file) then
+            Hashtbl.add tests file (Dead_export.index [ (file, refs_of file) ]);
+          Hashtbl.find_opt tests file
+        end
+  in
   List.map
     (fun mli ->
       let source = read_file mli in
       let waivers, waiver_findings = Waivers.scan ~path:mli source in
       let findings =
         match parse Parse.interface mli source with
-        | Ok signature -> Dead_export.check index ~mli signature
+        | Ok signature ->
+            Dead_export.check index ~test_reader:(test_reader ~mli) ~mli ~source signature
         | Error findings -> findings
       in
       ((mli, waivers), findings @ waiver_findings))
@@ -161,7 +177,7 @@ let dead_exports ~lib_refs ~mlis roots =
   |> List.split
 
 let run ?(config = Ast_check.default) paths =
-  let files = List.concat_map (files_under ~skip:[]) paths in
+  let files = List.concat_map files_under paths in
   let mls, mlis = List.partition (fun f -> Filename.check_suffix f ".ml") files in
   let analysed = List.map (summarize ~config) mls in
   let summaries = List.map fst analysed in

@@ -12,11 +12,14 @@ type result = {
 val run : ?config:Ast_check.config -> string list -> result
 (** The full pipeline over every .ml under the given files/directories,
     plus [dead-export] over every .mli among them. The readers of the
-    exports are the .ml files scanned plus, for each root directory,
-    those under its siblings [bin/], [bench/], [examples/] and [test/]
-    (minus [test/lint_fixtures/] and [test/bench_fixtures/]). *)
+    exports are the programs: the .ml files scanned plus, for each root
+    directory, those under its siblings [bin/], [bench/] and
+    [examples/]. A test file is read only where a test-hook marker
+    names it. *)
 
+(* test-hook: test/test_lint.ml *)
 val lint_file :
   ?config:Ast_check.config -> string -> Rules.finding list * (Rules.finding * string) list
 (** Lint one file with the local passes only (no call graph and no
-    dead-export check); returns (unwaived, waived). *)
+    dead-export check); returns (unwaived, waived). What the fixture
+    tests drive, one rule at a time. *)

@@ -103,9 +103,10 @@ let describe = function
        per-packet libraries (lib/net, lib/dataplane); declare the exception"
   | Missing_mli -> "every lib/**/*.ml must have a matching .mli interface"
   | Dead_export ->
-      "every val in a lib/**/*.mli must be referenced by some .ml outside its own \
-       module in lib/, bin/, bench/, examples/ or test/; delete it or waive it \
-       with a reason"
+      "every val in a lib/**/*.mli must be referenced by some program outside its \
+       own module (a .ml in lib/, bin/, bench/ or examples/); a val only a test \
+       needs carries a test-hook marker naming a test file that references it; \
+       otherwise delete it or waive it with a reason"
   | Waiver -> "waiver comments must name a known rule and carry a reason"
   | Parse_error -> "the file must parse"
 

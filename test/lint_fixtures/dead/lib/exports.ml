@@ -10,3 +10,8 @@ let test_only x = x + 5
 let own_only x = x + 6
 let unreferenced x = own_only x
 let waived x = x + 7
+let hooked x = x + 8
+let hook_unread x = x + 9
+let hook_no_file x = x + 10
+let hook_stale x = x + 11
+let after_blank x = x + 12

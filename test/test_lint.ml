@@ -256,22 +256,44 @@ let test_reach_waived () =
       Alcotest.failf "expected exactly one waived finding, got %d" (List.length other)
 
 (* R9: dead-export over a fixture tree with sibling lib/, bin/ and
-   test/. Alias, open, local open, functor argument and test-only
-   references all count; a reference from the module's own .ml does
-   not. *)
+   test/. Alias, open, local open and functor-argument references from
+   a program all count; a reference from the module's own .ml does
+   not, and neither does one from a test, unless a test-hook marker
+   names that test. A marker whose test does not reference its val,
+   that names no test file, that sits on a val a program reads (stale,
+   like an unused waiver) or above no val is itself a finding. *)
 let test_dead_export () =
   let result = Engine.run ~config:fixture_config [ fixture "dead/lib" ] in
-  let name (f : Rules.finding) =
-    (Rules.id f.Rules.rule, List.hd (String.split_on_char ' ' f.Rules.message))
+  let site (f : Rules.finding) = (f.Rules.line, Rules.id f.Rules.rule, f.Rules.message) in
+  let dead line name =
+    (line, "dead-export", name ^ " is exported but no program outside its module references it")
   in
-  Alcotest.(check (list (pair string string)))
+  Alcotest.(check (list (triple int string string)))
     "flagged"
-    [ ("dead-export", "Exports.own_only"); ("dead-export", "Exports.unreferenced") ]
-    (List.map name result.Engine.findings);
+    [
+      dead 13 "Exports.test_only";
+      dead 14 "Exports.own_only";
+      dead 15 "Exports.unreferenced";
+      ( 23,
+        "dead-export",
+        "test-hook for Exports.hook_unread names test/test_exports.ml, which does not \
+         reference it" );
+      ( 26,
+        "dead-export",
+        "test-hook for Exports.hook_no_file names test/test_missing.ml, which is not a \
+         test file" );
+      ( 29,
+        "dead-export",
+        "stale test-hook for Exports.hook_stale (test/test_exports.ml): a program \
+         references it" );
+      (32, "dead-export", "test-hook marker is not on the line above a val");
+      dead 34 "Exports.after_blank";
+    ]
+    (List.map site result.Engine.findings);
   match result.Engine.waived with
   | [ (f, reason) ] ->
-      Alcotest.(check (pair string string))
-        "waived" ("dead-export", "Exports.waived") (name f);
+      Alcotest.(check (triple int string string))
+        "waived" (dead 18 "Exports.waived") (site f);
       Alcotest.(check string) "reason" "kept for the fixture's waiver case" reason
   | other -> Alcotest.failf "expected exactly one waived finding, got %d" (List.length other)
 
