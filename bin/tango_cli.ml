@@ -800,7 +800,9 @@ let load_cmd =
           ~doc:
             "Per-lane flow-cache capacity (clock-hand eviction). 0 sizes it \
              to flows/8 (min 1024); a negative value sizes it to the flow \
-             count, so it never evicts.")
+             count, so it never evicts. Write a negative value with an \
+             equals sign, as in $(b,--cache=-1): a separate $(b,-1) is read \
+             as an option.")
   in
   let ceiling =
     Arg.(

@@ -4,8 +4,10 @@
     Runs the full per-packet path — flow-cache path decision, Tango
     encapsulation, batched fabric forwarding, decapsulation, sequence
     tracking — over a deterministic multi-path workload, flow-sharded
-    across OCaml 5 domain lanes with a deterministic merge
-    ({!Tango_sim.Shard}). Seeded runs produce identical delivered-packet
+    across OCaml 5 domain lanes ({!Tango_sim.Shard}). Each lane folds
+    the arrivals it drains into an order-insensitive fingerprint and
+    per-path counts and delay sums; the lanes' partials are added up
+    after they are joined. Seeded runs produce identical delivered-packet
     fingerprints and identical loss/reorder totals at {e any} domain
     count and batch size; only the wall-clock/pps figures vary. *)
 
@@ -38,8 +40,13 @@ type result = {
       (** Idle trackers expired by generation sweeps, summed over
           lanes. *)
   path_delivered : int array;  (** Deliveries per path id. *)
-  path_owd_ms : float array;  (** Mean one-way delay per path id. *)
-  merged : int;  (** Records the reducer consumed (= delivered). *)
+  path_owd_ms : float array;
+      (** Mean one-way delay per path id. Each lane sums its own
+          arrivals' delays and the lane sums are added in lane order, so
+          at more than one domain the last bits can depend on the lane
+          count (never on scheduling). *)
+  merged : int;
+      (** Records the lanes folded into the fingerprint (= delivered). *)
   fingerprint_sum : int;
   fingerprint_xor : int;
   wall_s : float;  (** Wall time of the parallel phase only. *)
@@ -73,7 +80,8 @@ val run :
     Builds one independent world (star topology, converged BGP tables,
     fabric) per lane on the main domain, then runs the lanes in
     parallel — lane 0 on the calling domain, one more domain per extra
-    lane — and reduces. Raises [Failure] if any packet left the batched
+    lane — and adds up their partial results. Raises [Failure] if any
+    packet left the batched
     direct path (the pipeline's zero-fallback invariant), and
     [Invalid_argument] for out-of-range parameters ([batch] must lie in
     [1, 64]).

@@ -5,7 +5,8 @@
    The pass is purely syntactic, so "lane-shared state" is identified by
    the one marker the untyped AST does expose: a record type that
    carries an [Atomic.t] field is the cross-domain handoff structure
-   (the SPSC ring). The sanctioned publication pattern writes plain
+   (an SPSC ring, say; the lanes have none left). The sanctioned
+   publication pattern writes plain
    array slots (or plain fields) and then publishes them with a single
    [Atomic.set] of the cursor — those plain writes go through immutable
    fields holding arrays, so they are invisible to this rule by

@@ -1,24 +1,20 @@
-(* Flow-sharded domain lanes with a deterministic merge.
+(* Flow-sharded domain lanes.
 
    The multicore dataplane (DESIGN.md §11) splits flows across N lanes
    by flow hash; each lane runs on an OCaml 5 domain of its own (lane 0
    on the caller's) against its own lane-local state (fabric, trackers,
-   caches), so the per-packet path takes no lock and shares no mutable
-   cache line. Results come back as flat timestamped records through
-   one single-producer / single-consumer ring per lane, and a single
-   reducer drains the rings in (virtual-time, lane-id, ring-position)
-   order — a k-way merge whose output order is a pure function of the
-   records, never of scheduling.
-   That is what keeps seeded runs byte-reproducible at any domain count.
+   caches, rings, folded results), so the per-packet path takes no lock
+   and shares no mutable cache line. No ring crosses a domain: a lane
+   fills and drains its own rings and folds what it drains, and the
+   caller reads the lanes' partials only after [run] has joined them
+   all. The join is the one synchronisation point, which is why the
+   ring cursors are plain ints.
 
    Rings are preallocated flat arrays (no per-record boxing). Code in
    other modules moves records in and out through columns ([scatter],
    [drain_into]) so no float crosses the module boundary boxed; the
    scalar [Ring.push] and the [record] scratch box their two floats
-   when called from outside. Publication safety follows the OCaml
-   memory model: every plain field write a producer makes before its
-   Atomic tail store is visible to a reader that observes the new
-   tail. *)
+   when called from outside. *)
 
 let lane_of_hash ~lanes hash =
   if lanes <= 0 then invalid_arg "Shard.lane_of_hash: non-positive lane count";
@@ -32,8 +28,8 @@ module Ring = struct
     b : int array;
     c : int array;
     v : float array;
-    tail : int Atomic.t;  (* producer cursor: next slot to fill *)
-    head : int Atomic.t;  (* consumer cursor: next slot to read *)
+    mutable tail : int;  (* next slot to fill *)
+    mutable head : int;  (* next slot to read *)
   }
 
   let create ~capacity =
@@ -50,20 +46,18 @@ module Ring = struct
       b = Array.make n 0;
       c = Array.make n 0;
       v = Array.make n 0.0;
-      tail = Atomic.make 0;
-      head = Atomic.make 0;
+      tail = 0;
+      head = 0;
     }
 
   let capacity t = t.mask + 1
 
-  let length t = Atomic.get t.tail - Atomic.get t.head
+  let is_empty t = t.tail = t.head
 
-  let is_empty t = length t = 0
-
-  (* The producer cursor, checked for room: rings do not block. *)
+  (* The write cursor, checked for room: rings do not block. *)
   let[@hot] tail_for_push t =
-    let tail = Atomic.get t.tail in
-    if tail - Atomic.get t.head > t.mask then
+    let tail = t.tail in
+    if tail - t.head > t.mask then
       invalid_arg "Shard.Ring: ring full (undersized for the workload)";
     tail
 
@@ -75,17 +69,14 @@ module Ring = struct
     Array.unsafe_set t.b i b;
     Array.unsafe_set t.c i c;
     Array.unsafe_set t.v i v;
-    Atomic.set t.tail (tail + 1)
+    t.tail <- tail + 1
 
   let[@hot] peek_time t =
-    let head = Atomic.get t.head in
-    if Atomic.get t.tail = head then infinity
-    else Array.unsafe_get t.time (head land t.mask)
+    if t.tail = t.head then infinity
+    else Array.unsafe_get t.time (t.head land t.mask)
 
   let[@hot] peek_b t =
-    let head = Atomic.get t.head in
-    if Atomic.get t.tail = head then max_int
-    else Array.unsafe_get t.b (head land t.mask)
+    if t.tail = t.head then max_int else Array.unsafe_get t.b (t.head land t.mask)
 end
 
 type record = {
@@ -99,16 +90,15 @@ type record = {
 let scratch () = { time = 0.0; a = 0; b = 0; c = 0; v = 0.0 }
 
 let pop_into (ring : Ring.t) (r : record) =
-  let head = Atomic.get ring.Ring.head in
-  if Atomic.get ring.Ring.tail = head then
-    invalid_arg "Shard.pop_into: empty ring";
+  let head = ring.Ring.head in
+  if ring.Ring.tail = head then invalid_arg "Shard.pop_into: empty ring";
   let i = head land ring.Ring.mask in
   r.time <- Array.unsafe_get ring.Ring.time i;
   r.a <- Array.unsafe_get ring.Ring.a i;
   r.b <- Array.unsafe_get ring.Ring.b i;
   r.c <- Array.unsafe_get ring.Ring.c i;
   r.v <- Array.unsafe_get ring.Ring.v i;
-  Atomic.set ring.Ring.head (head + 1)
+  ring.Ring.head <- head + 1
 
 (* Columns in, rings out: record [i] of the columns goes onto ring
    [c.(i)]. Every float moves from one float array to another, so
@@ -123,31 +113,22 @@ let[@hot] scatter rings ~time ~a ~b ~c ~v n =
     Array.unsafe_set ring.Ring.b j (Array.unsafe_get b i);
     Array.unsafe_set ring.Ring.c j (Array.unsafe_get c i);
     Array.unsafe_set ring.Ring.v j (Array.unsafe_get v i);
-    Atomic.set ring.Ring.tail (tail + 1)
+    ring.Ring.tail <- tail + 1
   done
 
-(* Move the head record of [src] onto [dst], field by field. *)
-let[@hot] move_head (src : Ring.t) (dst : Ring.t) =
-  let head = Atomic.get src.Ring.head in
-  let i = head land src.Ring.mask in
-  let tail = Ring.tail_for_push dst in
-  let j = tail land dst.Ring.mask in
-  Array.unsafe_set dst.Ring.time j (Array.unsafe_get src.Ring.time i);
-  Array.unsafe_set dst.Ring.a j (Array.unsafe_get src.Ring.a i);
-  Array.unsafe_set dst.Ring.b j (Array.unsafe_get src.Ring.b i);
-  Array.unsafe_set dst.Ring.c j (Array.unsafe_get src.Ring.c i);
-  Array.unsafe_set dst.Ring.v j (Array.unsafe_get src.Ring.v i);
-  Atomic.set dst.Ring.tail (tail + 1);
-  Atomic.set src.Ring.head (head + 1)
-
 (* The in-lane merge: repeatedly take the smallest head record across
-   [rings] by (time, b), ties to the lowest ring index (strict <). With
-   one FIFO ring per constant-delay path, each ring is already in
-   arrival order, so this reconstructs the lane's true arrival order;
-   ordering equal times by [b] (the sequence number) is what keeps a
-   flow's observation order independent of how flows share lanes. *)
-let[@hot] drain_into rings ~upto ~out ~a ~b =
-  let n = Int.min (Array.length a) (Array.length b) in
+   [rings] by (time, b), ties to the lowest ring index (strict <), and
+   pop it into the columns. With one FIFO ring per constant-delay path,
+   each ring is already in arrival order, so this reconstructs the
+   lane's true arrival order; ordering equal times by [b] (the sequence
+   number) is what keeps a flow's observation order independent of how
+   flows share lanes. *)
+let[@hot] drain_into rings ~upto ~time ~a ~b ~c ~v =
+  let n =
+    Int.min
+      (Int.min (Array.length time) (Array.length v))
+      (Int.min (Array.length a) (Int.min (Array.length b) (Array.length c)))
+  in
   let k = ref 0 in
   let more = ref true in
   while !more && !k < n do
@@ -156,12 +137,12 @@ let[@hot] drain_into rings ~upto ~out ~a ~b =
     let best_b = ref max_int in
     for r = 0 to Array.length rings - 1 do
       let ring = Array.unsafe_get rings r in
-      let head = Atomic.get ring.Ring.head in
-      if Atomic.get ring.Ring.tail <> head then begin
+      let head = ring.Ring.head in
+      if ring.Ring.tail <> head then begin
         let i = head land ring.Ring.mask in
         let tp = Array.unsafe_get ring.Ring.time i in
-        let c = Float.compare tp !best_t in
-        if c < 0 || (c = 0 && Array.unsafe_get ring.Ring.b i < !best_b) then begin
+        let cmp = Float.compare tp !best_t in
+        if cmp < 0 || (cmp = 0 && Array.unsafe_get ring.Ring.b i < !best_b) then begin
           best := r;
           best_t := tp;
           best_b := Array.unsafe_get ring.Ring.b i
@@ -171,19 +152,24 @@ let[@hot] drain_into rings ~upto ~out ~a ~b =
     if !best < 0 || !best_t > upto then more := false
     else begin
       let ring = Array.unsafe_get rings !best in
-      let i = Atomic.get ring.Ring.head land ring.Ring.mask in
-      Array.unsafe_set a !k (Array.unsafe_get ring.Ring.a i);
-      Array.unsafe_set b !k !best_b;
-      move_head ring out;
-      incr k
+      let head = ring.Ring.head in
+      let i = head land ring.Ring.mask in
+      let j = !k in
+      Array.unsafe_set time j (Array.unsafe_get ring.Ring.time i);
+      Array.unsafe_set a j (Array.unsafe_get ring.Ring.a i);
+      Array.unsafe_set b j !best_b;
+      Array.unsafe_set c j (Array.unsafe_get ring.Ring.c i);
+      Array.unsafe_set v j (Array.unsafe_get ring.Ring.v i);
+      ring.Ring.head <- head + 1;
+      k := j + 1
     end
   done;
   !k
 
-(* Drain [rings] in (time, lane-id, ring-position) order: repeatedly pop
-   the globally smallest head record, scanning lanes ascending with a
-   strict < so ties resolve to the lowest lane id; within one lane, ring
-   order (the lane's own emission order) is preserved by construction. *)
+(* Drain [rings] in (time, ring-index, ring-position) order: repeatedly
+   pop the globally smallest head record, scanning rings ascending with
+   a strict < so ties resolve to the lowest index; within one ring, its
+   own order is preserved by construction. *)
 let merge rings ~consume =
   let lanes = Array.length rings in
   let r = scratch () in
@@ -213,27 +199,23 @@ let outcome f =
   | () -> None
   | exception e -> Some (e, Printexc.get_raw_backtrace ())
 
-let run ~lanes ~capacity_of ~lane ~consume =
+let run ~lanes ~lane =
   if lanes <= 0 then invalid_arg "Shard.run: non-positive lane count";
-  let rings =
-    Array.init lanes (fun l -> Ring.create ~capacity:(capacity_of ~lane:l))
-  in
   (* Lanes 1.. get a domain each; lane 0 runs here, on the caller's. *)
   let spawned = ref [] in
   let failed =
     outcome (fun () ->
         for l = 1 to lanes - 1 do
-          spawned := Domain.spawn (fun () -> lane ~lane:l rings.(l)) :: !spawned
+          spawned := Domain.spawn (fun () -> lane ~lane:l) :: !spawned
         done;
-        lane ~lane:0 rings.(0))
+        lane ~lane:0)
   in
-  (* Quiesce point: joining every lane establishes happens-before for all
-     lane-local state, so the reducer (and any counter merging the caller
-     does afterwards) reads fully published data. Every spawned lane is
-     joined even when another lane raised; the first failure (the
-     caller's own lane first, then by lane id) is re-raised after. *)
+  (* Quiesce point: joining every lane establishes happens-before for
+     all lane-local state, so whatever the caller reads afterwards is
+     fully published. Every spawned lane is joined even when another
+     lane raised; the first failure (the caller's own lane first, then
+     by lane id) is re-raised after. *)
   let joined = List.rev_map (fun d -> outcome (fun () -> Domain.join d)) !spawned in
-  (match List.find_map Fun.id (failed :: joined) with
+  match List.find_map Fun.id (failed :: joined) with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  merge rings ~consume
+  | None -> ()

@@ -22,7 +22,6 @@ type t = {
   mutable buf_values : floatarray;
   mutable buf_head : int;
   mutable buf_len : int;
-  window_s : float;
   mutable last_shift_at : float;
   mutable last_spike_at : float;
   (* Event history, oldest first, flat: kind tag plus (at, a, b) where
@@ -35,16 +34,19 @@ type t = {
   mutable ev_count : int;
 }
 
-(* Minimum difference of window means to report a shift, excursion
-   above the older window's mean to report a spike, and the hold-off
-   that keeps one route change from reporting twice. *)
+(* Length of each of the two adjacent comparison windows, which is also
+   the spike cooldown; minimum difference of window means to report a
+   shift, excursion above the older window's mean to report a spike,
+   and the hold-off that keeps one route change from reporting twice. *)
+let window_s = 5.0
+
 let shift_threshold_ms = 2.0
 
 let spike_threshold_ms = 10.0
 
 let shift_cooldown_s = 30.0
 
-let create ?(window_s = 5.0) () =
+let create () =
   {
     older = Rolling.create ~window_s;
     recent = Rolling.create ~window_s;
@@ -52,7 +54,6 @@ let create ?(window_s = 5.0) () =
     buf_values = Float.Array.make 64 0.0;
     buf_head = 0;
     buf_len = 0;
-    window_s;
     last_shift_at = neg_infinity;
     last_spike_at = neg_infinity;
     ev_kinds = Array.make 16 0;
@@ -111,7 +112,7 @@ let[@hot] add t ~time value =
   Float.Array.set t.buf_times slot time;
   Float.Array.set t.buf_values slot value;
   t.buf_len <- t.buf_len + 1;
-  let horizon = time -. t.window_s in
+  let horizon = time -. window_s in
   let continue = ref true in
   while !continue && t.buf_len > 0 do
     let ts = Float.Array.get t.buf_times t.buf_head in
@@ -126,7 +127,7 @@ let[@hot] add t ~time value =
   if Rolling.count t.older >= 10 && not (Float.is_nan baseline) then
     if
       value -. baseline > spike_threshold_ms
-      && time -. t.last_spike_at > t.window_s
+      && time -. t.last_spike_at > window_s
     then begin
       t.last_spike_at <- time;
       push_event t ~kind:ev_spike ~at:time ~a:value ~b:baseline

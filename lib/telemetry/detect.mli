@@ -11,12 +11,12 @@ type event =
 
 type t
 
-val create : ?window_s:float -> unit -> t
-(** [window_s] (default 5): length of each of the two adjacent comparison
-    windows for level shifts. A shift is a difference of window means
-    above 2 ms; a spike is an excursion more than 10 ms above the older
-    window's mean. A cooldown (30 s for shifts, [window_s] for spikes)
-    suppresses duplicate reports of one incident. *)
+val create : unit -> t
+(** Two adjacent 5 s comparison windows for level shifts. A shift is a
+    difference of window means above 2 ms; a spike is an excursion more
+    than 10 ms above the older window's mean. A cooldown (30 s for
+    shifts, one window for spikes) suppresses duplicate reports of one
+    incident. *)
 
 val add : t -> time:float -> float -> unit
 (** Feed one sample; allocation-free. Any freshly detected event is

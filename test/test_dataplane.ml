@@ -498,6 +498,30 @@ let test_fabric_batch_forms_agree () =
   Alcotest.(check int) "all direct" 0 (Fabric.direct_fallbacks fabric);
   Alcotest.(check int) "counted" 4 (Fabric.delivered fabric)
 
+(* The route cache matches an endpoint by value: a second
+   [Addr.of_string_exn] of the same address is a different value in
+   memory, and it must still take the cached route to the same arrival,
+   directly. *)
+let test_fabric_batch_equal_endpoint () =
+  let _, net = slow_link_net () in
+  let fabric = Fabric.create net in
+  let cached = Addr.of_string_exn "10.0.0.1" in
+  let copy = Addr.of_string_exn "10.0.0.1" in
+  Alcotest.(check bool) "equal, not the same value" true
+    (Addr.equal cached copy && cached != copy);
+  let arrival dst =
+    let b = Batch.create () in
+    Batch.encap b ~dst ~bytes:1290 ~path:0 ~flow:0 ~seq:0;
+    Fabric.send_batch_direct fabric ~from_node:0 ~now_s:2.0 b;
+    b.Batch.arrival.(0)
+  in
+  let first = arrival cached in
+  let second = arrival copy in
+  Alcotest.(check bool) "same arrival, bit for bit" true (Float.equal first second);
+  Alcotest.(check (float 1e-12)) "closed-form arrival" (2.0 +. 0.001 +. (1290.0 *. 8e-6))
+    second;
+  Alcotest.(check int) "all direct" 0 (Fabric.direct_fallbacks fabric)
+
 (* A jittered route is not plain: every slot falls back and reads nan.
    The packet slot goes through the event path; the encap slot has no
    packet to send and is never delivered. *)
@@ -848,6 +872,7 @@ let () =
         [
           tc "forms agree" `Quick test_fabric_batch_forms_agree;
           tc "fallback" `Quick test_fabric_batch_fallback;
+          tc "equal endpoint, another value" `Quick test_fabric_batch_equal_endpoint;
         ] );
       ( "flow_cache",
         [

@@ -131,18 +131,17 @@ let test_merge_time_then_lane_order () =
     (List.rev !order)
 
 let test_run_single_producer_per_lane () =
-  (* End-to-end through Shard.run: each lane (its own domain) emits its
-     records; the reduced stream is the deterministic merge. *)
-  let consumed = ref [] in
-  Shard.run ~lanes:3
-    ~capacity_of:(fun ~lane:_ -> 4)
-    ~lane:(fun ~lane ring ->
+  (* Through Shard.run: each lane (its own domain) fills its own ring;
+     after the join the caller merges them deterministically. *)
+  let rings = Array.init 3 (fun _ -> Shard.Ring.create ~capacity:4) in
+  Shard.run ~lanes:3 ~lane:(fun ~lane ->
       for i = 0 to 2 do
-        Shard.Ring.push ring
+        Shard.Ring.push rings.(lane)
           ~time:(float_of_int ((i * 3) + lane))
           ~a:lane ~b:i ~c:0 ~v:0.0
-      done)
-    ~consume:(fun ~lane r -> consumed := (lane, r.Shard.b) :: !consumed);
+      done);
+  let consumed = ref [] in
+  Shard.merge rings ~consume:(fun ~lane r -> consumed := (lane, r.Shard.b) :: !consumed);
   let expect =
     (* times: lane l emits t = 3i + l, so the global order interleaves
        lanes 0,1,2 at each i. *)
@@ -155,10 +154,7 @@ let test_run_lane_zero_on_caller () =
   (* N lanes use N domains: lane 0 runs on the calling domain. *)
   let caller = (Domain.self () :> int) in
   let on = Array.make 3 (-1) in
-  Shard.run ~lanes:3
-    ~capacity_of:(fun ~lane:_ -> 1)
-    ~lane:(fun ~lane _ -> on.(lane) <- (Domain.self () :> int))
-    ~consume:(fun ~lane:_ _ -> ());
+  Shard.run ~lanes:3 ~lane:(fun ~lane -> on.(lane) <- (Domain.self () :> int));
   Alcotest.(check int) "lane 0 on the caller" caller on.(0);
   Alcotest.(check bool) "other lanes on other domains" true
     (on.(1) <> caller && on.(2) <> caller && on.(1) <> on.(2))
@@ -169,9 +165,7 @@ let test_run_joins_every_lane_on_raise () =
   let raised = Atomic.make false in
   let finished = Array.init 3 (fun _ -> Atomic.make false) in
   (match
-     Shard.run ~lanes:3
-       ~capacity_of:(fun ~lane:_ -> 1)
-       ~lane:(fun ~lane _ ->
+     Shard.run ~lanes:3 ~lane:(fun ~lane ->
          if lane = 0 then begin
            Atomic.set raised true;
            failwith "lane 0"
@@ -182,7 +176,6 @@ let test_run_joins_every_lane_on_raise () =
            done;
            Atomic.set finished.(lane) true
          end)
-       ~consume:(fun ~lane:_ _ -> Alcotest.fail "nothing is merged after a raise")
    with
   | () -> Alcotest.fail "run returned"
   | exception Failure m -> Alcotest.(check string) "lane 0's failure" "lane 0" m);
@@ -190,10 +183,7 @@ let test_run_joins_every_lane_on_raise () =
   Alcotest.(check bool) "lane 2 joined" true (Atomic.get finished.(2));
   (* A spawned lane's failure surfaces too. *)
   match
-    Shard.run ~lanes:2
-      ~capacity_of:(fun ~lane:_ -> 1)
-      ~lane:(fun ~lane _ -> if lane = 1 then failwith "lane 1")
-      ~consume:(fun ~lane:_ _ -> ())
+    Shard.run ~lanes:2 ~lane:(fun ~lane -> if lane = 1 then failwith "lane 1")
   with
   | () -> Alcotest.fail "run returned"
   | exception Failure m -> Alcotest.(check string) "lane 1's failure" "lane 1" m
@@ -236,31 +226,129 @@ let test_scatter_by_c () =
 
 let test_drain_into_order () =
   let rings = Array.init 2 (fun _ -> Shard.Ring.create ~capacity:8) in
-  let push ring ~time ~a ~b = Shard.Ring.push ring ~time ~a ~b ~c:0 ~v:0.0 in
-  push rings.(0) ~time:1.0 ~a:0 ~b:5;
-  push rings.(0) ~time:2.0 ~a:1 ~b:1;
-  push rings.(0) ~time:3.0 ~a:2 ~b:0;
-  push rings.(1) ~time:1.0 ~a:3 ~b:3;
-  push rings.(1) ~time:2.0 ~a:4 ~b:1;
-  push rings.(1) ~time:5.0 ~a:5 ~b:0;
-  let out = Shard.Ring.create ~capacity:8 in
+  (* [c] is the ring index and [v] is [a + 0.5], so the columns show
+     where each record came from. *)
+  let push r ~time ~a ~b =
+    Shard.Ring.push rings.(r) ~time ~a ~b ~c:r ~v:(float_of_int a +. 0.5)
+  in
+  push 0 ~time:1.0 ~a:0 ~b:5;
+  push 0 ~time:2.0 ~a:1 ~b:1;
+  push 0 ~time:3.0 ~a:2 ~b:0;
+  push 1 ~time:1.0 ~a:3 ~b:3;
+  push 1 ~time:2.0 ~a:4 ~b:1;
+  push 1 ~time:5.0 ~a:5 ~b:0;
+  let time = Array.make 2 nan and c = Array.make 2 (-1) and v = Array.make 2 nan in
   let a = Array.make 2 (-1) and b = Array.make 2 (-1) in
+  let drained = ref [] in
   let step upto expect =
-    let k = Shard.drain_into rings ~upto ~out ~a ~b in
+    let k = Shard.drain_into rings ~upto ~time ~a ~b ~c ~v in
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "chunk up to %g" upto)
       expect
-      (List.init k (fun i -> (a.(i), b.(i))))
+      (List.init k (fun i -> (a.(i), b.(i))));
+    drained := !drained @ List.init k (fun i -> (time.(i), c.(i), v.(i)))
   in
   (* Equal times go by b, then equal (time, b) by ring index. *)
   step 2.5 [ (3, 3); (0, 5) ];
   step 2.5 [ (1, 1); (4, 1) ];
   step 2.5 [];
   step infinity [ (2, 0); (5, 0) ];
-  let r = Shard.scratch () in
-  let moved = List.init 6 (fun _ -> Shard.pop_into out r; r.Shard.a) in
-  Alcotest.(check (list int)) "out ring holds the merged order" [ 3; 0; 1; 4; 2; 5 ]
-    moved
+  Alcotest.(check (list (triple (float 0.0) int (float 0.0))))
+    "time, c and v columns in the merged order"
+    [
+      (1.0, 1, 3.5);
+      (1.0, 0, 0.5);
+      (2.0, 0, 1.5);
+      (2.0, 1, 4.5);
+      (3.0, 0, 2.5);
+      (5.0, 1, 5.5);
+    ]
+    !drained;
+  Alcotest.(check bool) "rings empty" true (Array.for_all Shard.Ring.is_empty rings)
+
+(* Property: however the cut-offs fall and however short the columns
+   are, draining to each cut-off in turn, then to infinity, yields
+   every record once, in the order of a stable sort of all of them by
+   (time, b, ring index), and each cut-off drains exactly the records
+   at or before it. Times and [b] come from small ranges, so equal
+   times and equal (time, b) pairs across rings are common. Each ring
+   is in (time, b) order, as the sort assumes; [a] is a record's
+   unique id. *)
+let drain_into_qcheck_matches_sort =
+  let gen =
+    QCheck.Gen.(
+      let* rings = int_range 1 4 in
+      let* per_ring =
+        list_repeat rings (list_size (int_bound 12) (pair (int_bound 3) (int_bound 4)))
+      in
+      let* cuts = list_size (int_bound 4) (int_bound 8) in
+      let* len = int_range 1 4 in
+      return (per_ring, cuts, len))
+  in
+  let print (per_ring, cuts, len) =
+    Printf.sprintf "rings %s cuts %s columns %d"
+      (String.concat " | "
+         (List.map
+            (fun l ->
+              String.concat ";" (List.map (fun (t, b) -> Printf.sprintf "%d,%d" t b) l))
+            per_ring))
+      (String.concat ";" (List.map string_of_int cuts))
+      len
+  in
+  QCheck.Test.make ~name:"drain_into = stable sort by (time, b, ring)" ~count:500
+    (QCheck.make ~print gen) (fun (per_ring, cuts, len) ->
+      let next_id = ref 0 in
+      let records =
+        List.mapi
+          (fun ring l ->
+            List.map
+              (fun (t, b) ->
+                let id = !next_id in
+                incr next_id;
+                (float_of_int t, id, b, ring, float_of_int id +. 0.25))
+              (List.sort compare l))
+          per_ring
+      in
+      let rings =
+        Array.of_list
+          (List.map
+             (fun l ->
+               let ring = Shard.Ring.create ~capacity:(max 1 (List.length l)) in
+               List.iter
+                 (fun (time, a, b, c, v) -> Shard.Ring.push ring ~time ~a ~b ~c ~v)
+                 l;
+               ring)
+             records)
+      in
+      let expect =
+        List.stable_sort
+          (fun (t1, _, b1, r1, _) (t2, _, b2, r2, _) -> compare (t1, b1, r1) (t2, b2, r2))
+          (List.concat records)
+      in
+      (* The [a] column is longer: the shortest column bounds a chunk. *)
+      let time = Array.make len nan and a = Array.make (len + 3) (-1) in
+      let b = Array.make len (-1) and c = Array.make len (-1) in
+      let v = Array.make len nan in
+      let got = ref [] in
+      let drain_to upto =
+        let k = ref len in
+        while !k = len do
+          k := Shard.drain_into rings ~upto ~time ~a ~b ~c ~v;
+          if !k > len then QCheck.Test.fail_reportf "chunk of %d > %d" !k len;
+          for i = 0 to !k - 1 do
+            got := (time.(i), a.(i), b.(i), c.(i), v.(i)) :: !got
+          done
+        done;
+        let at_or_before =
+          List.length (List.filter (fun (t, _, _, _, _) -> t <= upto) expect)
+        in
+        if List.length !got <> at_or_before then
+          QCheck.Test.fail_reportf "up to %g: drained %d, %d at or before" upto
+            (List.length !got) at_or_before
+      in
+      List.iter (fun u -> drain_to (float_of_int u /. 2.0)) (List.sort compare cuts);
+      drain_to infinity;
+      List.rev !got = expect && Array.for_all Shard.Ring.is_empty rings)
 
 (* ------------------------------------------------------------------ *)
 (* Batch                                                               *)
@@ -492,6 +580,25 @@ let test_lane_allocation () =
   Alcotest.(check bool) "heavy-tail cache evicts" true (r.cache_evictions > 0);
   bound "heavy-tail (10^4 flows x 256 generations, cache 2500)" r
 
+(* Everything [Throughput.run] allocates on the calling domain, set-up
+   included (plan, world build, rings, lane 0's loop, the sums at the
+   join), per offered packet of the one-domain blast. The lanes fold
+   their own arrivals, so nothing is allocated per delivered packet:
+   no out-ring slot, no boxed scratch record. *)
+let test_run_allocation () =
+  let minor0, _, major0 = Gc.counters () in
+  let r = Tango.Throughput.run ~domains:1 ~flows:512 ~generations:1000 ~seed:42 () in
+  let minor1, _, major1 = Gc.counters () in
+  let per words = words /. float_of_int r.Tango.Throughput.offered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per offered packet <= 1" (per (minor1 -. minor0)))
+    true
+    (per (minor1 -. minor0) <= 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f major words per offered packet <= 1" (per (major1 -. major0)))
+    true
+    (per (major1 -. major0) <= 1.0)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "shard"
@@ -520,13 +627,18 @@ let () =
         [
           tc "scatter by c" `Quick test_scatter_by_c;
           tc "drain_into order" `Quick test_drain_into_order;
+          QCheck_alcotest.to_alcotest drain_into_qcheck_matches_sort;
         ] );
       ( "batch",
         [
           tc "fill and read" `Quick test_batch_fill_and_read;
           tc "encap columns" `Quick test_batch_encap_columns;
         ] );
-      ("allocation", [ tc "lane words per packet" `Quick test_lane_allocation ]);
+      ( "allocation",
+        [
+          tc "lane words per packet" `Quick test_lane_allocation;
+          tc "run words per packet" `Quick test_run_allocation;
+        ] );
       ( "confirm_below",
         [
           tc "counts loss" `Quick test_confirm_below_counts_loss;

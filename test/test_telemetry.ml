@@ -334,7 +334,7 @@ let feed_detector d samples =
 let flat_then t0 n dt v = List.init n (fun i -> (t0 +. (float_of_int i *. dt), v))
 
 let test_detect_level_shift () =
-  let d = Detect.create ~window_s:5.0 () in
+  let d = Detect.create () in
   let samples = flat_then 0.0 200 0.1 28.0 @ flat_then 20.0 200 0.1 33.0 in
   let events = feed_detector d samples in
   let shifts =
@@ -347,7 +347,7 @@ let test_detect_level_shift () =
   | _ -> ()
 
 let test_detect_spike () =
-  let d = Detect.create ~window_s:5.0 () in
+  let d = Detect.create () in
   let samples =
     flat_then 0.0 100 0.1 28.0 @ [ (10.05, 78.0) ] @ flat_then 10.1 50 0.1 28.0
   in
@@ -366,9 +366,9 @@ let test_detect_quiet_stream_silent () =
   Alcotest.(check int) "no events" 0 (List.length events)
 
 let test_detect_cooldown () =
-  let d = Detect.create ~window_s:2.0 () in
+  let d = Detect.create () in
   let base = flat_then 0.0 100 0.1 28.0 in
-  (* Two spikes 0.5 s apart: the second is inside the cooldown. *)
+  (* Two spikes 0.5 s apart: the second is inside the 5 s cooldown. *)
   let samples = base @ [ (10.0, 70.0); (10.5, 70.0) ] in
   let events = feed_detector d samples in
   let spikes = List.filter (function Detect.Spike _ -> true | _ -> false) events in
