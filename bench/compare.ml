@@ -9,18 +9,26 @@
    in both files,
 
      - ns/op regressed by more than the tolerance (default 25%), or
-     - major-heap words/op went from (effectively) zero in the baseline
-       to non-zero now — the zero-allocation fast path grew a leak, or
+     - major-heap or minor-heap words/op went from (effectively) zero
+       in the baseline to non-zero now — the zero-allocation fast path
+       grew a leak or started allocating, or
      - pps (throughput pipeline rows; higher is better) dropped by more
        than 15% against the baseline.
 
    Benchmarks present in only one file are reported but never fail the
    gate, so adding or retiring benchmarks does not require regenerating
-   the baseline in the same commit. *)
+   the baseline in the same commit. The header names the host each file
+   records (OCaml version and recommended domain count): ns/op compares
+   only between like hosts. *)
 
 module Json = Tango_obs.Json
 
-type row = { ns : float option; major : float option; pps : float option }
+type row = {
+  ns : float option;
+  minor : float option;
+  major : float option;
+  pps : float option;
+}
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,14 +37,27 @@ let read_file path =
   close_in ic;
   content
 
-let rows_of_file path =
-  let json =
-    match Json.parse (read_file path) with
-    | v -> v
-    | exception Json.Parse_error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 2
-  in
+let json_of_file path =
+  match Json.parse (read_file path) with
+  | v -> v
+  | exception Json.Parse_error msg ->
+      Printf.eprintf "%s: %s\n" path msg;
+      exit 2
+
+(* The file's [host] object, or a note that it has none (files written
+   before the field existed). *)
+let host_of json =
+  match Json.member "host" json with
+  | Some host -> (
+      match
+        ( Json.string_opt (Json.member "ocaml_version" host),
+          Json.number_opt (Json.member "recommended_domain_count" host) )
+      with
+      | Some v, Some d -> Printf.sprintf "OCaml %s, %.0f recommended domains" v d
+      | _ -> "host incomplete")
+  | None -> "host not recorded"
+
+let rows_of json path =
   let results =
     match Json.member "results" json with
     | Some (Json.List l) -> l
@@ -52,6 +73,7 @@ let rows_of_file path =
             ( name,
               {
                 ns = Json.number_opt (Json.member "ns_per_op" entry);
+                minor = Json.number_opt (Json.member "minor_words_per_op" entry);
                 major = Json.number_opt (Json.member "major_words_per_op" entry);
                 pps = Json.number_opt (Json.member "pps" entry);
               } )
@@ -63,9 +85,10 @@ let rows_of_file path =
    free and never regresses. *)
 let ns_floor = 0.5
 
-(* Noise floor for the major-words gate: a baseline at or under this is
-   "zero-allocation", and staying under it is a pass. *)
-let major_epsilon = 0.01
+(* Noise floor for the zero-allocation gates: a baseline at or under
+   this many words/op (minor or major) is "zero-allocation", and staying
+   under it is a pass. *)
+let zero_epsilon = 0.01
 
 (* Allowed fractional pps drop for throughput rows (higher is better). *)
 let pps_tolerance = 0.15
@@ -90,12 +113,16 @@ let () =
         Printf.eprintf "usage: compare.exe [--tolerance FRAC] BASELINE CURRENT\n";
         exit 2
   in
-  let baseline = rows_of_file baseline_path in
-  let current = rows_of_file current_path in
+  let baseline_json = json_of_file baseline_path in
+  let current_json = json_of_file current_path in
+  let baseline = rows_of baseline_json baseline_path in
+  let current = rows_of current_json current_path in
   let failures = ref 0 in
   let compared = ref 0 in
   Printf.printf "bench gate: %s vs %s (tolerance %.0f%%)\n" baseline_path
     current_path (100.0 *. !tolerance);
+  Printf.printf "  baseline host: %s\n  current host:  %s\n" (host_of baseline_json)
+    (host_of current_json);
   List.iter
     (fun (name, base) ->
       match List.assoc_opt name current with
@@ -117,14 +144,15 @@ let () =
                   b c
                   ((ratio -. 1.0) *. 100.0)
           | _ -> Printf.printf "  ~ %-45s no ns/op estimate\n" name);
-          (match (base.major, cur.major) with
-          | Some b, Some c when Float.abs b <= major_epsilon && c > major_epsilon
-            ->
-              incr failures;
-              Printf.printf
-                "  ! %-45s major words/op %.3f -> %.3f (was zero-alloc)\n" name
-                b c
-          | _ -> ());
+          List.iter
+            (fun (heap, base, cur) ->
+              match (base, cur) with
+              | Some b, Some c when Float.abs b <= zero_epsilon && c > zero_epsilon ->
+                  incr failures;
+                  Printf.printf "  ! %-45s %s words/op %.3f -> %.3f (was zero-alloc)\n"
+                    name heap b c
+              | _ -> ())
+            [ ("minor", base.minor, cur.minor); ("major", base.major, cur.major) ];
           (* Throughput rows: higher is better; gate on a >15% drop. A
              pps field present on only one side (schema drift, or a
              BENCH.json produced by an older harness) is reported but

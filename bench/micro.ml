@@ -245,12 +245,12 @@ let test_decision =
   Test.make ~name:"bgp decision (8 candidates)"
     (Staged.stage (fun () -> ignore (Tango_bgp.Decision.best candidates)))
 
-(* The per-hop route lookup of the event-driven fabric ([Fabric.send]),
-   on the paper's Vultr world after set-up: every loc-RIB holds both
-   sites' host and tunnel prefixes, 10 in all. The address is NY's last
-   tunnel endpoint, the last of the 10 in scan order, so one op is a
-   full forwarding-table scan. The world is built when the benchmark
-   runs, not when the harness starts. *)
+(* The forwarding-table lookup behind the event-driven fabric's hop
+   memo ([Fabric.next_hop] on a miss), on the paper's Vultr world after
+   set-up: every loc-RIB holds both sites' host and tunnel prefixes, 10
+   in all. The address is NY's last tunnel endpoint, the last of the 10
+   in scan order, so one op is a full forwarding-table scan. The world
+   is built when the benchmark runs, not when the harness starts. *)
 let vultr_route_probe () =
   let pair = Tango.Pair.setup_vultr () in
   let net = Tango.Pair.network pair in
@@ -274,6 +274,21 @@ let test_route_for_addr =
     ~allocate:vultr_route_probe ~free:ignore
     (Staged.stage (fun (net, node, dst) ->
          ignore (Tango_bgp.Network.route_for_addr net ~node dst)))
+
+(* The event path's per-hop step ([Fabric.next_hop]) on the same world:
+   after the first call the pair sits in the node's memo row, so one op
+   is a revision check and an identity read of the row — no table scan
+   and nothing allocated. *)
+let test_next_hop =
+  Test.make_with_resource ~name:"fabric next_hop (Vultr, memo hit)" Test.uniq
+    ~allocate:(fun () ->
+      let net, node, dst = vultr_route_probe () in
+      let fabric = Tango_dataplane.Fabric.create net in
+      assert (Tango_dataplane.Fabric.next_hop fabric ~node dst >= 0);
+      (fabric, node, dst))
+    ~free:ignore
+    (Staged.stage (fun (fabric, node, dst) ->
+         ignore (Tango_dataplane.Fabric.next_hop fabric ~node dst)))
 
 (* The per-packet fault hook (lib/faults): fault-free fabrics must pay
    exactly one load and one branch, and even the active case stays
@@ -500,6 +515,7 @@ let all_tests =
       test_flow_cache_hit;
       test_decision;
       test_route_for_addr;
+      test_next_hop;
       test_obs_incr_on;
       test_obs_incr_off;
       test_obs_gauge_on;
@@ -647,6 +663,12 @@ let write_json path rows =
   output_string oc "  \"schema_version\": 1,\n";
   output_string oc "  \"tool\": \"tango-bench\",\n";
   output_string oc "  \"config\": { \"quota_s\": 0.25, \"limit\": 2000 },\n";
+  (* The host the rows were measured on: ns/op rows compare only
+     between like hosts (compare.exe prints both files' hosts). *)
+  Printf.fprintf oc
+    "  \"host\": { \"ocaml_version\": \"%s\", \"recommended_domain_count\": %d },\n"
+    (Tango_obs.Json.escape Sys.ocaml_version)
+    (Domain.recommended_domain_count ());
   output_string oc "  \"results\": [\n";
   List.iteri
     (fun i r ->

@@ -3,15 +3,20 @@
    A batch is 64 slots spread over preallocated flat columns plus a
    length: the XDP-style unit of work that lets the lanes'
    Fabric.send_batch_direct amortize its per-send overhead (eligibility
-   checks, route-cache validation, the fault-hook branches) across up to
-   64 sends. A lane encapsulates a send by writing its endpoint, size,
+   checks, route resolution, the fault-hook branches) across up to 64
+   sends. A lane encapsulates a send by writing its endpoint, size,
    path, flow and sequence into the columns — no packet record, no
    encap record, no boxed int64 — and the fabric writes each slot's
-   arrival into a float column. The packet form ([add]) fills the same
-   columns through the same step and also keeps the packet, for
-   callers that want it back. [clear] only resets the length — slots
-   keep their last packet reference until overwritten, which pins at
-   most one stale batch of packets and costs nothing. *)
+   arrival into a float column. The endpoint column holds ints: each
+   slot's index into the batch's table of distinct endpoints, kept in
+   first-appearance order and matched by physical identity (a lane
+   passes the same few endpoint values in every batch), so the fabric
+   resolves each endpoint once per batch and a slot stores no pointer.
+   The packet form ([add]) fills the same columns through the same step
+   and also keeps the packet, for callers that want it back. [clear]
+   only resets the length and the table — slots keep their last packet
+   and endpoint references until overwritten, which pins at most one
+   stale batch of them and costs nothing. *)
 
 module Addr = Tango_net.Addr
 module Packet = Tango_net.Packet
@@ -19,7 +24,9 @@ module Packet = Tango_net.Packet
 let capacity = 64
 
 type t = {
-  dst : Addr.t array;
+  dst : int array;
+  endpoints : Addr.t array;
+  mutable endpoint_count : int;
   bytes : int array;
   path : int array;
   flow : int array;
@@ -39,7 +46,9 @@ let no_packet =
 
 let create () =
   {
-    dst = Array.make capacity no_addr;
+    dst = Array.make capacity 0;
+    endpoints = Array.make capacity no_addr;
+    endpoint_count = 0;
     bytes = Array.make capacity 0;
     path = Array.make capacity 0;
     flow = Array.make capacity 0;
@@ -54,20 +63,37 @@ let length t = t.len
 
 let[@hot] is_empty t = t.len = 0
 
-let[@hot] clear t = t.len <- 0
+let[@hot] clear t =
+  t.len <- 0;
+  t.endpoint_count <- 0
 
 let set_stamp_ns t ns = t.stamp_ns <- ns
 
-(* The one per-slot fill both forms go through. *)
+(* The table index of [dst], appended when the batch has not seen it.
+   A store only when the table slot holds another value: a lane that
+   meets its endpoints in the same order every batch writes no pointer
+   here either. The table never outgrows the slots, so it never
+   overflows. *)
+let[@hot] rec endpoint_index t dst j =
+  if j >= t.endpoint_count then begin
+    if Array.unsafe_get t.endpoints j != dst then Array.unsafe_set t.endpoints j dst;
+    t.endpoint_count <- j + 1;
+    j
+  end
+  else if Array.unsafe_get t.endpoints j == dst then j
+  else endpoint_index t dst (j + 1)
+
+(* The one per-slot fill both forms go through. An encap slot always
+   holds [no_packet], so only the packet form stores a pointer. *)
 let[@hot] fill t ~dst ~bytes ~path ~flow ~seq packet =
   let i = t.len in
   if i >= capacity then Err.invalid "Batch: batch full (%d slots)" capacity;
-  Array.unsafe_set t.dst i dst;
+  Array.unsafe_set t.dst i (endpoint_index t dst 0);
   Array.unsafe_set t.bytes i bytes;
   Array.unsafe_set t.path i path;
   Array.unsafe_set t.flow i flow;
   Array.unsafe_set t.seq i seq;
-  Array.unsafe_set t.packets i packet;
+  if Array.unsafe_get t.packets i != packet then Array.unsafe_set t.packets i packet;
   t.len <- i + 1
 
 let[@hot] encap t ~dst ~bytes ~path ~flow ~seq =
@@ -86,4 +112,5 @@ let[@hot] add t (packet : Packet.t) =
 
 let purge t =
   Array.fill t.packets 0 capacity no_packet;
-  t.len <- 0
+  Array.fill t.endpoints 0 capacity no_addr;
+  clear t

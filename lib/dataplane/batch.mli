@@ -4,11 +4,14 @@
     A batch is columnar, like the packet arrays an eBPF program walks:
     slot [i] of every column describes one encapsulated send — its
     tunnel endpoint, wire size, path, flow and sequence number — and
-    one sender-clock stamp covers the whole batch.
-    {!Fabric.send_batch_direct} routes every slot by its endpoint and
-    writes its closed-form arrival time into the [arrival] column.
-    Filling, forwarding and reading a batch this way allocates nothing,
-    and no float or int64 crosses a module boundary boxed.
+    one sender-clock stamp covers the whole batch. A slot names its
+    endpoint by index into the batch's table of distinct endpoints
+    ([endpoints], in first-appearance order, matched by physical
+    identity), so {!Fabric.send_batch_direct} resolves each endpoint
+    once per call and writes every slot's closed-form arrival time into
+    the [arrival] column. Filling, forwarding and reading a batch this
+    way allocates nothing, and no float or int64 crosses a module
+    boundary boxed.
 
     {!add} takes whole packets instead: it reads a packet's forwarding
     destination, size and Tango header into the same columns and keeps
@@ -20,8 +23,14 @@
     write them. *)
 
 type t = private {
-  dst : Tango_net.Addr.t array;
-      (** Tunnel endpoint: the outer destination the fabric routes on. *)
+  dst : int array;
+      (** Tunnel endpoint: the slot's index into [endpoints]. *)
+  endpoints : Tango_net.Addr.t array;
+      (** The batch's distinct endpoints — the outer destinations the
+          fabric routes on — in first-appearance order; entries
+          [0, endpoint_count) are live. An endpoint equal to a live one
+          but not the same value in memory gets an entry of its own. *)
+  mutable endpoint_count : int;
   bytes : int array;  (** Wire size, every header included. *)
   path : int array;  (** Path id of the Tango header; -1 without one. *)
   flow : int array;  (** The caller's flow index; {!add} stores the packet id. *)
@@ -65,9 +74,10 @@ val add : t -> Tango_net.Packet.t -> unit
     full. *)
 
 val clear : t -> unit
-(** Reset the length (slots keep their last packet references until
-    overwritten — at most one stale batch of packets stays reachable). *)
+(** Reset the length and the endpoint table (slots keep their last
+    packet and endpoint references until overwritten — at most one
+    stale batch of them stays reachable). *)
 
 val purge : t -> unit
-(** {!clear}, plus drop the stale packet references, so nothing the
-    batch held stays reachable through it. *)
+(** {!clear}, plus drop the stale packet and endpoint references, so
+    nothing the batch held stays reachable through it. *)

@@ -50,13 +50,13 @@ let k_deliver = Trace.kind "fabric.deliver"
    hop-by-hop machinery, because their delivery time is a closed-form
    function of the send time and the packet size. *)
 type route_entry = {
-  mutable e_from : int;
-  mutable e_dst : Tango_net.Addr.t;
-  mutable e_dest : int;  (* delivering node; -1 when unresolvable *)
-  mutable e_links : int array;  (* packed directed-link keys, send order *)
-  mutable e_delay_s : float;  (* sum of link propagation delays *)
-  mutable e_per_byte_s : float;  (* sum of per-byte transmission delays *)
-  mutable e_plain : bool;
+  e_from : int;
+  e_dst : Tango_net.Addr.t;
+  e_dest : int;  (* delivering node; -1 when unresolvable *)
+  e_links : int array;  (* packed directed-link keys, send order *)
+  e_delay_s : float;  (* sum of link propagation delays *)
+  e_per_byte_s : float;  (* sum of per-byte transmission delays *)
+  e_plain : bool;
 }
 
 type t = {
@@ -68,13 +68,25 @@ type t = {
      fabrics never take the direct path (the hooks are per-hop and
      per-packet by contract). *)
   custom_hooks : bool;
-  (* Batched-route cache, validated against Network.revision: filled
-     lazily per (from, dst), flushed whenever any BGP table may have
-     changed. A handful of slots suffices — a lane talks to a handful of
-     tunnel endpoints. *)
-  route_cache : route_entry option array;
-  mutable route_rev : int;
+  (* Both route caches are validated against one Network.revision
+     stamp and flushed together whenever any BGP table may have
+     changed. The batched-route cache is filled lazily per (from, dst),
+     round robin; a handful of slots suffices — a lane talks to a
+     handful of tunnel endpoints. The hop memo holds, per node
+     position, a row of up to [memo_width] (destination, next hop)
+     pairs in fill order: the forwarding step of both paths. *)
+  mutable rev : int;
+  route_cache : route_entry array;
   mutable route_clock : int;
+  memo_dst : Tango_net.Addr.t array;  (* row [pos * memo_width] *)
+  memo_hop : int array;  (* a node id, [hop_deliver] or [hop_unroutable] *)
+  memo_len : int array;  (* live entries per row *)
+  (* The current batch's endpoints, resolved once per
+     send_batch_direct call: the delivering node (-1 when the direct
+     path cannot carry the endpoint) and the arrival formula's terms. *)
+  ep_dest : int array;
+  ep_delay_s : float array;
+  ep_per_byte_s : float array;
   (* Counters for the synchronous direct path, which must not touch the
      process-wide Metric registry (lanes run on their own domains):
      published into the registry at quiesce points. *)
@@ -114,6 +126,27 @@ let no_fault_extra_ms ~time_s:_ = 0.0
 
 let route_cache_slots = 16
 
+let memo_width = 16
+
+let hop_deliver = -1
+
+let hop_unroutable = -2
+
+let no_addr = Tango_net.Addr.of_string_exn "::"
+
+(* The empty route-cache slot, and the non-plain entry [resolve_route]
+   copies for an unresolvable walk. *)
+let empty_route =
+  {
+    e_from = -1;
+    e_dst = no_addr;
+    e_dest = -1;
+    e_links = [||];
+    e_delay_s = 0.0;
+    e_per_byte_s = 0.0;
+    e_plain = false;
+  }
+
 let create ?(seed = 4242) ?lanes_of ?extra_delay_ms net =
   let custom_hooks = Option.is_some lanes_of || Option.is_some extra_delay_ms in
   let lanes_of =
@@ -146,9 +179,15 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms net =
     lanes_of;
     extra_delay_ms;
     custom_hooks;
-    route_cache = Array.make route_cache_slots None;
-    route_rev = -1;
+    rev = -1;
+    route_cache = Array.make route_cache_slots empty_route;
     route_clock = 0;
+    memo_dst = Array.make (n * memo_width) no_addr;
+    memo_hop = Array.make (n * memo_width) hop_unroutable;
+    memo_len = Array.make n 0;
+    ep_dest = Array.make Batch.capacity (-1);
+    ep_delay_s = Array.make Batch.capacity 0.0;
+    ep_per_byte_s = Array.make Batch.capacity 0.0;
     direct_sent = 0;
     direct_delivered = 0;
     published_sent = 0;
@@ -208,18 +247,78 @@ let[@hot] deliver t packet ~on_delivered node =
     packet.Packet.id node;
   on_delivered ~node packet
 
+(* ------------------------------------------------------------------ *)
+(* The forwarding step: a node's next hop toward a destination.
+
+   Both paths take it: [send] at each hop's arrival, [resolve_route] at
+   each step of its walk. Each (node, destination) pair is looked up in
+   the node's forwarding table (Network.route_for_addr) once per
+   control-plane revision and then read from the node's memo row; a
+   full row falls back to the table. *)
+
+(* One stamp flushes both caches: the control plane may have moved
+   since the last check (Network.revision bumps on every announce,
+   withdraw and delivered update), so no entry either cache holds is
+   still known to be current. *)
+let[@hot] revalidate t =
+  let rev = Network.revision t.net in
+  if rev <> t.rev then begin
+    Array.fill t.route_cache 0 route_cache_slots empty_route;
+    Array.fill t.memo_len 0 t.n 0;
+    t.rev <- rev
+  end
+
+(* The uncached step: one longest-prefix match on the node's table. *)
+let hop_of_table t ~node dst =
+  match Network.route_for_addr t.net ~node dst with
+  | None -> hop_unroutable
+  | Some route ->
+      if Route.local route then hop_deliver
+      else begin
+        match route.Route.learned_from with
+        | None -> hop_deliver
+        | Some next -> next
+      end
+
+(* Index of [dst] in memo entries [i, stop), or -1. Callers pass the
+   same destination values packet after packet, so a pass by physical
+   identity settles most lookups before any [Addr.equal] runs. *)
+let[@hot] rec memo_find t dst ~same i stop =
+  if i >= stop then -1
+  else
+    let d = Array.unsafe_get t.memo_dst i in
+    if if same then d == dst else Tango_net.Addr.equal d dst then i
+    else memo_find t dst ~same (i + 1) stop
+
+let[@hot] next_hop t ~node dst =
+  revalidate t;
+  let p = position t node in
+  (* An id that is not a node raises in the table lookup. *)
+  if p < 0 then hop_of_table t ~node dst
+  else begin
+    let row = p * memo_width in
+    let len = Array.unsafe_get t.memo_len p in
+    let i = memo_find t dst ~same:true row (row + len) in
+    let i = if i >= 0 then i else memo_find t dst ~same:false row (row + len) in
+    if i >= 0 then Array.unsafe_get t.memo_hop i
+    else begin
+      let hop = hop_of_table t ~node dst in
+      if len < memo_width then begin
+        Array.unsafe_set t.memo_dst (row + len) dst;
+        Array.unsafe_set t.memo_hop (row + len) hop;
+        Array.unsafe_set t.memo_len p (len + 1)
+      end;
+      hop
+    end
+  end
+
 let[@hot] rec at_node t packet ~on_dropped ~on_delivered node hops =
   if hops > hop_limit then drop t packet ~on_dropped "ttl" drop_ttl
   else begin
-    match Network.route_for_addr t.net ~node (Packet.forwarding_dst packet) with
-    | None -> drop t packet ~on_dropped "unroutable" drop_unroutable
-    | Some route ->
-        if Route.local route then deliver t packet ~on_delivered node
-        else begin
-          match route.Route.learned_from with
-          | None -> deliver t packet ~on_delivered node
-          | Some next -> forward t packet ~on_dropped ~on_delivered node next hops
-        end
+    let next = next_hop t ~node (Packet.forwarding_dst packet) in
+    if next >= 0 then forward t packet ~on_dropped ~on_delivered node next hops
+    else if next = hop_deliver then deliver t packet ~on_delivered node
+    else drop t packet ~on_dropped "unroutable" drop_unroutable
   end
 
 and[@hot] forward t packet ~on_dropped ~on_delivered node next hops =
@@ -273,20 +372,21 @@ let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
 (* ------------------------------------------------------------------ *)
 (* Direct batched sends for the multicore lanes (DESIGN.md §11).
 
-   [send] resolves the route hop by hop, on arrival, with one scheduled
-   engine event per hop — faithful, but every hop pays that event and
-   its continuation closure, a scan of the node's forwarding table
-   (allocation-free, see Speaker.lookup), the link-snapshot read and
-   the delay hooks. The direct path instead snapshots the
+   [send] takes the forwarding step at each hop's arrival, with one
+   scheduled engine event per hop — faithful, but every hop pays that
+   event and its continuation closure, the memo read, the link-snapshot
+   read and the delay hooks. The direct path instead snapshots the
    whole route once per (from, dst) pair and reuses it for every packet
    of every batch until the control plane changes ([Network.revision]
-   moves). That snapshot is only sound when nothing along the route is
-   stochastic or dynamic, so eligibility is checked at three levels:
+   moves); a batch call resolves each of its distinct endpoints once and
+   then reads one entry per slot. That snapshot is only sound when
+   nothing along the route is stochastic or dynamic, so eligibility is
+   checked at three levels:
 
    - per fabric: no fault hooks installed, no custom lanes_of or
      extra_delay_ms hooks;
    - per route: every link has zero jitter ([e_plain]);
-   - per batch: no failed link along the snapshot.
+   - per batch call: no failed link along the snapshot.
 
    Anything else falls back to the canonical [send], packet by packet,
    in order, and is counted in [direct_fallbacks]. The direct path
@@ -295,97 +395,77 @@ let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
    arrival; the two can differ only while BGP messages are in flight,
    which the revision check turns into a cache flush. *)
 
-let no_addr = Tango_net.Addr.of_string_exn "::"
-
-let empty_route =
-  {
-    e_from = -1;
-    e_dst = no_addr;
-    e_dest = -1;
-    e_links = [||];
-    e_delay_s = 0.0;
-    e_per_byte_s = 0.0;
-    e_plain = false;
-  }
-
-(* Walk the converged tables from [from_node] toward [dst], summing the
-   deterministic delay terms. Unroutable / over-limit walks yield a
-   non-plain entry, which routes every packet through the fallback (and
-   thus through [send]'s exact drop accounting). *)
+(* Walk the converged tables from [from_node] toward [dst] through the
+   forwarding step, summing the deterministic delay terms.
+   Unroutable / over-limit walks yield a non-plain entry, which routes
+   every packet through the fallback (and thus through [send]'s exact
+   drop accounting). *)
 let resolve_route t ~from_node ~dst =
   let links = ref [] in
   let delay_s = ref 0.0 in
   let per_byte_s = ref 0.0 in
   let plain = ref true in
+  (* The delivering node, or -1. *)
   (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
   let rec walk node hops =
-    if hops > hop_limit then None
+    if hops > hop_limit then -1
     else
-      match Network.route_for_addr t.net ~node dst with
-      | None -> None
-      | Some route ->
-          if Route.local route then Some node
-          else begin
-            match route.Route.learned_from with
-            | None -> Some node
-            | Some next -> (
-                let key = hop_key t node next in
-                match t.links.(key) with
-                | None -> None
-                | Some link ->
-                    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-                    links := key :: !links;
-                    delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
-                    per_byte_s :=
-                      !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
-                    if link.Link.jitter_ms > 0.0 then plain := false;
-                    walk next (hops + 1))
-          end
+      let next = next_hop t ~node dst in
+      if next = hop_unroutable then -1
+      else if next < 0 then node
+      else
+        let key = hop_key t node next in
+        match t.links.(key) with
+        | None -> -1
+        | Some link ->
+            (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
+            links := key :: !links;
+            delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
+            per_byte_s := !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
+            if link.Link.jitter_ms > 0.0 then plain := false;
+            walk next (hops + 1)
   in
-  match walk from_node 0 with
-  | None ->
-      (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-      { empty_route with e_from = from_node; e_dst = dst }
-  | Some dest ->
-      (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-      {
-        e_from = from_node;
-        e_dst = dst;
-        e_dest = dest;
-        e_links = Array.of_list (List.rev !links);
-        e_delay_s = !delay_s;
-        e_per_byte_s = !per_byte_s;
-        e_plain = !plain;
-      }
+  let dest = walk from_node 0 in
+  if dest < 0 then
+    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
+    { empty_route with e_from = from_node; e_dst = dst }
+  else
+    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
+    {
+      e_from = from_node;
+      e_dst = dst;
+      e_dest = dest;
+      e_links = Array.of_list (List.rev !links);
+      e_delay_s = !delay_s;
+      e_per_byte_s = !per_byte_s;
+      e_plain = !plain;
+    }
 
 let[@hot] batch_eligible t = t.fault_count = 0 && not t.custom_hooks
 
-(* Flush the route cache whenever the control plane may have moved.
-   Called once per batch, not per packet. *)
-let[@hot] revalidate_routes t =
-  let rev = Network.revision t.net in
-  if rev <> t.route_rev then begin
-    Array.fill t.route_cache 0 route_cache_slots None;
-    t.route_rev <- rev
-  end
-
-let[@hot] rec lookup_route t ~from_node ~dst slot =
-  if slot >= route_cache_slots then begin
-    let entry = resolve_route t ~from_node ~dst in
-    t.route_cache.(t.route_clock) <- Some entry;
-    t.route_clock <- (t.route_clock + 1) mod route_cache_slots;
-    entry
-  end
+(* The cached route for (from, dst), or [empty_route]; the same two
+   passes as the hop memo, identity first. *)
+let[@hot] rec cached_route t ~from_node ~dst ~same slot =
+  if slot >= route_cache_slots then empty_route
   else
-    match Array.unsafe_get t.route_cache slot with
-    (* The lanes pass the same endpoint values in every batch, so
-       physical equality settles most hits without [Addr.equal]'s
-       calls across modules. *)
-    | Some e
-      when e.e_from = from_node
-           && (e.e_dst == dst || Tango_net.Addr.equal e.e_dst dst) ->
-        e
-    | Some _ | None -> lookup_route t ~from_node ~dst (slot + 1)
+    let e = Array.unsafe_get t.route_cache slot in
+    if
+      e.e_from = from_node
+      && if same then e.e_dst == dst else Tango_net.Addr.equal e.e_dst dst
+    then e
+    else cached_route t ~from_node ~dst ~same (slot + 1)
+
+(* Callers revalidate first. *)
+let[@hot] lookup_route t ~from_node ~dst =
+  let e = cached_route t ~from_node ~dst ~same:true 0 in
+  let e = if e != empty_route then e else cached_route t ~from_node ~dst ~same:false 0 in
+  if e != empty_route then e
+  else begin
+    let e = resolve_route t ~from_node ~dst in
+    t.route_cache.(t.route_clock) <- e;
+    t.route_clock <- (t.route_clock + 1) mod route_cache_slots;
+    e
+  end
 
 let[@hot] rec links_ok_from t links i =
   i >= Array.length links
@@ -396,28 +476,22 @@ let route_plain t ~from_node ~dst =
   batch_eligible t
   &&
   begin
-    revalidate_routes t;
-    let e = lookup_route t ~from_node ~dst 0 in
+    revalidate t;
+    let e = lookup_route t ~from_node ~dst in
     e.e_plain && links_ok_from t e.e_links 0
   end
 
-(* The per-slot step of the direct path, the same for both batch
-   forms: route slot [i] by its tunnel endpoint and write its
-   closed-form arrival into the batch's arrival column. Returns the
-   delivering node, or -1 when the route is not plain. *)
-let[@hot] direct_slot t ~from_node ~now_s (batch : Batch.t) i =
-  let e = lookup_route t ~from_node ~dst:(Array.unsafe_get batch.Batch.dst i) 0 in
+(* Resolve endpoint [j] of the batch for the whole call: its delivering
+   node, or -1 when the direct path cannot carry it (route not plain, or
+   a failed link along it), and the delay terms of its arrival. *)
+let[@hot] resolve_endpoint t ~from_node (batch : Batch.t) j =
+  let e = lookup_route t ~from_node ~dst:(Array.unsafe_get batch.Batch.endpoints j) in
   if e.e_plain && links_ok_from t e.e_links 0 then begin
-    t.sent <- t.sent + 1;
-    t.direct_sent <- t.direct_sent + 1;
-    Array.unsafe_set batch.Batch.arrival i
-      (now_s +. e.e_delay_s
-      +. (float_of_int (Array.unsafe_get batch.Batch.bytes i) *. e.e_per_byte_s));
-    t.delivered <- t.delivered + 1;
-    t.direct_delivered <- t.direct_delivered + 1;
-    e.e_dest
+    Array.unsafe_set t.ep_dest j e.e_dest;
+    Array.unsafe_set t.ep_delay_s j e.e_delay_s;
+    Array.unsafe_set t.ep_per_byte_s j e.e_per_byte_s
   end
-  else -1
+  else Array.unsafe_set t.ep_dest j (-1)
 
 (* A slot the direct path cannot carry: counted, its arrival set to nan.
    A packet slot goes through the canonical [send], whose delivery
@@ -438,19 +512,37 @@ let fallback t ~from_node ?on_delivered_at (batch : Batch.t) i =
     send t ~from_node ~on_delivered packet
   end
 
+(* Each distinct endpoint is resolved once, then every slot reads its
+   endpoint's entry and writes its closed-form arrival. *)
 let[@hot] send_batch_direct t ~from_node ~now_s ?on_delivered_at (batch : Batch.t) =
-  let eligible = batch_eligible t in
-  if eligible then revalidate_routes t;
+  let endpoints = batch.Batch.endpoint_count in
+  if batch_eligible t then begin
+    revalidate t;
+    for j = 0 to endpoints - 1 do
+      resolve_endpoint t ~from_node batch j
+    done
+  end
+  else Array.fill t.ep_dest 0 endpoints (-1);
   for i = 0 to batch.Batch.len - 1 do
-    let node = if eligible then direct_slot t ~from_node ~now_s batch i else -1 in
+    let j = Array.unsafe_get batch.Batch.dst i in
+    let node = Array.unsafe_get t.ep_dest j in
     if node < 0 then fallback t ~from_node ?on_delivered_at batch i
-    else
+    else begin
+      t.sent <- t.sent + 1;
+      t.direct_sent <- t.direct_sent + 1;
+      Array.unsafe_set batch.Batch.arrival i
+        (now_s +. Array.unsafe_get t.ep_delay_s j
+        +. (float_of_int (Array.unsafe_get batch.Batch.bytes i)
+           *. Array.unsafe_get t.ep_per_byte_s j));
+      t.delivered <- t.delivered + 1;
+      t.direct_delivered <- t.direct_delivered + 1;
       match on_delivered_at with
       | Some f ->
           f ~node
             ~at_s:(Array.unsafe_get batch.Batch.arrival i)
             (Array.unsafe_get batch.Batch.packets i)
       | None -> ()
+    end
   done
 
 let direct_fallbacks t = t.direct_fallbacks

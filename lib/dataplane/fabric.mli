@@ -2,7 +2,11 @@
     by the converged BGP tables.
 
     Each hop is resolved {e on arrival} at a node (so in-flight BGP
-    changes affect packets mid-path, as in reality). Per-hop latency is
+    changes affect packets mid-path, as in reality), through
+    {!next_hop}: a node's forwarding-table lookup for a destination is
+    memoized until {!Tango_bgp.Network.revision} next moves, so a hop
+    still sees a BGP change that lands while the packet is in flight.
+    Per-hop latency is
     the link's propagation delay, plus Gaussian link jitter, plus the
     receiving transit's ECMP-lane offset for the packet's forwarding
     5-tuple, plus a caller-supplied dynamic component — the hook the
@@ -33,6 +37,21 @@ val link : t -> from_node:int -> to_node:int -> Tango_topo.Link.t option
     tests hold to the topology's. Raises {!Err.Invalid} for an id that
     is not a node of the topology. *)
 
+val next_hop : t -> node:int -> Tango_net.Addr.t -> int
+(** The forwarding step {!send} takes at each hop and the direct path's
+    route walk takes at each node: where a packet at [node] bound for
+    the address goes next — a node id, [-1] to deliver it at [node]
+    (a local route, or one learned from no neighbor), [-2] when [node]
+    has no route. It is the longest-prefix match of
+    {!Tango_bgp.Network.route_for_addr}, read once per (node,
+    destination) pair per control-plane revision and then from the
+    node's memo row: {!Tango_bgp.Network.revision} moving flushes the
+    memo together with the direct path's route cache. A row holds 16
+    destinations, matched by physical identity first and by value
+    second; a destination past a full row is looked up in the table
+    every time. Allocates nothing. Raises [Invalid_argument] for an id
+    that is not a node. *)
+
 val send :
   t ->
   from_node:int ->
@@ -59,8 +78,11 @@ val send_batch_direct :
     the fabric carries no faults and no custom hooks, {e and} the
     slot's route is "plain" (zero jitter on every link, none failed).
     Plain routes are resolved once per (from, dst) pair — a FIB
-    snapshot validated against {!Tango_bgp.Network.revision} — and each
-    slot routed on them gets its closed-form virtual arrival time
+    snapshot validated against {!Tango_bgp.Network.revision} — and a
+    call looks up each of the batch's distinct endpoints
+    ({!Batch.t}[.endpoints]) once, failed-link check included, before
+    its first slot: the fabric's state is read once per call. Each
+    slot routed on a plain route gets its closed-form virtual arrival time
     (measured from the caller-supplied virtual send time [now_s])
     written into the batch's [arrival] column; the caller reorders by
     arrival (see {!Tango_sim.Shard}). Without [on_delivered_at] a batch

@@ -141,8 +141,10 @@ let[@hot] drain_into rings ~upto ~time ~a ~b ~c ~v =
       if ring.Ring.tail <> head then begin
         let i = head land ring.Ring.mask in
         let tp = Array.unsafe_get ring.Ring.time i in
-        let cmp = Float.compare tp !best_t in
-        if cmp < 0 || (cmp = 0 && Array.unsafe_get ring.Ring.b i < !best_b) then begin
+        (* Inline float tests, not Float.compare's C call: the times
+           are finite, which is the caller's contract. *)
+        if tp < !best_t || (tp = !best_t && Array.unsafe_get ring.Ring.b i < !best_b)
+        then begin
           best := r;
           best_t := tp;
           best_b := Array.unsafe_get ring.Ring.b i

@@ -77,7 +77,11 @@ val drain_into :
     writing record [k] into slot [k] of the five columns, until the
     shortest column is full or no such record is left. Returns the
     count written; the caller drains again while that count equals the
-    column length. Allocates nothing. *)
+    column length. Allocates nothing. Every record time must be finite
+    (the heads are compared with inline float tests, under which a
+    [nan] never compares smaller); the lanes guarantee it by failing
+    the run on any direct-path fallback, the one source of [nan]
+    arrivals. *)
 
 type record = {
   mutable time : float;

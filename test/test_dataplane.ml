@@ -420,6 +420,160 @@ let test_fabric_link_ids_validated () =
   Alcotest.(check int) "valid fault recorded" 1 (Fabric.fault_count fabric)
 
 (* ------------------------------------------------------------------ *)
+(* Hop memo: the per-node next-hop cache against a per-hop lookup      *)
+
+module Network = Tango_bgp.Network
+module Topology = Tango_topo.Topology
+
+let memo_specific = Prefix.of_string_exn "10.1.0.0/16"
+
+(* Sender 0 under transits 1 and 2, which peer; 3 originates
+   10.1.0.0/16 below both transits and 4 the covering 10.0.0.0/8 below
+   transit 2 only. Every link is jitter-free, so nothing draws from a
+   random stream and two copies of the world replay the same events. *)
+let memo_world () =
+  let topo = Topology.create () in
+  List.iter
+    (fun (id, name) -> Topology.add_node topo ~id ~asn:(64500 + id) name)
+    [ (0, "sender"); (1, "transit-a"); (2, "transit-b"); (3, "specific"); (4, "covering") ];
+  let link ms = Tango_topo.Link.v ~jitter_ms:0.0 ~bandwidth_mbps:1000.0 ms in
+  Topology.connect topo ~provider:1 ~customer:0 ~link:(link 11.0) ();
+  Topology.connect topo ~provider:2 ~customer:0 ~link:(link 17.0) ();
+  Topology.connect topo ~provider:1 ~customer:3 ~link:(link 13.0) ();
+  Topology.connect topo ~provider:2 ~customer:3 ~link:(link 7.0) ();
+  Topology.connect topo ~provider:2 ~customer:4 ~link:(link 5.0) ();
+  Topology.connect_peers topo 1 2 ~link:(link 3.0) ();
+  let engine = Engine.create () in
+  let net = Network.create topo engine in
+  Network.announce net ~node:3 memo_specific ();
+  Network.announce net ~node:4 (Prefix.of_string_exn "10.0.0.0/8") ();
+  ignore (Network.converge net);
+  (engine, net)
+
+(* [Fabric.send]'s forwarding before the hop memo, copied for
+   jitter-free links, a single lane and no hooks or faults: every hop
+   asks the node's table with [Network.route_for_addr]. *)
+let rec reference_at_node net ~failed ~report packet node hops =
+  let engine = Network.engine net in
+  if hops > 64 then report packet (Error "ttl")
+  else begin
+    match Network.route_for_addr net ~node (Packet.forwarding_dst packet) with
+    | None -> report packet (Error "unroutable")
+    | Some route ->
+        if Tango_bgp.Route.local route then report packet (Ok (node, Engine.now engine))
+        else begin
+          match route.Tango_bgp.Route.learned_from with
+          | None -> report packet (Ok (node, Engine.now engine))
+          | Some next -> reference_forward net ~failed ~report packet node next hops
+        end
+  end
+
+and reference_forward net ~failed ~report packet node next hops =
+  match Topology.link (Network.topology net) node next with
+  | None -> report packet (Error "unroutable")
+  | Some link ->
+      if List.mem (node, next) !failed then report packet (Error "link-failure")
+      else begin
+        let jitter = 0.0 and lane = 0.0 and dynamic = 0.0 and fault_ms = 0.0 in
+        let transmission_s =
+          Tango_topo.Link.transmission_delay_ms link ~bytes:(Packet.wire_size packet)
+          /. 1000.0
+        in
+        let delay_s =
+          ((link.Tango_topo.Link.delay_ms +. jitter +. lane +. dynamic +. fault_ms)
+          /. 1000.0)
+          +. transmission_s
+        in
+        Engine.schedule (Network.engine net) ~delay:(Float.max 0.0 delay_s) (fun _ ->
+            reference_at_node net ~failed ~report packet next (hops + 1))
+      end
+
+(* 24 destinations from the sender, more than a memo row's 16: 18 under
+   the specific prefix, 4 only under the covering one, 2 unroutable.
+   Every other send carries a fresh copy of its address, equal to the
+   listed value but not the same value in memory. *)
+let memo_dsts =
+  Array.init 24 (fun i ->
+      if i < 18 then Printf.sprintf "10.1.%d.%d" (i / 4) (1 + i)
+      else if i < 22 then Printf.sprintf "10.2.0.%d" i
+      else Printf.sprintf "11.0.0.%d" i)
+
+(* One run: 300 sends from node 0, 2 ms apart, while the control plane
+   moves under them — the specific prefix withdrawn at 100 ms and
+   re-announced at 300 ms, then at 450 ms the link from the sender's
+   transit to the specific prefix's origin fails. Routes change while
+   packets are in flight at every step. [forwarder] builds the run's packet sender and
+   link-failure switch on the run's world. Outcomes by packet id: the
+   delivering node and time, or the drop reason. *)
+let memo_run forwarder =
+  let engine, net = memo_world () in
+  let listed = Array.map Addr.of_string_exn memo_dsts in
+  let outcomes = Hashtbl.create 300 in
+  let report packet r = Hashtbl.replace outcomes packet.Packet.id r in
+  let t0 = Engine.now engine in
+  let via =
+    match Network.forwarding_path net ~from_node:0 listed.(0) with
+    | Some [ 0; transit; 3 ] -> transit
+    | _ -> Alcotest.fail "sender's route to the specific prefix"
+  in
+  let send, fail_link = forwarder net ~report in
+  for i = 0 to 299 do
+    Engine.schedule_at engine ~time:(t0 +. (0.002 *. float_of_int i)) (fun _ ->
+        let k = i mod Array.length memo_dsts in
+        let dst =
+          if i land 1 = 0 then listed.(k) else Addr.of_string_exn memo_dsts.(k)
+        in
+        let flow =
+          Flow.v ~src:(Addr.of_string_exn "192.168.0.1") ~dst ~proto:17 ~src_port:i
+            ~dst_port:2
+        in
+        send (Packet.create ~id:i ~flow ~payload_bytes:(64 + i) ~created_at:0.0 ()))
+  done;
+  Engine.schedule_at engine ~time:(t0 +. 0.1) (fun _ ->
+      Network.withdraw net ~node:3 memo_specific);
+  Engine.schedule_at engine ~time:(t0 +. 0.3) (fun _ ->
+      Network.announce net ~node:3 memo_specific ());
+  Engine.schedule_at engine ~time:(t0 +. 0.45) (fun _ -> fail_link ~from_node:via ~to_node:3);
+  Engine.run engine;
+  List.init 300 (fun i ->
+      match Hashtbl.find_opt outcomes i with
+      | Some (Ok (node, at)) -> Printf.sprintf "%d: node %d at %h" i node at
+      | Some (Error reason) -> Printf.sprintf "%d: %s" i reason
+      | None -> Printf.sprintf "%d: no outcome" i)
+
+let test_fabric_hop_memo_differential () =
+  let via_fabric =
+    memo_run (fun net ~report ->
+        let fabric = Fabric.create net in
+        ( (fun packet ->
+            Fabric.send fabric ~from_node:0
+              ~on_dropped:(fun ~reason p -> report p (Error reason))
+              ~on_delivered:(fun ~node p ->
+                report p (Ok (node, Engine.now (Network.engine net))))
+              packet),
+          fun ~from_node ~to_node -> Fabric.fail_link fabric ~from_node ~to_node ))
+  in
+  let per_hop =
+    memo_run (fun net ~report ->
+        let failed = ref [] in
+        ( (fun packet -> reference_at_node net ~failed ~report packet 0 0),
+          fun ~from_node ~to_node -> failed := (from_node, to_node) :: !failed ))
+  in
+  Alcotest.(check (list string)) "same node and time, or same drop" per_hop via_fabric;
+  (* The run covers what the memo must follow: deliveries at both
+     origins, a failed link and no route. *)
+  let seen words =
+    List.exists
+      (fun line ->
+        let w = String.split_on_char ' ' line in
+        List.for_all (fun x -> List.mem x w) words)
+      per_hop
+  in
+  List.iter
+    (fun words -> Alcotest.(check bool) (String.concat " " words) true (seen words))
+    [ [ "link-failure" ]; [ "unroutable" ]; [ "node"; "3" ]; [ "node"; "4" ] ]
+
+(* ------------------------------------------------------------------ *)
 (* Delay-only links: no queueing or contention                         *)
 
 let slow_link_net () =
@@ -520,6 +674,19 @@ let test_fabric_batch_equal_endpoint () =
   Alcotest.(check bool) "same arrival, bit for bit" true (Float.equal first second);
   Alcotest.(check (float 1e-12)) "closed-form arrival" (2.0 +. 0.001 +. (1290.0 *. 8e-6))
     second;
+  (* In one batch the copy gets a table entry of its own, and the same
+     arrival. *)
+  let b = Batch.create () in
+  List.iter
+    (fun dst -> Batch.encap b ~dst ~bytes:1290 ~path:0 ~flow:0 ~seq:0)
+    [ cached; copy; cached ];
+  Alcotest.(check (list int)) "entries by identity" [ 0; 1; 0 ]
+    [ b.Batch.dst.(0); b.Batch.dst.(1); b.Batch.dst.(2) ];
+  Alcotest.(check int) "two entries" 2 b.Batch.endpoint_count;
+  Fabric.send_batch_direct fabric ~from_node:0 ~now_s:2.0 b;
+  Alcotest.(check bool) "same arrival in one batch" true
+    (Float.equal b.Batch.arrival.(0) b.Batch.arrival.(1)
+    && Float.equal b.Batch.arrival.(1) first);
   Alcotest.(check int) "all direct" 0 (Fabric.direct_fallbacks fabric)
 
 (* A jittered route is not plain: every slot falls back and reads nan.
@@ -543,6 +710,105 @@ let test_fabric_batch_fallback () =
   Engine.run engine;
   Alcotest.(check (list (pair int int))) "the packet slot, through the event path"
     [ (2, 1) ] !delivered
+
+(* Four endpoints on four single-link routes out of node 0, each with
+   its own delay and bandwidth, all jitter-free. *)
+let star_net () =
+  let topo = Topology.create () in
+  Topology.add_node topo ~id:0 ~asn:64500 "sender";
+  for k = 1 to 4 do
+    Topology.add_node topo ~id:k ~asn:(64500 + k) (Printf.sprintf "site-%d" k);
+    Topology.connect topo ~provider:0 ~customer:k
+      ~link:
+        (Tango_topo.Link.v ~jitter_ms:0.0
+           ~bandwidth_mbps:(100.0 *. float_of_int k)
+           (1.5 *. float_of_int k))
+      ()
+  done;
+  let engine = Engine.create () in
+  let net = Network.create topo engine in
+  for k = 1 to 4 do
+    Network.announce net ~node:k (Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/16" k)) ()
+  done;
+  ignore (Network.converge net);
+  net
+
+let star_dsts = Array.init 4 (fun k -> Addr.of_string_exn (Printf.sprintf "10.%d.0.1" (k + 1)))
+
+(* Slot [i]'s endpoint in the interleaved batch: irregular, every
+   endpoint present, first appearances in the order 0, 1, 3, 2. *)
+let star_endpoint i = [| 0; 1; 3; 2; 2; 0; 3; 1; 1 |].(i mod 9)
+
+let star_bytes i = 90 + (37 * i)
+
+(* Each distinct endpoint is resolved once per call, and a slot reads
+   its endpoint's entry: one batch that interleaves four endpoints
+   lands every slot at the time, bit for bit, that four batches of one
+   endpoint each give it. *)
+let test_fabric_batch_endpoint_table () =
+  let fabric = Fabric.create (star_net ()) in
+  let mixed = Batch.create () in
+  for i = 0 to Batch.capacity - 1 do
+    Batch.encap mixed ~dst:star_dsts.(star_endpoint i) ~bytes:(star_bytes i) ~path:0
+      ~flow:i ~seq:0
+  done;
+  Alcotest.(check int) "four table entries" 4 mixed.Batch.endpoint_count;
+  Alcotest.(check bool) "first-appearance order" true
+    (List.for_all2
+       (fun j k -> mixed.Batch.endpoints.(j) == star_dsts.(k))
+       [ 0; 1; 2; 3 ] [ 0; 1; 3; 2 ]);
+  Fabric.send_batch_direct fabric ~from_node:0 ~now_s:5.0 mixed;
+  for k = 0 to 3 do
+    let single = Batch.create () in
+    let slots = List.filter (fun i -> star_endpoint i = k) (List.init Batch.capacity Fun.id) in
+    List.iter
+      (fun i -> Batch.encap single ~dst:star_dsts.(k) ~bytes:(star_bytes i) ~path:0 ~flow:i ~seq:0)
+      slots;
+    Fabric.send_batch_direct fabric ~from_node:0 ~now_s:5.0 single;
+    List.iteri
+      (fun s i ->
+        if not (Float.equal single.Batch.arrival.(s) mixed.Batch.arrival.(i)) then
+          Alcotest.failf "slot %d (endpoint %d): %h alone, %h interleaved" i k
+            single.Batch.arrival.(s) mixed.Batch.arrival.(i))
+      slots
+  done;
+  Alcotest.(check int) "all direct" 0 (Fabric.direct_fallbacks fabric)
+
+(* A failed link on one endpoint's route: exactly that endpoint's slots
+   fall back, to [send], in slot order among the direct deliveries (each
+   direct delivery sees the drops of the fallback slots before it), and
+   every other slot stays direct. *)
+let test_fabric_batch_failed_endpoint () =
+  let fabric = Fabric.create (star_net ()) in
+  let failed = 3 in
+  Fabric.fail_link fabric ~from_node:0 ~to_node:(failed + 1);
+  let b = Batch.create () in
+  for i = 0 to Batch.capacity - 1 do
+    let flow =
+      Flow.v ~src:(Addr.of_string_exn "192.168.0.1") ~dst:star_dsts.(star_endpoint i)
+        ~proto:17 ~src_port:i ~dst_port:2
+    in
+    Batch.add b (Packet.create ~id:i ~flow ~payload_bytes:64 ~created_at:0.0 ())
+  done;
+  let seen = ref [] in
+  Fabric.send_batch_direct fabric ~from_node:0 ~now_s:5.0
+    ~on_delivered_at:(fun ~node:_ ~at_s:_ p ->
+      seen := (p.Packet.id, Fabric.dropped fabric) :: !seen)
+    b;
+  let slots = List.init Batch.capacity Fun.id in
+  let on_failed i = star_endpoint i = failed in
+  let fell_before i = List.length (List.filter (fun j -> j < i && on_failed j) slots) in
+  Alcotest.(check (list (pair int int))) "direct slots, with the drops before each"
+    (List.filter_map
+       (fun i -> if on_failed i then None else Some (i, fell_before i))
+       slots)
+    (List.rev !seen);
+  let fell = List.filter on_failed slots in
+  Alcotest.(check int) "that endpoint's slots fell back" (List.length fell)
+    (Fabric.direct_fallbacks fabric);
+  Alcotest.(check int) "dropped on the failed link" (List.length fell) (Fabric.dropped fabric);
+  Alcotest.(check (list int)) "nan exactly there" fell
+    (List.filter (fun i -> Float.is_nan b.Batch.arrival.(i)) slots)
 
 (* ------------------------------------------------------------------ *)
 (* Flow cache                                                          *)
@@ -863,6 +1129,8 @@ let () =
           tc "link snapshot (Vultr)" `Quick test_fabric_link_snapshot_vultr;
           qc fabric_qcheck_link_snapshot;
           tc "link ids validated" `Quick test_fabric_link_ids_validated;
+          tc "hop memo = per-hop lookup under BGP churn" `Quick
+            test_fabric_hop_memo_differential;
         ] );
       ( "queueing",
         [
@@ -873,6 +1141,10 @@ let () =
           tc "forms agree" `Quick test_fabric_batch_forms_agree;
           tc "fallback" `Quick test_fabric_batch_fallback;
           tc "equal endpoint, another value" `Quick test_fabric_batch_equal_endpoint;
+          tc "endpoint table = one batch per endpoint" `Quick
+            test_fabric_batch_endpoint_table;
+          tc "failed endpoint falls back alone, in slot order" `Quick
+            test_fabric_batch_failed_endpoint;
         ] );
       ( "flow_cache",
         [

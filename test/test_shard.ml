@@ -372,6 +372,10 @@ let test_batch_fill_and_read () =
   Alcotest.(check int) "length" Batch.capacity (Batch.length b);
   Alcotest.(check int) "slots keep insertion order" 7
     b.Batch.packets.(7).Tango_net.Packet.id;
+  (* Each packet's destination is a value of its own: equal addresses,
+     one table entry each. *)
+  Alcotest.(check int) "an entry per destination value" Batch.capacity
+    b.Batch.endpoint_count;
   Alcotest.(check bool) "add past capacity rejected" true
     (try
        Batch.add b (mk_packet 99);
@@ -390,7 +394,8 @@ let test_batch_encap_columns () =
   Batch.encap b ~dst ~bytes:620 ~path:3 ~flow:17 ~seq:41;
   Batch.add b (mk_packet 5);
   Alcotest.(check int) "both forms share the slots" 2 (Batch.length b);
-  Alcotest.(check bool) "endpoint column" true (b.Batch.dst.(0) == dst);
+  Alcotest.(check bool) "endpoint column, through the table" true
+    (b.Batch.endpoints.(b.Batch.dst.(0)) == dst);
   Alcotest.(check (list int)) "encap slot columns" [ 620; 3; 17; 41 ]
     [ b.Batch.bytes.(0); b.Batch.path.(0); b.Batch.flow.(0); b.Batch.seq.(0) ];
   Alcotest.(check bool) "encap slot holds no packet" true
@@ -404,14 +409,33 @@ let test_batch_encap_columns () =
   for _ = 3 to Batch.capacity do
     Batch.encap b ~dst ~bytes:620 ~path:0 ~flow:0 ~seq:0
   done;
+  Alcotest.(check int) "a repeated endpoint keeps its entry" 2 b.Batch.endpoint_count;
+  Alcotest.(check (list int)) "slots name it by index" [ 0; 1; 0; 0 ]
+    [ b.Batch.dst.(0); b.Batch.dst.(1); b.Batch.dst.(2); b.Batch.dst.(63) ];
   Alcotest.(check bool) "encap past capacity rejected" true
     (try
        Batch.encap b ~dst ~bytes:620 ~path:0 ~flow:0 ~seq:0;
        false
      with Tango_dataplane.Err.Invalid _ -> true);
+  (* [clear] resets the table: the next endpoint takes entry 0. *)
+  let other = Tango_net.Addr.of_string_exn "2001:db8:200::1" in
+  Batch.clear b;
+  Alcotest.(check int) "clear empties the table" 0 b.Batch.endpoint_count;
+  Batch.encap b ~dst:other ~bytes:620 ~path:0 ~flow:0 ~seq:0;
+  let p6 = mk_packet 6 in
+  Batch.add b p6;
+  let p6_dst = Tango_net.Packet.forwarding_dst p6 in
+  Alcotest.(check bool) "entries refilled from 0" true
+    (b.Batch.endpoint_count = 2
+    && b.Batch.endpoints.(0) == other
+    && b.Batch.endpoints.(1) == p6_dst
+    && b.Batch.dst.(0) = 0 && b.Batch.dst.(1) = 1);
   Batch.purge b;
   Alcotest.(check bool) "purge drops the packet" true
-    (b.Batch.packets.(1) == Batch.no_packet)
+    (b.Batch.packets.(1) == Batch.no_packet);
+  Alcotest.(check int) "purge empties the table" 0 b.Batch.endpoint_count;
+  Alcotest.(check bool) "and drops its references" true
+    (Array.for_all (fun e -> e != dst && e != other && e != p6_dst) b.Batch.endpoints)
 
 (* ------------------------------------------------------------------ *)
 (* Seq_tracker.confirm_below                                           *)
