@@ -55,10 +55,13 @@ bench-compare: bench-json
 	dune exec bench/compare.exe -- BENCH_baseline.json BENCH.json
 
 # End-to-end observability smoke: run an experiment with --metrics and
-# validate the emitted JSON-lines snapshot against the schema.
+# validate the emitted JSON-lines snapshot against the schema, then the
+# same for a driven pair run (probes, app traffic, faults, policy).
 obs-smoke:
 	dune exec bin/tango_cli.exe -- fig3 --metrics _build/obs_smoke.jsonl --prom _build/obs_smoke.prom > /dev/null
 	dune exec test/validate_obs.exe -- _build/obs_smoke.jsonl
+	dune exec bin/tango_cli.exe -- faults --scenario flap --seed 42 --metrics _build/obs_smoke_faults.jsonl > /dev/null
+	dune exec test/validate_obs.exe -- _build/obs_smoke_faults.jsonl
 
 # Fault-injection smoke: list the scenario library, then drive a short
 # blackhole run end to end (lib/faults -> Sim.Engine -> Pop/Policy).

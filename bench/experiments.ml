@@ -312,14 +312,10 @@ let policy_ablation () =
           Pair.setup_vultr ~seed:!exp_seed ~scenario ~policy_ny:spec
             ~clock_offset_la_ns:0L ~clock_offset_ny_ns:0L ()
         in
-        let engine = Pair.engine pair in
-        let ny = Pair.pop_ny pair in
-        let t0 = Engine.now engine in
-        Pair.start_measurement pair ~probe_interval_s:0.02 ~for_s:horizon_s ();
-        Tango_workload.Traffic.periodic engine ~interval_s:0.02
-          ~until_s:(t0 +. horizon_s) (fun _ -> ignore (Pop.send_app ny ()));
-        Pair.run_for pair (horizon_s +. 1.0);
-        let la = Pair.pop_la pair in
+        let ny = Pair.pop_ny pair and la = Pair.pop_la pair in
+        ignore
+          (Pair.drive pair ~probe_interval_s:0.02 ~from:ny ~interval_s:0.02
+             ~for_s:horizon_s ());
         let app = Series.stats (Pop.app_latency_series la) in
         let hol = Stats.summarize (Pop.app_inorder_extra la) in
         row "  %-22s %9.2f %9.2f %9.2f %9.3f %9d\n" name
@@ -422,31 +418,17 @@ let measurement_ablation () =
 
 let tango_of_n () =
   section "E8 / §6 — Tango of N: one-hop relaying over pairwise Tango";
-  let topo = Overlay.Triangle.build () in
-  let engine = Engine.create ~seed:!exp_seed () in
-  let net = Network.create ~configure:Pair.vultr_overrides topo engine in
-  Overlay.Triangle.announce_hosts net;
-  let servers = [| Vultr.server_la; Vultr.server_ny; Overlay.Triangle.server_chi |] in
-  let names = [| "LA"; "NY"; "CHI" |] in
-  (* Each ordered pair runs the full Tango discovery and takes the best
-     of its exposed paths — pairwise Tango is the overlay's primitive. *)
-  let best = Array.make_matrix 3 3 infinity in
-  for s = 0 to 2 do
-    for d = 0 to 2 do
-      if s <> d then begin
-        let result =
-          Discovery.run ~net ~origin:servers.(d) ~observer:servers.(s)
-            ~probe_prefix:(Prefix.subnet Addressing.default_block 16 (16 * 97))
-            ()
-        in
-        best.(s).(d) <-
-          List.fold_left
-            (fun acc (p : Discovery.path) -> Float.min acc p.Discovery.floor_owd_ms)
-            infinity result.Discovery.paths
-      end
-    done
-  done;
-  let owd_ms ~src ~dst = best.(src).(dst) in
+  (* Each ordered pair of the live three-site mesh (synchronized site
+     clocks, per the paper's footnote 1) has run the full Tango
+     discovery; the overlay takes the best of each pair's exposed paths
+     — pairwise Tango is the overlay's primitive. *)
+  let mesh = Mesh.setup_triangle ~seed:!exp_seed () in
+  let names = Array.init 3 (Mesh.site_name mesh) in
+  let owd_ms ~src ~dst =
+    List.fold_left
+      (fun acc (p : Discovery.path) -> Float.min acc p.Discovery.floor_owd_ms)
+      infinity (Mesh.paths mesh ~src ~dst)
+  in
   row "  measured best direct OWD over all discovered paths (ms):\n";
   row "        %6s %6s %6s\n" names.(0) names.(1) names.(2);
   for s = 0 to 2 do
@@ -476,9 +458,7 @@ let tango_of_n () =
   row "  MEASURED : CHI->LA %s saves %.1f ms over the only direct transit\n"
     (route_name chi_la.Overlay.route)
     (Overlay.gain_ms chi_la);
-  (* And live: a full three-site mesh with relaying in the data plane
-     (synchronized site clocks, per the paper's footnote 1). *)
-  let mesh = Mesh.setup_triangle ~seed:!exp_seed () in
+  (* And live: relaying in the mesh's data plane. *)
   Mesh.start_measurement mesh ~for_s:15.0 ();
   Mesh.run_for mesh 3.0;
   Mesh.plan_routes mesh;
@@ -489,7 +469,7 @@ let tango_of_n () =
   let lat = Mesh.app_latency_at mesh ~site:0 in
   row "  MEASURED : live mesh relays %d/200 CHI->LA packets through NY; p50 end-to-end %.1f ms (direct floor %.1f ms)\n"
     (Mesh.transited_at mesh ~site:1)
-    (lat.Stats.p50 *. 1000.0) best.(2).(0)
+    (lat.Stats.p50 *. 1000.0) (owd_ms ~src:2 ~dst:0)
 
 (* ------------------------------------------------------------------ *)
 (* E11 — §5: TCP-style throughput through the instability episode       *)
@@ -570,6 +550,19 @@ let mrai_sweep () =
 (* ------------------------------------------------------------------ *)
 (* E9 — extension: data-driven failover under a silent blackhole        *)
 
+(* Failover latency (E9, E12): seconds from [after] to the sender's
+   first path switch at or after it, measured against the path it held
+   just before [after]; [None] if it never switched. *)
+let first_switch_s pop ~after =
+  snd
+    (Series.fold (Pop.chosen_path_series pop) ~init:(None, None)
+       ~f:(fun (before, switch) ~time ~value ->
+         if time < after then (Some value, switch)
+         else
+           match (switch, before) with
+           | None, Some b when value <> b -> (before, Some (time -. after))
+           | _ -> (before, switch)))
+
 let failover () =
   section "E9 / extension — failover when the path in use silently blackholes";
   row "  (the westbound link of the sender's current path drops all packets for\n";
@@ -597,36 +590,21 @@ let failover () =
       let fabric = Pair.fabric pair in
       let t0 = Engine.now engine in
       let fail_at = t0 +. 20.0 and heal_at = t0 +. 50.0 in
-      Pair.start_measurement pair ~probe_interval_s:0.01 ~for_s:80.0 ();
-      let sent = ref 0 in
-      Tango_workload.Traffic.periodic engine ~interval_s:0.02 ~until_s:(t0 +. 80.0)
-        (fun _ ->
-          incr sent;
-          ignore (Pop.send_app ny ()));
       Engine.schedule_at engine ~time:fail_at (fun _ ->
           Fabric.fail_link fabric ~from_node:failing_transit ~to_node:Vultr.vultr_la);
       Engine.schedule_at engine ~time:heal_at (fun _ ->
           Fabric.heal_link fabric ~from_node:failing_transit ~to_node:Vultr.vultr_la);
-      Pair.run_for pair 81.0;
-      let lost = !sent - Pop.app_received la in
-      (* Failover latency: first post-failure path switch at the sender. *)
-      let path_before =
-        (* The path the sender was on just before the failure. *)
-        Series.fold (Pop.chosen_path_series ny) ~init:0.0 ~f:(fun acc ~time ~value ->
-            if time < fail_at then value else acc)
+      let sent =
+        Pair.drive pair ~probe_interval_s:0.01 ~from:ny ~interval_s:0.02
+          ~for_s:80.0 ()
       in
-      let switch_time =
-        Series.fold (Pop.chosen_path_series ny) ~init:None ~f:(fun acc ~time ~value ->
-            match acc with
-            | Some _ -> acc
-            | None -> if time >= fail_at && value <> path_before then Some time else None)
-      in
+      let lost = sent - Pop.app_received la in
       let failover_ms =
-        match switch_time with
-        | Some at -> Printf.sprintf "%9.0f" ((at -. fail_at) *. 1000.0)
+        match first_switch_s ny ~after:fail_at with
+        | Some d -> Printf.sprintf "%9.0f" (d *. 1000.0)
         | None -> "        -"
       in
-      row "  %-22s %9d %9d %14s %9d\n" name !sent lost failover_ms
+      row "  %-22s %9d %9d %14s %9d\n" name sent lost failover_ms
         (Pop.policy_switches ny))
     policies;
   row "  PAPER    : continuous measurement enables Blink-style recovery without BGP (§6)\n";
@@ -682,43 +660,27 @@ let failover_under_fault () =
     (fun name ->
       let sc = F_scenario.get name in
       let pair = Pair.setup_vultr ~seed:!exp_seed ~readmit_backoff_s:0.5 () in
-      let engine = Pair.engine pair in
       let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
-      let t0 = Engine.now engine in
+      let t0 = Engine.now (Pair.engine pair) in
       let inj = F_inject.arm ~pair ~seed:!exp_seed sc.F_scenario.specs in
-      let window = Float.min 30.0 !horizon in
-      let sent = ref 0 in
-      Pair.start_measurement pair ~probe_interval_s:0.01 ~dead_after_probes:10
-        ~for_s:window ();
-      Tango_workload.Traffic.periodic engine ~interval_s:0.02
-        ~until_s:(t0 +. window) (fun _ ->
-          incr sent;
-          ignore (Pop.send_app la ()));
-      Pair.run_for pair (window +. 1.0);
+      let sent =
+        Pair.drive pair ~probe_interval_s:0.01 ~dead_after_probes:10 ~from:la
+          ~interval_s:0.02 ~for_s:(Float.min 30.0 !horizon) ()
+      in
       (* Detection latency: first preferred-path change after the
-         earliest fault onset, read off the chosen-path series. *)
+         earliest fault onset. *)
       let onset =
         t0
         +. List.fold_left
              (fun m (s : F_spec.t) -> Float.min m s.F_spec.start_s)
              infinity sc.F_scenario.specs
       in
-      let _, detect =
-        Series.fold (Pop.chosen_path_series la) ~init:(None, None)
-          ~f:(fun (before, det) ~time ~value ->
-            if time < onset then (Some value, det)
-            else
-              match (det, before) with
-              | Some _, _ -> (before, det)
-              | None, Some b when value <> b -> (before, Some (time -. onset))
-              | None, _ -> (before, det))
-      in
       row "  %-14s %8d %9d %9d %9d %5d/%-5d %9s\n" name (F_inject.injected inj)
         (Pop.policy_switches la)
         (F_inject.switches_during inj)
         (Policy.degraded_episodes (Pop.policy la))
-        (Pop.app_received ny) !sent
-        (match detect with
+        (Pop.app_received ny) sent
+        (match first_switch_s la ~after:onset with
         | Some d -> Printf.sprintf "%.0f ms" (d *. 1000.0)
         | None -> "-"))
     [ "blackhole"; "flap"; "brownout"; "bgp-withdraw"; "meltdown" ]
@@ -736,22 +698,17 @@ let rediscovery_under_churn () =
     (fun name ->
       let sc = F_scenario.get name in
       let pair = Pair.setup_vultr ~seed:!exp_seed ~readmit_backoff_s:0.5 () in
-      let engine = Pair.engine pair in
       let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
-      let t0 = Engine.now engine in
+      let t0 = Engine.now (Pair.engine pair) in
       let inj = F_inject.arm ~pair ~seed:!exp_seed sc.F_scenario.specs in
       let window = Float.min 30.0 !horizon in
       let reconciler =
         Ctrl.arm ~pair ~seed:!exp_seed ~until_s:(t0 +. window) ()
       in
-      let sent = ref 0 in
-      Pair.start_measurement pair ~probe_interval_s:0.01 ~dead_after_probes:10
-        ~for_s:window ();
-      Tango_workload.Traffic.periodic engine ~interval_s:0.02
-        ~until_s:(t0 +. window) (fun _ ->
-          incr sent;
-          ignore (Pop.send_app la ()));
-      Pair.run_for pair (window +. 1.0);
+      let sent =
+        Pair.drive pair ~probe_interval_s:0.01 ~dead_after_probes:10 ~from:la
+          ~interval_s:0.02 ~for_s:window ()
+      in
       let s = Ctrl.stats reconciler Ctrl.To_ny in
       let budget = (Ctrl.config reconciler).Ctrl.budget_msgs in
       (* Recovery: close of the last fault window to the first app
@@ -760,19 +717,16 @@ let rediscovery_under_churn () =
       let recovery =
         if not (Float.is_finite last_off) then None
         else
-          Series.fold (Pop.app_latency_series ny) ~init:None
-            ~f:(fun acc ~time ~value:_ ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                  if time >= last_off then Some (time -. last_off) else None)
+          Series.first_time
+            (Series.between (Pop.app_latency_series ny) ~t0:last_off
+               ~t1:infinity)
       in
       row "  %-14s %7d %6d %6d %10s %5d/%-5d %9s\n" name s.Ctrl.epochs
         s.Ctrl.truncated s.Ctrl.last_msgs
         (if s.Ctrl.last_msgs <= budget then "yes" else "OVER")
-        (Pop.app_received ny) !sent
+        (Pop.app_received ny) sent
         (match recovery with
-        | Some d -> Printf.sprintf "%.0f ms" (d *. 1000.0)
+        | Some at -> Printf.sprintf "%.0f ms" ((at -. last_off) *. 1000.0)
         | None -> "-"))
     [ "bgp-withdraw"; "bgp-flap"; "community-drop" ]
 

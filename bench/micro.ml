@@ -329,11 +329,12 @@ let test_fault_check_active =
               ~to_node:1 ~time_s:1.0)))
 
 (* The batched per-lane packet path (lib/dataplane batch + fabric): one
-   op = one 64-packet send_batch_direct over a converged plain route,
-   delivery continuation included. This is the path every lane executes
-   per flush in the throughput pipeline; the major-words column is its
-   zero-allocation gate. *)
-let batch_fabric, batch_packets =
+   op = one 64-slot send_batch_direct over a converged plain route. The
+   packet form with a delivery callback boxes each arrival time for the
+   callback; the encap form, with no callback at a constant send time,
+   is what every lane executes per flush in the throughput pipeline,
+   and its words columns are its zero-allocation gate. *)
+let batch_fabric, batch_packets, batch_encap =
   let engine = Tango_sim.Engine.create ~seed:9 () in
   let topo = Tango_topo.Topology.create () in
   Tango_topo.Topology.add_node topo ~id:0 ~asn:64512 "sender";
@@ -361,7 +362,11 @@ let batch_fabric, batch_packets =
       (Tango_net.Packet.create ~id:i ~flow:bflow ~payload_bytes:512
          ~created_at:0.0 ())
   done;
-  (fabric, batch)
+  let encap = Tango_dataplane.Batch.create () in
+  for i = 0 to Tango_dataplane.Batch.capacity - 1 do
+    Tango_dataplane.Batch.encap encap ~dst ~bytes:512 ~path:0 ~flow:i ~seq:i
+  done;
+  (fabric, batch, encap)
 
 let test_send_batch_direct =
   let now = ref 0.0 in
@@ -371,6 +376,12 @@ let test_send_batch_direct =
          now := !now +. 1e-6;
          Tango_dataplane.Fabric.send_batch_direct batch_fabric ~from_node:0
            ~now_s:!now ~on_delivered_at batch_packets))
+
+let test_send_batch_encap =
+  Test.make ~name:"fabric.send_batch_direct (64 encap, plain)"
+    (Staged.stage (fun () ->
+         Tango_dataplane.Fabric.send_batch_direct batch_fabric ~from_node:0
+           ~now_s:1.0 batch_encap))
 
 (* Control-plane reconciliation hot reads (lib/ctrl): the per-prefix
    churn classification and the table digest a heartbeat carries. Both
@@ -525,6 +536,7 @@ let all_tests =
       test_fault_check_inactive;
       test_fault_check_active;
       test_send_batch_direct;
+      test_send_batch_encap;
       test_watch_verdict;
       test_ctrl_digest;
       test_segment_encode;

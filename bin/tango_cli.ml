@@ -63,15 +63,18 @@ let bounded conv ~ok ~expect =
 
 let positive_int = bounded Arg.int ~ok:(fun n -> n > 0) ~expect:"a positive integer"
 
+let non_negative_int =
+  bounded Arg.int ~ok:(fun n -> n >= 0) ~expect:"a non-negative integer"
+
 let positive_float =
   bounded Arg.float
     ~ok:(fun x -> Float.is_finite x && x > 0.0)
     ~expect:"a positive finite number"
 
-let batch_size =
-  bounded Arg.int
-    ~ok:(fun n -> n >= 1 && n <= Tango_dataplane.Batch.capacity)
-    ~expect:(Printf.sprintf "between 1 and %d" Tango_dataplane.Batch.capacity)
+let non_negative_float =
+  bounded Arg.float
+    ~ok:(fun x -> Float.is_finite x && x >= 0.0)
+    ~expect:"a non-negative finite number"
 
 let seed_arg =
   let doc = "Deterministic simulation seed." in
@@ -108,6 +111,26 @@ let policy_arg =
     & opt (enum policies)
         (Policy.Lowest_owd { hysteresis_ms = 1.0; min_dwell_s = 2.0 })
     & info [ "policy" ] ~docv:"POLICY" ~doc)
+
+let domains_arg =
+  Arg.(
+    value & opt positive_int 1
+    & info [ "domains" ] ~docv:"N" ~doc:"Dataplane lanes, one OCaml domain each.")
+
+let batch_arg =
+  let capacity = Tango_dataplane.Batch.capacity in
+  let batch_size =
+    bounded Arg.int
+      ~ok:(fun n -> n >= 1 && n <= capacity)
+      ~expect:(Printf.sprintf "between 1 and %d" capacity)
+  in
+  Arg.(
+    value & opt batch_size 64
+    & info [ "batch" ] ~docv:"N"
+        ~doc:"Packet-batch flush threshold, between 1 and 64.")
+
+let list_arg =
+  Arg.(value & flag & info [ "list" ] ~doc:"List the scenarios and exit.")
 
 (* ------------------------------------------------------------------ *)
 (* discover                                                            *)
@@ -149,7 +172,9 @@ let discover seed reverse max_paths metrics prom =
     (fun () -> discover_run seed reverse max_paths)
 
 let max_paths_arg =
-  Arg.(value & opt int 16 & info [ "max-paths" ] ~docv:"N" ~doc:"Stop after N paths.")
+  Arg.(
+    value & opt positive_int 16
+    & info [ "max-paths" ] ~docv:"N" ~doc:"Stop after N paths.")
 
 let discover_cmd =
   let reverse =
@@ -279,18 +304,14 @@ let simulate seed duration policy rate_hz metrics prom =
     Pair.setup_vultr ~seed ~scenario ~policy_ny:policy ~clock_offset_la_ns:0L
       ~clock_offset_ny_ns:0L ()
   in
-  let engine = Pair.engine pair in
   let ny = Pair.pop_ny pair and la = Pair.pop_la pair in
-  let t0 = Tango_sim.Engine.now engine in
-  Pair.start_measurement pair ~probe_interval_s:0.02 ~for_s:duration ();
-  Tango_workload.Traffic.periodic engine ~interval_s:(1.0 /. rate_hz)
-    ~until_s:(t0 +. duration) (fun _ -> ignore (Pop.send_app ny ()));
-  Pair.run_for pair (duration +. 1.0);
+  ignore
+    (Pair.drive pair ~probe_interval_s:0.02 ~from:ny ~interval_s:(1.0 /. rate_hz)
+       ~for_s:duration ());
   let app = Series.stats (Pop.app_latency_series la) in
   Printf.printf
     "policy %-12s  app packets %d  mean %.2f ms  p99 %.2f ms  max %.2f ms  switches %d\n"
-    (Policy.spec_to_string
-       (match policy with p -> p))
+    (Policy.spec_to_string policy)
     (Pop.app_received la)
     (app.Stats.mean *. 1000.0)
     (app.Stats.p99 *. 1000.0)
@@ -407,17 +428,12 @@ let print_recovery ~t0 ~receiver inj =
   if not (Float.is_finite last_off) then
     Printf.printf "  recovery: n/a (no fault window closed)\n"
   else
-    let restored =
-      Series.fold
-        (Pop.app_latency_series receiver)
-        ~init:None
-        ~f:(fun acc ~time ~value:_ ->
-          match acc with
-          | Some _ -> acc
-          | None -> if time >= last_off then Some (time -. last_off) else None)
+    let after =
+      Series.between (Pop.app_latency_series receiver) ~t0:last_off ~t1:infinity
     in
-    match restored with
-    | Some dt ->
+    match Series.first_time after with
+    | Some at ->
+        let dt = at -. last_off in
         Printf.printf
           "  recovery: delivery restored %.3f s after last fault window \
            (t=%7.3f)\n"
@@ -474,23 +490,18 @@ let print_reconciler ~pair reconciler =
 let pair_fault_run ~(sc : F_scenario.t) ~seed ~duration ~rate_hz ~backoff
     ~arm_reconciler ~head ~tail =
   let pair = Pair.setup_vultr ~seed ~readmit_backoff_s:backoff () in
-  let engine = Pair.engine pair in
   let la = Pair.pop_la pair and ny = Pair.pop_ny pair in
-  let t0 = Tango_sim.Engine.now engine in
+  let t0 = Tango_sim.Engine.now (Pair.engine pair) in
   Printf.printf "scenario %s: %s\n" sc.F_scenario.name sc.F_scenario.description;
   List.iter
     (fun spec -> Printf.printf "  armed: %s\n" (F_spec.to_string spec))
     sc.F_scenario.specs;
   let inj = F_inject.arm ~pair ~seed sc.F_scenario.specs in
   let reconciler = arm_reconciler ~pair ~until_s:(t0 +. duration) in
-  let app_sent = ref 0 in
-  Pair.start_measurement pair ~probe_interval_s:0.01 ~dead_after_probes:10
-    ~for_s:duration ();
-  Tango_workload.Traffic.periodic engine ~interval_s:(1.0 /. rate_hz)
-    ~until_s:(t0 +. duration) (fun _ ->
-      incr app_sent;
-      ignore (Pop.send_app la ()));
-  Pair.run_for pair (duration +. 1.0);
+  let app_sent =
+    Pair.drive pair ~probe_interval_s:0.01 ~dead_after_probes:10 ~from:la
+      ~interval_s:(1.0 /. rate_hz) ~for_s:duration ()
+  in
   Printf.printf "timeline (t relative to arming):\n";
   List.iter
     (fun (at, what) -> Printf.printf "  t=%7.3f %s\n" (at -. t0) what)
@@ -501,7 +512,7 @@ let pair_fault_run ~(sc : F_scenario.t) ~seed ~duration ~rate_hz ~backoff
   print_reconciler ~pair reconciler;
   print_recovery ~t0 ~receiver:ny inj;
   Printf.printf "  app LA->NY: sent %d received %d  mean %.2f ms  p99 %.2f ms\n"
-    !app_sent (Pop.app_received ny)
+    app_sent (Pop.app_received ny)
     (app.Stats.mean *. 1000.0)
     (app.Stats.p99 *. 1000.0);
   tail ~pair
@@ -548,9 +559,8 @@ let faults_run sc seed duration backoff rate_hz with_reconciler =
            else ""))
       (Pop.outbound_stats la)
   in
-  pair_fault_run ~sc ~seed ~duration ~rate_hz
-    ~backoff:(if backoff > 0.0 then backoff else 0.0)
-    ~arm_reconciler ~head ~tail
+  pair_fault_run ~sc ~seed ~duration ~rate_hz ~backoff ~arm_reconciler ~head
+    ~tail
 
 let faults (sc : F_scenario.t) seed duration backoff rate_hz reconcile_flag
     list_flag metrics prom =
@@ -578,7 +588,7 @@ let rate_hz_arg =
 let faults_cmd =
   let backoff =
     Arg.(
-      value & opt float 0.5
+      value & opt non_negative_float 0.5
       & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:
             "Base re-admission backoff for flap damping (0 disables; \
@@ -592,15 +602,12 @@ let faults_cmd =
             "Arm the control-plane reconciler (churn watch, budgeted \
              re-discovery, in-band pair channel) alongside the faults.")
   in
-  let list_flag =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the scenarios and exit.")
-  in
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run a named fault-injection scenario against the two-site pair")
     Term.(
       const faults $ pair_scenario_arg "blackhole" $ seed_arg
-      $ duration_arg 30.0 $ backoff $ rate_hz_arg $ reconcile_flag $ list_flag
+      $ duration_arg 30.0 $ backoff $ rate_hz_arg $ reconcile_flag $ list_arg
       $ metrics_arg $ prom_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -661,9 +668,6 @@ let reconcile_cmd =
       & info [ "no-channel" ]
           ~doc:"Run without the in-band pair control channel.")
   in
-  let list_flag =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the scenarios and exit.")
-  in
   Cmd.v
     (Cmd.info "reconcile"
        ~doc:
@@ -673,7 +677,7 @@ let reconcile_cmd =
     Term.(
       const reconcile $ pair_scenario_arg "bgp-flap" $ seed_arg
       $ duration_arg 30.0 $ rate_hz_arg $ budget $ cadence $ no_channel
-      $ list_flag $ metrics_arg $ prom_arg)
+      $ list_arg $ metrics_arg $ prom_arg)
 
 (* ------------------------------------------------------------------ *)
 (* throughput                                                          *)
@@ -691,18 +695,6 @@ let throughput domains batch flows generations seed fingerprint_only metrics
   Throughput.print_summary ~timing:(not fingerprint_only) r
 
 let throughput_cmd =
-  let domains =
-    Arg.(
-      value & opt positive_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Dataplane lanes, one OCaml domain each.")
-  in
-  let batch =
-    Arg.(
-      value & opt batch_size 64
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Packet-batch flush threshold, between 1 and 64.")
-  in
   let flows =
     Arg.(value & opt positive_int 512 & info [ "flows" ] ~docv:"N" ~doc:"Concurrent flows.")
   in
@@ -727,7 +719,7 @@ let throughput_cmd =
          "Run the multicore batched dataplane: flow-sharded domain lanes, \
           64-packet batches, deterministic merge")
     Term.(
-      const throughput $ domains $ batch $ flows $ generations $ seed_arg
+      const throughput $ domains_arg $ batch_arg $ flows $ generations $ seed_arg
       $ fingerprint_flag $ metrics_arg $ prom_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -770,18 +762,6 @@ let load domains batch flows generations seed cache ceiling idle_gens sweep
     points
 
 let load_cmd =
-  let domains =
-    Arg.(
-      value & opt positive_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Dataplane lanes, one OCaml domain each.")
-  in
-  let batch =
-    Arg.(
-      value & opt batch_size 64
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Packet-batch flush threshold, between 1 and 64.")
-  in
   let flows =
     Arg.(
       value & opt positive_int 10_000
@@ -806,7 +786,7 @@ let load_cmd =
   in
   let ceiling =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "ceiling" ] ~docv:"N"
           ~doc:
             "Per-lane advisory ceiling on resident tracker state (0 = none); \
@@ -814,7 +794,7 @@ let load_cmd =
   in
   let idle_gens =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "idle-gens" ] ~docv:"N"
           ~doc:
             "Expire a flow's sequence tracker after it has been idle for \
@@ -842,7 +822,7 @@ let load_cmd =
           diurnal waves, RPC/bulk/CBR mix) through the batched multicore \
           dataplane")
     Term.(
-      const load $ domains $ batch $ flows $ generations $ seed_arg $ cache
+      const load $ domains_arg $ batch_arg $ flows $ generations $ seed_arg $ cache
       $ ceiling $ idle_gens $ sweep $ fingerprint_flag $ metrics_arg
       $ prom_arg)
 
@@ -1015,7 +995,7 @@ let mesh_cmd =
   in
   let quarantine_s =
     Arg.(
-      value & opt float 2.0
+      value & opt positive_float 2.0
       & info [ "quarantine-s" ] ~docv:"SECONDS"
           ~doc:
             "First quarantine duration for a convicted relay (doubles per \

@@ -10,7 +10,6 @@
    Run with: dune exec examples/drone_analytics.exe *)
 
 open Tango
-module Engine = Tango_sim.Engine
 module Series = Tango_telemetry.Series
 module Stats = Tango_sim.Stats
 
@@ -24,15 +23,11 @@ let run_with ~name ~policy =
     Pair.setup_vultr ~seed:7 ~scenario ~policy_ny:policy ~clock_offset_la_ns:0L
       ~clock_offset_ny_ns:0L ()
   in
-  let engine = Pair.engine pair in
-  let ny = Pair.pop_ny pair in
-  let la = Pair.pop_la pair in
-  let t0 = Engine.now engine in
-  Pair.start_measurement pair ~probe_interval_s:0.02 ~for_s:120.0 ();
+  let ny = Pair.pop_ny pair and la = Pair.pop_la pair in
   (* 50 Hz control updates, small payloads. *)
-  Tango_workload.Traffic.periodic engine ~interval_s:0.02 ~until_s:(t0 +. 120.0)
-    (fun _ -> ignore (Pop.send_app ny ~payload_bytes:128 ()));
-  Pair.run_for pair 121.0;
+  ignore
+    (Pair.drive pair ~probe_interval_s:0.02 ~payload_bytes:128 ~from:ny
+       ~interval_s:0.02 ~for_s:120.0 ());
   let latency = Pop.app_latency_series la in
   let missed =
     Series.fold latency ~init:0 ~f:(fun acc ~time:_ ~value ->

@@ -21,20 +21,15 @@ let () =
         p.Discovery.label p.Discovery.floor_owd_ms)
     (Pair.paths_to_ny pair);
 
-  (* 2. Start the measurement plane: 10 ms probe trains on every path in
-     both directions, plus the cooperative feedback reports. *)
-  Pair.start_measurement pair ~for_s:10.0 ();
-
-  (* 3. Send application traffic while measuring; the default policy
-     (lowest smoothed one-way delay with hysteresis) picks the path. *)
+  (* 2. Drive it for ten seconds: the measurement plane (10 ms probe
+     trains on every path in both directions, plus the cooperative
+     feedback reports) and application traffic from LA at 20 Hz. The
+     default policy (lowest smoothed one-way delay with hysteresis)
+     picks each packet's path. *)
   let la = Pair.pop_la pair in
-  let engine = Pair.engine pair in
-  let t0 = Tango_sim.Engine.now engine in
-  Tango_workload.Traffic.periodic engine ~interval_s:0.05 ~until_s:(t0 +. 10.0)
-    (fun _ -> ignore (Pop.send_app la ()));
-  Pair.run_for pair 11.0;
+  ignore (Pair.drive pair ~from:la ~interval_s:0.05 ~for_s:10.0 ());
 
-  (* 4. Inspect what the receiving side measured, per path. *)
+  (* 3. Inspect what the receiving side measured, per path. *)
   let ny = Pair.pop_ny pair in
   Printf.printf "\nOne-way delay measured at NY (ms, clock-offset included):\n";
   Printf.printf "  %-8s %8s %8s %8s %10s\n" "path" "mean" "p99" "jitter" "samples";

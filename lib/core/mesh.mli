@@ -26,11 +26,10 @@ val site_name : t -> int -> string
 val fabric : t -> Tango_dataplane.Fabric.t
 (** The shared fabric, where the tests fail a relay's link. *)
 
-(* test-hook: test/test_tango.ml *)
 val paths : t -> src:int -> dst:int -> Discovery.path list
-(** Discovery result for traffic [src] → [dst], which the tests count.
-    Raises [Invalid_argument] for unknown or equal indices, like every
-    per-pair call here. *)
+(** Discovery result for traffic [src] → [dst], the one {!setup_triangle}
+    ran: each path with its static floor OWD. Raises [Invalid_argument]
+    for unknown or equal indices, like every per-pair call here. *)
 
 val start_measurement : t -> for_s:float -> unit -> unit
 (** Start probe trains and reports on every PoP, at {!Pop.start}'s

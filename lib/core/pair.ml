@@ -129,3 +129,15 @@ let start_measurement t ?probe_interval_s ?report_interval_s ?dead_after_probes
     ~until_s ()
 
 let run_for t duration = Engine.run ~until:(Engine.now t.engine +. duration) t.engine
+
+let drive t ?probe_interval_s ?dead_after_probes ?payload_bytes ~from
+    ~interval_s ~for_s () =
+  let t0 = Engine.now t.engine in
+  start_measurement t ?probe_interval_s ?dead_after_probes ~for_s ();
+  let sent = ref 0 in
+  Tango_workload.Traffic.periodic t.engine ~interval_s ~until_s:(t0 +. for_s)
+    (fun _ ->
+      incr sent;
+      ignore (Pop.send_app from ?payload_bytes ()));
+  run_for t (for_s +. 1.0);
+  !sent

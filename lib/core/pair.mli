@@ -94,3 +94,20 @@ val start_measurement :
 
 val run_for : t -> float -> unit
 (** Advance the simulation by the given duration. *)
+
+val drive :
+  t ->
+  ?probe_interval_s:float ->
+  ?dead_after_probes:int ->
+  ?payload_bytes:int ->
+  from:Pop.t ->
+  interval_s:float ->
+  for_s:float ->
+  unit ->
+  int
+(** The pair under application traffic: {!start_measurement} for
+    [for_s] seconds, one {!Pop.send_app} from [from] every [interval_s]
+    seconds over the same span (from now), then {!run_for} [for_s] plus
+    a 1 s drain for the packets still in flight. Returns the number of
+    app packets sent. Anything the caller schedules before the call
+    (faults, a reconciler, link failures) runs inside the drive. *)

@@ -81,8 +81,9 @@ let run ?(pops = 16) ?(degree = 4) ?(trees = 3) ?(seed = 42) ?flows
     ?(attest = false) ?(quarantine_s = 2.0) ?(suspect_threshold = 4) () =
   let nflows = match flows with Some f -> f | None -> min (2 * pops) 128 in
   if nflows < 1 then Err.invalid "Mesh.run: need at least one flow";
-  if duration_s <= 0.0 then Err.invalid "Mesh.run: non-positive duration";
-  if pkt_interval_s <= 0.0 then Err.invalid "Mesh.run: non-positive packet interval";
+  if not (duration_s > 0.0) then Err.invalid "Mesh.run: non-positive duration";
+  if not (pkt_interval_s > 0.0) then
+    Err.invalid "Mesh.run: non-positive packet interval";
   List.iter
     (fun (s : Spec.t) ->
       Spec.validate s;

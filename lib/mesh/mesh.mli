@@ -71,7 +71,8 @@ val run :
     at 0.5 s (staggered 1 ms apart). Raises {!Err.Invalid} for a
     pairwise fault kind in [specs] (arm those through
     {!Tango_faults.Inject}), a fault window that does not close before
-    [duration_s], or out-of-range parameters. A [Relay_kill] or
+    [duration_s], or out-of-range parameters (a NaN duration, packet
+    interval or quarantine among them). A [Relay_kill] or
     Byzantine-relay spec's [path] field picks the target PoP; 0
     auto-selects the busiest relay (most stitched routes transiting it,
     ties to the lowest id). *)

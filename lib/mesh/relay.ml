@@ -107,7 +107,7 @@ type t = {
 }
 
 let create ?(quarantine_s = 2.0) ~topo ~arbor ~engine ~gossip () =
-  if quarantine_s <= 0.0 then
+  if not (quarantine_s > 0.0) then
     Err.invalid "Relay.create: non-positive quarantine duration";
   let n = Mtopo.pops topo in
   let slots = Mtopo.edges topo in

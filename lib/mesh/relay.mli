@@ -29,7 +29,7 @@ val create :
     and dead trees are banned for 1 s; these are constants. A first
     quarantine lasts [quarantine_s] (default 2 s), doubling per
     episode, capped at 60 s. Raises {!Err.Invalid} when [quarantine_s]
-    is not positive. *)
+    is not positive, NaN included. *)
 
 val start_hellos : t -> until:float -> unit
 (** One hello timer per PoP. Hellos are stamped directly into the

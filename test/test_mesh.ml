@@ -321,7 +321,17 @@ let test_mesh_validation () =
     (invalid (fun () ->
          Mesh.run ~pops:8
            ~specs:[ Spec.v ~path:9 ~start_s:1.0 ~duration_s:2.0 Spec.Relay_kill ]
-           ()))
+           ()));
+  (* NaN passes an [x <= 0.0] test: a NaN quarantine would run until
+     the first conviction and then fail scheduling the release. The
+     set-up checks refuse it before any event runs, and a NaN horizon
+     or packet interval too. *)
+  Alcotest.(check bool) "NaN quarantine rejected" true
+    (invalid (fun () -> Mesh.run ~attest:true ~quarantine_s:Float.nan ()));
+  Alcotest.(check bool) "NaN duration rejected" true
+    (invalid (fun () -> Mesh.run ~duration_s:Float.nan ()));
+  Alcotest.(check bool) "NaN packet interval rejected" true
+    (invalid (fun () -> Mesh.run ~pkt_interval_s:Float.nan ()))
 
 let () =
   let tc = Alcotest.test_case in
