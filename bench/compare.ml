@@ -5,15 +5,20 @@
      dune exec bench/compare.exe -- --tolerance 0.25 baseline.json current.json
 
    Reads two microbenchmark result files in the BENCH.json schema
-   (EXPERIMENTS.md) and exits non-zero when, for any benchmark present
-   in both files,
+   (EXPERIMENTS.md) and fails when, for any benchmark present in both
+   files,
 
-     - ns/op regressed by more than the tolerance (default 25%), or
      - major-heap or minor-heap words/op went from (effectively) zero
        in the baseline to non-zero now — the zero-allocation fast path
-       grew a leak or started allocating, or
+       grew a leak or started allocating (exit 1), or
+     - ns/op regressed by more than the tolerance (default 25%), or
      - pps (throughput pipeline rows; higher is better) dropped by more
        than 15% against the baseline.
+
+   A failed words/op row exits 1. When only timing rows fail (ns/op,
+   pps and the relational ns/op gates) it exits 3: word counts do not
+   depend on the host, timings do, so a caller may treat 3 as a
+   warning on a host unlike the baseline's. Unreadable input exits 2.
 
    Benchmarks present in only one file are reported but never fail the
    gate, so adding or retiring benchmarks does not require regenerating
@@ -118,6 +123,7 @@ let () =
   let baseline = rows_of baseline_json baseline_path in
   let current = rows_of current_json current_path in
   let failures = ref 0 in
+  let word_failures = ref 0 in
   let compared = ref 0 in
   Printf.printf "bench gate: %s vs %s (tolerance %.0f%%)\n" baseline_path
     current_path (100.0 *. !tolerance);
@@ -149,6 +155,7 @@ let () =
               match (base, cur) with
               | Some b, Some c when Float.abs b <= zero_epsilon && c > zero_epsilon ->
                   incr failures;
+                  incr word_failures;
                   Printf.printf "  ! %-45s %s words/op %.3f -> %.3f (was zero-alloc)\n"
                     name heap b c
               | _ -> ())
@@ -208,8 +215,9 @@ let () =
         2.0 );
     ];
   if !failures > 0 then begin
-    Printf.printf "FAIL: %d regression(s) across %d compared benchmarks\n"
-      !failures !compared;
-    exit 1
+    Printf.printf
+      "FAIL: %d regression(s) across %d compared benchmarks (%d words/op)\n"
+      !failures !compared !word_failures;
+    exit (if !word_failures > 0 then 1 else 3)
   end
   else Printf.printf "OK: %d benchmarks within tolerance\n" !compared

@@ -422,12 +422,13 @@ let tango_of_n () =
      clocks, per the paper's footnote 1) has run the full Tango
      discovery; the overlay takes the best of each pair's exposed paths
      — pairwise Tango is the overlay's primitive. *)
-  let mesh = Mesh.setup_triangle ~seed:!exp_seed () in
-  let names = Array.init 3 (Mesh.site_name mesh) in
+  let overlay = Overlay.setup_triangle ~seed:!exp_seed () in
+  let pair = Overlay.pair overlay in
+  let names = Array.init 3 Overlay.site_name in
   let owd_ms ~src ~dst =
     List.fold_left
       (fun acc (p : Discovery.path) -> Float.min acc p.Discovery.floor_owd_ms)
-      infinity (Mesh.paths mesh ~src ~dst)
+      infinity (Pair.paths pair ~src ~dst)
   in
   row "  measured best direct OWD over all discovered paths (ms):\n";
   row "        %6s %6s %6s\n" names.(0) names.(1) names.(2);
@@ -459,16 +460,16 @@ let tango_of_n () =
     (route_name chi_la.Overlay.route)
     (Overlay.gain_ms chi_la);
   (* And live: relaying in the mesh's data plane. *)
-  Mesh.start_measurement mesh ~for_s:15.0 ();
-  Mesh.run_for mesh 3.0;
-  Mesh.plan_routes mesh;
+  Pair.start_measurement pair ~for_s:15.0 ();
+  Pair.run_for pair 3.0;
+  Overlay.replan overlay;
   for _ = 1 to 200 do
-    Mesh.send_app mesh ~src:2 ~dst:0 ()
+    Overlay.send_app overlay ~src:2 ~dst:0 ()
   done;
-  Mesh.run_for mesh 2.0;
-  let lat = Mesh.app_latency_at mesh ~site:0 in
+  Pair.run_for pair 2.0;
+  let lat = Overlay.app_latency_at overlay ~site:0 in
   row "  MEASURED : live mesh relays %d/200 CHI->LA packets through NY; p50 end-to-end %.1f ms (direct floor %.1f ms)\n"
-    (Mesh.transited_at mesh ~site:1)
+    (Overlay.transited_at overlay ~site:1)
     (lat.Stats.p50 *. 1000.0) (owd_ms ~src:2 ~dst:0)
 
 (* ------------------------------------------------------------------ *)
@@ -638,7 +639,7 @@ let discovery_cost () =
       ( "vultr LA<->NY (paper)",
         Vultr.build (), Pair.vultr_overrides, Vultr.server_ny, Vultr.server_la );
       ( "triangle (3 sites)",
-        Overlay.Triangle.build (), Pair.vultr_overrides, Overlay.Triangle.server_chi,
+        Vultr.build_triangle (), Pair.vultr_overrides, Vultr.server_chi,
         Vultr.server_la );
       ( "random hierarchy (3/6/10)",
         Tango_topo.Builders.random_hierarchy ~seed:5 ~tier1:3 ~tier2:6 ~stubs:10,
@@ -823,7 +824,7 @@ let throughput_scaling () =
 (* ------------------------------------------------------------------ *)
 (* E15 — mesh scaling: Tango-of-N relay mesh, O(1) failover            *)
 
-module Nmesh = Tango_mesh.Mesh
+module Mesh = Tango_mesh.Mesh
 
 (* [--pops] narrows the sweep to one mesh size; 0 sweeps the grid. *)
 let mesh_pops = ref 0
@@ -838,16 +839,16 @@ let mesh_scaling () =
   row "  %-5s %6s %6s %11s %8s %7s %4s %9s %10s %5s %11s\n" "pops" "edges"
     "flows" "delivered" "reroute" "maxrot" "aff" "detect" "recovery" "disc"
     "converge";
-  let run n = Nmesh.run ~pops:n ~seed:!exp_seed ~duration_s:12.0 ~specs () in
+  let run n = Mesh.run ~pops:n ~seed:!exp_seed ~duration_s:12.0 ~specs () in
   let results =
     List.map
       (fun n ->
         let r = run n in
         row "  %-5d %6d %6d %5d/%-5d %8d %7d %4d %9s %10s %5d %11s\n" n
-          r.Nmesh.edges r.Nmesh.flows r.Nmesh.delivered r.Nmesh.sent
-          r.Nmesh.reroutes r.Nmesh.max_rotations r.Nmesh.affected_flows
-          (ms r.Nmesh.detect_ms) (ms r.Nmesh.recovery_ms)
-          r.Nmesh.discovery_after_fault (ms r.Nmesh.convergence_ms);
+          r.Mesh.edges r.Mesh.flows r.Mesh.delivered r.Mesh.sent
+          r.Mesh.reroutes r.Mesh.max_rotations r.Mesh.affected_flows
+          (ms r.Mesh.detect_ms) (ms r.Mesh.recovery_ms)
+          r.Mesh.discovery_after_fault (ms r.Mesh.convergence_ms);
         (n, r))
       sweep
   in
@@ -861,22 +862,22 @@ let mesh_scaling () =
       let gate name ok = row "  %s  [GATE: %s]\n" name (if ok then "PASS" else "FAIL") in
       gate
         (Printf.sprintf "N=64 recovery %.1f ms <= 300 ms, %d unrecovered"
-           r.Nmesh.recovery_ms r.Nmesh.unrecovered)
-        (r.Nmesh.recovery_ms >= 0.0 && r.Nmesh.recovery_ms <= 300.0
-        && r.Nmesh.unrecovered = 0);
+           r.Mesh.recovery_ms r.Mesh.unrecovered)
+        (r.Mesh.recovery_ms >= 0.0 && r.Mesh.recovery_ms <= 300.0
+        && r.Mesh.unrecovered = 0);
       gate
         (Printf.sprintf "N=64 discovery traffic after fault: %d"
-           r.Nmesh.discovery_after_fault)
-        (r.Nmesh.discovery_after_fault = 0);
+           r.Mesh.discovery_after_fault)
+        (r.Mesh.discovery_after_fault = 0);
       gate
         (Printf.sprintf "N=64 max tree rotations %d <= %d trees"
-           r.Nmesh.max_rotations r.Nmesh.trees)
-        (r.Nmesh.max_rotations <= r.Nmesh.trees);
+           r.Mesh.max_rotations r.Mesh.trees)
+        (r.Mesh.max_rotations <= r.Mesh.trees);
       let again = run 64 in
       gate
         (Printf.sprintf "N=64 fingerprint repeat-identical: %s"
-           (String.sub r.Nmesh.fingerprint 0 15))
-        (String.equal r.Nmesh.fingerprint again.Nmesh.fingerprint)
+           (String.sub r.Mesh.fingerprint 0 15))
+        (String.equal r.Mesh.fingerprint again.Mesh.fingerprint)
 
 (* ------------------------------------------------------------------ *)
 (* E16 — load engine: heavy-tailed flow sweep through the dataplane    *)
@@ -975,10 +976,10 @@ let verifiable_forwarding () =
   let seeds = [ 1; 7; 42 ] in
   let scenarios =
     [
-      ("relay-detour", fun (r : Nmesh.result) -> r.Nmesh.wrong_path);
-      ("relay-tamper", fun r -> r.Nmesh.forged);
-      ("relay-truncate", fun r -> r.Nmesh.truncated);
-      ("relay-replay", fun r -> r.Nmesh.replayed);
+      ("relay-detour", fun (r : Mesh.result) -> r.Mesh.wrong_path);
+      ("relay-tamper", fun r -> r.Mesh.forged);
+      ("relay-truncate", fun r -> r.Mesh.truncated);
+      ("relay-replay", fun r -> r.Mesh.replayed);
     ]
   in
   let run ?scenario seed =
@@ -987,7 +988,7 @@ let verifiable_forwarding () =
       | None -> []
       | Some name -> (F_scenario.get name).F_scenario.specs
     in
-    Nmesh.run ~pops ~seed ~duration_s:12.0 ~specs ~attest:true ()
+    Mesh.run ~pops ~seed ~duration_s:12.0 ~specs ~attest:true ()
   in
   row
     "  (pops %d, 12 s horizon, attestation on, fault onset 5 s for 4 s,\n"
@@ -1007,16 +1008,16 @@ let verifiable_forwarding () =
         (fun seed ->
           let r = run ~scenario:name seed in
           row "  %-14s %4d %8d %8d %8d %8.1fms %6d %6d\n" name seed
-            r.Nmesh.rejected (intended r) r.Nmesh.excused
-            r.Nmesh.first_verdict_ms r.Nmesh.quarantines
-            r.Nmesh.false_quarantines;
+            r.Mesh.rejected (intended r) r.Mesh.excused
+            r.Mesh.first_verdict_ms r.Mesh.quarantines
+            r.Mesh.false_quarantines;
           if
             not
-              (r.Nmesh.quarantined_target
-              && r.Nmesh.first_verdict_ms >= 0.0
-              && r.Nmesh.first_verdict_ms <= 100.0)
+              (r.Mesh.quarantined_target
+              && r.Mesh.first_verdict_ms >= 0.0
+              && r.Mesh.first_verdict_ms <= 100.0)
           then detected := false;
-          if r.Nmesh.rejected = 0 || intended r <> r.Nmesh.rejected then
+          if r.Mesh.rejected = 0 || intended r <> r.Mesh.rejected then
             pure := false)
         seeds)
     scenarios;
@@ -1032,8 +1033,8 @@ let verifiable_forwarding () =
     List.for_all
       (fun seed ->
         let r = run seed in
-        r.Nmesh.rejected = 0 && r.Nmesh.quarantines = 0
-        && r.Nmesh.false_quarantines = 0 && r.Nmesh.excused = 0)
+        r.Mesh.rejected = 0 && r.Mesh.quarantines = 0
+        && r.Mesh.false_quarantines = 0 && r.Mesh.excused = 0)
       seeds
   in
   gate
@@ -1046,5 +1047,5 @@ let verifiable_forwarding () =
   let r2 = run ~scenario:"relay-detour" 42 in
   gate
     (Printf.sprintf "fingerprint repeat-identical under relay-detour: %s"
-       (String.sub r1.Nmesh.fingerprint 0 15))
-    (String.equal r1.Nmesh.fingerprint r2.Nmesh.fingerprint)
+       (String.sub r1.Mesh.fingerprint 0 15))
+    (String.equal r1.Mesh.fingerprint r2.Mesh.fingerprint)

@@ -225,7 +225,7 @@ let measure seed duration probe_interval scenario csv config metrics prom =
             Printf.eprintf "config error: %s\n" e;
             exit 2
         | Ok cfg -> (
-            match Config.apply_vultr cfg with
+            match Config.apply_vultr ~seed ?scenario cfg with
             | Error e ->
                 Printf.eprintf "config error: %s\n" e;
                 exit 2
@@ -339,18 +339,12 @@ let overlay seed metrics prom =
     ~config:(Printf.sprintf "overlay seed=%d" seed)
     metrics prom
   @@ fun () ->
-  let topo = Overlay.Triangle.build () in
-  let engine = Tango_sim.Engine.create ~seed () in
-  let net =
-    Tango_bgp.Network.create ~configure:Pair.vultr_overrides topo engine
-  in
-  Overlay.Triangle.announce_hosts net;
-  let servers = [| Vultr.server_la; Vultr.server_ny; Overlay.Triangle.server_chi |] in
-  let names = [| "LA"; "NY"; "CHI" |] in
+  let o = Overlay.setup_triangle ~seed () in
+  (* Each pair's BGP default: the first path its discovery found. *)
   let owd ~src ~dst =
-    if src = dst then 0.0
-    else
-      Overlay.Triangle.static_owd_ms net ~src:servers.(src) ~dst:servers.(dst)
+    match Pair.paths (Overlay.pair o) ~src ~dst with
+    | first :: _ -> first.Discovery.floor_owd_ms
+    | [] -> infinity
   in
   List.iter
     (fun (p : Overlay.plan) ->
@@ -358,11 +352,11 @@ let overlay seed metrics prom =
         match p.Overlay.route with
         | Overlay.Direct -> "direct"
         | Overlay.Relay hops ->
-            "via " ^ String.concat "," (List.map (fun i -> names.(i)) hops)
+            "via " ^ String.concat "," (List.map Overlay.site_name hops)
       in
       Printf.printf "%-3s -> %-3s %-10s %6.1f ms (direct %.1f ms)\n"
-        names.(p.Overlay.src) names.(p.Overlay.dst) route p.Overlay.owd_ms
-        p.Overlay.direct_ms)
+        (Overlay.site_name p.Overlay.src) (Overlay.site_name p.Overlay.dst) route
+        p.Overlay.owd_ms p.Overlay.direct_ms)
     (Overlay.plan_routes ~owd_ms:owd ~sites:3 ())
 
 let overlay_cmd =
@@ -829,7 +823,7 @@ let load_cmd =
 (* ------------------------------------------------------------------ *)
 (* mesh                                                                *)
 
-module Nmesh = Tango_mesh.Mesh
+module Mesh = Tango_mesh.Mesh
 
 let mesh_n ~pops ~trees ~seed ~scenario ~fingerprint_only ~duration ~attest
     ~quarantine_s ~suspect_threshold =
@@ -837,58 +831,58 @@ let mesh_n ~pops ~trees ~seed ~scenario ~fingerprint_only ~duration ~attest
     match scenario with None -> [] | Some sc -> sc.F_scenario.specs
   in
   let r =
-    Nmesh.run ~pops ~trees ~seed ~duration_s:duration ~specs ~attest
+    Mesh.run ~pops ~trees ~seed ~duration_s:duration ~specs ~attest
       ~quarantine_s ~suspect_threshold ()
   in
   if fingerprint_only then
     Printf.printf "mesh pops=%d trees=%d seed=%d delivered=%d fp=%s\n"
-      r.Nmesh.pops r.Nmesh.trees seed r.Nmesh.delivered r.Nmesh.fingerprint
+      r.Mesh.pops r.Mesh.trees seed r.Mesh.delivered r.Mesh.fingerprint
   else begin
     Printf.printf "mesh: %d PoPs, %d edges, %d trees (diversity %.2f), %d flows\n"
-      r.Nmesh.pops r.Nmesh.edges r.Nmesh.trees r.Nmesh.diversity r.Nmesh.flows;
+      r.Mesh.pops r.Mesh.edges r.Mesh.trees r.Mesh.diversity r.Mesh.flows;
     Printf.printf
       "traffic: sent %d delivered %d dropped %d (reroutes %d, max rotations %d)\n"
-      r.Nmesh.sent r.Nmesh.delivered r.Nmesh.dropped r.Nmesh.reroutes
-      r.Nmesh.max_rotations;
-    if r.Nmesh.killed >= 0 then
+      r.Mesh.sent r.Mesh.delivered r.Mesh.dropped r.Mesh.reroutes
+      r.Mesh.max_rotations;
+    if r.Mesh.killed >= 0 then
       Printf.printf
         "relay-kill: PoP %d, %d flows affected, detect %.1f ms, recovery %.1f \
          ms, %d unrecovered, %d discoveries after fault\n"
-        r.Nmesh.killed r.Nmesh.affected_flows r.Nmesh.detect_ms
-        r.Nmesh.recovery_ms r.Nmesh.unrecovered r.Nmesh.discovery_after_fault
-    else if r.Nmesh.misbehaving >= 0 then
+        r.Mesh.killed r.Mesh.affected_flows r.Mesh.detect_ms
+        r.Mesh.recovery_ms r.Mesh.unrecovered r.Mesh.discovery_after_fault
+    else if r.Mesh.misbehaving >= 0 then
       Printf.printf
         "misbehavior: %d flows transiting PoP %d, %d discoveries after onset\n"
-        r.Nmesh.affected_flows r.Nmesh.misbehaving
-        r.Nmesh.discovery_after_fault
-    else if r.Nmesh.affected_flows > 0 then
+        r.Mesh.affected_flows r.Mesh.misbehaving
+        r.Mesh.discovery_after_fault
+    else if r.Mesh.affected_flows > 0 then
       Printf.printf
         "partition: %d flows affected, recovery %.1f ms, %d unrecovered, %d \
          discoveries after fault\n"
-        r.Nmesh.affected_flows r.Nmesh.recovery_ms r.Nmesh.unrecovered
-        r.Nmesh.discovery_after_fault;
+        r.Mesh.affected_flows r.Mesh.recovery_ms r.Mesh.unrecovered
+        r.Mesh.discovery_after_fault;
     Printf.printf
       "control: %d gossip msgs, %d hellos, convergence %.1f ms, %d distinct \
        digests\n"
-      r.Nmesh.gossip_msgs r.Nmesh.hello_msgs r.Nmesh.convergence_ms
-      r.Nmesh.distinct_digests;
-    if r.Nmesh.attest then begin
+      r.Mesh.gossip_msgs r.Mesh.hello_msgs r.Mesh.convergence_ms
+      r.Mesh.distinct_digests;
+    if r.Mesh.attest then begin
       Printf.printf
         "attest: rejected %d (wrong-path %d truncated %d replayed %d forged \
          %d), excused %d\n"
-        r.Nmesh.rejected r.Nmesh.wrong_path r.Nmesh.truncated r.Nmesh.replayed
-        r.Nmesh.forged r.Nmesh.excused;
-      if r.Nmesh.misbehaving >= 0 then
+        r.Mesh.rejected r.Mesh.wrong_path r.Mesh.truncated r.Mesh.replayed
+        r.Mesh.forged r.Mesh.excused;
+      if r.Mesh.misbehaving >= 0 then
         Printf.printf
           "byzantine: PoP %d, first verdict %.1f ms after onset, target \
            quarantined %b\n"
-          r.Nmesh.misbehaving r.Nmesh.first_verdict_ms
-          r.Nmesh.quarantined_target;
+          r.Mesh.misbehaving r.Mesh.first_verdict_ms
+          r.Mesh.quarantined_target;
       Printf.printf
         "quarantine: %d applied, %d readmitted, %d false (non-target)\n"
-        r.Nmesh.quarantines r.Nmesh.readmissions r.Nmesh.false_quarantines
+        r.Mesh.quarantines r.Mesh.readmissions r.Mesh.false_quarantines
     end;
-    Printf.printf "fingerprint: %s\n" r.Nmesh.fingerprint
+    Printf.printf "fingerprint: %s\n" r.Mesh.fingerprint
   end
 
 let mesh_run seed duration pops trees scenario fingerprint_only attest quarantine_s
@@ -907,42 +901,44 @@ let mesh_run seed duration pops trees scenario fingerprint_only attest quarantin
     ~config:(Printf.sprintf "mesh seed=%d duration=%g" seed duration)
     metrics prom
   @@ fun () ->
-  let m = Mesh.setup_triangle ~seed () in
+  let o = Overlay.setup_triangle ~seed () in
+  let pair = Overlay.pair o in
   Printf.printf "three-site mesh up; measuring for %.0fs...\n%!" duration;
-  Mesh.start_measurement m ~for_s:duration ();
-  Mesh.run_for m (duration /. 2.0);
-  Mesh.plan_routes m;
+  Pair.start_measurement pair ~for_s:duration ();
+  Pair.run_for pair (duration /. 2.0);
+  Overlay.replan o;
   for _ = 1 to 200 do
-    Mesh.send_app m ~src:2 ~dst:0 ()
+    Overlay.send_app o ~src:2 ~dst:0 ()
   done;
-  Mesh.run_for m ((duration /. 2.0) +. 1.0);
+  Pair.run_for pair ((duration /. 2.0) +. 1.0);
   for src = 0 to 2 do
     for dst = 0 to 2 do
       if src <> dst then begin
         let route =
-          match Mesh.route m ~src ~dst with
+          match Overlay.route o ~src ~dst with
           | Overlay.Direct -> "direct"
           | Overlay.Relay hops ->
-              "via " ^ String.concat "," (List.map (Mesh.site_name m) hops)
+              "via " ^ String.concat "," (List.map Overlay.site_name hops)
         in
         Printf.printf "%-3s -> %-3s %-10s measured %.1f ms\n"
-          (Mesh.site_name m src) (Mesh.site_name m dst) route
-          (Mesh.measured_owd_ms m ~src ~dst)
+          (Overlay.site_name src) (Overlay.site_name dst) route
+          (Overlay.measured_owd_ms o ~src ~dst)
       end
     done
   done;
-  let lat = Mesh.app_latency_at m ~site:0 in
+  let lat = Overlay.app_latency_at o ~site:0 in
   Printf.printf
     "CHI->LA app traffic: %d delivered (relayed via NY: %d), p50 %.1f ms\n"
-    (Mesh.app_received_at m ~site:0)
-    (Mesh.transited_at m ~site:1)
+    (Overlay.app_received_at o ~site:0)
+    (Overlay.transited_at o ~site:1)
     (lat.Tango_sim.Stats.p50 *. 1000.0)
 
-(* A mesh fault scenario and attestation act on the N-PoP mesh only. *)
+(* A mesh fault scenario, attestation and the fingerprint act on the
+   N-PoP mesh only. *)
 let mesh seed duration pops trees scenario fingerprint_only attest quarantine_s
     suspect_threshold metrics prom =
-  if pops = 0 && (Option.is_some scenario || attest) then
-    `Error (true, "--scenario and --attest need --pops")
+  if pops = 0 && (Option.is_some scenario || attest || fingerprint_only) then
+    `Error (true, "--scenario, --attest and --fingerprint need --pops")
   else
     `Ok
       (mesh_run seed duration pops trees scenario fingerprint_only attest
@@ -956,7 +952,7 @@ let mesh_cmd =
       & info [ "pops" ] ~docv:"N"
           ~doc:
             "Host an $(docv)-PoP relay mesh in one process (flat PoP-indexed \
-             state, shared event queue). 0 runs the legacy three-site live \
+             state, shared event queue). 0 runs the three-site live \
              overlay.")
   in
   let trees =
@@ -982,7 +978,9 @@ let mesh_cmd =
     Arg.(
       value & flag
       & info [ "fingerprint" ]
-          ~doc:"Print only the one-line deterministic delivery fingerprint.")
+          ~doc:
+            "Print only the one-line deterministic delivery fingerprint. \
+             Needs --pops.")
   in
   let attest_flag =
     Arg.(

@@ -12,17 +12,18 @@ let () =
   print_endline "==============================================";
   (* The live three-site mesh: every ordered pair runs full Tango
      discovery, and each keeps its best exposed path. *)
-  let mesh = Mesh.setup_triangle () in
-  let name = Mesh.site_name mesh in
+  let overlay = Overlay.setup_triangle () in
+  let pair = Overlay.pair overlay in
+  let name = Overlay.site_name in
   let best ~src ~dst =
     List.fold_left
       (fun acc (p : Discovery.path) -> Float.min acc p.Discovery.floor_owd_ms)
-      infinity (Mesh.paths mesh ~src ~dst)
+      infinity (Pair.paths pair ~src ~dst)
   in
   for s = 0 to 2 do
     for d = 0 to 2 do
       if s <> d then begin
-        let paths = Mesh.paths mesh ~src:s ~dst:d in
+        let paths = Pair.paths pair ~src:s ~dst:d in
         Printf.printf "%s -> %s: %d paths exposed (%s)\n" (name s) (name d)
           (List.length paths)
           (String.concat ", " (List.map (fun p -> p.Discovery.label) paths))
@@ -47,18 +48,18 @@ let () =
   (* And now live: measurement, planning and actual relay forwarding in
      the mesh's data plane. *)
   print_endline "\nLive mesh (10 s of measurement, then 200 CHI->LA packets):";
-  Mesh.start_measurement mesh ~for_s:10.0 ();
-  Mesh.run_for mesh 5.0;
-  Mesh.plan_routes mesh;
+  Pair.start_measurement pair ~for_s:10.0 ();
+  Pair.run_for pair 5.0;
+  Overlay.replan overlay;
   for _ = 1 to 200 do
-    Mesh.send_app mesh ~src:2 ~dst:0 ()
+    Overlay.send_app overlay ~src:2 ~dst:0 ()
   done;
-  Mesh.run_for mesh 6.0;
-  let lat = Mesh.app_latency_at mesh ~site:0 in
+  Pair.run_for pair 6.0;
+  let lat = Overlay.app_latency_at overlay ~site:0 in
   Printf.printf
     "  delivered %d/200 at LA, relayed through NY: %d, p50 end-to-end %.1f ms\n"
-    (Mesh.app_received_at mesh ~site:0)
-    (Mesh.transited_at mesh ~site:1)
+    (Overlay.app_received_at overlay ~site:0)
+    (Overlay.transited_at overlay ~site:1)
     (lat.Tango_sim.Stats.p50 *. 1000.0);
   Printf.printf "  (the direct CHI->LA transit would take %.1f ms)\n"
     (best ~src:2 ~dst:0)

@@ -317,7 +317,7 @@ let to_string t =
 
 let measurement_args t = (t.probe_interval_s, t.report_interval_s)
 
-let apply_vultr t =
+let apply_vultr ?seed ?scenario t =
   let find name = List.find_opt (fun s -> s.name = name) t.sites in
   match (find "LA", find "NY", List.length t.sites) with
   | _ when not (Prefix.equal t.block Addressing.default_block) ->
@@ -327,7 +327,7 @@ let apply_vultr t =
            (Prefix.to_string Addressing.default_block))
   | Some la, Some ny, 2 ->
       Ok
-        (Pair.setup_vultr ~policy_la:la.policy ~policy_ny:ny.policy
+        (Pair.setup_vultr ?seed ?scenario ~policy_la:la.policy ~policy_ny:ny.policy
            ~clock_offset_la_ns:la.clock_offset_ns
            ~clock_offset_ny_ns:ny.clock_offset_ns ())
   | _ -> Error "apply_vultr needs exactly two sites named \"LA\" and \"NY\""

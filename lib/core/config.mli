@@ -56,14 +56,16 @@ val to_string : t -> string
 (** Render back to the concrete syntax: the oracle of the round-trip
     test ([parse_file] of the text yields an equal configuration). *)
 
-val apply_vultr : t -> (Pair.t, string) result
-(** Instantiate the two-site Vultr deployment from a configuration with
-    exactly two sites named ["LA"] and ["NY"] (in any order). The Vultr
-    deployment carves its prefixes from
-    {!Addressing.default_block}, so a configuration naming any other
-    [block] is an [Error] that names the block. The pair is fully set
-    up (discovery done); measurement must still be started with the
-    configured cadence, see {!measurement_args}. *)
+val apply_vultr :
+  ?seed:int -> ?scenario:Tango_workload.Fig4.t -> t -> (Pair.t, string) result
+(** Instantiate the two-site Vultr deployment ({!Pair.setup_vultr} with
+    the given [seed] and [scenario] dynamics) from a configuration with
+    exactly two sites named ["LA"] and ["NY"] (in any order), which set
+    the policies and clock offsets. The Vultr deployment carves its
+    prefixes from {!Addressing.default_block}, so a configuration naming
+    any other [block] is an [Error] that names the block. The pair is
+    fully set up (discovery done); measurement must still be started
+    with the configured cadence, see {!measurement_args}. *)
 
 val measurement_args : t -> float * float
 (** [(probe_interval_s, report_interval_s)]. *)

@@ -1,8 +1,7 @@
-module Topology = Tango_topo.Topology
 module Vultr = Tango_topo.Vultr
-module Link = Tango_topo.Link
-module Network = Tango_bgp.Network
 module Prefix = Tango_net.Prefix
+module Stats = Tango_sim.Stats
+module Series = Tango_telemetry.Series
 
 type route = Direct | Relay of int list
 
@@ -44,69 +43,116 @@ let gain_ms plan =
   if Float.equal plan.direct_ms infinity && plan.owd_ms < infinity then infinity
   else Float.max 0.0 (plan.direct_ms -. plan.owd_ms)
 
-module Triangle = struct
-  let vultr_chi = 3
+(* ------------------------------------------------------------------ *)
+(* The live triangle                                                   *)
 
-  let server_chi = 13
+type t = { pair : Pair.t; routes : route array array }
 
-  let eastnet = 7018
+let sites = 3
 
-  let slownet = 6453
+let names = [| "LA"; "NY"; "CHI" |]
 
-  let build () =
-    let t = Vultr.build () in
-    Topology.add_node t ~id:vultr_chi ~asn:Vultr.vultr_asn "Vultr-CHI";
-    Topology.add_node t ~id:server_chi ~asn:64514 ~private_asn:true "Tango-CHI";
-    Topology.add_node t ~id:eastnet ~asn:eastnet "EastNet";
-    Topology.add_node t ~id:slownet ~asn:slownet "SlowNet";
-    Topology.connect t ~provider:vultr_chi ~customer:server_chi
-      ~link:(Link.v ~jitter_ms:0.005 0.2) ();
-    (* EastNet: a regional network reaching only CHI and NY — fast. *)
-    Topology.connect t ~provider:eastnet ~customer:vultr_chi
-      ~link:(Link.v ~jitter_ms:0.01 5.0) ();
-    Topology.connect t ~provider:eastnet ~customer:Vultr.vultr_ny
-      ~link:(Link.v ~jitter_ms:0.01 5.0) ();
-    (* SlowNet: the only direct CHI–LA transit — long detour. *)
-    Topology.connect t ~provider:slownet ~customer:vultr_chi
-      ~link:(Link.v ~jitter_ms:0.05 30.0) ();
-    Topology.connect t ~provider:slownet ~customer:Vultr.vultr_la
-      ~link:(Link.v ~jitter_ms:0.05 30.0) ();
-    t
+let pair t = t.pair
 
-  (* Site indices in the shared address block. *)
-  let site_of_server node =
-    if node = Vultr.server_la then 0
-    else if node = Vultr.server_ny then 1
-    else if node = server_chi then 2
-    else invalid_arg (Printf.sprintf "Overlay.Triangle: node %d is not a server" node)
+let site_name i = names.(i)
 
-  let host_prefix ~site =
-    (Addressing.carve ~block:Addressing.default_block ~site_index:site ~path_count:0)
-      .Addressing.host_prefix
+let host_prefix t site = (Pair.plan t.pair ~site).Addressing.host_prefix
 
-  let announce_hosts net =
-    List.iter
-      (fun node ->
-        Network.announce net ~node (host_prefix ~site:(site_of_server node)) ())
-      [ Vultr.server_la; Vultr.server_ny; server_chi ];
-    ignore (Network.converge net)
+let setup_triangle ?seed () =
+  let site node = { Pair.node; policy = Pair.default_policy; clock_offset_ns = 0L } in
+  let pair =
+    Pair.setup ?seed ~configure:Pair.vultr_overrides
+      ~topo:(Vultr.build_triangle ())
+      [| site Vultr.server_la; site Vultr.server_ny; site Vultr.server_chi |]
+  in
+  let t = { pair; routes = Array.make_matrix sites sites Direct } in
+  (* Relaying: any packet a site receives for a foreign host prefix is
+     re-encapsulated onto that site's best path toward the final site. *)
+  for here = 0 to sites - 1 do
+    let handler ~now:_ (packet : Tango_net.Packet.t) =
+      let dst_addr = packet.Tango_net.Packet.flow.Tango_net.Flow.dst in
+      let target = ref None in
+      for i = 0 to sites - 1 do
+        if Prefix.mem (host_prefix t i) dst_addr then target := Some i
+      done;
+      match !target with
+      | Some final when final <> here ->
+          Pop.forward_transit (Pair.pop pair ~src:here ~dst:final) packet
+      | Some _ | None -> ()
+    in
+    for other = 0 to sites - 1 do
+      if other <> here then
+        Pop.set_transit_handler (Pair.pop pair ~src:here ~dst:other) handler
+    done
+  done;
+  t
 
-  let static_owd_ms net ~src ~dst =
-    let topo = Network.topology net in
-    let addr = Prefix.nth_address (host_prefix ~site:(site_of_server dst)) 0x11L in
-    match Network.forwarding_path net ~from_node:src addr with
-    | None -> infinity
-    | Some nodes ->
-        let rec sum = function
-          | a :: (b :: _ as rest) -> (
-              match Topology.link topo a b with
-              | Some l -> l.Link.delay_ms +. sum rest
-              | None -> infinity)
-          | [ _ ] | [] -> 0.0
-        in
-        sum nodes
-end
+(* Measurements older than this are not trusted for overlay planning: a
+   blackholed segment stops producing samples entirely, and its last
+   EWMA would otherwise advertise a healthy delay forever. *)
+let max_segment_staleness_s = 3.0
 
-(* Silence the unused-value warning for vultr_chi in Triangle: exposed
-   implicitly through the topology. *)
-let _ = Triangle.vultr_chi
+let measured_owd_ms t ~src ~dst =
+  let stats = Pop.outbound_stats (Pair.pop t.pair ~src ~dst) in
+  let any_measured = ref false in
+  let best =
+    Array.fold_left
+      (fun acc (s : Policy.path_stats) ->
+        if s.Policy.samples > 0 && not (Float.is_nan s.Policy.owd_ewma_ms) then begin
+          any_measured := true;
+          if s.Policy.age_s <= max_segment_staleness_s then
+            Float.min acc s.Policy.owd_ewma_ms
+          else acc
+        end
+        else acc)
+      infinity stats
+  in
+  if best < infinity then best
+  else if !any_measured then
+    (* Measurements existed but every path's are stale: the segment is
+       effectively down right now. *)
+    infinity
+  else
+    List.fold_left
+      (fun acc (p : Discovery.path) -> Float.min acc p.Discovery.floor_owd_ms)
+      infinity
+      (Pair.paths t.pair ~src ~dst)
+
+let replan t =
+  List.iter
+    (fun p -> t.routes.(p.src).(p.dst) <- p.route)
+    (plan_routes ~owd_ms:(fun ~src ~dst -> measured_owd_ms t ~src ~dst) ~sites ())
+
+let route t ~src ~dst =
+  if src < 0 || src >= sites || dst < 0 || dst >= sites || src = dst then
+    invalid_arg (Printf.sprintf "Overlay.route: invalid site pair (%d,%d)" src dst);
+  t.routes.(src).(dst)
+
+let send_app t ~src ~dst () =
+  match route t ~src ~dst with
+  | Direct -> ignore (Pop.send_app (Pair.pop t.pair ~src ~dst) ())
+  | Relay (first :: _) ->
+      let final_dst = Prefix.nth_address (host_prefix t dst) 0x11L in
+      ignore (Pop.send_app (Pair.pop t.pair ~src ~dst:first) ~final_dst ())
+  | Relay [] -> assert false
+
+(* A site's PoPs, in peer order: stats accumulate in a fixed order. *)
+let fold_site_pops t ~site ~init ~f =
+  let acc = ref init in
+  for dst = 0 to sites - 1 do
+    if dst <> site then acc := f !acc (Pair.pop t.pair ~src:site ~dst)
+  done;
+  !acc
+
+let app_received_at t ~site =
+  fold_site_pops t ~site ~init:0 ~f:(fun acc p -> acc + Pop.app_received p)
+
+let app_latency_at t ~site =
+  let stats = Stats.create () in
+  fold_site_pops t ~site ~init:() ~f:(fun () p ->
+      Series.iter (Pop.app_latency_series p) (fun ~time:_ ~value ->
+          Stats.add stats value));
+  Stats.summarize stats
+
+let transited_at t ~site =
+  fold_site_pops t ~site ~init:0 ~f:(fun acc p -> acc + Pop.transited p)

@@ -4,8 +4,8 @@
     outperform every direct wide-area path.
 
     The overlay plans routes over a matrix of measured per-segment
-    one-way delays; relaying costs a configurable per-hop processing
-    overhead (decapsulate, look up, re-encapsulate). *)
+    one-way delays; relaying costs a per-hop processing overhead
+    (decapsulate, look up, re-encapsulate). *)
 
 type route =
   | Direct
@@ -30,25 +30,56 @@ val plan_routes :
 val gain_ms : plan -> float
 (** [direct_ms - owd_ms]: how much the overlay saves (0 for direct). *)
 
-(** A ready-made N=3 topology for experiments: the Vultr pair plus a
-    third site ("CHI") whose direct connectivity to LA is deliberately
-    poor (single congested transit), so relaying through NY wins. *)
-module Triangle : sig
-  val server_chi : int
+(** {1 The live triangle}
 
-  val build : unit -> Tango_topo.Topology.t
-  (** Extends {!Tango_topo.Vultr.build} with the third site, reached
-      through EastNet (node 7018), the fast regional transit connecting
-      CHI and NY. *)
+    Three pairwise deployments over one network ({!Pair.setup} with
+    three sites), and relaying on top: an overlay route may traverse an
+    intermediate site, whose PoP decapsulates, recognizes a foreign
+    inner destination, and re-encapsulates onto its own best path toward
+    the final site. End-to-end latency spans the whole overlay route
+    because relayed packets keep their identity and creation time. *)
 
-  val static_owd_ms :
-    Tango_bgp.Network.t -> src:int -> dst:int -> float
-  (** Sum of link propagation delays along the converged BGP forwarding
-      path between two server nodes' host addresses — the floor OWD a
-      Tango pair would measure on the default path. [infinity] when
-      unroutable. Host prefixes must have been announced already. *)
+type t
 
-  val announce_hosts : Tango_bgp.Network.t -> unit
-  (** Announce a host prefix from each of the three servers and
-      converge. *)
-end
+val setup_triangle : ?seed:int -> unit -> t
+(** Deploy Tango between the three sites of
+    {!Tango_topo.Vultr.build_triangle}: LA (site 0), NY (1) and CHI (2).
+    Every PoP runs {!Pair.default_policy}. Site clocks are synchronized
+    (offset 0): with more than one sending and receiving switch, a
+    constant offset no longer cancels when segments of different pairs
+    are summed (the paper's footnote 1). Every route starts [Direct]. *)
+
+val pair : t -> Pair.t
+(** The three-site deployment: start, run and inspect it with {!Pair}. *)
+
+val site_name : int -> string
+(** The triangle's sites by index: "LA", "NY", "CHI". *)
+
+val measured_owd_ms : t -> src:int -> dst:int -> float
+(** Best live smoothed OWD over the pair's paths, as reported back to
+    [src]; falls back to the discovery floor before measurements
+    arrive. [infinity] once every measured path has gone stale.
+    Raises [Invalid_argument] for unknown or equal indices, like every
+    per-pair call here. *)
+
+val replan : t -> unit
+(** Recompute overlay routes for every ordered pair from the current
+    measured segment delays ({!plan_routes}). *)
+
+val route : t -> src:int -> dst:int -> route
+(** Current overlay route ([Direct] until {!replan} finds better). *)
+
+val send_app : t -> src:int -> dst:int -> unit -> unit
+(** Send one application packet of {!Pop.send_app}'s default size
+    along the current overlay route. *)
+
+val app_received_at : t -> site:int -> int
+(** Application packets delivered to hosts at a site (over all its
+    PoPs). *)
+
+val app_latency_at : t -> site:int -> Tango_sim.Stats.summary
+(** End-to-end latency of app packets received at the site, merged over
+    its PoPs (true virtual-time latency, relay hops included). *)
+
+val transited_at : t -> site:int -> int
+(** Packets the site relayed onward for other pairs. *)

@@ -1,48 +1,60 @@
-(** End-to-end orchestration of a two-site Tango deployment — the
-    paper's prototype (§4): Vultr LA + NY, BGP sessions to the provider,
-    path discovery in both directions, per-path prefixes and tunnels, and
-    the measurement plane.
+(** End-to-end orchestration of pairwise Tango deployments — the paper's
+    prototype (§4): Vultr LA + NY, BGP sessions to the provider, path
+    discovery in both directions, per-path prefixes and tunnels, and the
+    measurement plane. The §6 overlay ({!Overlay}) deploys three sites
+    the same way, one pairwise deployment per pair of sites.
 
-    [setup_vultr] performs, in order: BGP bring-up and convergence;
-    iterative discovery LA→NY and NY→LA (Fig. 3); announcement of one
-    tunnel /48 per discovered path with its community set plus a host
-    prefix per site; fabric construction (optionally with the Fig. 4
-    dynamics); and PoP instantiation with deliberately skewed clocks —
-    relative OWD comparison must survive unsynchronized clocks. *)
+    {!setup} performs, in order: BGP bring-up; iterative discovery for
+    every ordered pair of sites (Fig. 3); announcement of one host
+    prefix per site plus one tunnel /48 per discovered path with its
+    community set; convergence; fabric construction (optionally with the
+    Fig. 4 dynamics); and one PoP per ordered pair. The Vultr pair runs
+    with deliberately skewed clocks — relative OWD comparison must
+    survive unsynchronized clocks. *)
 
 type t
 
+type site = {
+  node : int;  (** The site's Tango server. *)
+  policy : Policy.spec;  (** Path selection toward every peer. *)
+  clock_offset_ns : int64;  (** Skew of the site's receive clocks. *)
+}
+
+val default_policy : Policy.spec
+(** [Lowest_owd] with 1 ms hysteresis and a 1 s dwell. *)
+
 val vultr_overrides : Tango_topo.Topology.node -> Tango_bgp.Network.overrides
-(** BGP configuration of the Vultr world: the two Vultr border sites
-    break ties by {!Tango_topo.Vultr.vultr_neighbor_weight}, every other
-    node runs the defaults. Pass it as [~configure] to
+(** BGP configuration of the Vultr world: the Vultr border sites break
+    ties by {!Tango_topo.Vultr.vultr_neighbor_weight}, every other node
+    runs the defaults. Pass it as [~configure] to
     {!Tango_bgp.Network.create} for any topology built on
     {!Tango_topo.Vultr}. *)
 
-(* test-hook: test/test_tango.ml *)
 val setup :
   ?seed:int ->
-  ?policy_a:Policy.spec ->
-  ?policy_b:Policy.spec ->
   ?readmit_backoff_s:float ->
   ?extra_delay_ms:(from_node:int -> to_node:int -> time_s:float -> float) ->
-  ?clock_offset_a_ns:int64 ->
-  ?clock_offset_b_ns:int64 ->
   ?configure:(Tango_topo.Topology.node -> Tango_bgp.Network.overrides) ->
-  ?name_a:string ->
-  ?name_b:string ->
   topo:Tango_topo.Topology.t ->
-  server_a:int ->
-  server_b:int ->
-  unit ->
+  site array ->
   t
-(** Generic two-site deployment over any topology: discovery in both
-    directions between the given server nodes, per-path prefix
-    announcements, tunnels and PoPs. Site A maps onto the accessors
-    named [la] below and site B onto [ny] (the Vultr deployment is
-    [setup_vultr], a thin wrapper). Every transit forwards on a single
-    ECMP lane. Clock offsets default to 0 here. The tests run it on a
-    two-ISP world of their own. *)
+(** Deploy Tango between every pair of the given sites (at least two)
+    over one network. Sites are numbered by their position.
+
+    Discovery runs for each ordered pair (src, dst) in index order, so
+    the PoP at src learns the paths src → dst. Site i's address slice
+    ({!Addressing.carve} at index i) holds its host prefix, then one
+    tunnel prefix per discovered path of each peer's traffic to i, with
+    peers in index order; for two sites that is exactly
+    [Addressing.carve ~site_index:i ~path_count:(paths to i)]. A site
+    that would need more than 15 tunnel prefixes raises
+    [Invalid_argument]. Each site announces its host prefix, then its
+    tunnel prefixes with the community sets discovery recorded. Every
+    transit forwards on a single ECMP lane. The fabric's seed is
+    [seed + 1] (default seed 11).
+
+    [readmit_backoff_s] arms every policy's flap damping (see
+    {!Policy.create}; default off). *)
 
 val setup_vultr :
   ?seed:int ->
@@ -54,14 +66,29 @@ val setup_vultr :
   ?clock_offset_ny_ns:int64 ->
   unit ->
   t
-(** Defaults: both policies [Lowest_owd] (hysteresis 1 ms, dwell 1 s); no
-    scenario dynamics; single-lane transits; clock offsets +37 ms (LA)
-    and −12 ms (NY). [readmit_backoff_s] arms both policies' flap
-    damping (see {!Policy.create}; default off). *)
+(** The paper's pair: LA is site 0 and NY site 1 of {!Tango_topo.Vultr}.
+    Defaults: both policies {!default_policy}; no scenario dynamics;
+    clock offsets +37 ms (LA) and −12 ms (NY). *)
 
 val engine : t -> Tango_sim.Engine.t
 val network : t -> Tango_bgp.Network.t
 val fabric : t -> Tango_dataplane.Fabric.t
+
+val pop : t -> src:int -> dst:int -> Pop.t
+(** The PoP at site [src] facing site [dst]. Raises [Invalid_argument]
+    for unknown or equal indices, like every per-pair call here. *)
+
+val paths : t -> src:int -> dst:int -> Discovery.path list
+(** Paths for [src] → [dst] traffic, in provider preference order, each
+    with its static floor OWD. *)
+
+val plan : t -> site:int -> Addressing.plan
+(** A site's whole address slice: its host prefix and every tunnel
+    prefix it announced. *)
+
+(** {1 The two-site view}
+
+    Site 0 is LA and site 1 is NY. *)
 
 val pop_la : t -> Pop.t
 val pop_ny : t -> Pop.t
@@ -72,12 +99,13 @@ val paths_to_ny : t -> Discovery.path list
 val paths_to_la : t -> Discovery.path list
 
 val update_paths_to_ny : t -> Discovery.path list -> unit
-(** Record a reconciled LA→NY path table (discovery metadata other than
-    the path list is preserved). Reconciler hook — callers are expected
-    to install the same table into the sending PoP via
+(** Record a reconciled LA→NY path table. Reconciler hook — callers are
+    expected to install the same table into the sending PoP via
     {!Pop.install_outbound_paths}. *)
 
 val update_paths_to_la : t -> Discovery.path list -> unit
+
+(** {1 Running} *)
 
 val start_measurement :
   t ->
@@ -87,10 +115,11 @@ val start_measurement :
   for_s:float ->
   unit ->
   unit
-(** Begin the probe trains and peer reports on both PoPs, running for
-    [for_s] seconds of virtual time from now (BGP bring-up and discovery
-    already consumed some of the clock). [dead_after_probes] arms
-    probe-timeout dead-path detection on both PoPs (see {!Pop.start}). *)
+(** Begin the probe trains and peer reports on every PoP, in index
+    order, running for [for_s] seconds of virtual time from now (BGP
+    bring-up and discovery already consumed some of the clock).
+    [dead_after_probes] arms probe-timeout dead-path detection on every
+    PoP (see {!Pop.start}). *)
 
 val run_for : t -> float -> unit
 (** Advance the simulation by the given duration. *)

@@ -70,7 +70,6 @@ let policy_refresh_s = 0.01
 type Packet.content += App_seq of int | Report of Policy.path_stats array
 
 type t = {
-  name : string;
   node : int;
   fabric : Fabric.t;
   (* Mutable so the fault engine can apply NTP-style clock steps
@@ -158,11 +157,10 @@ let tunnels_of ~plan ~remote_plan outbound_paths =
            ())
        outbound_paths)
 
-let create ~name ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
+let create ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
     ~plan ~remote_plan ~outbound_paths ~policy () =
   let tunnels = tunnels_of ~plan ~remote_plan outbound_paths in
   {
-    name;
     node;
     fabric;
     clock = Clock.create ~offset_ns:clock_offset_ns ();

@@ -12,7 +12,6 @@
 type t
 
 val create :
-  name:string ->
   node:int ->
   fabric:Tango_dataplane.Fabric.t ->
   ?clock_offset_ns:int64 ->

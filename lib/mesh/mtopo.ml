@@ -8,8 +8,6 @@ module Rng = Tango_sim.Rng
 type t = {
   pops : int;
   region : int array;
-  xs : float array;
-  ys : float array;
   adj_off : int array; (* length pops+1: slot range of pop i *)
   adj_dst : int array; (* per slot: neighbor pop id, ascending per row *)
   adj_lat_ms : float array; (* per slot: one-way latency, symmetric *)
@@ -146,8 +144,6 @@ let generate ?(degree = 4) ~pops ~seed () =
     {
       pops;
       region;
-      xs;
-      ys;
       adj_off;
       adj_dst;
       adj_lat_ms;

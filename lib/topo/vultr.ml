@@ -8,6 +8,8 @@ let server_la = 11
 
 let server_ny = 12
 
+let server_chi = 13
+
 let ntt = 2914
 
 let telia = 1299
@@ -71,6 +73,24 @@ let build () =
         mesh rest
   in
   mesh transits;
+  t
+
+let build_triangle () =
+  let t = build () in
+  let vultr_chi = 3 and eastnet = 7018 and slownet = 6453 in
+  Topology.add_node t ~id:vultr_chi ~asn:vultr_asn "Vultr-CHI";
+  Topology.add_node t ~id:server_chi ~asn:64514 ~private_asn:true "Tango-CHI";
+  Topology.add_node t ~id:eastnet ~asn:eastnet "EastNet";
+  Topology.add_node t ~id:slownet ~asn:slownet "SlowNet";
+  Topology.connect t ~provider:vultr_chi ~customer:server_chi ~link:access_link ();
+  Topology.connect t ~provider:eastnet ~customer:vultr_chi
+    ~link:(Link.v ~jitter_ms:0.01 5.0) ();
+  Topology.connect t ~provider:eastnet ~customer:vultr_ny
+    ~link:(Link.v ~jitter_ms:0.01 5.0) ();
+  Topology.connect t ~provider:slownet ~customer:vultr_chi
+    ~link:(Link.v ~jitter_ms:0.05 30.0) ();
+  Topology.connect t ~provider:slownet ~customer:vultr_la
+    ~link:(Link.v ~jitter_ms:0.05 30.0) ();
   t
 
 let vultr_neighbor_weight id =

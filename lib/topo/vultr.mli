@@ -17,6 +17,7 @@ val vultr_la : int
 val vultr_ny : int
 val server_la : int
 val server_ny : int
+val server_chi : int
 val ntt : int
 val telia : int
 val gtt : int
@@ -30,6 +31,14 @@ val build : unit -> Topology.t
 (** The nine-node world. Link delays are calibrated so the static
     server-to-server one-way delay through NTT is 36.4 ms, through Telia
     31.0 ms and through GTT 28.0 ms. *)
+
+val build_triangle : unit -> Topology.t
+(** The §6 triangle: {!build} plus a third site (Chicago) behind its own
+    Vultr router, whose direct connectivity to LA is deliberately poor.
+    EastNet (AS 7018), a regional transit reaching only CHI and NY, is
+    fast (5 ms per attachment); SlowNet (AS 6453), the only direct
+    CHI–LA transit, takes a long detour (30 ms per attachment). So
+    relaying CHI→LA through NY beats the direct path. *)
 
 val vultr_neighbor_weight : int -> int
 (** Vultr's per-transit preference used as a late tie-break in its route

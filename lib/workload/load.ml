@@ -124,7 +124,6 @@ type plan = {
   start_gen : int array;
   stride : int array;
   pkts : int array;  (* sends scheduled inside the horizon *)
-  gen_sends : int array;  (* offered packets per generation *)
   total_packets : int;
   max_gen_sends : int;
 }
@@ -141,6 +140,7 @@ let plan config =
   let start_gen = Array.make n 0 in
   let stride = Array.make n 1 in
   let pkts = Array.make n 0 in
+  (* Offered packets per generation, for the peak. *)
   let gen_sends = Array.make gens 0 in
   let total = ref 0 in
   for f = 0 to n - 1 do
@@ -183,7 +183,6 @@ let plan config =
     start_gen;
     stride;
     pkts;
-    gen_sends;
     total_packets = !total;
     max_gen_sends;
   }
@@ -201,7 +200,6 @@ let uniform ~flows ~generations =
     start_gen = Array.make flows 0;
     stride = Array.make flows 1;
     pkts = Array.make flows generations;
-    gen_sends = Array.make generations flows;
     total_packets = flows * generations;
     max_gen_sends = flows;
   }

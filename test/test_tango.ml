@@ -337,7 +337,7 @@ let test_pop_unwired_rejected () =
   let pair = Pair.setup_vultr ~seed:5 () in
   let la = Pair.pop_la pair in
   let lone =
-    Pop.create ~name:"lone" ~node:(Pop.node la) ~fabric:(Pair.fabric pair)
+    Pop.create ~node:(Pop.node la) ~fabric:(Pair.fabric pair)
       ~plan:(Pop.plan la) ~remote_plan:(Pop.remote_plan la)
       ~outbound_paths:(Pair.paths_to_ny pair) ~policy:(Policy.Static 0) ()
   in
@@ -347,32 +347,35 @@ let test_pop_unwired_rejected () =
   Alcotest.(check int) "nothing entered the fabric" 0
     (Tango_dataplane.Fabric.sent (Pair.fabric pair))
 
-let test_pair_generic_topology () =
-  (* The generic setup works on any topology: two dual-homed enterprise
-     sites (the paper's ASX/ASY motivating case, but multi-homed), with
-     providers that honor action communities. *)
+(* Enterprise sites 1..n, each dual-homed to two peering ISPs (5 ms to
+   ISP A, 9 ms to ISP B) that honor action communities: two paths
+   between every pair of sites. *)
+let dual_homed_sites n =
   let topo = Tango_topo.Topology.create () in
   let add id name = Tango_topo.Topology.add_node topo ~id ~asn:id name in
   add 100 "isp-a";
   add 200 "isp-b";
-  Tango_topo.Topology.add_node topo ~id:1 ~asn:64512 ~private_asn:true "asx";
-  Tango_topo.Topology.add_node topo ~id:2 ~asn:64513 ~private_asn:true "asy";
   Tango_topo.Topology.connect_peers topo 100 200
     ~link:(Tango_topo.Link.v 1.0) ();
-  Tango_topo.Topology.connect topo ~provider:100 ~customer:1
-    ~link:(Tango_topo.Link.v 5.0) ();
-  Tango_topo.Topology.connect topo ~provider:200 ~customer:1
-    ~link:(Tango_topo.Link.v 9.0) ();
-  Tango_topo.Topology.connect topo ~provider:100 ~customer:2
-    ~link:(Tango_topo.Link.v 5.0) ();
-  Tango_topo.Topology.connect topo ~provider:200 ~customer:2
-    ~link:(Tango_topo.Link.v 9.0) ();
-  let pair =
-    Pair.setup ~seed:31 ~topo ~server_a:1 ~server_b:2
-      ~configure:(fun _ ->
-        { Tango_bgp.Network.no_overrides with interprets_actions = Some true })
-      ()
-  in
+  for i = 1 to n do
+    Tango_topo.Topology.add_node topo ~id:i ~asn:(64511 + i) ~private_asn:true
+      (Printf.sprintf "site%d" i);
+    Tango_topo.Topology.connect topo ~provider:100 ~customer:i
+      ~link:(Tango_topo.Link.v 5.0) ();
+    Tango_topo.Topology.connect topo ~provider:200 ~customer:i
+      ~link:(Tango_topo.Link.v 9.0) ()
+  done;
+  let site node = { Pair.node; policy = Pair.default_policy; clock_offset_ns = 0L } in
+  Pair.setup ~seed:31 ~topo
+    ~configure:(fun _ ->
+      { Tango_bgp.Network.no_overrides with interprets_actions = Some true })
+    (Array.init n (fun i -> site (i + 1)))
+
+let test_pair_generic_topology () =
+  (* The generic setup works on any topology: two dual-homed enterprise
+     sites (the paper's ASX/ASY motivating case, but multi-homed), with
+     providers that honor action communities. *)
+  let pair = dual_homed_sites 2 in
   (* Both directions expose the ISP-A path (10 ms) and the ISP-B path
      (18 ms). *)
   Alcotest.(check int) "two paths" 2 (List.length (Pair.paths_to_ny pair));
@@ -384,6 +387,91 @@ let test_pair_generic_topology () =
   in
   Alcotest.(check bool) "fast path ~10ms" true (abs_float (mean 0 -. 10.0) < 0.5);
   Alcotest.(check bool) "slow path ~18ms" true (abs_float (mean 1 -. 18.0) < 0.5)
+
+(* The address plan every golden depends on: site i's slice holds its
+   host prefix, then one tunnel prefix per path of each peer's traffic
+   to i, peers in index order. *)
+let prefixes plan = plan.Addressing.host_prefix :: plan.Addressing.tunnel_prefixes
+let prefix_strings l = List.map Prefix.to_string l
+
+let test_address_plan_vultr () =
+  let pair = Pair.setup_vultr ~seed:5 () in
+  let carved ~site ~paths_to =
+    Addressing.carve ~block:Addressing.default_block ~site_index:site
+      ~path_count:(List.length paths_to)
+  in
+  List.iter
+    (fun (site, paths_to, pop) ->
+      let want = prefix_strings (prefixes (carved ~site ~paths_to)) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "site %d slice" site)
+        want
+        (prefix_strings (prefixes (Pair.plan pair ~site)));
+      Alcotest.(check (list string))
+        (Printf.sprintf "site %d PoP plan" site)
+        want
+        (prefix_strings (prefixes (Pop.plan pop))))
+    [
+      (0, Pair.paths_to_la pair, Pair.pop_la pair);
+      (1, Pair.paths_to_ny pair, Pair.pop_ny pair);
+    ]
+
+let test_address_plan_triangle () =
+  let overlay = Overlay.setup_triangle ~seed:21 () in
+  let pair = Overlay.pair overlay in
+  let net = Pair.network pair in
+  let nodes = [| Vultr.server_la; Vultr.server_ny; Vultr.server_chi |] in
+  let all = List.concat_map (fun site -> prefixes (Pair.plan pair ~site)) [ 0; 1; 2 ] in
+  Alcotest.(check int) "all prefixes distinct" (List.length all)
+    (List.length (List.sort_uniq String.compare (prefix_strings all)));
+  for site = 0 to 2 do
+    let plan = Pair.plan pair ~site in
+    let slice = List.init 16 (fun i -> Prefix.subnet Addressing.default_block 16 ((16 * site) + i)) in
+    List.iter
+      (fun p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s inside site %d's slice" (Prefix.to_string p) site)
+          true
+          (List.exists (Prefix.equal p) slice))
+      (prefixes plan);
+    let inbound =
+      List.fold_left
+        (fun acc peer ->
+          if peer = site then acc
+          else acc + List.length (Pair.paths pair ~src:peer ~dst:site))
+        0 [ 0; 1; 2 ]
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "site %d tunnel count" site)
+      inbound
+      (List.length plan.Addressing.tunnel_prefixes)
+  done;
+  for src = 0 to 2 do
+    for dst = 0 to 2 do
+      if src <> dst then begin
+        let pop = Pair.pop pair ~src ~dst in
+        let announced = (Pair.plan pair ~site:dst).Addressing.tunnel_prefixes in
+        for path = 0 to Pop.path_count pop - 1 do
+          let ep = Addressing.tunnel_endpoint (Pop.remote_plan pop) ~path in
+          let ctx = Printf.sprintf "PoP %d->%d path %d" src dst path in
+          Alcotest.(check bool) (ctx ^ " endpoint in a peer prefix") true
+            (List.exists (fun p -> Prefix.mem p ep) announced);
+          match Tango_bgp.Network.forwarding_path net ~from_node:nodes.(src) ep with
+          | Some route ->
+              Alcotest.(check int) (ctx ^ " routes to the peer") nodes.(dst)
+                (List.nth route (List.length route - 1))
+          | None -> Alcotest.failf "%s: endpoint unroutable" ctx
+        done
+      end
+    done
+  done
+
+let test_address_plan_overflow () =
+  (* Nine dual-homed sites: each receives 8 peers x 2 paths = 16 tunnel
+     prefixes, one more than a site slice holds. *)
+  Alcotest.check_raises "16 tunnel prefixes rejected"
+    (Invalid_argument "Addressing.carve: path_count 16 outside [0,15]")
+    (fun () -> ignore (dual_homed_sites 9))
 
 (* ------------------------------------------------------------------ *)
 (* Stream transport                                                    *)
@@ -727,51 +815,54 @@ let test_config_apply_needs_both_sites () =
 (* Mesh: live Tango-of-N                                               *)
 
 let test_mesh_setup () =
-  let mesh = Mesh.setup_triangle ~seed:21 () in
+  let mesh = Overlay.setup_triangle ~seed:21 () in
+  let pair = Overlay.pair mesh in
   Alcotest.(check (list string)) "three sites" [ "LA"; "NY"; "CHI" ]
-    (List.map (Mesh.site_name mesh) [ 0; 1; 2 ]);
+    (List.map Overlay.site_name [ 0; 1; 2 ]);
   (* LA<->NY keep their four paths; CHI pairs are single-homed per
      direction. *)
-  Alcotest.(check int) "LA->NY paths" 4 (List.length (Mesh.paths mesh ~src:0 ~dst:1));
-  Alcotest.(check int) "CHI->LA paths" 1 (List.length (Mesh.paths mesh ~src:2 ~dst:0));
-  Alcotest.(check int) "NY->CHI paths" 1 (List.length (Mesh.paths mesh ~src:1 ~dst:2));
+  Alcotest.(check int) "LA->NY paths" 4 (List.length (Pair.paths pair ~src:0 ~dst:1));
+  Alcotest.(check int) "CHI->LA paths" 1 (List.length (Pair.paths pair ~src:2 ~dst:0));
+  Alcotest.(check int) "NY->CHI paths" 1 (List.length (Pair.paths pair ~src:1 ~dst:2));
   Alcotest.(check bool) "pair lookup validates" true
-    (try ignore (Mesh.measured_owd_ms mesh ~src:1 ~dst:1); false with Invalid_argument _ -> true)
+    (try ignore (Overlay.measured_owd_ms mesh ~src:1 ~dst:1); false with Invalid_argument _ -> true)
 
 let test_mesh_measurement_and_planning () =
-  let mesh = Mesh.setup_triangle ~seed:22 () in
+  let mesh = Overlay.setup_triangle ~seed:22 () in
+  let pair = Overlay.pair mesh in
   (* Before measurements: static floors drive planning. *)
-  Mesh.plan_routes mesh;
+  Overlay.replan mesh;
   Alcotest.(check bool) "CHI->LA relays via NY (floors)" true
-    (Mesh.route mesh ~src:2 ~dst:0 = Tango.Overlay.Relay [ 1 ]);
+    (Overlay.route mesh ~src:2 ~dst:0 = Overlay.Relay [ 1 ]);
   Alcotest.(check bool) "NY->CHI direct" true
-    (Mesh.route mesh ~src:1 ~dst:2 = Tango.Overlay.Direct);
-  Mesh.start_measurement mesh ~for_s:10.0 ();
-  Mesh.run_for mesh 10.5;
+    (Overlay.route mesh ~src:1 ~dst:2 = Overlay.Direct);
+  Pair.start_measurement pair ~for_s:10.0 ();
+  Pair.run_for pair 10.5;
   (* Live measurements agree with the calibration. *)
   Alcotest.(check bool) "NY->LA measured ~28" true
-    (abs_float (Mesh.measured_owd_ms mesh ~src:1 ~dst:0 -. 28.0) < 1.0);
+    (abs_float (Overlay.measured_owd_ms mesh ~src:1 ~dst:0 -. 28.0) < 1.0);
   Alcotest.(check bool) "CHI->LA measured ~60" true
-    (abs_float (Mesh.measured_owd_ms mesh ~src:2 ~dst:0 -. 60.4) < 1.0);
-  Mesh.plan_routes mesh;
+    (abs_float (Overlay.measured_owd_ms mesh ~src:2 ~dst:0 -. 60.4) < 1.0);
+  Overlay.replan mesh;
   Alcotest.(check bool) "relay survives live data" true
-    (Mesh.route mesh ~src:2 ~dst:0 = Tango.Overlay.Relay [ 1 ])
+    (Overlay.route mesh ~src:2 ~dst:0 = Overlay.Relay [ 1 ])
 
 let test_mesh_live_relay () =
-  let mesh = Mesh.setup_triangle ~seed:23 () in
-  Mesh.start_measurement mesh ~for_s:15.0 ();
-  Mesh.run_for mesh 3.0;
-  Mesh.plan_routes mesh;
+  let mesh = Overlay.setup_triangle ~seed:23 () in
+  let pair = Overlay.pair mesh in
+  Pair.start_measurement pair ~for_s:15.0 ();
+  Pair.run_for pair 3.0;
+  Overlay.replan mesh;
   (* 100 app packets CHI -> LA over the planned (relayed) route. *)
   for _ = 1 to 100 do
-    Mesh.send_app mesh ~src:2 ~dst:0 ()
+    Overlay.send_app mesh ~src:2 ~dst:0 ()
   done;
-  Mesh.run_for mesh 2.0;
-  Alcotest.(check int) "all delivered at LA" 100 (Mesh.app_received_at mesh ~site:0);
-  Alcotest.(check int) "NY relayed them" 100 (Mesh.transited_at mesh ~site:1);
+  Pair.run_for pair 2.0;
+  Alcotest.(check int) "all delivered at LA" 100 (Overlay.app_received_at mesh ~site:0);
+  Alcotest.(check int) "NY relayed them" 100 (Overlay.transited_at mesh ~site:1);
   (* End-to-end latency spans both segments: ~38.5 ms, far below the
      60.4 ms direct detour. *)
-  let lat = Mesh.app_latency_at mesh ~site:0 in
+  let lat = Overlay.app_latency_at mesh ~site:0 in
   Alcotest.(check bool)
     (Printf.sprintf "relayed latency ~38.5ms (got %.1f)" (lat.Tango_sim.Stats.p50 *. 1000.0))
     true
@@ -781,36 +872,38 @@ let test_mesh_replans_around_dead_relay () =
   (* The CHI->NY segment blackholes mid-run: the relay route through NY
      becomes useless and a replan must fall back to the (slow but alive)
      direct CHI->LA transit. *)
-  let mesh = Mesh.setup_triangle ~seed:25 () in
-  Mesh.start_measurement mesh ~for_s:20.0 ();
-  Mesh.run_for mesh 3.0;
-  Mesh.plan_routes mesh;
+  let mesh = Overlay.setup_triangle ~seed:25 () in
+  let pair = Overlay.pair mesh in
+  Pair.start_measurement pair ~for_s:20.0 ();
+  Pair.run_for pair 3.0;
+  Overlay.replan mesh;
   Alcotest.(check bool) "initially relays" true
-    (Mesh.route mesh ~src:2 ~dst:0 = Tango.Overlay.Relay [ 1 ]);
+    (Overlay.route mesh ~src:2 ~dst:0 = Overlay.Relay [ 1 ]);
   (* Kill the link carrying CHI -> NY traffic (EastNet's handoff to the
      NY site); probes on that segment stop arriving, its stats go stale. *)
   let eastnet = 7018 in
-  Tango_dataplane.Fabric.fail_link (Mesh.fabric mesh) ~from_node:eastnet
+  Tango_dataplane.Fabric.fail_link (Pair.fabric pair) ~from_node:eastnet
     ~to_node:Vultr.vultr_ny;
-  Mesh.run_for mesh 6.0;
+  Pair.run_for pair 6.0;
   Alcotest.(check bool) "segment now unusable" true
-    (Mesh.measured_owd_ms mesh ~src:2 ~dst:1 = infinity);
-  Mesh.plan_routes mesh;
+    (Overlay.measured_owd_ms mesh ~src:2 ~dst:1 = infinity);
+  Overlay.replan mesh;
   Alcotest.(check bool) "replanned to direct" true
-    (Mesh.route mesh ~src:2 ~dst:0 = Tango.Overlay.Direct)
+    (Overlay.route mesh ~src:2 ~dst:0 = Overlay.Direct)
 
 let test_mesh_direct_unaffected () =
-  let mesh = Mesh.setup_triangle ~seed:24 () in
-  Mesh.start_measurement mesh ~for_s:10.0 ();
-  Mesh.run_for mesh 3.0;
-  Mesh.plan_routes mesh;
+  let mesh = Overlay.setup_triangle ~seed:24 () in
+  let pair = Overlay.pair mesh in
+  Pair.start_measurement pair ~for_s:10.0 ();
+  Pair.run_for pair 3.0;
+  Overlay.replan mesh;
   for _ = 1 to 50 do
-    Mesh.send_app mesh ~src:1 ~dst:0 ()
+    Overlay.send_app mesh ~src:1 ~dst:0 ()
   done;
-  Mesh.run_for mesh 1.0;
-  Alcotest.(check int) "direct delivery" 50 (Mesh.app_received_at mesh ~site:0);
-  Alcotest.(check int) "nothing relayed" 0 (Mesh.transited_at mesh ~site:2);
-  let lat = Mesh.app_latency_at mesh ~site:0 in
+  Pair.run_for pair 1.0;
+  Alcotest.(check int) "direct delivery" 50 (Overlay.app_received_at mesh ~site:0);
+  Alcotest.(check int) "nothing relayed" 0 (Overlay.transited_at mesh ~site:2);
+  let lat = Overlay.app_latency_at mesh ~site:0 in
   Alcotest.(check bool) "direct ~28ms" true
     (lat.Tango_sim.Stats.p50 > 0.027 && lat.Tango_sim.Stats.p50 < 0.030)
 
@@ -891,5 +984,8 @@ let () =
           tc "generic topology" `Quick test_pair_generic_topology;
           tc "pair-vultr job allocation" `Quick test_pair_vultr_alloc;
           tc "unwired pop rejected" `Quick test_pop_unwired_rejected;
+          tc "address plan (Vultr pair)" `Quick test_address_plan_vultr;
+          tc "address plan (triangle)" `Quick test_address_plan_triangle;
+          tc "address plan overflow" `Quick test_address_plan_overflow;
         ] );
     ]
