@@ -63,20 +63,6 @@ let test_rolling =
          clock := !clock +. 0.01;
          Tango_telemetry.Rolling.add rolling ~time:!clock 28.0))
 
-let test_rolling_extrema =
-  let rolling = Tango_telemetry.Rolling.create ~window_s:1.0 in
-  let clock = ref 0.0 in
-  let tick = ref 0 in
-  Test.make ~name:"rolling.add+min+max (1s window @100Hz)"
-    (Staged.stage (fun () ->
-         clock := !clock +. 0.01;
-         incr tick;
-         (* Vary the value so the wedges actually churn. *)
-         Tango_telemetry.Rolling.add rolling ~time:!clock
-           (28.0 +. float_of_int (!tick land 0xF));
-         ignore (Tango_telemetry.Rolling.min_value rolling);
-         ignore (Tango_telemetry.Rolling.max_value rolling)))
-
 let test_jitter =
   let jitter = Tango_telemetry.Jitter.create () in
   let clock = ref 0.0 in
@@ -84,6 +70,29 @@ let test_jitter =
     (Staged.stage (fun () ->
          clock := !clock +. 0.01;
          Tango_telemetry.Jitter.add jitter ~time:!clock 28.0))
+
+(* A constant sample never moves a window's sums; a live path's OWD
+   does. The noisy rows feed one fixed trace at 100 Hz of virtual time,
+   drawn once: mean 28 ms, std 0.3 ms, 5 ms higher in its second half
+   (a level step every 20.48 s as the trace repeats). *)
+let noisy_owd =
+  let rng = Tango_sim.Rng.create ~seed:28 in
+  Array.init 4096 (fun i ->
+      Tango_sim.Rng.gaussian rng ~mean:28.0 ~std:0.3 +. if i >= 2048 then 5.0 else 0.0)
+
+let noisy_row name add =
+  let clock = ref 0.0 and i = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         clock := !clock +. 0.01;
+         add ~time:!clock noisy_owd.(!i land 4095);
+         incr i))
+
+let test_jitter_noisy =
+  noisy_row "jitter.add (noisy OWD)" (Tango_telemetry.Jitter.add (Tango_telemetry.Jitter.create ()))
+
+let test_detect_noisy =
+  noisy_row "detect.add (noisy OWD)" (Tango_telemetry.Detect.add (Tango_telemetry.Detect.create ()))
 
 let test_tracker =
   let tracker = Tango_dataplane.Seq_tracker.create () in
@@ -517,8 +526,9 @@ let all_tests =
       test_auth_decode;
       test_hash;
       test_rolling;
-      test_rolling_extrema;
       test_jitter;
+      test_jitter_noisy;
+      test_detect_noisy;
       test_tracker;
       test_engine;
       test_rng;

@@ -202,36 +202,51 @@ let fig3_cmd =
 (* ------------------------------------------------------------------ *)
 (* measure                                                             *)
 
+let config_error e =
+  Printf.eprintf "config error: %s\n" e;
+  exit 2
+
 let measure seed duration probe_interval scenario csv config metrics prom =
-  with_obs ~experiment:"measure" ~seed
-    ~config:
-      (Printf.sprintf "measure seed=%d duration=%g probe_interval=%g scenario=%b"
-         seed duration probe_interval scenario)
-    metrics prom
-  @@ fun () ->
+  (* A configuration file sets the cadence, and --probe-interval is
+     ignored: the manifest names the file, an MD5 of its bytes and the
+     intervals it gave. *)
+  let cfg =
+    Option.map
+      (fun path ->
+        match Config.parse_file path with Ok cfg -> cfg | Error e -> config_error e)
+      config
+  in
+  let run_config =
+    match (config, cfg) with
+    | Some path, Some cfg ->
+        let probe, report = Config.measurement_args cfg in
+        Printf.sprintf
+          "measure seed=%d duration=%g config=%s md5=%s probe_interval=%g \
+           report_interval=%g scenario=%b"
+          seed duration path
+          (Digest.to_hex (Digest.file path))
+          probe report scenario
+    | _ ->
+        Printf.sprintf "measure seed=%d duration=%g probe_interval=%g scenario=%b"
+          seed duration probe_interval scenario
+  in
+  with_obs ~experiment:"measure" ~seed ~config:run_config metrics prom @@ fun () ->
   let scenario =
     if scenario then Some (Tango_workload.Fig4.create ~horizon_s:duration ())
     else None
   in
   let pair, probe_interval, report_interval =
-    match config with
+    match cfg with
     | None ->
         ( Pair.setup_vultr ~seed ?scenario ~clock_offset_la_ns:0L
             ~clock_offset_ny_ns:0L (),
           probe_interval, 0.1 )
-    | Some path -> (
-        match Config.parse_file path with
-        | Error e ->
-            Printf.eprintf "config error: %s\n" e;
-            exit 2
-        | Ok cfg -> (
-            match Config.apply_vultr ~seed ?scenario cfg with
-            | Error e ->
-                Printf.eprintf "config error: %s\n" e;
-                exit 2
-            | Ok pair ->
-                let probe, report = Config.measurement_args cfg in
-                (pair, probe, report)))
+    | Some cfg -> (
+        match Config.apply_vultr ~seed ?scenario cfg with
+        | Error e -> config_error e
+        | Ok pair ->
+            let probe, report = Config.measurement_args cfg in
+            (pair, probe, report))
   in
   Pair.start_measurement pair ~probe_interval_s:probe_interval
     ~report_interval_s:report_interval ~for_s:duration ();

@@ -4,6 +4,7 @@ module Topology = Tango_topo.Topology
 module Vultr = Tango_topo.Vultr
 module Fabric = Tango_dataplane.Fabric
 module Fig4 = Tango_workload.Fig4
+module Delay_process = Tango_workload.Delay_process
 module Prefix = Tango_net.Prefix
 
 type site = { node : int; policy : Policy.spec; clock_offset_ns : int64 }
@@ -118,7 +119,14 @@ let setup ?(seed = 11) ?readmit_backoff_s ?extra_delay_ms
 let setup_vultr ?seed ?(policy_la = default_policy) ?(policy_ny = default_policy)
     ?readmit_backoff_s ?scenario ?(clock_offset_la_ns = 37_000_000L)
     ?(clock_offset_ny_ns = -12_000_000L) () =
-  let extra_delay_ms = Option.map Fig4.extra_delay_ms scenario in
+  (* Each link's process, resolved once when the fabric is built. *)
+  let extra_delay_ms =
+    Option.map
+      (fun scenario ~from_node ~to_node ->
+        Option.map Delay_process.value
+          (Fig4.process_for scenario ~transit:from_node ~toward:to_node))
+      scenario
+  in
   setup ?seed ?readmit_backoff_s ?extra_delay_ms ~configure:vultr_overrides
     ~topo:(Vultr.build ())
     [|

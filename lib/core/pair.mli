@@ -33,7 +33,7 @@ val vultr_overrides : Tango_topo.Topology.node -> Tango_bgp.Network.overrides
 val setup :
   ?seed:int ->
   ?readmit_backoff_s:float ->
-  ?extra_delay_ms:(from_node:int -> to_node:int -> time_s:float -> float) ->
+  ?extra_delay_ms:(from_node:int -> to_node:int -> (time_s:float -> float) option) ->
   ?configure:(Tango_topo.Topology.node -> Tango_bgp.Network.overrides) ->
   topo:Tango_topo.Topology.t ->
   site array ->
@@ -54,7 +54,8 @@ val setup :
     [seed + 1] (default seed 11).
 
     [readmit_backoff_s] arms every policy's flap damping (see
-    {!Policy.create}; default off). *)
+    {!Policy.create}; default off). [extra_delay_ms] is the fabric's
+    per-link dynamic-delay resolver ({!Tango_dataplane.Fabric.create}). *)
 
 val setup_vultr :
   ?seed:int ->
@@ -67,8 +68,10 @@ val setup_vultr :
   unit ->
   t
 (** The paper's pair: LA is site 0 and NY site 1 of {!Tango_topo.Vultr}.
-    Defaults: both policies {!default_policy}; no scenario dynamics;
-    clock offsets +37 ms (LA) and −12 ms (NY). *)
+    Defaults: both policies {!default_policy}; no scenario dynamics
+    (with [scenario], each link's process is
+    {!Tango_workload.Fig4.process_for}); clock offsets +37 ms (LA) and
+    −12 ms (NY). *)
 
 val engine : t -> Tango_sim.Engine.t
 val network : t -> Tango_bgp.Network.t

@@ -10,6 +10,7 @@ module Seq_tracker = Tango_dataplane.Seq_tracker
 module Flow_cache = Tango_dataplane.Flow_cache
 module Series = Tango_telemetry.Series
 module Ewma = Tango_telemetry.Ewma
+module Rolling = Tango_telemetry.Rolling
 module Jitter = Tango_telemetry.Jitter
 module Detect = Tango_telemetry.Detect
 module Inorder = Tango_workload.Inorder
@@ -96,9 +97,12 @@ type t = {
   mutable last_choice : int;
   mutable last_choice_at : float;
   mutable policy_evals : int;
-  (* Inbound measurement state, indexed by path id. *)
+  (* Inbound measurement state, indexed by path id. Each path's OWD
+     samples are pushed once onto its ring, which the jitter window and
+     both detector windows share. *)
   owd_series : Series.t array;
   owd_ewma : Ewma.t array;
+  owd_rings : Rolling.ring array;
   jitter : Jitter.t array;
   detectors : Detect.t array;
   trackers : Seq_tracker.t array;
@@ -160,6 +164,7 @@ let tunnels_of ~plan ~remote_plan outbound_paths =
 let create ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
     ~plan ~remote_plan ~outbound_paths ~policy () =
   let tunnels = tunnels_of ~plan ~remote_plan outbound_paths in
+  let owd_rings = Array.init max_paths (fun _ -> Rolling.ring ()) in
   {
     node;
     fabric;
@@ -181,8 +186,9 @@ let create ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
        and the used ones grow by doubling. *)
     owd_series = Array.init max_paths (fun _ -> Series.create ~capacity:16 ());
     owd_ewma = Array.init max_paths (fun _ -> Ewma.create ~alpha:ewma_alpha);
-    jitter = Array.init max_paths (fun _ -> Jitter.create ());
-    detectors = Array.init max_paths (fun _ -> Detect.create ());
+    owd_rings;
+    jitter = Array.map Jitter.of_ring owd_rings;
+    detectors = Array.map Detect.of_ring owd_rings;
     trackers = Array.init max_paths (fun _ -> Seq_tracker.create ());
     inbound_samples = Array.make max_paths 0;
     last_arrival = Array.make max_paths neg_infinity;
@@ -221,8 +227,9 @@ let[@hot] record_measurement t ~now ~path ~seq owd_ms =
   if path >= 0 && path < max_paths then begin
     Series.add t.owd_series.(path) ~time:now owd_ms;
     Ewma.add t.owd_ewma.(path) owd_ms;
-    Jitter.add t.jitter.(path) ~time:now owd_ms;
-    Detect.add t.detectors.(path) ~time:now owd_ms;
+    Rolling.push t.owd_rings.(path) ~time:now owd_ms;
+    Jitter.update t.jitter.(path);
+    Detect.update t.detectors.(path) ~time:now owd_ms;
     Seq_tracker.observe ~now_s:now t.trackers.(path) seq;
     t.inbound_samples.(path) <- t.inbound_samples.(path) + 1;
     t.last_arrival.(path) <- now

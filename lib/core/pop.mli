@@ -26,8 +26,10 @@ val create :
     this PoP → peer (i.e. discovery run with the {e peer} as origin).
 
     Each inbound path's OWD is smoothed by an EWMA with weight 0.1
-    per sample, and its jitter is measured over a 1 s window
-    ({!Tango_telemetry.Jitter.create}).
+    per sample. Its samples are pushed once onto the path's
+    {!Tango_telemetry.Rolling.ring}, which its 1 s jitter window
+    ({!Tango_telemetry.Jitter.of_ring}) and its route-change detector
+    ({!Tango_telemetry.Detect.of_ring}) share.
 
     The path-selection policy is fully re-evaluated at most once per
     0.01 s of virtual time (one probe interval): within a refresh

@@ -15,6 +15,11 @@ val create : ?offset_ns:int64 -> unit -> t
 val now_ns : t -> sim_time_s:float -> int64
 (** Clock reading when the simulation clock shows [sim_time_s]. *)
 
+val owd_ms : t -> now_s:float -> stamp_ns:int64 -> float
+(** The receiver's one-way-delay reading: {!now_ns} at virtual time
+    [now_s] minus the sender's stamp [stamp_ns], in milliseconds, in one
+    call that boxes only the result. *)
+
 val owd_ms_into :
   t -> stamp_ns:int -> float array -> into:float array -> int -> unit
 (** [owd_ms_into t ~stamp_ns arrival_s ~into n] is the batch form of

@@ -9,16 +9,17 @@
     Per-hop latency is
     the link's propagation delay, plus Gaussian link jitter, plus the
     receiving transit's ECMP-lane offset for the packet's forwarding
-    5-tuple, plus a caller-supplied dynamic component — the hook the
-    workload layer uses to inject diurnal drift, route-change level
-    shifts and instability spikes per transit network. *)
+    5-tuple, plus a caller-supplied dynamic component on the links that
+    have one — the hook the workload layer uses to inject diurnal
+    drift, route-change level shifts and instability spikes per
+    transit network. *)
 
 type t
 
 val create :
   ?seed:int ->
   ?lanes_of:(int -> Ecmp.lanes) ->
-  ?extra_delay_ms:(from_node:int -> to_node:int -> time_s:float -> float) ->
+  ?extra_delay_ms:(from_node:int -> to_node:int -> (time_s:float -> float) option) ->
   Tango_bgp.Network.t ->
   t
 (** The fabric shares the BGP network's topology and engine. Defaults: a
@@ -26,7 +27,14 @@ val create :
     unbounded parallel capacity (delay-only model). Per-link state is
     sized by the topology's node count at creation, and every directed
     link is snapshotted then, so neither the node set nor the links may
-    change afterwards. *)
+    change afterwards.
+
+    [extra_delay_ms] resolves each link's dynamic delay: it is called
+    once per existing directed link here, at creation, and a link it
+    gives [Some f] adds [f ~time_s] milliseconds to every hop that
+    crosses it, [time_s] being the hop's send time; a hop on any other
+    link reads one flag and adds nothing. Either hook takes the fabric
+    off the direct path ({!send_batch_direct}). *)
 
 val network : t -> Tango_bgp.Network.t
 

@@ -32,5 +32,4 @@ let send t ~clock ~now_s (packet : Packet.t) =
     }
 
 let owd_ms ~clock ~now_s (tango : Packet.tango_header) =
-  let arrival = Clock.now_ns clock ~sim_time_s:now_s in
-  Int64.to_float (Int64.sub arrival tango.Packet.timestamp_ns) /. 1e6
+  Clock.owd_ms clock ~now_s ~stamp_ns:tango.Packet.timestamp_ns

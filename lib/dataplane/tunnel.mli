@@ -36,4 +36,4 @@ val send : t -> clock:Clock.t -> now_s:float -> Tango_net.Packet.t -> unit
 val owd_ms : clock:Clock.t -> now_s:float -> Tango_net.Packet.tango_header -> float
 (** Receiver measurement: the (offset-shifted) one-way delay in
     milliseconds of a decapsulated shim arriving at [now_s] — the
-    receiver clock minus the embedded timestamp. *)
+    receiver clock minus the embedded timestamp ({!Clock.owd_ms}). *)

@@ -2,35 +2,31 @@ type event =
   | Level_shift of { at : float; before_ms : float; after_ms : float }
   | Spike of { at : float; value_ms : float; baseline_ms : float }
 
-(* Detection runs on the per-reception hot path (one [add] per data
-   packet), so the sample delay line and the event history are flat
-   parallel arrays grown cold on overflow — no queues, no boxed
-   tuples, no option results. Constructed [event] values exist only on
-   the cold read side ({!events}). *)
+(* Detection runs on the per-reception hot path (one [update] per data
+   packet), so both comparison windows are index ranges into the
+   stream's ring and the event history is one flat float array grown
+   cold on overflow — no queues, no boxed tuples, no option results.
+   Constructed [event] values exist only on the cold read side
+   ({!events}). *)
 
-(* Event history slots: kind tag + three payload floats. *)
-let ev_shift = 0
+(* An event's kind, the first of its four history slots. *)
+let ev_shift = 0.0
 
-let ev_spike = 1
+let ev_spike = 1.0
 
 type t = {
-  older : Rolling.t;  (* window [t-2w, t-w], approximated by delayed feed *)
   recent : Rolling.t;
-  (* Delay line: samples waiting to age into [older]; flat ring indexed
-     by [buf_head .. buf_head + buf_len - 1] modulo capacity. *)
-  mutable buf_times : floatarray;
-  mutable buf_values : floatarray;
-  mutable buf_head : int;
-  mutable buf_len : int;
+  (* Window [t-2w, t-w]: the samples a window old, taken in order as
+     they age; its [stop] is the aged-sample cursor. *)
+  older : Rolling.t;
+  (* The windows' means, older then recent, read through a float array:
+     returned from [Rolling] they would be boxed. *)
+  means : float array;
   mutable last_shift_at : float;
   mutable last_spike_at : float;
-  (* Event history, oldest first, flat: kind tag plus (at, a, b) where
-     (a, b) is (before, after) for shifts and (value, baseline) for
-     spikes. *)
-  mutable ev_kinds : int array;
-  mutable ev_at : floatarray;
-  mutable ev_a : floatarray;
-  mutable ev_b : floatarray;
+  (* Event history, oldest first, four slots per event: kind, at, then
+     (before, after) for a shift or (value, baseline) for a spike. *)
+  mutable history : floatarray;
   mutable ev_count : int;
 }
 
@@ -46,84 +42,40 @@ let spike_threshold_ms = 10.0
 
 let shift_cooldown_s = 30.0
 
-let create () =
+let of_ring ring =
   {
-    older = Rolling.create ~window_s;
-    recent = Rolling.create ~window_s;
-    buf_times = Float.Array.make 64 0.0;
-    buf_values = Float.Array.make 64 0.0;
-    buf_head = 0;
-    buf_len = 0;
+    recent = Rolling.window ring ~window_s;
+    older = Rolling.window ring ~window_s;
+    means = [| nan; nan |];
     last_shift_at = neg_infinity;
     last_spike_at = neg_infinity;
-    ev_kinds = Array.make 16 0;
-    ev_at = Float.Array.make 16 0.0;
-    ev_a = Float.Array.make 16 0.0;
-    ev_b = Float.Array.make 16 0.0;
+    history = Float.Array.make 64 0.0;
     ev_count = 0;
   }
 
-(* Cold: double the delay ring, unwrapping the live span to the front. *)
-let grow_buffer t =
-  let cap = Float.Array.length t.buf_times in
-  let times = Float.Array.make (2 * cap) 0.0 in
-  let values = Float.Array.make (2 * cap) 0.0 in
-  for i = 0 to t.buf_len - 1 do
-    let src = (t.buf_head + i) mod cap in
-    Float.Array.set times i (Float.Array.get t.buf_times src);
-    Float.Array.set values i (Float.Array.get t.buf_values src)
-  done;
-  t.buf_times <- times;
-  t.buf_values <- values;
-  t.buf_head <- 0
-
-(* Cold: double the event history arrays. *)
-let grow_events t =
-  let cap = Array.length t.ev_kinds in
-  let kinds = Array.make (2 * cap) 0 in
-  Array.blit t.ev_kinds 0 kinds 0 t.ev_count;
-  let at = Float.Array.make (2 * cap) 0.0 in
-  Float.Array.blit t.ev_at 0 at 0 t.ev_count;
-  let a = Float.Array.make (2 * cap) 0.0 in
-  Float.Array.blit t.ev_a 0 a 0 t.ev_count;
-  let b = Float.Array.make (2 * cap) 0.0 in
-  Float.Array.blit t.ev_b 0 b 0 t.ev_count;
-  t.ev_kinds <- kinds;
-  t.ev_at <- at;
-  t.ev_a <- a;
-  t.ev_b <- b
+let create () = of_ring (Rolling.ring ())
 
 let push_event t ~kind ~at ~a ~b =
-  if t.ev_count >= Array.length t.ev_kinds then grow_events t;
-  let i = t.ev_count in
-  t.ev_kinds.(i) <- kind;
-  Float.Array.set t.ev_at i at;
-  Float.Array.set t.ev_a i a;
-  Float.Array.set t.ev_b i b;
-  t.ev_count <- i + 1
+  let i = 4 * t.ev_count in
+  if i = Float.Array.length t.history then begin
+    (* Cold: double the history. *)
+    let grown = Float.Array.make (2 * i) 0.0 in
+    Float.Array.blit t.history 0 grown 0 i;
+    t.history <- grown
+  end;
+  Float.Array.set t.history i kind;
+  Float.Array.set t.history (i + 1) at;
+  Float.Array.set t.history (i + 2) a;
+  Float.Array.set t.history (i + 3) b;
+  t.ev_count <- t.ev_count + 1
 
-let[@hot] add t ~time value =
-  (* Samples flow into [recent] immediately and into [older] once they
-     are a window old, so the two windows cover adjacent spans. *)
-  Rolling.add t.recent ~time value;
-  if t.buf_len >= Float.Array.length t.buf_times then grow_buffer t;
-  let cap = Float.Array.length t.buf_times in
-  let slot = (t.buf_head + t.buf_len) mod cap in
-  Float.Array.set t.buf_times slot time;
-  Float.Array.set t.buf_values slot value;
-  t.buf_len <- t.buf_len + 1;
-  let horizon = time -. window_s in
-  let continue = ref true in
-  while !continue && t.buf_len > 0 do
-    let ts = Float.Array.get t.buf_times t.buf_head in
-    if ts <= horizon then begin
-      Rolling.add t.older ~time:ts (Float.Array.get t.buf_values t.buf_head);
-      t.buf_head <- (t.buf_head + 1) mod cap;
-      t.buf_len <- t.buf_len - 1
-    end
-    else continue := false
-  done;
-  let baseline = Rolling.mean t.older in
+(* Samples enter [recent] at once and [older] once they are a window
+   old, so the two windows cover adjacent spans. Runs once [recent] has
+   taken the sample. *)
+let[@hot] check t ~time value =
+  Rolling.take_aged t.older ~now:time;
+  Rolling.mean_into t.older t.means 0;
+  let baseline = t.means.(0) in
   if Rolling.count t.older >= 10 && not (Float.is_nan baseline) then
     if
       value -. baseline > spike_threshold_ms
@@ -133,7 +85,8 @@ let[@hot] add t ~time value =
       push_event t ~kind:ev_spike ~at:time ~a:value ~b:baseline
     end
     else begin
-      let recent_mean = Rolling.mean t.recent in
+      Rolling.mean_into t.recent t.means 1;
+      let recent_mean = t.means.(1) in
       if
         Rolling.count t.recent >= 10
         && (not (Float.is_nan recent_mean))
@@ -145,17 +98,20 @@ let[@hot] add t ~time value =
       end
     end
 
+let[@hot] update t ~time value =
+  Rolling.take t.recent;
+  check t ~time value
+
+let add t ~time value =
+  Rolling.add t.recent ~time value;
+  check t ~time value
+
+let window_counts t =
+  (Rolling.count t.recent, Rolling.count t.older, Rolling.pending t.older)
+
 let events t =
-  let out = ref [] in
-  for i = t.ev_count - 1 downto 0 do
-    let at = Float.Array.get t.ev_at i in
-    let a = Float.Array.get t.ev_a i in
-    let b = Float.Array.get t.ev_b i in
-    let e =
-      if t.ev_kinds.(i) = ev_spike then
-        Spike { at; value_ms = a; baseline_ms = b }
-      else Level_shift { at; before_ms = a; after_ms = b }
-    in
-    out := e :: !out
-  done;
-  !out
+  List.init t.ev_count (fun e ->
+      let slot k = Float.Array.get t.history ((4 * e) + k) in
+      if Float.equal (slot 0) ev_spike then
+        Spike { at = slot 1; value_ms = slot 2; baseline_ms = slot 3 }
+      else Level_shift { at = slot 1; before_ms = slot 2; after_ms = slot 3 })

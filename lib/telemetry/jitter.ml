@@ -2,7 +2,7 @@
    array: stored into a mutable field of this mixed record it would be
    boxed on every sample. *)
 type t = {
-  rolling : Rolling.t;
+  window : Rolling.t;
   recent : Ewma.t;
   sum_stddev : float array;
   mutable n : int;
@@ -13,23 +13,34 @@ let window_s = 1.0
 
 let recent_alpha = 0.01
 
-let create () =
+let of_ring ring =
   {
-    rolling = Rolling.create ~window_s;
+    window = Rolling.window ring ~window_s;
     recent = Ewma.create ~alpha:recent_alpha;
     sum_stddev = [| 0.0 |];
     n = 0;
   }
 
-let add t ~time value =
-  Rolling.add t.rolling ~time value;
-  (* Only meaningful once the window holds at least two samples. *)
-  if Rolling.count t.rolling >= 2 then begin
-    let std = Rolling.stddev t.rolling in
+let create () = of_ring (Rolling.ring ())
+
+(* Once the window has taken a sample; meaningful from two samples. *)
+let fold t =
+  if Rolling.count t.window >= 2 then begin
+    let std = Rolling.stddev t.window in
     t.sum_stddev.(0) <- t.sum_stddev.(0) +. std;
     Ewma.add t.recent std;
     t.n <- t.n + 1
   end
+
+let update t =
+  Rolling.take t.window;
+  fold t
+
+let add t ~time value =
+  Rolling.add t.window ~time value;
+  fold t
+
+let count t = Rolling.count t.window
 
 let value t = if t.n = 0 then nan else t.sum_stddev.(0) /. float_of_int t.n
 

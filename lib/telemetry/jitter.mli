@@ -4,13 +4,24 @@
 
 type t
 
+val of_ring : Rolling.ring -> t
+(** A 1 s window over the ring from its next sample; the {!recent}
+    estimate is an EWMA with weight 0.01 per sample. *)
+
 val create : unit -> t
-(** A 1 s window, as in the paper; the {!recent} estimate is an EWMA
-    with weight 0.01 per sample. *)
+(** {!of_ring} over a ring of its own. *)
+
+val update : t -> unit
+(** Take the ring's next sample and fold the window's stddev into the
+    running mean: once per {!Rolling.push}. Allocates only the boxed
+    stddev. *)
 
 val add : t -> time:float -> float -> unit
-(** Feed one OWD sample; the current window stddev is folded into the
-    running mean. *)
+(** {!Rolling.push} one OWD sample onto the ring, then {!update}. *)
+
+(* test-hook: test/test_telemetry.ml *)
+val count : t -> int
+(** Samples in the 1 s window. *)
 
 val value : t -> float
 (** Mean rolling-window stddev so far; [nan] before any sample. This is

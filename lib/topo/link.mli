@@ -16,5 +16,9 @@ val v : ?jitter_ms:float -> ?bandwidth_mbps:float -> float -> t
 val default : t
 (** 1 ms link. *)
 
+(* test-hook: test/test_topo.ml *)
 val transmission_delay_ms : t -> bytes:int -> float
-(** Serialization time of [bytes] at the link rate. *)
+(** Serialization time of [bytes] at the link rate:
+    [float_of_int (bytes * 8) /. (bandwidth_mbps *. 1000.0)], the
+    expression [Tango_dataplane.Fabric] evaluates per hop with the
+    divisor computed once per link. *)

@@ -125,10 +125,13 @@ let rec sum_events acc events ~time_s =
   | e :: rest -> sum_events (acc +. event_value e ~time_s) rest ~time_s
 
 let floor_value t ~time_s =
+  (* A zero amplitude makes the term +0.0 whatever the sine: skip it. *)
   let diurnal =
-    t.diurnal_amplitude_ms
-    *. (1.0 +. sin (2.0 *. Float.pi *. time_s /. t.diurnal_period_s))
-    /. 2.0
+    if Float.equal t.diurnal_amplitude_ms 0.0 then 0.0
+    else
+      t.diurnal_amplitude_ms
+      *. (1.0 +. sin (2.0 *. Float.pi *. time_s /. t.diurnal_period_s))
+      /. 2.0
   in
   sum_events (t.base_ms +. diurnal) t.event_list ~time_s
 

@@ -2,9 +2,8 @@ module Vultr = Tango_topo.Vultr
 module Rng = Tango_sim.Rng
 
 (* The eight processes sit in parallel arrays keyed by directed link
-   and are found by a linear scan: the fabric queries the hook on every
-   hop, and a tuple-keyed table would build and hash a key and return
-   an option each time. *)
+   and are found by a linear scan, once per link when a fabric is
+   built ({!process_for}). *)
 type t = {
   link_from : int array;
   link_to : int array;
@@ -83,10 +82,6 @@ let rec find_link t ~from_node ~to_node i =
   if i >= Array.length t.link_from then -1
   else if t.link_from.(i) = from_node && t.link_to.(i) = to_node then i
   else find_link t ~from_node ~to_node (i + 1)
-
-let extra_delay_ms t ~from_node ~to_node ~time_s =
-  let i = find_link t ~from_node ~to_node 0 in
-  if i < 0 then 0.0 else Delay_process.value t.processes.(i) ~time_s
 
 let route_change_window t = t.route_change
 

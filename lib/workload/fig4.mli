@@ -23,16 +23,14 @@ val create : ?seed:int -> ?horizon_s:float -> unit -> t
     instability spikes peak 50 ms above the floor (28 ms floor + 50 =
     78 ms peak) and occupy [0.70, 0.80). *)
 
-val extra_delay_ms : t -> from_node:int -> to_node:int -> time_s:float -> float
-(** Plug into {!Tango_dataplane.Fabric.create}. *)
-
 val route_change_window : t -> float * float
 (** [(start, stop)] in seconds. *)
 
 val instability_window : t -> float * float
 
-(* test-hook: test/test_workload.ml *)
 val process_for :
   t -> transit:int -> toward:int -> Delay_process.t option
-(** The process attached to the [transit -> toward] directed link, for
-    tests and calibration checks. *)
+(** The process attached to the [transit -> toward] directed link, or
+    [None]: the per-link resolver behind {!Tango_dataplane.Fabric.create}'s
+    [extra_delay_ms] (see [Pair.setup_vultr]), and what the calibration
+    checks read. *)

@@ -235,15 +235,20 @@ let packet_to addr id =
 
 let test_fabric_delivers () =
   let engine, plain = chain_fabric () in
-  (* The dynamic-delay hook sees every hop the packet takes. *)
-  let hops = ref [] in
+  (* The dynamic-delay resolver runs once per directed link at
+     creation, and each link's process sees every hop across it. *)
+  let resolved = ref 0 and hops = ref [] in
   let fabric =
     Fabric.create
-      ~extra_delay_ms:(fun ~from_node ~to_node ~time_s:_ ->
-        hops := (from_node, to_node) :: !hops;
-        0.0)
+      ~extra_delay_ms:(fun ~from_node ~to_node ->
+        incr resolved;
+        Some
+          (fun ~time_s:_ ->
+            hops := (from_node, to_node) :: !hops;
+            0.0))
       (Fabric.network plain)
   in
+  Alcotest.(check int) "resolved once per directed link" 4 !resolved;
   let delivered = ref None in
   Fabric.send fabric ~from_node:0
     ~on_delivered:(fun ~node _ -> delivered := Some node)
@@ -287,7 +292,7 @@ let test_fabric_extra_delay_applied () =
   ignore (Tango_bgp.Network.converge net);
   let fabric =
     Fabric.create
-      ~extra_delay_ms:(fun ~from_node:_ ~to_node:_ ~time_s:_ -> 10.0)
+      ~extra_delay_ms:(fun ~from_node:_ ~to_node:_ -> Some (fun ~time_s:_ -> 10.0))
       net
   in
   let sent_at = Engine.now engine in

@@ -294,8 +294,8 @@ let test_ecmp_map_probe_end_to_end () =
 
 (* The pair-vultr benchmark job: Fig. 4 dynamics over a 20 s horizon,
    probes every 10 ms, 2000 app packets/s NY -> LA, seed 42, metric
-   recording off. Its minor-heap allocation per delivered app packet is
-   a deterministic count, so it is bounded here. Like the benchmark, it
+   recording off. Its minor- and major-heap allocation per delivered app
+   packet are deterministic counts, so both are bounded here. Like the benchmark, it
    counts the drive and the read-out after it: the app-latency summary
    and each inbound path's mean OWD. *)
 let test_pair_vultr_alloc () =
@@ -310,7 +310,7 @@ let test_pair_vultr_alloc () =
   let ny = Pair.pop_ny pair and la = Pair.pop_la pair in
   let sent = ref 0 in
   Gc.full_major ();
-  let before = (Gc.quick_stat ()).Gc.minor_words in
+  let before = Gc.quick_stat () in
   let t0 = Tango_sim.Engine.now engine in
   Pair.start_measurement pair ~probe_interval_s:0.01 ~for_s:horizon_s ();
   Tango_workload.Traffic.periodic engine ~interval_s:(1.0 /. 2000.0)
@@ -323,15 +323,21 @@ let test_pair_vultr_alloc () =
     List.init (Pop.path_count la) (fun path ->
         (Series.stats (Pop.inbound_owd_series la ~path)).Tango_sim.Stats.mean)
   in
-  let words = (Gc.quick_stat ()).Gc.minor_words -. before in
+  let after = Gc.quick_stat () in
   Alcotest.(check bool) "summaries read" true
     (app.Tango_sim.Stats.n = !sent && List.for_all Float.is_finite means);
   Tango_obs.Metric.set_enabled was;
   let received = Pop.app_received la in
   Alcotest.(check int) "every app packet delivered" !sent received;
-  let per_packet = words /. float_of_int received in
-  if per_packet > 340.0 then
-    Alcotest.failf "%.1f minor words per app packet, want <= 340" per_packet
+  let per_packet words = words /. float_of_int received in
+  let minor = per_packet (after.Gc.minor_words -. before.Gc.minor_words)
+  and major = per_packet (after.Gc.major_words -. before.Gc.major_words) in
+  (* Read 298.0 minor and 30.4 major words: each bound is that plus at
+     most 3%, and bounds only move down. *)
+  if minor > 306.0 then
+    Alcotest.failf "%.1f minor words per app packet, want <= 306" minor;
+  if major > 31.0 then
+    Alcotest.failf "%.1f major words per app packet, want <= 31" major
 
 let test_pop_unwired_rejected () =
   let pair = Pair.setup_vultr ~seed:5 () in

@@ -92,13 +92,6 @@ let test_rolling_constant_signal () =
   check_float "no jitter" 0.0 (Rolling.stddev r);
   check_float "mean" 28.0 (Rolling.mean r)
 
-let test_rolling_min () =
-  let r = Rolling.create ~window_s:1.0 in
-  Rolling.add r ~time:0.0 5.0;
-  Rolling.add r ~time:0.1 3.0;
-  Rolling.add r ~time:0.2 4.0;
-  check_float "min" 3.0 (Rolling.min_value r)
-
 (* Differential oracle: the Queue-of-pairs implementation Rolling
    replaced. Kept verbatim (including the strict [time < cutoff]
    eviction) so the flat-ring version is checked against the exact old
@@ -147,11 +140,6 @@ module Rolling_reference = struct
       sqrt (Float.max 0.0 variance)
     end
 
-  let min_value t =
-    Queue.fold (fun acc (_, v) -> Float.min acc v) infinity t.samples
-
-  let max_value t =
-    Queue.fold (fun acc (_, v) -> Float.max acc v) neg_infinity t.samples
 end
 
 let check_rolling_agrees msg r ref_r =
@@ -163,16 +151,13 @@ let check_rolling_agrees msg r ref_r =
       Alcotest.failf "%s: %s diverged (ref %.17g vs ring %.17g)" msg what a b
   in
   close "mean" (Rolling_reference.mean ref_r) (Rolling.mean r);
-  close "stddev" (Rolling_reference.stddev ref_r) (Rolling.stddev r);
-  close "min" (Rolling_reference.min_value ref_r) (Rolling.min_value r);
-  close "max" (Rolling_reference.max_value ref_r) (Rolling.max_value r)
+  close "stddev" (Rolling_reference.stddev ref_r) (Rolling.stddev r)
 
 let test_rolling_matches_reference () =
   let r = Rolling.create ~window_s:1.0 in
   let ref_r = Rolling_reference.create ~window_s:1.0 in
   (* Deterministic but irregular stream: bursts, gaps longer than the
-     window, repeated values (wedge ties), growth past the initial ring
-     capacity. *)
+     window, repeated values, growth past the initial ring capacity. *)
   let rng = ref 0x2545F4914F6CDD1D in
   let next_bits () =
     (* xorshift, masked to stay in positive int range *)
@@ -217,22 +202,6 @@ let test_rolling_cutoff_boundary () =
   (* cutoff is now just past 0.25: both the 0.0 and 0.25 samples go. *)
   Alcotest.(check int) "just past cutoff evicts" 2 (Rolling.count r);
   check_rolling_agrees "past boundary" r ref_r
-
-let test_rolling_extrema_track_eviction () =
-  let r = Rolling.create ~window_s:1.0 in
-  Rolling.add r ~time:0.0 50.0;
-  Rolling.add r ~time:0.1 1.0;
-  Rolling.add r ~time:0.2 30.0;
-  check_float "min sees the dip" 1.0 (Rolling.min_value r);
-  check_float "max sees the spike" 50.0 (Rolling.max_value r);
-  (* Evict the spike only (cutoff 0.05): the dip at 0.1 is still in. *)
-  Rolling.add r ~time:1.05 25.0;
-  check_float "max after spike evicted" 30.0 (Rolling.max_value r);
-  check_float "min still the dip" 1.0 (Rolling.min_value r);
-  (* Now evict the dip too (cutoff 0.15). *)
-  Rolling.add r ~time:1.15 26.0;
-  check_float "min after dip evicted" 25.0 (Rolling.min_value r);
-  check_float "max unchanged" 30.0 (Rolling.max_value r)
 
 (* Minor words per call of [f i] over [ops] calls, after [ops] warm-up
    calls that let the rings reach their steady-state size. The sample
@@ -375,6 +344,457 @@ let test_detect_cooldown () =
   Alcotest.(check int) "suppressed duplicate" 1 (List.length spikes)
 
 (* ------------------------------------------------------------------ *)
+(* One ring per path against the windows it replaced                   *)
+
+(* Verbatim copies of Rolling, Jitter and Detect from when each window
+   kept its own copy of every sample (Rolling with min/max wedges,
+   Detect with a delay line feeding a second Rolling), with [Rolling]
+   renamed [Old_rolling]: the oracle the shared-ring windows must match
+   bit for bit. *)
+module Old_rolling = struct
+  (* The extrema are copied too, and read by nothing. *)
+  [@@@warning "-32"]
+
+  (* Flat ring buffer of (time, value) samples in two unboxed float
+     arrays — the window holds no boxed cells, so the per-sample path
+     allocates nothing once the ring has grown to its steady-state size.
+
+     Extrema are tracked by monotonic wedges (the classic sliding-window
+     min/max deque): the min wedge keeps a strictly increasing run of
+     values whose front is the current minimum, the max wedge a strictly
+     decreasing run. Each sample enters and leaves a wedge at most once,
+     so add/evict stay O(1) amortized. *)
+
+  (* A growable deque of (time, value) pairs over flat arrays. [head] is
+     the index of the oldest element; elements occupy
+     [head .. head+len-1] modulo capacity. *)
+  type ring = {
+    mutable times : float array;
+    mutable vals : float array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let initial_capacity = 16
+
+  let ring_create () =
+    {
+      times = Array.make initial_capacity 0.0;
+      vals = Array.make initial_capacity 0.0;
+      head = 0;
+      len = 0;
+    }
+
+  let ring_grow r =
+    let cap = Array.length r.times in
+    let times = Array.make (2 * cap) 0.0 and vals = Array.make (2 * cap) 0.0 in
+    let first = cap - r.head in
+    (* Unroll the wrap so the live elements start at index 0. *)
+    Array.blit r.times r.head times 0 first;
+    Array.blit r.times 0 times first (r.len - first);
+    Array.blit r.vals r.head vals 0 first;
+    Array.blit r.vals 0 vals first (r.len - first);
+    r.times <- times;
+    r.vals <- vals;
+    r.head <- 0
+
+  let[@hot] ring_push_back r ~time v =
+    if r.len = Array.length r.times then ring_grow r;
+    let i = (r.head + r.len) land (Array.length r.times - 1) in
+    r.times.(i) <- time;
+    r.vals.(i) <- v;
+    r.len <- r.len + 1
+
+  (* The accessors are inlined so their floats never leave the caller's
+     registers: a float returned from a function call is boxed. *)
+  let[@hot] [@inline] ring_front_time r = r.times.(r.head)
+
+  let[@hot] [@inline] ring_front_value r = r.vals.(r.head)
+
+  let[@hot] [@inline] ring_pop_front r =
+    r.head <- (r.head + 1) land (Array.length r.times - 1);
+    r.len <- r.len - 1
+
+  let[@hot] [@inline] ring_back_value r =
+    r.vals.((r.head + r.len - 1) land (Array.length r.times - 1))
+
+  let[@hot] [@inline] ring_pop_back r = r.len <- r.len - 1
+
+  (* The running aggregates live in a flat float array rather than mutable
+     record fields: a mixed record boxes every float store, which would
+     put two allocations back on the per-sample path. *)
+  let sum_ix = 0
+
+  let sum_sq_ix = 1
+
+  let last_time_ix = 2
+
+  type t = {
+    window_s : float;
+    samples : ring;
+    min_wedge : ring;  (* values strictly increasing; front = window min *)
+    max_wedge : ring;  (* values strictly decreasing; front = window max *)
+    acc : float array;  (* sum, sum_sq, last_time *)
+  }
+
+  let create ~window_s =
+    if window_s <= 0.0 then invalid_arg "Rolling.create: non-positive window";
+    {
+      window_s;
+      samples = ring_create ();
+      min_wedge = ring_create ();
+      max_wedge = ring_create ();
+      acc = [| 0.0; 0.0; neg_infinity |];
+    }
+
+  let[@hot] evict t ~now =
+    let cutoff = now -. t.window_s in
+    while t.samples.len > 0 && ring_front_time t.samples < cutoff do
+      let v = ring_front_value t.samples in
+      ring_pop_front t.samples;
+      t.acc.(sum_ix) <- t.acc.(sum_ix) -. v;
+      t.acc.(sum_sq_ix) <- t.acc.(sum_sq_ix) -. (v *. v)
+    done;
+    while t.min_wedge.len > 0 && ring_front_time t.min_wedge < cutoff do
+      ring_pop_front t.min_wedge
+    done;
+    while t.max_wedge.len > 0 && ring_front_time t.max_wedge < cutoff do
+      ring_pop_front t.max_wedge
+    done
+
+  let[@hot] add t ~time value =
+    if time < t.acc.(last_time_ix) then
+      invalid_arg "Rolling.add: time went backwards";
+    t.acc.(last_time_ix) <- time;
+    ring_push_back t.samples ~time value;
+    t.acc.(sum_ix) <- t.acc.(sum_ix) +. value;
+    t.acc.(sum_sq_ix) <- t.acc.(sum_sq_ix) +. (value *. value);
+    (* A new sample dominates every older one that is no more extreme; it
+       also outlives them, so those can never be the extremum again. *)
+    while t.min_wedge.len > 0 && ring_back_value t.min_wedge >= value do
+      ring_pop_back t.min_wedge
+    done;
+    ring_push_back t.min_wedge ~time value;
+    while t.max_wedge.len > 0 && ring_back_value t.max_wedge <= value do
+      ring_pop_back t.max_wedge
+    done;
+    ring_push_back t.max_wedge ~time value;
+    evict t ~now:time
+
+  let count t = t.samples.len
+
+  let mean t =
+    let n = count t in
+    if n = 0 then nan else t.acc.(sum_ix) /. float_of_int n
+
+  let stddev t =
+    let n = count t in
+    if n < 2 then 0.0
+    else begin
+      let nf = float_of_int n in
+      let variance =
+        (t.acc.(sum_sq_ix) /. nf) -. ((t.acc.(sum_ix) /. nf) ** 2.0)
+      in
+      sqrt (Float.max 0.0 variance)
+    end
+
+  let min_value t = if t.min_wedge.len = 0 then infinity else ring_front_value t.min_wedge
+
+  let max_value t =
+    if t.max_wedge.len = 0 then neg_infinity else ring_front_value t.max_wedge
+end
+
+module Old_jitter = struct
+  (* The running sum of window stddevs lives in a one-element float
+     array: stored into a mutable field of this mixed record it would be
+     boxed on every sample. *)
+  type t = {
+    rolling : Old_rolling.t;
+    recent : Ewma.t;
+    sum_stddev : float array;
+    mutable n : int;
+  }
+
+  (* The paper's 1 s window, and the per-sample weight of {!recent}. *)
+  let window_s = 1.0
+
+  let recent_alpha = 0.01
+
+  let create () =
+    {
+      rolling = Old_rolling.create ~window_s;
+      recent = Ewma.create ~alpha:recent_alpha;
+      sum_stddev = [| 0.0 |];
+      n = 0;
+    }
+
+  let add t ~time value =
+    Old_rolling.add t.rolling ~time value;
+    (* Only meaningful once the window holds at least two samples. *)
+    if Old_rolling.count t.rolling >= 2 then begin
+      let std = Old_rolling.stddev t.rolling in
+      t.sum_stddev.(0) <- t.sum_stddev.(0) +. std;
+      Ewma.add t.recent std;
+      t.n <- t.n + 1
+    end
+
+  let value t = if t.n = 0 then nan else t.sum_stddev.(0) /. float_of_int t.n
+
+  let recent t = Ewma.value t.recent
+end
+
+module Old_detect = struct
+  type event =
+    | Level_shift of { at : float; before_ms : float; after_ms : float }
+    | Spike of { at : float; value_ms : float; baseline_ms : float }
+
+  (* Detection runs on the per-reception hot path (one [add] per data
+     packet), so the sample delay line and the event history are flat
+     parallel arrays grown cold on overflow — no queues, no boxed
+     tuples, no option results. Constructed [event] values exist only on
+     the cold read side ({!events}). *)
+
+  (* Event history slots: kind tag + three payload floats. *)
+  let ev_shift = 0
+
+  let ev_spike = 1
+
+  type t = {
+    older : Old_rolling.t;  (* window [t-2w, t-w], approximated by delayed feed *)
+    recent : Old_rolling.t;
+    (* Delay line: samples waiting to age into [older]; flat ring indexed
+       by [buf_head .. buf_head + buf_len - 1] modulo capacity. *)
+    mutable buf_times : floatarray;
+    mutable buf_values : floatarray;
+    mutable buf_head : int;
+    mutable buf_len : int;
+    mutable last_shift_at : float;
+    mutable last_spike_at : float;
+    (* Event history, oldest first, flat: kind tag plus (at, a, b) where
+       (a, b) is (before, after) for shifts and (value, baseline) for
+       spikes. *)
+    mutable ev_kinds : int array;
+    mutable ev_at : floatarray;
+    mutable ev_a : floatarray;
+    mutable ev_b : floatarray;
+    mutable ev_count : int;
+  }
+
+  (* Length of each of the two adjacent comparison windows, which is also
+     the spike cooldown; minimum difference of window means to report a
+     shift, excursion above the older window's mean to report a spike,
+     and the hold-off that keeps one route change from reporting twice. *)
+  let window_s = 5.0
+
+  let shift_threshold_ms = 2.0
+
+  let spike_threshold_ms = 10.0
+
+  let shift_cooldown_s = 30.0
+
+  let create () =
+    {
+      older = Old_rolling.create ~window_s;
+      recent = Old_rolling.create ~window_s;
+      buf_times = Float.Array.make 64 0.0;
+      buf_values = Float.Array.make 64 0.0;
+      buf_head = 0;
+      buf_len = 0;
+      last_shift_at = neg_infinity;
+      last_spike_at = neg_infinity;
+      ev_kinds = Array.make 16 0;
+      ev_at = Float.Array.make 16 0.0;
+      ev_a = Float.Array.make 16 0.0;
+      ev_b = Float.Array.make 16 0.0;
+      ev_count = 0;
+    }
+
+  (* Cold: double the delay ring, unwrapping the live span to the front. *)
+  let grow_buffer t =
+    let cap = Float.Array.length t.buf_times in
+    let times = Float.Array.make (2 * cap) 0.0 in
+    let values = Float.Array.make (2 * cap) 0.0 in
+    for i = 0 to t.buf_len - 1 do
+      let src = (t.buf_head + i) mod cap in
+      Float.Array.set times i (Float.Array.get t.buf_times src);
+      Float.Array.set values i (Float.Array.get t.buf_values src)
+    done;
+    t.buf_times <- times;
+    t.buf_values <- values;
+    t.buf_head <- 0
+
+  (* Cold: double the event history arrays. *)
+  let grow_events t =
+    let cap = Array.length t.ev_kinds in
+    let kinds = Array.make (2 * cap) 0 in
+    Array.blit t.ev_kinds 0 kinds 0 t.ev_count;
+    let at = Float.Array.make (2 * cap) 0.0 in
+    Float.Array.blit t.ev_at 0 at 0 t.ev_count;
+    let a = Float.Array.make (2 * cap) 0.0 in
+    Float.Array.blit t.ev_a 0 a 0 t.ev_count;
+    let b = Float.Array.make (2 * cap) 0.0 in
+    Float.Array.blit t.ev_b 0 b 0 t.ev_count;
+    t.ev_kinds <- kinds;
+    t.ev_at <- at;
+    t.ev_a <- a;
+    t.ev_b <- b
+
+  let push_event t ~kind ~at ~a ~b =
+    if t.ev_count >= Array.length t.ev_kinds then grow_events t;
+    let i = t.ev_count in
+    t.ev_kinds.(i) <- kind;
+    Float.Array.set t.ev_at i at;
+    Float.Array.set t.ev_a i a;
+    Float.Array.set t.ev_b i b;
+    t.ev_count <- i + 1
+
+  let[@hot] add t ~time value =
+    (* Samples flow into [recent] immediately and into [older] once they
+       are a window old, so the two windows cover adjacent spans. *)
+    Old_rolling.add t.recent ~time value;
+    if t.buf_len >= Float.Array.length t.buf_times then grow_buffer t;
+    let cap = Float.Array.length t.buf_times in
+    let slot = (t.buf_head + t.buf_len) mod cap in
+    Float.Array.set t.buf_times slot time;
+    Float.Array.set t.buf_values slot value;
+    t.buf_len <- t.buf_len + 1;
+    let horizon = time -. window_s in
+    let continue = ref true in
+    while !continue && t.buf_len > 0 do
+      let ts = Float.Array.get t.buf_times t.buf_head in
+      if ts <= horizon then begin
+        Old_rolling.add t.older ~time:ts (Float.Array.get t.buf_values t.buf_head);
+        t.buf_head <- (t.buf_head + 1) mod cap;
+        t.buf_len <- t.buf_len - 1
+      end
+      else continue := false
+    done;
+    let baseline = Old_rolling.mean t.older in
+    if Old_rolling.count t.older >= 10 && not (Float.is_nan baseline) then
+      if
+        value -. baseline > spike_threshold_ms
+        && time -. t.last_spike_at > window_s
+      then begin
+        t.last_spike_at <- time;
+        push_event t ~kind:ev_spike ~at:time ~a:value ~b:baseline
+      end
+      else begin
+        let recent_mean = Old_rolling.mean t.recent in
+        if
+          Old_rolling.count t.recent >= 10
+          && (not (Float.is_nan recent_mean))
+          && abs_float (recent_mean -. baseline) > shift_threshold_ms
+          && time -. t.last_shift_at > shift_cooldown_s
+        then begin
+          t.last_shift_at <- time;
+          push_event t ~kind:ev_shift ~at:time ~a:baseline ~b:recent_mean
+        end
+      end
+
+  let events t =
+    let out = ref [] in
+    for i = t.ev_count - 1 downto 0 do
+      let at = Float.Array.get t.ev_at i in
+      let a = Float.Array.get t.ev_a i in
+      let b = Float.Array.get t.ev_b i in
+      let e =
+        if t.ev_kinds.(i) = ev_spike then
+          Spike { at; value_ms = a; baseline_ms = b }
+        else Level_shift { at; before_ms = a; after_ms = b }
+      in
+      out := e :: !out
+    done;
+    !out
+end
+
+(* One stream step: the gap since the last sample, a kind draw and a
+   noise draw. Gaps are counted in 1/1024 s ticks, so a time minus 1 s
+   or 5 s is exact and lands on earlier samples as often as chance
+   allows: equal timestamps, ~10 ms probes, up to 125 ms, exactly 1 s
+   and 5 s, anything up to 5 s, and gaps past 10 s that empty every
+   window. A stream either stays on that grid or adds 0.01 s per probe
+   step in float. Values: 28 ms plus a level that a 5 ms step toggles,
+   0.3 ms of noise and, now and then, a 50 ms spike. *)
+let stream_gen =
+  QCheck.Gen.(
+    let gap =
+      frequency
+        [
+          (5, return 0);
+          (80, return 10);
+          (10, int_range 1 128);
+          (2, return 1024);
+          (2, return 5120);
+          (1, int_range 1 5120);
+          (1, int_range 10241 20480);
+        ]
+    in
+    pair bool (list_size (int_range 1 3000) (triple gap (int_bound 99) (float_range (-1.0) 1.0))))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let event_fields = function
+  | Detect.Level_shift { at; before_ms; after_ms } -> (0, at, before_ms, after_ms)
+  | Detect.Spike { at; value_ms; baseline_ms } -> (1, at, value_ms, baseline_ms)
+
+let old_event_fields = function
+  | Old_detect.Level_shift { at; before_ms; after_ms } -> (0, at, before_ms, after_ms)
+  | Old_detect.Spike { at; value_ms; baseline_ms } -> (1, at, value_ms, baseline_ms)
+
+let shared_ring_matches_old_windows =
+  QCheck.Test.make ~name:"one ring per path = per-window copies, bit for bit" ~count:200
+    (QCheck.make stream_gen) (fun (on_grid, steps) ->
+      let ring = Rolling.ring () in
+      let jitter = Jitter.of_ring ring and detect = Detect.of_ring ring in
+      let old_jitter = Old_jitter.create () and old_detect = Old_detect.create () in
+      let ticks = ref 0 and float_time = ref 0.0 and level = ref 0.0 in
+      List.iteri
+        (fun i (gap, kind, noise) ->
+          let time =
+            if on_grid || gap <> 10 then begin
+              ticks := !ticks + gap;
+              float_time := !float_time +. (float_of_int gap /. 1024.0);
+              if on_grid then float_of_int !ticks /. 1024.0 else !float_time
+            end
+            else begin
+              float_time := !float_time +. 0.01;
+              !float_time
+            end
+          in
+          if kind < 3 then level := 5.0 -. !level;
+          let value = 28.0 +. !level +. (0.3 *. noise) +. if kind >= 97 then 50.0 else 0.0 in
+          Rolling.push ring ~time value;
+          Jitter.update jitter;
+          Detect.update detect ~time value;
+          Old_jitter.add old_jitter ~time value;
+          Old_detect.add old_detect ~time value;
+          let same what a b =
+            if not (bits_equal a b) then
+              QCheck.Test.fail_reportf "sample %d (t=%h): %s %h, was %h" i time what a b
+          in
+          same "Jitter.value" (Jitter.value jitter) (Old_jitter.value old_jitter);
+          same "Jitter.recent" (Jitter.recent jitter) (Old_jitter.recent old_jitter);
+          let recent, older, waiting = Detect.window_counts detect in
+          let counts =
+            [
+              (Jitter.count jitter, Old_rolling.count old_jitter.Old_jitter.rolling);
+              (recent, Old_rolling.count old_detect.Old_detect.recent);
+              (older, Old_rolling.count old_detect.Old_detect.older);
+              (waiting, old_detect.Old_detect.buf_len);
+            ]
+          in
+          if not (List.for_all (fun (a, b) -> a = b) counts) then
+            QCheck.Test.fail_reportf "sample %d (t=%h): window counts differ" i time)
+        steps;
+      let events = List.map event_fields (Detect.events detect)
+      and old_events = List.map old_event_fields (Old_detect.events old_detect) in
+      List.length events = List.length old_events
+      && List.for_all2
+           (fun (k, at, a, b) (k', at', a', b') ->
+             k = k' && bits_equal at at' && bits_equal a a' && bits_equal b b')
+           events old_events)
+
+(* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 
 let test_export_series () =
@@ -501,10 +921,8 @@ let () =
           tc "eviction" `Quick test_rolling_eviction;
           tc "stddev" `Quick test_rolling_stddev;
           tc "constant signal" `Quick test_rolling_constant_signal;
-          tc "min" `Quick test_rolling_min;
           tc "matches queue reference" `Quick test_rolling_matches_reference;
           tc "cutoff boundary is strict" `Quick test_rolling_cutoff_boundary;
-          tc "extrema track eviction" `Quick test_rolling_extrema_track_eviction;
           tc "add allocation" `Quick test_rolling_alloc;
         ] );
       ( "ewma",
@@ -525,6 +943,7 @@ let () =
           tc "spike" `Quick test_detect_spike;
           tc "quiet stream" `Quick test_detect_quiet_stream_silent;
           tc "cooldown" `Quick test_detect_cooldown;
+          qc shared_ring_matches_old_windows;
         ] );
       ( "export",
         [

@@ -132,8 +132,8 @@ let test_fig4_gtt_westbound_has_events () =
 
 let test_fig4_unrelated_links_zero () =
   let sc = Fig4.create () in
-  check_float "no process on peer links" 0.0
-    (Fig4.extra_delay_ms sc ~from_node:Vultr.ntt ~to_node:Vultr.cogent ~time_s:1.0)
+  Alcotest.(check bool) "no process on peer links" true
+    (Option.is_none (Fig4.process_for sc ~transit:Vultr.ntt ~toward:Vultr.cogent))
 
 let test_fig4_telia_noisier_than_gtt_eastbound () =
   let sc = Fig4.create ~seed:21 () in
