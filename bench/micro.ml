@@ -12,10 +12,7 @@ let ipv6 = Tango_net.Ipv6.of_string_exn "2001:db8:4000::1"
 let ipv6_b = Tango_net.Ipv6.of_string_exn "2001:db8:4010::1"
 
 let flow =
-  Tango_net.Flow.v
-    ~src:(Tango_net.Addr.V6 ipv6)
-    ~dst:(Tango_net.Addr.V6 ipv6_b)
-    ~proto:17 ~src_port:40000 ~dst_port:4789
+  Tango_net.Flow.v ~src:ipv6 ~dst:ipv6_b ~proto:17 ~src_port:40000 ~dst_port:4789
 
 let tango_header =
   { Tango_net.Packet.timestamp_ns = 123456789L; seq = 42L; path_id = 2; flags = 0 }
@@ -362,9 +359,7 @@ let batch_fabric, batch_packets, batch_encap =
   assert (Tango_dataplane.Fabric.route_plain fabric ~from_node:0 ~dst);
   let batch = Tango_dataplane.Batch.create () in
   let bflow =
-    Tango_net.Flow.v
-      ~src:(Tango_net.Addr.V6 ipv6)
-      ~dst ~proto:17 ~src_port:40000 ~dst_port:4789
+    Tango_net.Flow.v ~src:ipv6 ~dst ~proto:17 ~src_port:40000 ~dst_port:4789
   in
   for i = 0 to Tango_dataplane.Batch.capacity - 1 do
     Tango_dataplane.Batch.add batch
@@ -392,9 +387,9 @@ let test_send_batch_encap =
          Tango_dataplane.Fabric.send_batch_direct batch_fabric ~from_node:0
            ~now_s:1.0 batch_encap))
 
-(* Control-plane reconciliation hot reads (lib/ctrl): the per-prefix
-   churn classification and the table digest a heartbeat carries. Both
-   run on every cadence tick / heartbeat, so they must stay cheap. *)
+(* Control-plane reconciliation hot read (lib/ctrl): the per-prefix
+   churn classification. It runs on every cadence tick, so it must stay
+   cheap. *)
 
 let watch_baseline = Some (Tango_bgp.As_path.of_list [ 20473; 2914; 20473 ])
 
@@ -406,22 +401,6 @@ let test_watch_verdict =
          ignore
            (Tango_ctrl.Watch.verdict_of ~baseline:watch_baseline
               ~current:watch_current)))
-
-let digest_table =
-  List.init 8 (fun i ->
-      {
-        Tango.Discovery.index = i;
-        label = "bench";
-        as_path = Tango_bgp.As_path.of_list [ 20473; 2914 + i; 20473 ];
-        communities = Tango_bgp.Community.Set.empty;
-        poisons = [];
-        transits = [ 2914 + i ];
-        floor_owd_ms = 28.0;
-      })
-
-let test_ctrl_digest =
-  Test.make ~name:"ctrl.channel.digest_paths (8 paths)"
-    (Staged.stage (fun () -> ignore (Tango_ctrl.Channel.digest_paths digest_table)))
 
 (* Mesh relay fast path: segment-stack codec on a preallocated scratch
    stack and the O(1) arborescence probe. All three must stay at zero
@@ -548,7 +527,6 @@ let all_tests =
       test_send_batch_direct;
       test_send_batch_encap;
       test_watch_verdict;
-      test_ctrl_digest;
       test_segment_encode;
       test_segment_decode;
       test_arbor_next;

@@ -76,7 +76,6 @@ type t = {
      default (no reconciler, no backoff) scoring pass never has to
      consult per-path ban state. *)
   mutable external_bans : bool;
-  capacity : int;
   was_usable : Bytes.t;
   fails : int array;
   banned_until : float array;
@@ -90,17 +89,17 @@ type t = {
 
 let backoff_max_s = 30.0
 
-let create ?(readmit_backoff_s = 0.0) ?(path_capacity = 64) spec =
+let path_capacity = 64
+
+let create ?(readmit_backoff_s = 0.0) spec =
   if readmit_backoff_s < 0.0 then
     invalid_arg "Policy.create: negative readmit backoff";
-  if path_capacity <= 0 then invalid_arg "Policy.create: non-positive path capacity";
   let current = match spec with Static i -> i | _ -> 0 in
   {
     spec;
     max_staleness_s = 1.0;
     readmit_backoff_s;
     external_bans = false;
-    capacity = path_capacity;
     was_usable = Bytes.make path_capacity '\000';
     fails = Array.make path_capacity 0;
     banned_until = Array.make path_capacity neg_infinity;
@@ -116,8 +115,8 @@ let set_max_staleness_s t s =
   if s <= 0.0 then invalid_arg "Policy.set_max_staleness_s: non-positive";
   t.max_staleness_s <- s
 
-let[@hot] path_check t id =
-  if id < 0 || id >= t.capacity then
+let[@hot] path_check id =
+  if id < 0 || id >= path_capacity then
     invalid_arg "Policy: path id outside the preallocated capacity"
 
 (* [age_extra] re-bases a stats array measured [age_extra] seconds ago
@@ -143,7 +142,7 @@ let score t ~beta ~age_extra stats =
    target (measurably usable and not serving a ban). *)
 let update_damping t ~now_s ~meas stats =
   let id = stats.path_id in
-  path_check t id;
+  path_check id;
   let was = Bytes.unsafe_get t.was_usable id <> '\000' in
   if was && not meas then begin
     (* Down transition. An isolated failure long after the previous one
@@ -177,7 +176,7 @@ let update_path_state t ~now_s ~age_extra stats =
      once one has actually been applied. *)
   if t.readmit_backoff_s > 0.0 then update_damping t ~now_s ~meas stats
   else if t.external_bans then begin
-    path_check t stats.path_id;
+    path_check stats.path_id;
     meas && now_s >= t.banned_until.(stats.path_id)
   end
   else meas
@@ -289,21 +288,17 @@ let degraded t = t.degraded
 let degraded_episodes t = t.degraded_episodes
 
 let[@hot] readmit_banned t ~path ~now_s =
-  path >= 0 && path < t.capacity && now_s < t.banned_until.(path)
-
-let ban_remaining t ~path ~now_s =
-  if path < 0 || path >= t.capacity then 0.0
-  else Float.max 0.0 (t.banned_until.(path) -. now_s)
+  path >= 0 && path < path_capacity && now_s < t.banned_until.(path)
 
 let[@hot] ban t ~path ~now_s ~for_s =
   if path < 0 then invalid_arg "Policy.ban: negative path id";
   if for_s <= 0.0 then invalid_arg "Policy.ban: non-positive duration";
-  path_check t path;
+  path_check path;
   t.banned_until.(path) <- Float.max t.banned_until.(path) (now_s +. for_s);
   t.external_bans <- true
 
 let unban t ~path =
-  if path >= 0 && path < t.capacity then t.banned_until.(path) <- neg_infinity
+  if path >= 0 && path < path_capacity then t.banned_until.(path) <- neg_infinity
 
 let fail_count t ~path =
-  if path >= 0 && path < t.capacity then t.fails.(path) else 0
+  if path >= 0 && path < path_capacity then t.fails.(path) else 0

@@ -53,13 +53,13 @@ val spec_to_string : spec -> string
 
 type t
 
-val create : ?readmit_backoff_s:float -> ?path_capacity:int -> spec -> t
-(** Defaults: [readmit_backoff_s] 0.0 (flap damping off),
-    [path_capacity] 64. The backoff is capped at 30 s. Per-path damping/ban state is preallocated flat
-    at [path_capacity] so the scoring pass stays allocation-free (it is
-    reachable from the [@hot] packet path); a path id at or beyond the
-    capacity raises [Invalid_argument]. Raises [Invalid_argument] on a
-    negative backoff or a non-positive capacity. *)
+val create : ?readmit_backoff_s:float -> spec -> t
+(** Default [readmit_backoff_s]: 0.0 (flap damping off). The backoff is
+    capped at 30 s. Per-path damping/ban state is preallocated flat for
+    64 paths so the scoring pass stays allocation-free (it is reachable
+    from the [@hot] packet path); a path id of 64 or more raises
+    [Invalid_argument]. Raises [Invalid_argument] on a negative
+    backoff. *)
 
 val set_max_staleness_s : t -> float -> unit
 (** Tune dead-path detection: statistics older than this are treated as
@@ -95,11 +95,6 @@ val degraded_episodes : t -> int
 val readmit_banned : t -> path:int -> now_s:float -> bool
 (** Whether [path] is currently serving a ban (re-admission or
     external). *)
-
-val ban_remaining : t -> path:int -> now_s:float -> float
-(** Seconds of ban left on [path] at [now_s] (0 when unbanned or out of
-    range). Lets a caller that scheduled a readmission check at the
-    original expiry detect that a later {!ban} extended the sentence. *)
 
 val ban : t -> path:int -> now_s:float -> for_s:float -> unit
 (** Externally ban [path] as a switch target for [for_s] seconds from

@@ -1,11 +1,8 @@
 module Engine = Tango_sim.Engine
-module Fnv = Tango_net.Fnv
 module Packet = Tango_net.Packet
 module Metric = Tango_obs.Metric
 module Trace = Tango_obs.Trace
 module Pop = Tango.Pop
-module Discovery = Tango.Discovery
-module As_path = Tango_bgp.As_path
 
 (* Process-wide observability (DESIGN.md §10). *)
 let m_hb_sent =
@@ -31,28 +28,14 @@ let k_loss = Trace.kind "ctrl.peer_loss"
 
 let k_recover = Trace.kind "ctrl.peer_recover"
 
-type Packet.content += Heartbeat of { seq : int; epoch : int; digest : int }
-
-(* FNV-1a folded over each path's index and AS-path entries: a compact
-   fingerprint of an outbound path table, cheap enough to ride in every
-   heartbeat. Mesh gossip fingerprints its membership and routing tables
-   with the same step and seed ([Tango_net.Fnv]). *)
-let digest_paths paths =
-  List.fold_left
-    (fun h (p : Discovery.path) ->
-      let h = Fnv.mix h p.Discovery.index in
-      List.fold_left Fnv.mix h (As_path.to_list p.Discovery.as_path))
-    Fnv.digest_seed paths
+type Packet.content += Heartbeat
 
 type endpoint = {
   pop : Pop.t;
-  mutable seq : int;
   mutable sent : int;
   mutable received : int;
   mutable last_heard_s : float;
   mutable peer_alive : bool;
-  mutable peer_epoch : int;
-  mutable peer_digest : int;
   mutable losses : int;
   mutable recoveries : int;
 }
@@ -67,8 +50,6 @@ type t = {
   engine : Engine.t;
   a : endpoint;
   b : endpoint;
-  epoch_of : Pop.t -> int;
-  digest_of : Pop.t -> int;
   mutable on_recover : (Pop.t -> unit) option;
 }
 
@@ -77,19 +58,14 @@ let alive_count t =
 
 let set_alive_gauge t = Metric.set g_peer_alive (float_of_int (alive_count t))
 
-let send_heartbeat t ep =
-  let content =
-    Heartbeat
-      { seq = ep.seq; epoch = t.epoch_of ep.pop; digest = t.digest_of ep.pop }
-  in
+let send_heartbeat ep =
   (* While the peer is lost, rotate the heartbeat across every tunnel:
      the policy is pinned (possibly to the dead path), and any single
      live tunnel must be able to carry the recovery. *)
   let path =
-    if ep.peer_alive then None else Some (ep.seq mod Pop.path_count ep.pop)
+    if ep.peer_alive then None else Some (ep.sent mod Pop.path_count ep.pop)
   in
-  ignore (Pop.send_ctrl ep.pop ?path ~content ());
-  ep.seq <- ep.seq + 1;
+  ignore (Pop.send_ctrl ep.pop ?path ~content:Heartbeat ());
   ep.sent <- ep.sent + 1;
   Metric.incr m_hb_sent
 
@@ -109,11 +85,9 @@ let check_timeout t ep =
 
 let receive t ep ~now (packet : Packet.t) =
   match packet.Packet.content with
-  | Some (Heartbeat { seq = _; epoch; digest }) ->
+  | Some Heartbeat ->
       ep.received <- ep.received + 1;
       ep.last_heard_s <- now;
-      ep.peer_epoch <- epoch;
-      ep.peer_digest <- digest;
       Metric.incr m_hb_received;
       if not ep.peer_alive then begin
         (* Recovery: unpin and let the policy re-evaluate immediately;
@@ -130,37 +104,25 @@ let receive t ep ~now (packet : Packet.t) =
   | Some _ | None -> ()
 
 let tick t _engine =
-  send_heartbeat t t.a;
-  send_heartbeat t t.b;
+  send_heartbeat t.a;
+  send_heartbeat t.b;
   check_timeout t t.a;
   check_timeout t t.b
 
-let attach ~engine ~pop_a ~pop_b ?until_s ~epoch_of ~digest_of () =
+let attach ~engine ~pop_a ~pop_b ?until_s () =
   let now = Engine.now engine in
   let endpoint pop =
     {
       pop;
-      seq = 0;
       sent = 0;
       received = 0;
       last_heard_s = now;
       peer_alive = true;
-      peer_epoch = 0;
-      peer_digest = 0;
       losses = 0;
       recoveries = 0;
     }
   in
-  let t =
-    {
-      engine;
-      a = endpoint pop_a;
-      b = endpoint pop_b;
-      epoch_of;
-      digest_of;
-      on_recover = None;
-    }
-  in
+  let t = { engine; a = endpoint pop_a; b = endpoint pop_b; on_recover = None } in
   Pop.set_ctrl_handler pop_a (fun ~now packet -> receive t t.a ~now packet);
   Pop.set_ctrl_handler pop_b (fun ~now packet -> receive t t.b ~now packet);
   set_alive_gauge t;

@@ -1,12 +1,12 @@
-(** The in-band pair control channel: heartbeats and path-table digests
-    riding the pair's own tunnels (DESIGN.md §10).
+(** The in-band pair control channel: heartbeats riding the pair's own
+    tunnels (DESIGN.md §10).
 
     Each endpoint sends a heartbeat every 0.1 s on the path its live
-    policy currently prefers — control fate-shares with
-    data and fails over with it. A heartbeat carries the sender's
-    path-table generation ({!Tango.Pop.table_epoch}) and a digest of its
-    outbound table, so the peer can tell when a reconciliation swapped
-    tables on the far side.
+    policy currently prefers — control fate-shares with data and fails
+    over with it. A heartbeat carries nothing but its arrival: the
+    channel tells liveness, not table state. What a partition may have
+    hidden is left to the [on_recover] hook, which the reconciler uses
+    to re-check both directions of the pair unconditionally.
 
     An endpoint that has heard nothing for 0.5 s declares peer loss: its PoP is pinned ({!Tango.Pop.set_pinned}) into
     unilateral mode — with the peer gone, stat reports have stopped too,
@@ -17,12 +17,7 @@
     unpinned and the [on_recover] hook (the reconciler's re-sync
     trigger) fires. *)
 
-type Tango_net.Packet.content +=
-  | Heartbeat of { seq : int; epoch : int; digest : int }
-
-val digest_paths : Tango.Discovery.path list -> int
-(** Order-sensitive fingerprint of a path table (indices and AS paths),
-    as carried in heartbeats. *)
+type Tango_net.Packet.content += Heartbeat
 
 type t
 
@@ -31,14 +26,10 @@ val attach :
   pop_a:Tango.Pop.t ->
   pop_b:Tango.Pop.t ->
   ?until_s:float ->
-  epoch_of:(Tango.Pop.t -> int) ->
-  digest_of:(Tango.Pop.t -> int) ->
   unit ->
   t
 (** Install ctrl-port handlers on both PoPs and schedule the heartbeat
-    tick (every 0.1 s; the peer timeout is 0.5 s). [epoch_of]/[digest_of]
-    supply what each endpoint advertises about its own outbound
-    table. *)
+    tick (every 0.1 s; the peer timeout is 0.5 s). *)
 
 val set_on_recover : t -> (Tango.Pop.t -> unit) -> unit
 (** Hook invoked (with the local PoP) when a lost peer is heard again —

@@ -395,15 +395,9 @@ let arm ~pair ?(config = default_config) ?(seed = 0) ?(with_channel = true)
       check_dir t t.to_ny;
       check_dir t t.to_la);
   if with_channel then begin
-    let pop_la = Pair.pop_la pair and pop_ny = Pair.pop_ny pair in
-    let digest_of pop =
-      Channel.digest_paths
-        (if Pop.node pop = Pop.node pop_la then Pair.paths_to_ny pair
-         else Pair.paths_to_la pair)
-    in
     let channel =
-      Channel.attach ~engine ~pop_a:pop_la ~pop_b:pop_ny ~until_s
-        ~epoch_of:Pop.table_epoch ~digest_of ()
+      Channel.attach ~engine ~pop_a:(Pair.pop_la pair) ~pop_b:(Pair.pop_ny pair)
+        ~until_s ()
     in
     (* Re-sync on recovery: a partition may have hidden churn from the
        watches' event sources, so check both directions at once. *)

@@ -10,8 +10,9 @@
    tables) reads values too, so every [Pexp_ident] of a reader counts,
    not only those inside function bindings. A reference is
 
-   - a path ending in [M.f], after expanding [module X = ...M] aliases
-     (a val [f] of nested signature [Sub] in [m.mli] is [M.Sub.f]);
+   - a path ending in [M.f], as written or after expanding
+     [module X = ...M] aliases (a val [f] of nested signature [Sub] in
+     [m.mli] is [M.Sub.f]);
    - a bare or partial path [p] in a file that opens [M] anywhere
      ([open], [let open], [M.( ... )]): it also stands for [M.p];
    - a module [M] passed as a functor argument, included or packed as a
@@ -37,13 +38,20 @@ let suffixes ~min path =
 
 let references structure =
   let expand = Callgraph.expand_alias (Callgraph.aliases structure) in
-  let idents = ref [] and opens = ref [] and modules = ref [] in
-  let module_path = function
-    | { pmod_desc = Pmod_ident { txt; _ }; _ } ->
-        Some (expand (Callgraph.flatten_longident txt))
-    | _ -> None
+  (* Aliases are collected over the whole file, whatever their scope, so
+     a path counts both as written and expanded: [module R = Old_r]
+     inside one submodule must not hide a top-level [R.f]. *)
+  let paths lid =
+    let path = Callgraph.flatten_longident lid in
+    let expanded = expand path in
+    if String.equal expanded path then [ path ] else [ path; expanded ]
   in
-  let add_to acc me = Option.iter (fun p -> acc := p :: !acc) (module_path me) in
+  let idents = ref [] and opens = ref [] and modules = ref [] in
+  let add_to acc me =
+    match me.pmod_desc with
+    | Pmod_ident { txt; _ } -> acc := paths txt @ !acc
+    | _ -> ()
+  in
   let super = Ast_iterator.default_iterator in
   let module_expr it me =
     (match me.pmod_desc with Pmod_apply (_, arg) -> add_to modules arg | _ -> ());
@@ -61,7 +69,7 @@ let references structure =
   in
   let expr it e =
     (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> idents := expand (Callgraph.flatten_longident txt) :: !idents
+    | Pexp_ident { txt; _ } -> idents := paths txt @ !idents
     | Pexp_pack me -> add_to modules me
     | _ -> ());
     super.expr it e

@@ -10,7 +10,8 @@
     functor argument (which references every value of [M]). *)
 
 type refs = { values : string list; modules : string list }
-(** What one implementation references: dotted value paths (each also
+(** What one implementation references: dotted value paths (each as
+    written and, when it starts with a module alias, expanded; each also
     prefixed by every module the file opens) and modules used whole. *)
 
 val references : Parsetree.structure -> refs

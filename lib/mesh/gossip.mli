@@ -1,14 +1,14 @@
-(** Mesh membership + table-digest gossip with deterministic fanout —
-    the pairwise control channel of [lib/ctrl] generalized to N PoPs.
+(** Mesh membership + table-digest gossip with deterministic fanout:
+    the liveness job of the pairwise control channel of [lib/ctrl],
+    done for N PoPs.
 
     Each PoP keeps a membership view (per-subject alive bit with a
     last-write-wins virtual-time stamp) and a version counter for its
     own routing table. Anti-entropy rounds push rows to a rotation of
     CSR neighbors that is a pure function of (round, fanout, degree):
     seeded runs gossip identically, message for message. View digests
-    fold through the FNV-1a step and seed the pair channel uses
-    ({!Tango_net.Fnv.mix}), so pairwise heartbeat digests and mesh
-    table digests are one comparable hash family.
+    fold through the shared FNV-1a step and seed
+    ({!Tango_net.Fnv.mix}).
 
     Gossip converges membership and lets sources account for remote
     failures; it is {e not} on the failover path — a relay whose next

@@ -1,5 +1,4 @@
 module Engine = Tango_sim.Engine
-module Policy = Tango.Policy
 module Fnv = Tango_net.Fnv
 module Metric = Tango_obs.Metric
 module Trace = Tango_obs.Trace
@@ -58,13 +57,10 @@ let excused_code = 5
 let quarantine_cap_s = 60.0
 
 (* Each PoP sends hellos every [hello_interval_s]; a neighbor silent
-   for [dead_after_s] (four hellos) is dead, and each tree that fails
-   over is banned for [ban_s]. *)
+   for [dead_after_s] (four hellos) is dead. *)
 let hello_interval_s = 0.025
 
 let dead_after_s = 0.1
-
-let ban_s = 1.0
 
 type t = {
   topo : Mtopo.t;
@@ -77,13 +73,13 @@ type t = {
   heard_s : float array; (* per slot (u->v): when v last heard u's hello *)
   nbr_alive : Bytes.t; (* per slot (u->v): v's local view of u *)
   suspected_at : float array; (* per slot: latest alive->dead transition *)
-  policies : Policy.t array; (* per pop: tree preference + tree bans *)
+  tree_pref : int array; (* per pop: the tree its own sends start on *)
   scratch : Segment.stack;
   quarantine_s : float;
   mutable att : Attest.t option; (* verifier; None = attestation off *)
   mis : Bytes.t; (* per pop: misbehavior code (fault injection) *)
   quarantined : Bytes.t; (* per pop: currently quarantined *)
-  quar_policy : Policy.t; (* quarantine bans, one path id per pop *)
+  quar_until : float array; (* per pop: quarantine release time *)
   quar_times : int array; (* per pop: quarantine episodes (backoff exp) *)
   rep_buf : Bytes.t; (* replaying relay's captured frame *)
   verdicts : int array; (* judged deliveries per verdict code *)
@@ -123,14 +119,13 @@ let create ?(quarantine_s = 2.0) ~topo ~arbor ~engine ~gossip () =
     heard_s = Array.make slots 0.0;
     nbr_alive = Bytes.make slots '\001';
     suspected_at = Array.make slots nan;
-    policies =
-      Array.init n (fun _ -> Policy.create ~path_capacity:trees (Policy.Static 0));
+    tree_pref = Array.make n 0;
     scratch = Segment.create_stack ();
     quarantine_s;
     att = None;
     mis = Bytes.make n '\000';
     quarantined = Bytes.make n '\000';
-    quar_policy = Policy.create ~path_capacity:n (Policy.Static 0);
+    quar_until = Array.make n neg_infinity;
     quar_times = Array.make n 0;
     rep_buf = Bytes.make Segment.max_header_bytes '\000';
     verdicts = Array.make 5 0;
@@ -220,18 +215,13 @@ let heal_region t ~region = set_region_links t ~region ~up:true
    A convicted relay is banned as a forwarding target — [slot_viable]
    treats it like a dead neighbor, so live traffic flips to
    arborescence steering around it, the same O(1) failover that covers
-   honest crashes. Durations back off exponentially per episode via the
-   standard {!Policy.ban} machinery (bookkeeping on a dedicated policy
-   whose path ids are PoP ids); readmission is scheduled at the expiry
-   and re-checks {!Policy.ban_remaining} so a re-conviction while
-   serving extends the sentence rather than racing the timer. *)
+   honest crashes. Durations back off exponentially per episode. A
+   PoP's release time only ever moves later, and readmission, scheduled
+   at the release time, re-checks it against the clock. *)
 
 let readmit t ~pop engine =
   let now = Engine.now engine in
-  if
-    Bytes.get_uint8 t.quarantined pop = 1
-    && Policy.ban_remaining t.quar_policy ~path:pop ~now_s:now <= 0.0
-  then begin
+  if Bytes.get_uint8 t.quarantined pop = 1 && t.quar_until.(pop) <= now then begin
     Bytes.set_uint8 t.quarantined pop 0;
     t.readmissions <- t.readmissions + 1;
     Metric.incr m_readmissions;
@@ -250,7 +240,7 @@ let quarantine t ~pop ~now =
       Float.min quarantine_cap_s
         (t.quarantine_s *. (2.0 ** float_of_int (t.quar_times.(pop) - 1)))
     in
-    Policy.ban t.quar_policy ~path:pop ~now_s:now ~for_s:dur;
+    t.quar_until.(pop) <- Float.max t.quar_until.(pop) (now +. dur);
     Metric.incr m_quarantines;
     Trace.record Trace.default ~now ~kind:k_quarantine pop t.quar_times.(pop);
     Engine.schedule t.engine ~delay:dur (fun engine -> readmit t ~pop engine)
@@ -333,14 +323,12 @@ let[@hot] stack_next t pop st =
 
 (* Arborescence failover: probe trees in circular order starting at the
    tree stamped in the packet. Each tree is an in-tree, so a packet
-   keeps the same tree until a locally-dead next hop forces a rotation;
-   the dead tree is banned for [ban_s] (feeding the standard Policy
-   flap machinery — bookkeeping, not a gate: a banned tree whose next
-   hop is alive again still forwards). At most [trees] probes — the
-   O(1) bound the E15 gate asserts. Returns the chosen slot (st.tree
-   updated) or -1. *)
-let[@hot] arbor_next t pop st ~now =
-  let pol = t.policies.(pop) in
+   keeps the same tree until a locally-dead next hop forces a rotation.
+   Nothing remembers a dead tree: the next packet probes it again, so a
+   tree whose next hop is alive again forwards at once. At most [trees]
+   probes — the O(1) bound the E15 gate asserts. Returns the chosen
+   slot (st.tree updated, and the PoP's own sends start there) or -1. *)
+let[@hot] arbor_next t pop st =
   let pref = st.Segment.tree in
   let chosen = ref (-1) in
   let rot = ref 0 in
@@ -349,16 +337,12 @@ let[@hot] arbor_next t pop st ~now =
     let tree = (pref + !i) mod t.trees in
     let nh = Arbor.next_hop t.arbor ~dst:st.Segment.dst ~tree ~pop in
     if nh >= 0 then begin
-      ignore (Policy.readmit_banned pol ~path:tree ~now_s:now);
       let s = Mtopo.slot t.topo ~src:pop ~dst:nh in
       if s >= 0 && slot_viable t s then begin
         chosen := s;
         st.Segment.tree <- tree
       end
-      else begin
-        Policy.ban pol ~path:tree ~now_s:now ~for_s:ban_s;
-        incr rot
-      end
+      else incr rot
     end
     else incr rot;
     incr i
@@ -368,8 +352,7 @@ let[@hot] arbor_next t pop st ~now =
     if !rot > t.max_rot then t.max_rot <- !rot;
     Gossip.bump_table_version t.gossip ~pop
   end;
-  if !chosen >= 0 && Policy.current pol <> st.Segment.tree then
-    Policy.retarget pol ~path:st.Segment.tree;
+  if !chosen >= 0 then t.tree_pref.(pop) <- st.Segment.tree;
   !chosen
 
 (* [verdict] -1 = unjudged (attestation off): mixed exactly as before
@@ -527,7 +510,7 @@ let rec forward t ~pop ~now frame =
             Metric.incr m_reroutes
           end;
           st.Segment.flags <- st.Segment.flags lor Segment.flag_arbor;
-          arbor_next t pop st ~now
+          arbor_next t pop st
         end
       in
       if s < 0 then drop t
@@ -549,7 +532,7 @@ let send t ~src ~flow ~seq ~hops ~seg_paths ~count =
   if count < 1 || count > Segment.max_segments then
     Err.invalid "Relay.send: %d segments outside [1,%d]" count Segment.max_segments;
   let st = t.scratch in
-  st.Segment.tree <- Policy.current t.policies.(src);
+  st.Segment.tree <- t.tree_pref.(src);
   st.Segment.top <- 0;
   st.Segment.src <- src;
   st.Segment.dst <- hops.(count - 1);

@@ -6,8 +6,9 @@
     scales to hundreds of PoPs. Forwarding pops one stack entry per
     hop; when the stacked next hop is locally dead (hello timeout) the
     frame flips to arborescence mode and the relay rotates to the next
-    precomputed tree — at most [Arbor.k] O(1) probes, with each dead
-    tree fed to {!Tango.Policy.ban} like any other path fault. There is
+    precomputed tree — at most [Arbor.k] O(1) probes. A PoP's own sends
+    start on the tree its last failover chose; no dead tree is
+    remembered, so every probe sees the current hello view. There is
     no rediscovery on the failover path; {!discovery_msgs} counts
     route-stitch computations so experiments can assert exactly that.
 
@@ -25,8 +26,8 @@ val create :
   gossip:Gossip.t ->
   unit ->
   t
-(** Hellos go every 25 ms, a neighbor is dead after 100 ms of silence
-    and dead trees are banned for 1 s; these are constants. A first
+(** Hellos go every 25 ms and a neighbor is dead after 100 ms of
+    silence; these are constants. A first
     quarantine lasts [quarantine_s] (default 2 s), doubling per
     episode, capped at 60 s. Raises {!Err.Invalid} when [quarantine_s]
     is not positive, NaN included. *)

@@ -1,17 +1,17 @@
-(** IP addresses of either family. *)
+(** IP addresses. Every deployment, tunnel and workload in this
+    reproduction is IPv6, so an address is an {!Ipv6.t}; textual IPv4
+    is rejected. *)
 
-type t = V4 of Ipv4.t | V6 of Ipv6.t
+type t = Ipv6.t
 
 val compare : t -> t -> int
-(** V4 sorts before V6; within a family, numeric order. *)
+(** Numeric order. *)
 
 val equal : t -> t -> bool
 
 val of_string : string -> (t, string) result
-(** Tries IPv4 dotted-quad first, then IPv6. *)
+(** Parse IPv6 text; anything else, IPv4 dotted quads included, is an
+    [Error]. *)
 
 val of_string_exn : string -> t
 val to_string : t -> string
-
-val family_bits : t -> int
-(** 32 for V4, 128 for V6. *)

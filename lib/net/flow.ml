@@ -39,11 +39,9 @@ let[@inline] feed_int64 h x =
   let h = feed_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
   feed_byte h (Int64.to_int (Int64.shift_right_logical x 56))
 
-(* A v4 address feeds as its sign-extended int64. *)
-let[@inline] feed_addr h addr =
-  match addr with
-  | Addr.V4 a -> feed_int64 h (Int64.of_int32 (Ipv4.to_int32 a))
-  | Addr.V6 a -> feed_int64 (feed_int64 h a.Ipv6.hi) a.Ipv6.lo
+(* High word, then low word: ECMP lanes and every fingerprint depend on
+   this order. *)
+let[@inline] feed_addr h (a : Addr.t) = feed_int64 (feed_int64 h a.Ipv6.hi) a.Ipv6.lo
 
 let hash_fields ~salt ~src ~dst ~proto ~src_port ~dst_port =
   let h = feed_addr (feed_addr fnv_offset src) dst in

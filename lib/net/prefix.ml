@@ -1,22 +1,12 @@
 type t = { addr : Addr.t; len : int }
 
-let mask_v4 len =
-  if len = 0 then 0l
-  else Int32.shift_left Int32.minus_one (32 - len)
-
 let mask_v6 len =
   Ipv6.shift_left (Ipv6.lognot Ipv6.any) (128 - len)
 
-let canonicalize addr len =
-  match addr with
-  | Addr.V4 a -> Addr.V4 (Ipv4.of_int32 (Int32.logand (Ipv4.to_int32 a) (mask_v4 len)))
-  | Addr.V6 a -> Addr.V6 (Ipv6.logand a (mask_v6 len))
-
 let v addr len =
-  let bits = Addr.family_bits addr in
-  if len < 0 || len > bits then
-    Err.invalid "Prefix.v: length %d out of range for /%d family" len bits;
-  { addr = canonicalize addr len; len }
+  if len < 0 || len > 128 then
+    Err.invalid "Prefix.v: length %d out of range for /128 family" len;
+  { addr = Ipv6.logand addr (mask_v6 len); len }
 
 let length t = t.len
 
@@ -33,7 +23,7 @@ let of_string s =
       let addr_part = String.sub s 0 i in
       let len_part = String.sub s (i + 1) (String.length s - i - 1) in
       match (Addr.of_string addr_part, int_of_string_opt len_part) with
-      | Ok a, Some len when len >= 0 && len <= Addr.family_bits a -> Ok (v a len)
+      | Ok a, Some len when len >= 0 && len <= 128 -> Ok (v a len)
       | Ok _, _ -> Error (Printf.sprintf "bad prefix length in %S" s)
       | Error e, _ -> Error e)
 
@@ -56,16 +46,7 @@ let mem_v6 (net : Ipv6.t) (x : Ipv6.t) len =
     && Int64.equal net.lo
          (Int64.logand x.lo (Int64.shift_left Int64.minus_one (128 - len)))
 
-let mem t a =
-  match t.addr with
-  | Addr.V4 net -> (
-      match a with
-      | Addr.V4 x ->
-          Int32.equal (Ipv4.to_int32 net)
-            (Int32.logand (Ipv4.to_int32 x) (mask_v4 t.len))
-      | Addr.V6 _ -> false)
-  | Addr.V6 net -> (
-      match a with Addr.V6 x -> mem_v6 net x t.len | Addr.V4 _ -> false)
+let mem t a = mem_v6 t.addr a t.len
 
 let subsumes p q = p.len <= q.len && mem p q.addr
 
@@ -73,25 +54,14 @@ let overlaps p q = subsumes p q || subsumes q p
 
 let subnet t extra i =
   if extra < 0 then Err.invalid "Prefix.subnet: negative extra bits";
-  let bits = Addr.family_bits t.addr in
   let new_len = t.len + extra in
-  if new_len > bits then
+  if new_len > 128 then
     Err.invalid "Prefix.subnet: /%d exceeds family width" new_len;
   if i < 0 || (extra < 62 && i >= 1 lsl extra) then
     Err.invalid "Prefix.subnet: index %d out of range for %d extra bits" i extra;
-  let base =
-    match t.addr with
-    | Addr.V4 a ->
-        let shifted = Int32.shift_left (Int32.of_int i) (32 - new_len) in
-        Addr.V4 (Ipv4.of_int32 (Int32.logor (Ipv4.to_int32 a) shifted))
-    | Addr.V6 a ->
-        let index = Ipv6.make 0L (Int64.of_int i) in
-        Addr.V6 (Ipv6.logor a (Ipv6.shift_left index (128 - new_len)))
-  in
-  v base new_len
+  let index = Ipv6.make 0L (Int64.of_int i) in
+  v (Ipv6.logor t.addr (Ipv6.shift_left index (128 - new_len))) new_len
 
 let nth_address t i =
   if Int64.compare i 0L < 0 then Err.invalid "Prefix.nth_address: negative index";
-  match t.addr with
-  | Addr.V4 a -> Addr.V4 (Ipv4.add a (Int64.to_int i))
-  | Addr.V6 a -> Addr.V6 (Ipv6.add a i)
+  Ipv6.add t.addr i

@@ -19,7 +19,7 @@ val of_string_exn : string -> t
 val to_string : t -> string
 
 val mem : t -> Addr.t -> bool
-(** [mem p a] — does [a] fall inside [p]? Always false across families. *)
+(** [mem p a] — does [a] fall inside [p]? *)
 
 (* test-hook: test/test_tango.ml *)
 val subsumes : t -> t -> bool

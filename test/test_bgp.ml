@@ -5,7 +5,6 @@
 open Tango_bgp
 module Prefix = Tango_net.Prefix
 module Addr = Tango_net.Addr
-module Ipv4 = Tango_net.Ipv4
 module Ipv6 = Tango_net.Ipv6
 module Topology = Tango_topo.Topology
 module Relationship = Tango_topo.Relationship
@@ -153,7 +152,7 @@ let test_speaker_originate_exports_to_all () =
   let s = Speaker.create ~node_id:1 ~asn:100 () in
   Speaker.add_neighbor s ~node_id:2 ~asn:200 ~rel:Relationship.Customer ();
   Speaker.add_neighbor s ~node_id:3 ~asn:300 ~rel:Relationship.Provider ();
-  let emissions = Speaker.originate s (prefix "10.0.0.0/8") () in
+  let emissions = Speaker.originate s (prefix "2001:db8::/32") () in
   Alcotest.(check int) "two updates" 2 (List.length emissions);
   List.iter
     (fun { Update.update; _ } ->
@@ -168,23 +167,23 @@ let test_speaker_loop_rejection () =
   let s = Speaker.create ~node_id:1 ~asn:100 () in
   Speaker.add_neighbor s ~node_id:2 ~asn:200 ~rel:Relationship.Provider ();
   let wire =
-    Route.make ~prefix:(prefix "10.0.0.0/8")
+    Route.make ~prefix:(prefix "2001:db8::/32")
       ~path:(As_path.of_list [ 200; 100; 300 ])
       ~next_hop:2 ()
   in
   ignore (Speaker.receive s ~from_node:2 (Update.Announce wire));
-  Alcotest.(check bool) "rejected" true (Speaker.best s (prefix "10.0.0.0/8") = None)
+  Alcotest.(check bool) "rejected" true (Speaker.best s (prefix "2001:db8::/32") = None)
 
 let test_speaker_allowas_in () =
   let s = Speaker.create ~node_id:1 ~asn:100 ~allowas_in:true () in
   Speaker.add_neighbor s ~node_id:2 ~asn:200 ~rel:Relationship.Provider ();
   let wire =
-    Route.make ~prefix:(prefix "10.0.0.0/8")
+    Route.make ~prefix:(prefix "2001:db8::/32")
       ~path:(As_path.of_list [ 200; 100; 300 ])
       ~next_hop:2 ()
   in
   ignore (Speaker.receive s ~from_node:2 (Update.Announce wire));
-  Alcotest.(check bool) "accepted" true (Speaker.best s (prefix "10.0.0.0/8") <> None)
+  Alcotest.(check bool) "accepted" true (Speaker.best s (prefix "2001:db8::/32") <> None)
 
 let test_speaker_gao_rexford_no_peer_transit () =
   (* A route learned from a provider must not be exported to a peer. *)
@@ -193,7 +192,7 @@ let test_speaker_gao_rexford_no_peer_transit () =
   Speaker.add_neighbor s ~node_id:3 ~asn:300 ~rel:Relationship.Peer ();
   Speaker.add_neighbor s ~node_id:4 ~asn:400 ~rel:Relationship.Customer ();
   let wire =
-    Route.make ~prefix:(prefix "10.0.0.0/8") ~path:(As_path.of_list [ 200 ])
+    Route.make ~prefix:(prefix "2001:db8::/32") ~path:(As_path.of_list [ 200 ])
       ~next_hop:2 ()
   in
   let emissions = Speaker.receive s ~from_node:2 (Update.Announce wire) in
@@ -204,7 +203,7 @@ let test_speaker_split_horizon () =
   let s = Speaker.create ~node_id:1 ~asn:100 () in
   Speaker.add_neighbor s ~node_id:2 ~asn:200 ~rel:Relationship.Customer ();
   let wire =
-    Route.make ~prefix:(prefix "10.0.0.0/8") ~path:(As_path.of_list [ 200 ])
+    Route.make ~prefix:(prefix "2001:db8::/32") ~path:(As_path.of_list [ 200 ])
       ~next_hop:2 ()
   in
   let emissions = Speaker.receive s ~from_node:2 (Update.Announce wire) in
@@ -216,16 +215,16 @@ let test_speaker_withdraw_cascade () =
   Speaker.add_neighbor s ~node_id:2 ~asn:200 ~rel:Relationship.Customer ();
   Speaker.add_neighbor s ~node_id:3 ~asn:300 ~rel:Relationship.Customer ();
   let wire =
-    Route.make ~prefix:(prefix "10.0.0.0/8") ~path:(As_path.of_list [ 200 ])
+    Route.make ~prefix:(prefix "2001:db8::/32") ~path:(As_path.of_list [ 200 ])
       ~next_hop:2 ()
   in
   ignore (Speaker.receive s ~from_node:2 (Update.Announce wire));
-  let emissions = Speaker.receive s ~from_node:2 (Update.Withdraw (prefix "10.0.0.0/8")) in
+  let emissions = Speaker.receive s ~from_node:2 (Update.Withdraw (prefix "2001:db8::/32")) in
   Alcotest.(check bool) "withdraw forwarded" true
     (List.exists
-       (fun e -> e.Update.to_node = 3 && e.Update.update = Update.Withdraw (prefix "10.0.0.0/8"))
+       (fun e -> e.Update.to_node = 3 && e.Update.update = Update.Withdraw (prefix "2001:db8::/32"))
        emissions);
-  Alcotest.(check bool) "loc rib empty" true (Speaker.best s (prefix "10.0.0.0/8") = None)
+  Alcotest.(check bool) "loc rib empty" true (Speaker.best s (prefix "2001:db8::/32") = None)
 
 let test_speaker_remove_private () =
   let s =
@@ -333,31 +332,31 @@ let converge_chain () =
   let topo = Tango_topo.Builders.chain 4 in
   let engine = Engine.create () in
   let net = Network.create topo engine in
-  Network.announce net ~node:3 (prefix "10.0.0.0/8") ();
+  Network.announce net ~node:3 (prefix "2001:db8::/32") ();
   ignore (Network.converge net);
   net
 
 let test_network_chain_propagation () =
   let net = converge_chain () in
-  (match Network.as_path net ~node:0 (prefix "10.0.0.0/8") with
+  (match Network.as_path net ~node:0 (prefix "2001:db8::/32") with
   | Some path -> Alcotest.(check (list int)) "full path" [ 1; 2; 3 ] (As_path.to_list path)
   | None -> Alcotest.fail "prefix did not propagate");
   Alcotest.(check bool) "messages flowed" true (Network.messages_delivered net > 0)
 
 let test_network_forwarding_path () =
   let net = converge_chain () in
-  let addr = Tango_net.Addr.of_string_exn "10.1.2.3" in
+  let addr = Tango_net.Addr.of_string_exn "2001:db8:1:2::3" in
   Alcotest.(check (option (list int))) "hop-by-hop" (Some [ 0; 1; 2; 3 ])
     (Network.forwarding_path net ~from_node:0 addr);
   Alcotest.(check (option (list int))) "unroutable" None
-    (Network.forwarding_path net ~from_node:0 (Tango_net.Addr.of_string_exn "11.0.0.1"))
+    (Network.forwarding_path net ~from_node:0 (Tango_net.Addr.of_string_exn "2001:db9::1"))
 
 let test_network_withdraw () =
   let net = converge_chain () in
-  Network.withdraw net ~node:3 (prefix "10.0.0.0/8");
+  Network.withdraw net ~node:3 (prefix "2001:db8::/32");
   ignore (Network.converge net);
   Alcotest.(check bool) "gone everywhere" true
-    (Network.as_path net ~node:0 (prefix "10.0.0.0/8") = None)
+    (Network.as_path net ~node:0 (prefix "2001:db8::/32") = None)
 
 let test_network_valley_free_propagation () =
   (* 1 -peer- 2; 3 customer of 1; 4 customer of 2; 5 peer of 1.
@@ -374,12 +373,12 @@ let test_network_valley_free_propagation () =
   Topology.connect topo ~provider:2 ~customer:4 ();
   let engine = Engine.create () in
   let net = Network.create topo engine in
-  Network.announce net ~node:3 (prefix "10.0.0.0/8") ();
+  Network.announce net ~node:3 (prefix "2001:db8::/32") ();
   ignore (Network.converge net);
   Alcotest.(check bool) "customer of peer reached" true
-    (Network.as_path net ~node:4 (prefix "10.0.0.0/8") <> None);
+    (Network.as_path net ~node:4 (prefix "2001:db8::/32") <> None);
   Alcotest.(check bool) "peer of peer NOT reached" true
-    (Network.as_path net ~node:5 (prefix "10.0.0.0/8") = None)
+    (Network.as_path net ~node:5 (prefix "2001:db8::/32") = None)
 
 let test_network_poisoning () =
   (* Stub 5 below providers 3 and 4, which sit below peered tier-1s 1,2.
@@ -395,11 +394,11 @@ let test_network_poisoning () =
   Topology.connect topo ~provider:4 ~customer:5 ();
   let engine = Engine.create () in
   let net = Network.create topo engine in
-  Network.announce net ~node:5 (prefix "10.0.0.0/8") ~poison:[ 4 ] ();
+  Network.announce net ~node:5 (prefix "2001:db8::/32") ~poison:[ 4 ] ();
   ignore (Network.converge net);
   Alcotest.(check bool) "poisoned AS rejects" true
-    (Network.as_path net ~node:4 (prefix "10.0.0.0/8") = None);
-  (match Network.as_path net ~node:1 (prefix "10.0.0.0/8") with
+    (Network.as_path net ~node:4 (prefix "2001:db8::/32") = None);
+  (match Network.as_path net ~node:1 (prefix "2001:db8::/32") with
   | Some p ->
       (* The origin sandwiches the poisoned ASN: 5 announces "5 4 5". *)
       Alcotest.(check (list int)) "poison visible in path" [ 3; 5; 4; 5 ]
@@ -413,16 +412,16 @@ let test_network_mrai_same_outcome_less_churn () =
     let topo = Tango_topo.Builders.random_hierarchy ~seed:5 ~tier1:3 ~tier2:6 ~stubs:10 in
     let engine = Engine.create () in
     let net = Network.create ~mrai_s topo engine in
-    Network.announce net ~node:18 (prefix "10.0.0.0/8") ();
+    Network.announce net ~node:18 (prefix "2001:db8::/32") ();
     (* Retract and re-announce to generate churn MRAI can absorb. *)
-    Network.withdraw net ~node:18 (prefix "10.0.0.0/8");
-    Network.announce net ~node:18 (prefix "10.0.0.0/8") ();
+    Network.withdraw net ~node:18 (prefix "2001:db8::/32");
+    Network.announce net ~node:18 (prefix "2001:db8::/32") ();
     ignore (Network.converge net);
     net
   in
   let fast = build 0.0 and damped = build 5.0 in
   for node = 0 to 17 do
-    let path net = Network.as_path net ~node (prefix "10.0.0.0/8") in
+    let path net = Network.as_path net ~node (prefix "2001:db8::/32") in
     Alcotest.(check bool)
       (Printf.sprintf "node %d same route" node)
       true
@@ -440,7 +439,7 @@ let test_network_mrai_coalesces_flaps () =
   let topo = Tango_topo.Builders.chain 2 in
   let engine = Engine.create () in
   let net = Network.create ~mrai_s:10.0 topo engine in
-  let p = prefix "10.0.0.0/8" in
+  let p = prefix "2001:db8::/32" in
   Network.announce net ~node:1 p ();
   Network.withdraw net ~node:1 p;
   Network.announce net ~node:1 p ();
@@ -463,7 +462,7 @@ let random_converged seed =
   let net = Network.create topo engine in
   (* Announce from the last stub (always a stub by construction). *)
   let origin = 15 in
-  Network.announce net ~node:origin (prefix "10.0.0.0/8") ();
+  Network.announce net ~node:origin (prefix "2001:db8::/32") ();
   ignore (Network.converge net);
   (topo, net, origin)
 
@@ -474,7 +473,7 @@ let bgp_qcheck_no_loops =
       let topo, net, _ = random_converged seed in
       List.for_all
         (fun (n : Topology.node) ->
-          match Network.as_path net ~node:n.Topology.id (prefix "10.0.0.0/8") with
+          match Network.as_path net ~node:n.Topology.id (prefix "2001:db8::/32") with
           | None -> true
           | Some path ->
               let l = As_path.to_list path in
@@ -486,7 +485,7 @@ let bgp_qcheck_valley_free =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let topo, net, _ = random_converged seed in
-      let addr = Tango_net.Addr.of_string_exn "10.1.2.3" in
+      let addr = Tango_net.Addr.of_string_exn "2001:db8:1:2::3" in
       List.for_all
         (fun (n : Topology.node) ->
           match Network.forwarding_path net ~from_node:n.Topology.id addr with
@@ -499,11 +498,11 @@ let bgp_qcheck_withdraw_cleans_everything =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let topo, net, origin = random_converged seed in
-      Network.withdraw net ~node:origin (prefix "10.0.0.0/8");
+      Network.withdraw net ~node:origin (prefix "2001:db8::/32");
       ignore (Network.converge net);
       List.for_all
         (fun (n : Topology.node) ->
-          Network.as_path net ~node:n.Topology.id (prefix "10.0.0.0/8") = None)
+          Network.as_path net ~node:n.Topology.id (prefix "2001:db8::/32") = None)
         (Topology.nodes topo))
 
 let bgp_qcheck_customer_reaches_origin =
@@ -512,7 +511,7 @@ let bgp_qcheck_customer_reaches_origin =
     (fun seed ->
       let topo, net, origin = random_converged seed in
       List.for_all
-        (fun p -> Network.as_path net ~node:p (prefix "10.0.0.0/8") <> None)
+        (fun p -> Network.as_path net ~node:p (prefix "2001:db8::/32") <> None)
         (Topology.providers topo origin))
 
 (* ------------------------------------------------------------------ *)
@@ -536,19 +535,21 @@ let old_route_for_addr net ~node addr =
     None rib
   |> Option.map snd
 
-(* Nested prefixes of both families, from the default route down to a
-   single host, plus siblings that split a parent at a bit boundary. *)
+(* Nested prefixes, from the default route down to a single host, plus
+   siblings that split a parent at a bit boundary; the IPv4-mapped block
+   (::ffff:0:0/96) nests the same way below the default route, with its
+   masks ending in the low word. *)
 let fib_universe =
   List.map prefix
     [
-      "0.0.0.0/0";
-      "10.0.0.0/8";
-      "10.1.0.0/16";
-      "10.1.2.0/24";
-      "10.1.2.3/32";
-      "10.128.0.0/9";
-      "192.168.0.0/16";
-      "255.255.255.255/32";
+      "::ffff:0:0/96";
+      "::ffff:a00:0/104";
+      "::ffff:a01:0/112";
+      "::ffff:a01:200/120";
+      "::ffff:a01:203/128";
+      "::ffff:a80:0/105";
+      "::ffff:c0a8:0/112";
+      "::ffff:ffff:ffff/128";
       "::/0";
       "2001:db8::/32";
       "2001:db8:1::/48";
@@ -563,31 +564,21 @@ let fib_universe =
    the ends of the address space) and one address strictly inside. *)
 let fib_probes p =
   let len = Prefix.length p in
-  match Prefix.nth_address p 0L with
-  | Addr.V4 a ->
-      let first = Int64.logand (Int64.of_int32 (Ipv4.to_int32 a)) 0xFFFF_FFFFL in
-      let host = Int64.pred (Int64.shift_left 1L (32 - len)) in
-      let last = Int64.logor first host in
-      let v4 x = Addr.V4 (Ipv4.of_int32 (Int64.to_int32 x)) in
-      List.map v4
-        [ first; last; Int64.pred first; Int64.succ last; Int64.add first (Int64.div host 2L) ]
-  | Addr.V6 a ->
-      let hi = Ipv6.hi a and lo = Ipv6.lo a in
-      let host_hi = if len >= 64 then 0L else Int64.shift_right_logical (-1L) len in
-      let host_lo =
-        if len <= 64 then -1L
-        else if len = 128 then 0L
-        else Int64.shift_right_logical (-1L) (len - 64)
-      in
-      let last = Ipv6.make (Int64.logor hi host_hi) (Int64.logor lo host_lo) in
-      let before =
-        if Int64.equal lo 0L then Ipv6.make (Int64.pred hi) (-1L)
-        else Ipv6.make hi (Int64.pred lo)
-      in
-      let inside = Ipv6.make hi (Int64.logor lo (Int64.shift_right_logical host_lo 1)) in
-      List.map
-        (fun x -> Addr.V6 x)
-        [ a; last; before; Ipv6.add last 1L; inside ]
+  let a = Prefix.nth_address p 0L in
+  let hi = Ipv6.hi a and lo = Ipv6.lo a in
+  let host_hi = if len >= 64 then 0L else Int64.shift_right_logical (-1L) len in
+  let host_lo =
+    if len <= 64 then -1L
+    else if len = 128 then 0L
+    else Int64.shift_right_logical (-1L) (len - 64)
+  in
+  let last = Ipv6.make (Int64.logor hi host_hi) (Int64.logor lo host_lo) in
+  let before =
+    if Int64.equal lo 0L then Ipv6.make (Int64.pred hi) (-1L)
+    else Ipv6.make hi (Int64.pred lo)
+  in
+  let inside = Ipv6.make hi (Int64.logor lo (Int64.shift_right_logical host_lo 1)) in
+  [ a; last; before; Ipv6.add last 1L; inside ]
 
 let fib_agrees net topo =
   List.for_all
@@ -657,26 +648,26 @@ let test_fib_follows_loc_rib_changes () =
   let topo = Tango_topo.Builders.chain 3 in
   let engine = Engine.create () in
   let net = Network.create topo engine in
-  let addr = Addr.of_string_exn "10.1.2.3" in
+  let addr = Addr.of_string_exn "2001:db8:1:2::3" in
   let lookup node = Network.route_for_addr net ~node addr in
   let prefix_at node =
     Option.map (fun (r : Route.t) -> Prefix.to_string r.Route.prefix) (lookup node)
   in
   Alcotest.(check (option string)) "nothing announced" None (prefix_at 1);
-  Network.announce net ~node:1 (prefix "10.0.0.0/8") ();
-  Alcotest.(check (option string)) "own origination, before any event" (Some "10.0.0.0/8")
+  Network.announce net ~node:1 (prefix "2001:db8::/32") ();
+  Alcotest.(check (option string)) "own origination, before any event" (Some "2001:db8::/32")
     (prefix_at 1);
   ignore (Network.converge net);
-  Network.announce net ~node:2 (prefix "10.1.0.0/16") ();
+  Network.announce net ~node:2 (prefix "2001:db8:1::/48") ();
   ignore (Network.converge net);
-  Alcotest.(check (option string)) "more specific wins" (Some "10.1.0.0/16") (prefix_at 1);
+  Alcotest.(check (option string)) "more specific wins" (Some "2001:db8:1::/48") (prefix_at 1);
   Alcotest.(check (option int)) "learned from the customer" (Some 2)
     (Option.bind (lookup 1) (fun (r : Route.t) -> r.Route.learned_from));
-  Network.withdraw net ~node:2 (prefix "10.1.0.0/16");
+  Network.withdraw net ~node:2 (prefix "2001:db8:1::/48");
   ignore (Network.converge net);
-  Alcotest.(check (option string)) "back to the covering route" (Some "10.0.0.0/8")
+  Alcotest.(check (option string)) "back to the covering route" (Some "2001:db8::/32")
     (prefix_at 1);
-  Network.withdraw net ~node:1 (prefix "10.0.0.0/8");
+  Network.withdraw net ~node:1 (prefix "2001:db8::/32");
   Alcotest.(check (option string)) "withdrawn at the node" None (prefix_at 1)
 
 (* ------------------------------------------------------------------ *)

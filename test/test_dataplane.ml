@@ -221,7 +221,7 @@ let chain_fabric () =
   let topo = Tango_topo.Builders.chain 3 in
   let engine = Engine.create () in
   let net = Tango_bgp.Network.create topo engine in
-  Tango_bgp.Network.announce net ~node:2 (Prefix.of_string_exn "10.0.0.0/8") ();
+  Tango_bgp.Network.announce net ~node:2 (Prefix.of_string_exn "2001:db8::/32") ();
   ignore (Tango_bgp.Network.converge net);
   (engine, Fabric.create net)
 
@@ -229,7 +229,7 @@ let packet_to addr id =
   Packet.create ~id
     ~flow:
       (Flow.v
-         ~src:(Addr.of_string_exn "192.168.0.1")
+         ~src:(Addr.of_string_exn "fd00::1")
          ~dst:(Addr.of_string_exn addr) ~proto:17 ~src_port:1 ~dst_port:2)
     ~payload_bytes:64 ~created_at:0.0 ()
 
@@ -252,7 +252,7 @@ let test_fabric_delivers () =
   let delivered = ref None in
   Fabric.send fabric ~from_node:0
     ~on_delivered:(fun ~node _ -> delivered := Some node)
-    (packet_to "10.1.2.3" 1);
+    (packet_to "2001:db8:1:2::3" 1);
   Engine.run engine;
   match !delivered with
   | Some node ->
@@ -269,7 +269,7 @@ let test_fabric_latency_is_sum_of_links () =
   let arrival = ref nan in
   Fabric.send fabric ~from_node:0
     ~on_delivered:(fun ~node:_ _ -> arrival := Engine.now engine -. sent_at)
-    (packet_to "10.1.2.3" 1);
+    (packet_to "2001:db8:1:2::3" 1);
   Engine.run engine;
   Alcotest.(check bool) "about 2 ms" true (!arrival > 0.002 && !arrival < 0.0023)
 
@@ -279,7 +279,7 @@ let test_fabric_unroutable () =
   Fabric.send fabric ~from_node:0
     ~on_dropped:(fun ~reason:r _ -> reason := r)
     ~on_delivered:(fun ~node:_ _ -> Alcotest.fail "should not deliver")
-    (packet_to "11.0.0.1" 1);
+    (packet_to "2001:db9::1" 1);
   Engine.run engine;
   Alcotest.(check string) "unroutable" "unroutable" !reason;
   Alcotest.(check int) "dropped counter" 1 (Fabric.dropped fabric)
@@ -288,7 +288,7 @@ let test_fabric_extra_delay_applied () =
   let topo = Tango_topo.Builders.chain 2 in
   let engine = Engine.create () in
   let net = Tango_bgp.Network.create topo engine in
-  Tango_bgp.Network.announce net ~node:1 (Prefix.of_string_exn "10.0.0.0/8") ();
+  Tango_bgp.Network.announce net ~node:1 (Prefix.of_string_exn "2001:db8::/32") ();
   ignore (Tango_bgp.Network.converge net);
   let fabric =
     Fabric.create
@@ -299,7 +299,7 @@ let test_fabric_extra_delay_applied () =
   let arrival = ref nan in
   Fabric.send fabric ~from_node:0
     ~on_delivered:(fun ~node:_ _ -> arrival := Engine.now engine -. sent_at)
-    (packet_to "10.0.0.1" 1);
+    (packet_to "2001:db8::1" 1);
   Engine.run engine;
   Alcotest.(check bool) "about 11 ms" true (!arrival > 0.011 && !arrival < 0.0115)
 
@@ -307,7 +307,7 @@ let test_fabric_lanes_differentiate_flows () =
   let topo = Tango_topo.Builders.chain 3 in
   let engine = Engine.create () in
   let net = Tango_bgp.Network.create topo engine in
-  Tango_bgp.Network.announce net ~node:2 (Prefix.of_string_exn "10.0.0.0/8") ();
+  Tango_bgp.Network.announce net ~node:2 (Prefix.of_string_exn "2001:db8::/32") ();
   ignore (Tango_bgp.Network.converge net);
   let fabric =
     Fabric.create
@@ -322,8 +322,8 @@ let test_fabric_lanes_differentiate_flows () =
       Packet.create ~id:port
         ~flow:
           (Flow.v
-             ~src:(Addr.of_string_exn "192.168.0.1")
-             ~dst:(Addr.of_string_exn "10.0.0.1")
+             ~src:(Addr.of_string_exn "fd00::1")
+             ~dst:(Addr.of_string_exn "2001:db8::1")
              ~proto:17 ~src_port:port ~dst_port:2)
         ~payload_bytes:64 ~created_at:0.0 ()
     in
@@ -430,11 +430,11 @@ let test_fabric_link_ids_validated () =
 module Network = Tango_bgp.Network
 module Topology = Tango_topo.Topology
 
-let memo_specific = Prefix.of_string_exn "10.1.0.0/16"
+let memo_specific = Prefix.of_string_exn "2001:db8:1::/48"
 
 (* Sender 0 under transits 1 and 2, which peer; 3 originates
-   10.1.0.0/16 below both transits and 4 the covering 10.0.0.0/8 below
-   transit 2 only. Every link is jitter-free, so nothing draws from a
+   2001:db8:1::/48 below both transits and 4 the covering 2001:db8::/32
+   below transit 2 only. Every link is jitter-free, so nothing draws from a
    random stream and two copies of the world replay the same events. *)
 let memo_world () =
   let topo = Topology.create () in
@@ -451,7 +451,7 @@ let memo_world () =
   let engine = Engine.create () in
   let net = Network.create topo engine in
   Network.announce net ~node:3 memo_specific ();
-  Network.announce net ~node:4 (Prefix.of_string_exn "10.0.0.0/8") ();
+  Network.announce net ~node:4 (Prefix.of_string_exn "2001:db8::/32") ();
   ignore (Network.converge net);
   (engine, net)
 
@@ -499,9 +499,9 @@ and reference_forward net ~failed ~report packet node next hops =
    listed value but not the same value in memory. *)
 let memo_dsts =
   Array.init 24 (fun i ->
-      if i < 18 then Printf.sprintf "10.1.%d.%d" (i / 4) (1 + i)
-      else if i < 22 then Printf.sprintf "10.2.0.%d" i
-      else Printf.sprintf "11.0.0.%d" i)
+      if i < 18 then Printf.sprintf "2001:db8:1:%d::%d" (i / 4) (1 + i)
+      else if i < 22 then Printf.sprintf "2001:db8:2::%d" i
+      else Printf.sprintf "2001:db9::%d" i)
 
 (* One run: 300 sends from node 0, 2 ms apart, while the control plane
    moves under them — the specific prefix withdrawn at 100 ms and
@@ -529,7 +529,7 @@ let memo_run forwarder =
           if i land 1 = 0 then listed.(k) else Addr.of_string_exn memo_dsts.(k)
         in
         let flow =
-          Flow.v ~src:(Addr.of_string_exn "192.168.0.1") ~dst ~proto:17 ~src_port:i
+          Flow.v ~src:(Addr.of_string_exn "fd00::1") ~dst ~proto:17 ~src_port:i
             ~dst_port:2
         in
         send (Packet.create ~id:i ~flow ~payload_bytes:(64 + i) ~created_at:0.0 ()))
@@ -590,7 +590,7 @@ let slow_link_net () =
     ~link:(Tango_topo.Link.v ~jitter_ms:0.0 ~bandwidth_mbps:1.0 1.0) ();
   let engine = Engine.create () in
   let net = Tango_bgp.Network.create topo engine in
-  Tango_bgp.Network.announce net ~node:1 (Prefix.of_string_exn "10.0.0.0/8") ();
+  Tango_bgp.Network.announce net ~node:1 (Prefix.of_string_exn "2001:db8::/32") ();
   ignore (Tango_bgp.Network.converge net);
   (engine, net)
 
@@ -598,8 +598,8 @@ let big_packet i =
   Packet.create ~id:i
     ~flow:
       (Flow.v
-         ~src:(Addr.of_string_exn "192.168.0.1")
-         ~dst:(Addr.of_string_exn "10.0.0.1")
+         ~src:(Addr.of_string_exn "fd00::1")
+         ~dst:(Addr.of_string_exn "2001:db8::1")
          ~proto:17 ~src_port:1 ~dst_port:2)
     ~payload_bytes:1250 ~created_at:0.0 ()
 
@@ -631,7 +631,7 @@ let test_fabric_no_contention_by_default () =
 let test_fabric_batch_forms_agree () =
   let _, net = slow_link_net () in
   let fabric = Fabric.create net in
-  let dst = Addr.of_string_exn "10.0.0.1" in
+  let dst = Addr.of_string_exn "2001:db8::1" in
   let b = Batch.create () in
   let p = big_packet 9 in
   Batch.add b p;
@@ -664,8 +664,8 @@ let test_fabric_batch_forms_agree () =
 let test_fabric_batch_equal_endpoint () =
   let _, net = slow_link_net () in
   let fabric = Fabric.create net in
-  let cached = Addr.of_string_exn "10.0.0.1" in
-  let copy = Addr.of_string_exn "10.0.0.1" in
+  let cached = Addr.of_string_exn "2001:db8::1" in
+  let copy = Addr.of_string_exn "2001:db8::1" in
   Alcotest.(check bool) "equal, not the same value" true
     (Addr.equal cached copy && cached != copy);
   let arrival dst =
@@ -700,9 +700,9 @@ let test_fabric_batch_equal_endpoint () =
 let test_fabric_batch_fallback () =
   let engine, fabric = chain_fabric () in
   let b = Batch.create () in
-  Batch.encap b ~dst:(Addr.of_string_exn "10.1.2.3") ~bytes:104 ~path:0 ~flow:0
+  Batch.encap b ~dst:(Addr.of_string_exn "2001:db8:1:2::3") ~bytes:104 ~path:0 ~flow:0
     ~seq:0;
-  Batch.add b (packet_to "10.1.2.3" 1);
+  Batch.add b (packet_to "2001:db8:1:2::3" 1);
   let delivered = ref [] in
   Fabric.send_batch_direct fabric ~from_node:0 ~now_s:(Engine.now engine)
     ~on_delivered_at:(fun ~node ~at_s:_ p ->
@@ -733,12 +733,12 @@ let star_net () =
   let engine = Engine.create () in
   let net = Network.create topo engine in
   for k = 1 to 4 do
-    Network.announce net ~node:k (Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/16" k)) ()
+    Network.announce net ~node:k (Prefix.of_string_exn (Printf.sprintf "2001:db8:%d::/48" k)) ()
   done;
   ignore (Network.converge net);
   net
 
-let star_dsts = Array.init 4 (fun k -> Addr.of_string_exn (Printf.sprintf "10.%d.0.1" (k + 1)))
+let star_dsts = Array.init 4 (fun k -> Addr.of_string_exn (Printf.sprintf "2001:db8:%d::1" (k + 1)))
 
 (* Slot [i]'s endpoint in the interleaved batch: irregular, every
    endpoint present, first appearances in the order 0, 1, 3, 2. *)
@@ -790,7 +790,7 @@ let test_fabric_batch_failed_endpoint () =
   let b = Batch.create () in
   for i = 0 to Batch.capacity - 1 do
     let flow =
-      Flow.v ~src:(Addr.of_string_exn "192.168.0.1") ~dst:star_dsts.(star_endpoint i)
+      Flow.v ~src:(Addr.of_string_exn "fd00::1") ~dst:star_dsts.(star_endpoint i)
         ~proto:17 ~src_port:i ~dst_port:2
     in
     Batch.add b (Packet.create ~id:i ~flow ~payload_bytes:64 ~created_at:0.0 ())

@@ -297,6 +297,18 @@ let test_dead_export () =
       Alcotest.(check string) "reason" "kept for the fixture's waiver case" reason
   | other -> Alcotest.failf "expected exactly one waived finding, got %d" (List.length other)
 
+(* A module alias is collected over the whole file, whatever its scope:
+   [module R = Old_r] inside one submodule of test/test_r.ml must not
+   hide the test's top-level [R.f], so the hook on [R.f] holds. *)
+let test_dead_export_scoped_alias () =
+  let result = Engine.run ~config:fixture_config [ fixture "dead/lib" ] in
+  Alcotest.(check (list string))
+    "no finding on r.mli" []
+    (List.filter_map
+       (fun (f : Rules.finding) ->
+         if Filename.basename f.Rules.file = "r.mli" then Some f.Rules.message else None)
+       result.Engine.findings)
+
 (* SARIF export: schema-valid enough to parse, 1-based columns, chain
    in the message text. *)
 let test_sarif () =
@@ -413,6 +425,8 @@ let () =
           Alcotest.test_case "depth-3 chain must-flag" `Quick test_reach_chain;
           Alcotest.test_case "callee-site waiver" `Quick test_reach_waived;
           Alcotest.test_case "dead-export over sibling readers" `Quick test_dead_export;
+          Alcotest.test_case "dead-export: a scoped alias hides no reference" `Quick
+            test_dead_export_scoped_alias;
         ] );
       ( "scale",
         [

@@ -144,7 +144,7 @@ let test_discovery_single_homed_chain () =
   let net = Tango_bgp.Network.create topo engine in
   let result =
     Discovery.run ~net ~origin:3 ~observer:0
-      ~probe_prefix:(Prefix.of_string_exn "10.0.0.0/8")
+      ~probe_prefix:(Prefix.of_string_exn "2001:db8::/32")
       ()
   in
   Alcotest.(check int) "one path" 1 (List.length result.Discovery.paths)
@@ -779,7 +779,8 @@ let test_config_errors () =
   expect_error ~needle:"duplicate site" "site \"LA\" { }\nsite \"LA\" { }";
   expect_error ~needle:"unterminated" "site \"LA ";
   expect_error ~needle:"unknown policy" "site \"LA\" { policy teleport; }";
-  expect_error ~needle:"unknown setting" "measurement { cadence 5; }"
+  expect_error ~needle:"unknown setting" "measurement { cadence 5; }";
+  expect_error ~needle:"not an IP address" "block 10.0.0.0/8;"
 
 let test_config_apply () =
   match parse_config sample_config with
