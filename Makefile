@@ -1,8 +1,10 @@
 # Convenience wrapper around dune. `make check` is the CI gate: build,
-# formatting, the full test suite, then a fast end-to-end smoke of the
-# experiment harness (fig3 takes well under a second).
+# formatting, the full test suite, static analysis and its timing
+# guard, fast end-to-end smokes of the experiment harness (fig3 takes
+# well under a second), then the test suite again under the release
+# profile.
 
-.PHONY: all build fmt test lint lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
+.PHONY: all build fmt test test-release lint lint-json lint-sarif lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke bench bench-json bench-compare check clean
 
 all: build
 
@@ -14,6 +16,12 @@ fmt:
 
 test:
 	dune runtest
+
+# The release profile drops -opaque, so modules inline across library
+# boundaries: every golden must hold under both profiles. It builds
+# into the same _build/default, so the next dev build starts cold.
+test-release:
+	dune runtest --profile release
 
 # Static analysis: intraprocedural hot-path rules, the interprocedural
 # hot-reach closure, domain-safety, determinism and dead-export checks
@@ -49,8 +57,10 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- --experiment micro --json BENCH.json
 
-# Regression gate: fail when a fast-path benchmark slowed by >25% or a
-# zero-allocation op started touching the major heap.
+# Regression gate: fail when a benchmark's ns/op grew by >25% or a
+# throughput row's pps fell by >15%, or when a row whose baseline reads
+# <= 0.01 minor or major words/op reads more. Exits 1 on a words/op
+# failure and 3 when only timing rows fail (see bench/compare.ml).
 bench-compare: bench-json
 	dune exec bench/compare.exe -- BENCH_baseline.json BENCH.json
 
@@ -107,7 +117,8 @@ attest-smoke:
 	! grep -q "GATE: FAIL" _build/attest_smoke.out
 	dune exec bin/tango_cli.exe -- mesh --pops 16 --attest --scenario relay-tamper --fingerprint > /dev/null
 
-check: build fmt test lint smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke
+check: build fmt test lint lint-timed smoke obs-smoke faults-smoke reconcile-smoke throughput-smoke mesh-smoke load-smoke attest-smoke
+	$(MAKE) test-release
 
 clean:
 	dune clean

@@ -32,9 +32,9 @@ type t = {
   mutable messages : int;
   (* Monotone table-state stamp: bumped on every origination, withdrawal
      and delivered update, i.e. whenever any loc-RIB may have changed.
-     Derived read-side caches (the fabric's batched route cache) compare
-     it to decide whether their resolved routes are still current;
-     over-counting is harmless, missing a change is not. *)
+     Derived read-side caches (the fabric's hop memo) compare it to
+     decide whether their next hops are still current; over-counting
+     is harmless, missing a change is not. *)
   mutable revision : int;
   (* Table-observation hooks: fired synchronously whenever a node
      (re-)originates or withdraws a prefix — the event source behind

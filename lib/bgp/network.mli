@@ -77,8 +77,9 @@ val messages_delivered : t -> int
 val revision : t -> int
 (** Monotone stamp of loc-RIB state: bumped on every origination,
     withdrawal and delivered update. Read-side route caches (the
-    fabric's batched fast path) revalidate against it — equal revision
-    means no table anywhere has changed since the cache was filled.
+    fabric's hop memo, which both of its paths read) revalidate against
+    it — equal revision means no table anywhere has changed since the
+    cache was filled.
     May over-count (bumps with no visible best-route change); it never
     under-counts. *)
 

@@ -99,8 +99,9 @@ let tokenize input =
       done;
       let word = String.sub input start (!j - start) in
       i := !j;
-      (* A word that reads as a number is a number; anything with a
-         letter stays an identifier (so "2001:db8::/34" is an ident). *)
+      (* A word that reads as a float is a number, "nan", "inf" and
+         "1e30" included (the parser bounds each one); anything else
+         stays an identifier (so "2001:db8::/34" is an ident). *)
       match float_of_string_opt word with
       | Some v -> push (Number v)
       | None -> push (Ident word)
@@ -139,11 +140,9 @@ let number s ~what =
   let t = advance s in
   match t.token with
   | Number v -> v
-  | Ident v -> (
-      (* Allow negative numbers that lexed into idents like "-12". *)
-      match float_of_string_opt v with
-      | Some n -> n
-      | None -> fail t.line "expected %s, got %S" what v)
+  (* The lexer makes every word that reads as a float, "-12" included,
+     a number. *)
+  | Ident v -> fail t.line "expected %s, got %S" what v
   | String_lit _ | Lbrace | Rbrace | Semicolon -> fail t.line "expected %s" what
 
 let string_lit s ~what =
@@ -169,7 +168,23 @@ let parse_kv_block s =
   in
   go []
 
-let kv_find kvs key ~default = match List.assoc_opt key kvs with Some (v, _) -> v | None -> default
+(* Bounds on numbers, each with the phrase its error gives: the CLI's
+   [positive_float] and [non_negative_float], and integers that a float
+   holds exactly. *)
+let positive = ((fun x -> Float.is_finite x && x > 0.0), "a positive finite number")
+
+let non_negative = ((fun x -> Float.is_finite x && x >= 0.0), "a non-negative finite number")
+
+let offset_ns =
+  ( (fun x -> Float.is_integer x && Float.abs x <= 0x1p53),
+    "an integer of at most 2^53 ns in magnitude" )
+
+let path_id = ((fun x -> Float.is_integer x && x >= 0.0 && x <= 0x1p53), "a non-negative integer")
+
+let check line key (ok, expect) v = if ok v then v else fail line "%s must be %s, got %g" key expect v
+
+let kv_find kvs key ~default bound =
+  match List.assoc_opt key kvs with Some (v, line) -> check line key bound v | None -> default
 
 let kv_check_known kvs known =
   List.iter
@@ -185,6 +200,7 @@ let parse_policy s =
       Policy.Bgp_default
   | "static" ->
       let v = number s ~what:"a path id" in
+      let v = check s.last_line "a static path" path_id v in
       expect s Semicolon ~what:"';'";
       Policy.Static (int_of_float v)
   | "lowest-owd" ->
@@ -192,17 +208,17 @@ let parse_policy s =
       kv_check_known kvs [ "hysteresis-ms"; "dwell-s" ];
       Policy.Lowest_owd
         {
-          hysteresis_ms = kv_find kvs "hysteresis-ms" ~default:1.0;
-          min_dwell_s = kv_find kvs "dwell-s" ~default:1.0;
+          hysteresis_ms = kv_find kvs "hysteresis-ms" ~default:1.0 non_negative;
+          min_dwell_s = kv_find kvs "dwell-s" ~default:1.0 non_negative;
         }
   | "jitter-aware" ->
       let kvs = parse_kv_block s in
       kv_check_known kvs [ "beta"; "hysteresis-ms"; "dwell-s" ];
       Policy.Jitter_aware
         {
-          beta = kv_find kvs "beta" ~default:5.0;
-          hysteresis_ms = kv_find kvs "hysteresis-ms" ~default:1.0;
-          min_dwell_s = kv_find kvs "dwell-s" ~default:1.0;
+          beta = kv_find kvs "beta" ~default:5.0 non_negative;
+          hysteresis_ms = kv_find kvs "hysteresis-ms" ~default:1.0 non_negative;
+          min_dwell_s = kv_find kvs "dwell-s" ~default:1.0 non_negative;
         }
   | other -> fail line "unknown policy %S" other
 
@@ -218,7 +234,8 @@ let parse_site s =
         let key, line = ident s ~what:"a site setting" in
         (match key with
         | "clock-offset-ns" ->
-            clock_offset := Int64.of_float (number s ~what:"an offset");
+            let v = number s ~what:"an offset" in
+            clock_offset := Int64.of_float (check s.last_line key offset_ns v);
             expect s Semicolon ~what:"';'"
         | "policy" -> policy := parse_policy s
         | other -> fail line "unknown site setting %S" other);
@@ -252,8 +269,8 @@ let parse input =
             | "measurement" ->
                 let kvs = parse_kv_block s in
                 kv_check_known kvs [ "probe-interval"; "report-interval" ];
-                probe := kv_find kvs "probe-interval" ~default:!probe;
-                report := kv_find kvs "report-interval" ~default:!report
+                probe := kv_find kvs "probe-interval" ~default:!probe positive;
+                report := kv_find kvs "report-interval" ~default:!report positive
             | "site" ->
                 let site = parse_site s in
                 if List.exists (fun x -> x.name = site.name) !sites then
@@ -266,16 +283,13 @@ let parse input =
       | exception Parse_error (line, msg) ->
           Error (Printf.sprintf "line %d: %s" line msg)
       | () ->
-          if !probe <= 0.0 || !report <= 0.0 then
-            Error "measurement intervals must be positive"
-          else
-            Ok
-              {
-                block = !block;
-                probe_interval_s = !probe;
-                report_interval_s = !report;
-                sites = (match !sites with [] -> default.sites | sites -> List.rev sites);
-              })
+          Ok
+            {
+              block = !block;
+              probe_interval_s = !probe;
+              report_interval_s = !report;
+              sites = (match !sites with [] -> default.sites | sites -> List.rev sites);
+            })
 
 let parse_file path =
   match open_in path with
@@ -325,9 +339,22 @@ let apply_vultr ?seed ?scenario t =
         (Printf.sprintf "apply_vultr: block %s is not the Vultr deployment's %s"
            (Prefix.to_string t.block)
            (Prefix.to_string Addressing.default_block))
-  | Some la, Some ny, 2 ->
-      Ok
-        (Pair.setup_vultr ?seed ?scenario ~policy_la:la.policy ~policy_ny:ny.policy
-           ~clock_offset_la_ns:la.clock_offset_ns
-           ~clock_offset_ny_ns:ny.clock_offset_ns ())
+  | Some la, Some ny, 2 -> (
+      let pair =
+        Pair.setup_vultr ?seed ?scenario ~policy_la:la.policy ~policy_ny:ny.policy
+          ~clock_offset_la_ns:la.clock_offset_ns
+          ~clock_offset_ny_ns:ny.clock_offset_ns ()
+      in
+      (* A static path must be one the site discovered. *)
+      let undiscovered (site, pop) =
+        match site.policy with
+        | Policy.Static i when i >= Pop.path_count pop ->
+            Some
+              (Printf.sprintf "apply_vultr: site %S pins static path %d of %d discovered"
+                 site.name i (Pop.path_count pop))
+        | _ -> None
+      in
+      match List.find_map undiscovered [ (la, Pair.pop_la pair); (ny, Pair.pop_ny pair) ] with
+      | Some e -> Error e
+      | None -> Ok pair)
   | _ -> Error "apply_vultr needs exactly two sites named \"LA\" and \"NY\""

@@ -49,7 +49,11 @@ val parse_file : string -> (t, string) result
     Unspecified fields take the paper deployment's defaults: the default
     block, 10 ms probes, 100 ms reports, and sites LA and NY with
     clock offsets of +37 ms and -12 ms, each running lowest-OWD (1 ms
-    hysteresis, 1 s dwell). Sites must have unique names. *)
+    hysteresis, 1 s dwell). Sites must have unique names. Numbers are
+    checked as the CLI checks its flags: intervals are finite and
+    positive; [beta], [hysteresis-ms] and [dwell-s] are finite and
+    non-negative; [clock-offset-ns] is an integer of at most 2^53 ns in
+    magnitude and a [static] path a non-negative integer. *)
 
 (* test-hook: test/test_tango.ml *)
 val to_string : t -> string
@@ -63,7 +67,8 @@ val apply_vultr :
     exactly two sites named ["LA"] and ["NY"] (in any order), which set
     the policies and clock offsets. The Vultr deployment carves its
     prefixes from {!Addressing.default_block}, so a configuration naming
-    any other [block] is an [Error] that names the block. The pair is
+    any other [block] is an [Error] that names the block, and so is a
+    [static] path at or past the site's discovered path count. The pair is
     fully set up (discovery done); measurement must still be started
     with the configured cadence, see {!measurement_args}. *)
 

@@ -18,10 +18,6 @@ type t = {
   fabric : Fabric.t;
   plans : Addressing.plan array;
   pops : Pop.t array;
-  (* Written by the reconciler when it records a re-discovered table;
-     the PoPs' installed tunnels are updated separately via
-     {!Pop.install_outbound_paths}. *)
-  paths : Discovery.path list array;
 }
 
 let pair_index ~sites ~src ~dst =
@@ -114,7 +110,7 @@ let setup ?(seed = 11) ?readmit_backoff_s ?extra_delay_ms
       Pop.wire ~a:pops.(ix ~src:a ~dst:b) ~b:pops.(ix ~src:b ~dst:a)
     done
   done;
-  { engine; net; fabric; plans; pops; paths }
+  { engine; net; fabric; plans; pops }
 
 let setup_vultr ?seed ?(policy_la = default_policy) ?(policy_ny = default_policy)
     ?readmit_backoff_s ?scenario ?(clock_offset_la_ns = 37_000_000L)
@@ -142,7 +138,7 @@ let fabric t = t.fabric
 
 let pop t ~src ~dst = t.pops.(index t ~src ~dst)
 
-let paths t ~src ~dst = t.paths.(index t ~src ~dst)
+let paths t ~src ~dst = Pop.outbound_paths (pop t ~src ~dst)
 
 let plan t ~site =
   if site < 0 || site >= Array.length t.plans then
@@ -156,10 +152,6 @@ let pop_ny t = pop t ~src:1 ~dst:0
 let paths_to_ny t = paths t ~src:0 ~dst:1
 
 let paths_to_la t = paths t ~src:1 ~dst:0
-
-let update_paths_to_ny t paths = t.paths.(index t ~src:0 ~dst:1) <- paths
-
-let update_paths_to_la t paths = t.paths.(index t ~src:1 ~dst:0) <- paths
 
 let start_measurement t ?probe_interval_s ?report_interval_s ?dead_after_probes
     ~for_s () =

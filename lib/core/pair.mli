@@ -83,7 +83,9 @@ val pop : t -> src:int -> dst:int -> Pop.t
 
 val paths : t -> src:int -> dst:int -> Discovery.path list
 (** Paths for [src] → [dst] traffic, in provider preference order, each
-    with its static floor OWD. *)
+    with its static floor OWD: the table the PoP at [src] facing [dst]
+    sends over ({!Pop.outbound_paths}), so a table the reconciler
+    installs shows here. *)
 
 val plan : t -> site:int -> Addressing.plan
 (** A site's whole address slice: its host prefix and every tunnel
@@ -100,13 +102,6 @@ val paths_to_ny : t -> Discovery.path list
 (** Paths for LA→NY traffic, in provider preference order. *)
 
 val paths_to_la : t -> Discovery.path list
-
-val update_paths_to_ny : t -> Discovery.path list -> unit
-(** Record a reconciled LA→NY path table. Reconciler hook — callers are
-    expected to install the same table into the sending PoP via
-    {!Pop.install_outbound_paths}. *)
-
-val update_paths_to_la : t -> Discovery.path list -> unit
 
 (** {1 Running} *)
 

@@ -84,9 +84,10 @@ type t = {
   remote_host : Addr.t;
   (* Mutable so the reconciler can swap in a re-discovered path table
      mid-run ({!install_outbound_paths}); [table_epoch] stamps each
-     installed generation. *)
+     installed generation. [outbound_paths] is the one copy of the
+     discovered table: the pair and the reconciler read it here. *)
   mutable tunnels : Tunnel.t array;
-  mutable path_labels : string array;
+  mutable outbound_paths : Discovery.path list;
   mutable table_epoch : int;
   policy : Policy.t;
   (* Path-decision fast path: the policy is re-evaluated at most once
@@ -174,8 +175,7 @@ let create ~node ~fabric ?(clock_offset_ns = 0L) ?readmit_backoff_s
     local_host = Addressing.host_address plan 1L;
     remote_host = Addressing.host_address remote_plan 1L;
     tunnels;
-    path_labels =
-      Array.of_list (List.map (fun (p : Discovery.path) -> p.Discovery.label) outbound_paths);
+    outbound_paths;
     table_epoch = 0;
     policy = Policy.create ?readmit_backoff_s policy;
     path_cache = Flow_cache.create ();
@@ -215,10 +215,12 @@ let node t = t.node
 
 let path_count t = Array.length t.tunnels
 
+let outbound_paths t = t.outbound_paths
+
 let path_label t i =
-  if i < 0 || i >= Array.length t.path_labels then
+  if i < 0 || i >= path_count t then
     invalid_arg (Printf.sprintf "Pop.path_label: no path %d" i)
-  else t.path_labels.(i)
+  else (List.nth t.outbound_paths i).Discovery.label
 
 (* ------------------------------------------------------------------ *)
 (* Receive side: the receiver eBPF program plus host delivery.          *)
@@ -423,9 +425,7 @@ let install_outbound_paths t outbound_paths =
              p.Discovery.index))
     outbound_paths;
   t.tunnels <- tunnels_of ~plan:t.plan ~remote_plan:t.remote_plan outbound_paths;
-  t.path_labels <-
-    Array.of_list
-      (List.map (fun (p : Discovery.path) -> p.Discovery.label) outbound_paths);
+  t.outbound_paths <- outbound_paths;
   (* Retained indices keep their peer-reported stats; paths new in this
      epoch start unmeasured, exactly like at creation. *)
   let old = t.outbound_stats in

@@ -48,6 +48,12 @@ val wire : a:t -> b:t -> unit
 val node : t -> int
 val engine_of : t -> Tango_sim.Engine.t
 val path_count : t -> int
+
+val outbound_paths : t -> Discovery.path list
+(** The discovered path table this PoP sends over: the one it was
+    created with or last installed ({!install_outbound_paths}), in path
+    index order, each path with its static floor OWD. *)
+
 val path_label : t -> int -> string
 
 (** {1 Traffic} *)

@@ -87,11 +87,9 @@ type dir_state = {
   direction : direction;
   sender : Pop.t;  (* installs the table; its node observes *)
   origin : int;  (* receiver's node: announces probe + tunnel prefixes *)
-  observer : int;
   probe_prefix : Prefix.t;
   tunnel_prefixes : Prefix.t array;
   watch : Watch.t;
-  mutable paths : Discovery.path list;
   mutable running : bool;
   mutable check_scheduled : bool;
   mutable fails : int;  (* consecutive failed/truncated epochs *)
@@ -109,7 +107,6 @@ type t = {
   config : config;
   engine : Engine.t;
   net : Network.t;
-  pair : Pair.t;
   rng : Rng.t;
   until_s : float;
   to_ny : dir_state;
@@ -161,7 +158,7 @@ let rec iterate t st ~msgs_before ~started_s suppressed acc index =
         st.cost_hint <- max st.cost_hint (msgs t - before_iter);
         match
           Discovery.observe_step ~net:t.net ~origin:st.origin
-            ~observer:st.observer ~probe_prefix:st.probe_prefix ~mechanism
+            ~observer:(Pop.node st.sender) ~probe_prefix:st.probe_prefix ~mechanism
             ~suppressed ~index ()
         with
         | None -> finish t st ~msgs_before ~started_s ~truncated:false acc
@@ -193,13 +190,9 @@ and finish t st ~msgs_before ~started_s ~truncated acc =
           Metric.incr m_epochs_failed;
           conclude t st ~msgs_before ~started_s ~ok:false ~truncated
       | _ :: _ ->
-          let old_n = List.length st.paths in
+          let old_n = Pop.path_count st.sender in
           let new_n = List.length paths in
-          (match st.direction with
-          | To_ny -> Pair.update_paths_to_ny t.pair paths
-          | To_la -> Pair.update_paths_to_la t.pair paths);
           Pop.install_outbound_paths st.sender paths;
-          st.paths <- paths;
           (* Lift the drains on indices the new table validates; indices
              beyond it stay banned until their drain expires. *)
           for i = 0 to new_n - 1 do
@@ -286,8 +279,8 @@ and start_epoch t st =
               Policy.ban (policy_of st) ~path:i ~now_s:now
                 ~for_s:t.config.drain_ban_s
           | Watch.Live | Watch.Moved -> ())
-      st.paths;
-    let keep = List.filteri (fun i _ -> i < !first_bad) st.paths in
+      (Pop.outbound_paths st.sender);
+    let keep = List.filteri (fun i _ -> i < !first_bad) (Pop.outbound_paths st.sender) in
     let suppressed = Discovery.suppression_of ~mechanism keep in
     iterate t st ~msgs_before:(msgs t) ~started_s:now suppressed
       (List.rev keep) !first_bad
@@ -325,22 +318,15 @@ let make_dir ~net ~pair ~direction =
   let tunnel_prefixes =
     Array.of_list (Pop.plan receiver).Addressing.tunnel_prefixes
   in
-  let paths =
-    match direction with
-    | To_ny -> Pair.paths_to_ny pair
-    | To_la -> Pair.paths_to_la pair
-  in
   {
     direction;
     sender;
     origin = Pop.node receiver;
-    observer = Pop.node sender;
     probe_prefix = Prefix.subnet Addressing.default_block 16 subnet_index;
     tunnel_prefixes;
     watch =
       Watch.create ~net ~observer:(Pop.node sender)
         ~prefixes:(Array.to_list tunnel_prefixes);
-    paths;
     running = false;
     check_scheduled = false;
     fails = 0;
@@ -365,7 +351,6 @@ let arm ~pair ?(config = default_config) ?(seed = 0) ?(with_channel = true)
       config;
       engine;
       net;
-      pair;
       rng = Rng.create ~seed:(seed + 0x7ec0);
       until_s;
       to_ny = make_dir ~net ~pair ~direction:To_ny;
@@ -426,5 +411,5 @@ let stats t direction =
     last_msgs = st.last_epoch_msgs;
     total_msgs = st.total_msgs;
     last_recovery_s = st.last_recovery_s;
-    paths = List.length st.paths;
+    paths = Pop.path_count st.sender;
   }

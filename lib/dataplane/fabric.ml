@@ -43,22 +43,6 @@ let k_drop = Trace.kind "fabric.drop"
 
 let k_deliver = Trace.kind "fabric.deliver"
 
-(* Resolved end-to-end route, the unit of the direct batched path: the
-   full node walk for one (from, dst) pair with its delay terms
-   pre-summed. [plain] marks routes with no stochastic terms anywhere
-   (zero jitter on every link) — only those can skip the
-   hop-by-hop machinery, because their delivery time is a closed-form
-   function of the send time and the packet size. *)
-type route_entry = {
-  e_from : int;
-  e_dst : Tango_net.Addr.t;
-  e_dest : int;  (* delivering node; -1 when unresolvable *)
-  e_links : int array;  (* packed directed-link keys, send order *)
-  e_delay_s : float;  (* sum of link propagation delays *)
-  e_per_byte_s : float;  (* sum of per-byte transmission delays *)
-  e_plain : bool;
-}
-
 type t = {
   net : Network.t;
   rng : Rng.t;
@@ -67,32 +51,26 @@ type t = {
      fabrics never take the direct path (the hooks are per-hop and
      per-packet by contract). *)
   custom_hooks : bool;
-  (* Both route caches are validated against one Network.revision
-     stamp and flushed together whenever any BGP table may have
-     changed. The batched-route cache is filled lazily per (from, dst),
-     round robin; a handful of slots suffices — a lane talks to a
-     handful of tunnel endpoints. The hop memo holds, per node
+  (* The hop memo, the forwarding step of both paths: per node
      position, a row of up to [memo_width] (destination, next hop)
-     pairs in fill order: the forwarding step of both paths. *)
+     pairs in fill order, validated against the Network.revision stamp
+     [rev] and flushed whenever any BGP table may have changed. *)
   mutable rev : int;
-  route_cache : route_entry array;
-  mutable route_clock : int;
   memo_dst : Tango_net.Addr.t array;  (* row [pos * memo_width] *)
   memo_hop : int array;  (* a node id, [hop_deliver] or [hop_unroutable] *)
   memo_len : int array;  (* live entries per row *)
   (* The current batch's endpoints, resolved once per
      send_batch_direct call: the delivering node (-1 when the direct
-     path cannot carry the endpoint) and the arrival formula's terms. *)
+     path cannot carry the endpoint) and the arrival formula's terms.
+     The entry past the batch capacity is [route_plain]'s scratch. *)
   ep_dest : int array;
   ep_delay_s : float array;
   ep_per_byte_s : float array;
   (* Counters for the synchronous direct path, which must not touch the
      process-wide Metric registry (lanes run on their own domains):
      published into the registry at quiesce points. *)
-  mutable direct_sent : int;
-  mutable direct_delivered : int;
-  mutable published_sent : int;
-  mutable published_delivered : int;
+  mutable direct_sent : int;  (* every direct send is delivered *)
+  mutable published : int;
   mutable direct_fallbacks : int;
   (* Per-directed-link state lives in flat arrays of [n * n] entries
      indexed by the packed key [pos.(from) * n + pos.(to)], where [pos]
@@ -128,8 +106,6 @@ let no_lanes = [| 0.0 |]
 
 let no_fault_extra_ms ~time_s:_ = 0.0
 
-let route_cache_slots = 16
-
 let memo_width = 16
 
 let hop_deliver = -1
@@ -138,18 +114,7 @@ let hop_unroutable = -2
 
 let no_addr = Tango_net.Addr.of_string_exn "::"
 
-(* The empty route-cache slot, and the non-plain entry [resolve_route]
-   copies for an unresolvable walk. *)
-let empty_route =
-  {
-    e_from = -1;
-    e_dst = no_addr;
-    e_dest = -1;
-    e_links = [||];
-    e_delay_s = 0.0;
-    e_per_byte_s = 0.0;
-    e_plain = false;
-  }
+let scratch = Batch.capacity
 
 let create ?(seed = 4242) ?lanes_of ?extra_delay_ms net =
   let custom_hooks = Option.is_some lanes_of || Option.is_some extra_delay_ms in
@@ -194,18 +159,14 @@ let create ?(seed = 4242) ?lanes_of ?extra_delay_ms net =
     lanes_of;
     custom_hooks;
     rev = -1;
-    route_cache = Array.make route_cache_slots empty_route;
-    route_clock = 0;
     memo_dst = Array.make (n * memo_width) no_addr;
     memo_hop = Array.make (n * memo_width) hop_unroutable;
     memo_len = Array.make n 0;
-    ep_dest = Array.make Batch.capacity (-1);
-    ep_delay_s = Array.make Batch.capacity 0.0;
-    ep_per_byte_s = Array.make Batch.capacity 0.0;
+    ep_dest = Array.make (scratch + 1) (-1);
+    ep_delay_s = Array.make (scratch + 1) 0.0;
+    ep_per_byte_s = Array.make (scratch + 1) 0.0;
     direct_sent = 0;
-    direct_delivered = 0;
-    published_sent = 0;
-    published_delivered = 0;
+    published = 0;
     direct_fallbacks = 0;
     n;
     pos;
@@ -267,20 +228,19 @@ let[@hot] deliver t packet ~on_delivered node =
 (* ------------------------------------------------------------------ *)
 (* The forwarding step: a node's next hop toward a destination.
 
-   Both paths take it: [send] at each hop's arrival, [resolve_route] at
-   each step of its walk. Each (node, destination) pair is looked up in
+   Both paths take it: [send] at each hop's arrival, the direct path at
+   each node of its walk. Each (node, destination) pair is looked up in
    the node's forwarding table (Network.route_for_addr) once per
    control-plane revision and then read from the node's memo row; a
    full row falls back to the table. *)
 
-(* One stamp flushes both caches: the control plane may have moved
+(* A moved stamp flushes the memo: the control plane may have moved
    since the last check (Network.revision bumps on every announce,
-   withdraw and delivered update), so no entry either cache holds is
-   still known to be current. *)
+   withdraw and delivered update), so no entry it holds is still known
+   to be current. *)
 let[@hot] revalidate t =
   let rev = Network.revision t.net in
   if rev <> t.rev then begin
-    Array.fill t.route_cache 0 route_cache_slots empty_route;
     Array.fill t.memo_len 0 t.n 0;
     t.rev <- rev
   end
@@ -307,8 +267,9 @@ let[@hot] rec memo_find t dst ~same i stop =
     if if same then d == dst else Tango_net.Addr.equal d dst then i
     else memo_find t dst ~same (i + 1) stop
 
-let[@hot] next_hop t ~node dst =
-  revalidate t;
+(* The step for callers that revalidated since the control plane last
+   moved: the direct path revalidates once per call, not per node. *)
+let[@hot] memo_hop t ~node dst =
   let p = position t node in
   (* An id that is not a node raises in the table lookup. *)
   if p < 0 then hop_of_table t ~node dst
@@ -328,6 +289,10 @@ let[@hot] next_hop t ~node dst =
       hop
     end
   end
+
+let[@hot] next_hop t ~node dst =
+  revalidate t;
+  memo_hop t ~node dst
 
 let[@hot] rec at_node t packet ~on_dropped ~on_delivered node hops =
   if hops > hop_limit then drop t packet ~on_dropped "ttl" drop_ttl
@@ -399,124 +364,66 @@ let[@hot] send t ~from_node ?(on_dropped = drop_ignored) ~on_delivered packet =
 
    [send] takes the forwarding step at each hop's arrival, with one
    scheduled engine event per hop — faithful, but every hop pays that
-   event and its continuation closure, the memo read, the link-snapshot
-   read and the delay hooks. The direct path instead snapshots the
-   whole route once per (from, dst) pair and reuses it for every packet
-   of every batch until the control plane changes ([Network.revision]
-   moves); a batch call resolves each of its distinct endpoints once and
-   then reads one entry per slot. That snapshot is only sound when
-   nothing along the route is stochastic or dynamic, so eligibility is
-   checked at three levels:
+   event and its continuation closure, the link-snapshot read and the
+   delay hooks. The direct path instead walks each of a batch's
+   distinct endpoints once per call, through the same step from
+   [from_node], summing the delay terms of the links it crosses, and
+   then every slot reads its endpoint's entry and writes a closed-form
+   arrival. That is only sound when nothing along the route is
+   stochastic or dynamic, so eligibility is checked at two levels:
 
    - per fabric: no fault hooks installed, no custom lanes_of or
      extra_delay_ms hooks;
-   - per route: every link has zero jitter ([e_plain]);
-   - per batch call: no failed link along the snapshot.
+   - per endpoint and call: the walk delivers within the hop limit,
+     over links with zero jitter and none failed.
 
    Anything else falls back to the canonical [send], packet by packet,
    in order, and is counted in [direct_fallbacks]. The direct path
    resolves the route at injection time (a FIB snapshot, like a real
    batched fast path), whereas [send] re-resolves at each hop's
-   arrival; the two can differ only while BGP messages are in flight,
-   which the revision check turns into a cache flush. *)
+   arrival; the two can differ only while BGP messages are in flight. *)
 
-(* Walk the converged tables from [from_node] toward [dst] through the
-   forwarding step, summing the deterministic delay terms.
-   Unroutable / over-limit walks yield a non-plain entry, which routes
-   every packet through the fallback (and thus through [send]'s exact
-   drop accounting). *)
-let resolve_route t ~from_node ~dst =
-  let links = ref [] in
-  let delay_s = ref 0.0 in
-  let per_byte_s = ref 0.0 in
-  let plain = ref true in
-  (* The delivering node, or -1. *)
-  (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-  let rec walk node hops =
-    if hops > hop_limit then -1
-    else
-      let next = next_hop t ~node dst in
-      if next = hop_unroutable then -1
-      else if next < 0 then node
-      else
-        let key = hop_key t node next in
-        match t.links.(key) with
-        | None -> -1
-        | Some link ->
-            (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-            links := key :: !links;
-            delay_s := !delay_s +. (link.Link.delay_ms /. 1000.0);
-            per_byte_s := !per_byte_s +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6));
-            if link.Link.jitter_ms > 0.0 then plain := false;
-            walk next (hops + 1)
-  in
-  let dest = walk from_node 0 in
-  if dest < 0 then
-    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-    { empty_route with e_from = from_node; e_dst = dst }
+(* Walk from [node] toward [dst] through the forwarding step, adding
+   each link's delay terms into entry [j] of the endpoint table in walk
+   order (the goldens pin these sums bit for bit): the delivering node,
+   or -1 where the direct path cannot carry [dst] (no route, over the
+   hop limit, a jittered or failed link), which sends its slots through
+   the fallback and thus through [send]'s exact drop accounting. *)
+let[@hot] rec walk t dst j node hops =
+  if hops > hop_limit then -1
   else
-    (* tango-lint: allow hot-reach — runs once per (from, dst) pair per control-plane revision, on a route-cache fill, not per packet *)
-    {
-      e_from = from_node;
-      e_dst = dst;
-      e_dest = dest;
-      e_links = Array.of_list (List.rev !links);
-      e_delay_s = !delay_s;
-      e_per_byte_s = !per_byte_s;
-      e_plain = !plain;
-    }
+    let next = memo_hop t ~node dst in
+    if next = hop_unroutable then -1
+    else if next < 0 then node
+    else
+      let key = hop_key t node next in
+      match Array.unsafe_get t.links key with
+      | None -> -1
+      | Some link ->
+          if link.Link.jitter_ms > 0.0 || Bytes.unsafe_get t.failed_links key <> '\000'
+          then -1
+          else begin
+            Array.unsafe_set t.ep_delay_s j
+              (Array.unsafe_get t.ep_delay_s j +. (link.Link.delay_ms /. 1000.0));
+            Array.unsafe_set t.ep_per_byte_s j
+              (Array.unsafe_get t.ep_per_byte_s j
+              +. (8.0 /. (link.Link.bandwidth_mbps *. 1e6)));
+            walk t dst j next (hops + 1)
+          end
+
+(* Callers revalidate first. *)
+let[@hot] resolve_endpoint t ~from_node dst j =
+  Array.unsafe_set t.ep_delay_s j 0.0;
+  Array.unsafe_set t.ep_per_byte_s j 0.0;
+  Array.unsafe_set t.ep_dest j (walk t dst j from_node 0)
 
 let[@hot] batch_eligible t = t.fault_count = 0 && not t.custom_hooks
 
-(* The cached route for (from, dst), or [empty_route]; the same two
-   passes as the hop memo, identity first. *)
-let[@hot] rec cached_route t ~from_node ~dst ~same slot =
-  if slot >= route_cache_slots then empty_route
-  else
-    let e = Array.unsafe_get t.route_cache slot in
-    if
-      e.e_from = from_node
-      && if same then e.e_dst == dst else Tango_net.Addr.equal e.e_dst dst
-    then e
-    else cached_route t ~from_node ~dst ~same (slot + 1)
-
-(* Callers revalidate first. *)
-let[@hot] lookup_route t ~from_node ~dst =
-  let e = cached_route t ~from_node ~dst ~same:true 0 in
-  let e = if e != empty_route then e else cached_route t ~from_node ~dst ~same:false 0 in
-  if e != empty_route then e
-  else begin
-    let e = resolve_route t ~from_node ~dst in
-    t.route_cache.(t.route_clock) <- e;
-    t.route_clock <- (t.route_clock + 1) mod route_cache_slots;
-    e
-  end
-
-let[@hot] rec links_ok_from t links i =
-  i >= Array.length links
-  || Bytes.unsafe_get t.failed_links (Array.unsafe_get links i) = '\000'
-     && links_ok_from t links (i + 1)
-
 let route_plain t ~from_node ~dst =
   batch_eligible t
-  &&
-  begin
-    revalidate t;
-    let e = lookup_route t ~from_node ~dst in
-    e.e_plain && links_ok_from t e.e_links 0
-  end
-
-(* Resolve endpoint [j] of the batch for the whole call: its delivering
-   node, or -1 when the direct path cannot carry it (route not plain, or
-   a failed link along it), and the delay terms of its arrival. *)
-let[@hot] resolve_endpoint t ~from_node (batch : Batch.t) j =
-  let e = lookup_route t ~from_node ~dst:(Array.unsafe_get batch.Batch.endpoints j) in
-  if e.e_plain && links_ok_from t e.e_links 0 then begin
-    Array.unsafe_set t.ep_dest j e.e_dest;
-    Array.unsafe_set t.ep_delay_s j e.e_delay_s;
-    Array.unsafe_set t.ep_per_byte_s j e.e_per_byte_s
-  end
-  else Array.unsafe_set t.ep_dest j (-1)
+  && (revalidate t;
+      resolve_endpoint t ~from_node dst scratch;
+      t.ep_dest.(scratch) >= 0)
 
 (* A slot the direct path cannot carry: counted, its arrival set to nan.
    A packet slot goes through the canonical [send], whose delivery
@@ -544,7 +451,7 @@ let[@hot] send_batch_direct t ~from_node ~now_s ?on_delivered_at (batch : Batch.
   if batch_eligible t then begin
     revalidate t;
     for j = 0 to endpoints - 1 do
-      resolve_endpoint t ~from_node batch j
+      resolve_endpoint t ~from_node (Array.unsafe_get batch.Batch.endpoints j) j
     done
   end
   else Array.fill t.ep_dest 0 endpoints (-1);
@@ -560,7 +467,6 @@ let[@hot] send_batch_direct t ~from_node ~now_s ?on_delivered_at (batch : Batch.
         +. (float_of_int (Array.unsafe_get batch.Batch.bytes i)
            *. Array.unsafe_get t.ep_per_byte_s j));
       t.delivered <- t.delivered + 1;
-      t.direct_delivered <- t.direct_delivered + 1;
       match on_delivered_at with
       | Some f ->
           f ~node
@@ -576,12 +482,12 @@ let direct_fallbacks t = t.direct_fallbacks
    Idempotent; call only at quiesce points (after every lane domain has
    been joined), never while lanes run. *)
 let quiesce_metrics t =
-  let ds = t.direct_sent - t.published_sent in
-  let dd = t.direct_delivered - t.published_delivered in
-  if ds > 0 then Metric.add m_sent ds;
-  if dd > 0 then Metric.add m_delivered dd;
-  t.published_sent <- t.direct_sent;
-  t.published_delivered <- t.direct_delivered
+  let d = t.direct_sent - t.published in
+  if d > 0 then begin
+    Metric.add m_sent d;
+    Metric.add m_delivered d
+  end;
+  t.published <- t.direct_sent
 
 let fail_link t ~from_node ~to_node =
   Bytes.set t.failed_links (link_key t ~from_node ~to_node) '\001'

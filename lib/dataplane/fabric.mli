@@ -46,15 +46,16 @@ val link : t -> from_node:int -> to_node:int -> Tango_topo.Link.t option
     is not a node of the topology. *)
 
 val next_hop : t -> node:int -> Tango_net.Addr.t -> int
-(** The forwarding step {!send} takes at each hop and the direct path's
-    route walk takes at each node: where a packet at [node] bound for
-    the address goes next — a node id, [-1] to deliver it at [node]
-    (a local route, or one learned from no neighbor), [-2] when [node]
-    has no route. It is the longest-prefix match of
-    {!Tango_bgp.Network.route_for_addr}, read once per (node,
+(** The forwarding step {!send} takes at each hop and
+    {!send_batch_direct}'s walk takes at each node (the walk checks
+    the revision once per call, not per node): where a packet at
+    [node] bound for the address goes next — a node id, [-1] to
+    deliver it at [node] (a local route, or one learned from no
+    neighbor), [-2] when [node] has no route. It is the longest-prefix
+    match of {!Tango_bgp.Network.route_for_addr}, read once per (node,
     destination) pair per control-plane revision and then from the
-    node's memo row: {!Tango_bgp.Network.revision} moving flushes the
-    memo together with the direct path's route cache. A row holds 16
+    node's memo row, the fabric's one routing cache:
+    {!Tango_bgp.Network.revision} moving flushes it. A row holds 16
     destinations, matched by physical identity first and by value
     second; a destination past a full row is looked up in the table
     every time. Allocates nothing. Raises [Invalid_argument] for an id
@@ -85,14 +86,14 @@ val send_batch_direct :
     safe to call from a non-main domain. The direct path applies when
     the fabric carries no faults and no custom hooks, {e and} the
     slot's route is "plain" (zero jitter on every link, none failed).
-    Plain routes are resolved once per (from, dst) pair — a FIB
-    snapshot validated against {!Tango_bgp.Network.revision} — and a
-    call looks up each of the batch's distinct endpoints
-    ({!Batch.t}[.endpoints]) once, failed-link check included, before
-    its first slot: the fabric's state is read once per call. Each
-    slot routed on a plain route gets its closed-form virtual arrival time
-    (measured from the caller-supplied virtual send time [now_s])
-    written into the batch's [arrival] column; the caller reorders by
+    Before its first slot, a call walks each of the batch's distinct
+    endpoints ({!Batch.t}[.endpoints]) once from [from_node] through
+    the {!next_hop} step, summing the delay terms of the links it
+    crosses and checking each for jitter and failure: the fabric's
+    state is read once per call. Each slot routed on a plain route
+    gets its closed-form virtual arrival time (measured from the
+    caller-supplied virtual send time [now_s]) written into the
+    batch's [arrival] column; the caller reorders by
     arrival (see {!Tango_sim.Shard}). Without [on_delivered_at] a batch
     of {!Batch.encap} slots crosses the fabric without allocating.
     [on_delivered_at], when given, is called per directly delivered

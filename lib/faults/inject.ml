@@ -55,9 +55,7 @@ let receiver_pop t = function
   | Spec.To_ny -> Pair.pop_ny t.pair
   | Spec.To_la -> Pair.pop_la t.pair
 
-let paths t = function
-  | Spec.To_ny -> Pair.paths_to_ny t.pair
-  | Spec.To_la -> Pair.paths_to_la t.pair
+let paths t dir = Pop.outbound_paths (sender_pop t dir)
 
 (* The path's distinguishing link: the hop from its last transit into
    the destination provider, resolved from the live BGP tables — so a

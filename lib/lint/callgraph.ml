@@ -118,7 +118,7 @@ let collect_calls aliases body =
   List.rev !calls
 
 (* Only syntactic functions become graph nodes: a value binding
-   ([let empty_route = {...}], [let drop_counters = Array.make ...])
+   ([let no_lanes = [| 0.0 |]], [let drop_counters = [| ... |]])
    runs its body once at module initialization (or at its enclosing
    let), so referencing it from a hot body costs nothing per call — its
    facts would be false positives. Eta-reduced functions

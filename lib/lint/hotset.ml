@@ -6,7 +6,8 @@
    the shortest call chain from a root to every reached binding, which
    is what the report prints:
 
-     Fabric.lookup_route -> Fabric.resolve_route -> Fabric.walk -> <alloc here>
+     Fabric.memo_hop -> Fabric.hop_of_table -> Network.route_for_addr
+       -> Speaker.lookup -> Speaker.rebuild_fib -> <alloc here>
 
    A reached binding's allocation/blocking facts become Hot_reach
    findings at the callee's location (where the fix goes), each carrying

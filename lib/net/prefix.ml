@@ -16,14 +16,21 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* A length is one to three ASCII digits: [int_of_string] alone would
+   also read signs, underscores and 0x/0o/0b radixes. *)
+let length_of_string s =
+  if String.length s <= 3 && String.for_all (function '0' .. '9' -> true | _ -> false) s
+  then int_of_string_opt s
+  else None
+
 let of_string s =
   match String.index_opt s '/' with
   | None -> Error (Printf.sprintf "missing '/' in prefix %S" s)
   | Some i -> (
       let addr_part = String.sub s 0 i in
       let len_part = String.sub s (i + 1) (String.length s - i - 1) in
-      match (Addr.of_string addr_part, int_of_string_opt len_part) with
-      | Ok a, Some len when len >= 0 && len <= 128 -> Ok (v a len)
+      match (Addr.of_string addr_part, length_of_string len_part) with
+      | Ok a, Some len when len <= 128 -> Ok (v a len)
       | Ok _, _ -> Error (Printf.sprintf "bad prefix length in %S" s)
       | Error e, _ -> Error e)
 

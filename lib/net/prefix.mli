@@ -13,7 +13,7 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val of_string : string -> (t, string) result
-(** Parse ["addr/len"]. *)
+(** Parse ["addr/len"], the length one to three decimal digits, at most 128. *)
 
 val of_string_exn : string -> t
 val to_string : t -> string

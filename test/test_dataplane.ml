@@ -546,6 +546,17 @@ let memo_run forwarder =
       | Some (Error reason) -> Printf.sprintf "%d: %s" i reason
       | None -> Printf.sprintf "%d: no outcome" i)
 
+(* Each list of words must appear, in any order, on one line of a run's
+   outcomes. *)
+let check_covers lines =
+  List.iter (fun words ->
+      Alcotest.(check bool) (String.concat " " words) true
+        (List.exists
+           (fun line ->
+             let w = String.split_on_char ' ' line in
+             List.for_all (fun x -> List.mem x w) words)
+           lines))
+
 let test_fabric_hop_memo_differential () =
   let via_fabric =
     memo_run (fun net ~report ->
@@ -567,15 +578,7 @@ let test_fabric_hop_memo_differential () =
   Alcotest.(check (list string)) "same node and time, or same drop" per_hop via_fabric;
   (* The run covers what the memo must follow: deliveries at both
      origins, a failed link and no route. *)
-  let seen words =
-    List.exists
-      (fun line ->
-        let w = String.split_on_char ' ' line in
-        List.for_all (fun x -> List.mem x w) words)
-      per_hop
-  in
-  List.iter
-    (fun words -> Alcotest.(check bool) (String.concat " " words) true (seen words))
+  check_covers per_hop
     [ [ "link-failure" ]; [ "unroutable" ]; [ "node"; "3" ]; [ "node"; "4" ] ]
 
 (* ------------------------------------------------------------------ *)
@@ -657,10 +660,10 @@ let test_fabric_batch_forms_agree () =
   Alcotest.(check int) "all direct" 0 (Fabric.direct_fallbacks fabric);
   Alcotest.(check int) "counted" 4 (Fabric.delivered fabric)
 
-(* The route cache matches an endpoint by value: a second
-   [Addr.of_string_exn] of the same address is a different value in
-   memory, and it must still take the cached route to the same arrival,
-   directly. *)
+(* An endpoint is resolved by value: a second [Addr.of_string_exn] of
+   the same address is a different value in memory, and its walk must
+   still reach the same arrival, directly, through the hop memo's entry
+   for the first (matched by [Addr.equal] once identity misses). *)
 let test_fabric_batch_equal_endpoint () =
   let _, net = slow_link_net () in
   let fabric = Fabric.create net in
@@ -814,6 +817,78 @@ let test_fabric_batch_failed_endpoint () =
   Alcotest.(check int) "dropped on the failed link" (List.length fell) (Fabric.dropped fabric);
   Alcotest.(check (list int)) "nan exactly there" fell
     (List.filter (fun i -> Float.is_nan b.Batch.arrival.(i)) slots)
+
+(* The batched path's route as its (from, endpoint) route cache
+   resolved it before the walk over the hop memo replaced the cache,
+   copied over the node tables: walk [Network.route_for_addr] from node
+   0, summing each link's delay terms in walk order; a jittered or
+   failed link, no route or more than 64 hops sends the slot to the
+   fallback ([None]). *)
+let reference_direct net ~failed ~now_s ~bytes dst =
+  let rec walk node hops delay_s per_byte_s plain =
+    if hops > 64 then None
+    else
+      match Network.route_for_addr net ~node dst with
+      | None -> None
+      | Some route -> (
+          match route.Tango_bgp.Route.learned_from with
+          | Some next when not (Tango_bgp.Route.local route) -> (
+              match Topology.link (Network.topology net) node next with
+              | None -> None
+              | Some link ->
+                  walk next (hops + 1)
+                    (delay_s +. (link.Tango_topo.Link.delay_ms /. 1000.0))
+                    (per_byte_s +. (8.0 /. (link.Tango_topo.Link.bandwidth_mbps *. 1e6)))
+                    (plain
+                    && (not (link.Tango_topo.Link.jitter_ms > 0.0))
+                    && not (List.mem (node, next) !failed)))
+          | _ ->
+              if plain then
+                Some (node, now_s +. delay_s +. (float_of_int bytes *. per_byte_s))
+              else None)
+  in
+  walk 0 0 0.0 0.0 true
+
+(* [memo_run]'s schedule through the batched path: each packet goes as
+   a one-slot encap batch through [Fabric.send_batch_direct] while the
+   prefix is withdrawn, re-announced and a link fails, to 24
+   destinations — more than a memo row or the old route cache held. The
+   delivering node, or the fallback, must match the reference, and the
+   arrival must match bit for bit. *)
+let test_fabric_batch_route_differential () =
+  let now net = Engine.now (Network.engine net) in
+  let fallback = Error "fallback" in
+  let direct =
+    memo_run (fun net ~report ->
+        let fabric = Fabric.create net in
+        let b = Batch.create () in
+        ( (fun packet ->
+            Batch.clear b;
+            Batch.encap b ~dst:(Packet.forwarding_dst packet)
+              ~bytes:(Packet.wire_size packet) ~path:0 ~flow:0 ~seq:0;
+            let node = ref (-1) in
+            Fabric.send_batch_direct fabric ~from_node:0 ~now_s:(now net)
+              ~on_delivered_at:(fun ~node:n ~at_s:_ _ -> node := n)
+              b;
+            report packet
+              (if !node < 0 then fallback else Ok (!node, b.Batch.arrival.(0)))),
+          fun ~from_node ~to_node -> Fabric.fail_link fabric ~from_node ~to_node ))
+  in
+  let reference =
+    memo_run (fun net ~report ->
+        let failed = ref [] in
+        ( (fun packet ->
+            report packet
+              (match
+                 reference_direct net ~failed ~now_s:(now net)
+                   ~bytes:(Packet.wire_size packet) (Packet.forwarding_dst packet)
+               with
+              | Some r -> Ok r
+              | None -> fallback)),
+          fun ~from_node ~to_node -> failed := (from_node, to_node) :: !failed ))
+  in
+  Alcotest.(check (list string)) "same node and arrival, or a fallback" reference direct;
+  check_covers reference [ [ "fallback" ]; [ "node"; "3" ]; [ "node"; "4" ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Flow cache                                                          *)
@@ -1150,6 +1225,8 @@ let () =
             test_fabric_batch_endpoint_table;
           tc "failed endpoint falls back alone, in slot order" `Quick
             test_fabric_batch_failed_endpoint;
+          tc "walk = old route-cache arithmetic under BGP churn" `Quick
+            test_fabric_batch_route_differential;
         ] );
       ( "flow_cache",
         [

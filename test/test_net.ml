@@ -174,7 +174,20 @@ let test_prefix_invalid () =
       match Prefix.of_string s with
       | Ok _ -> Alcotest.failf "accepted invalid %S" s
       | Error _ -> ())
-    [ "2001:db8::"; "::/200"; "2001:db8::/129"; "x/8"; "2001:db8::/-1" ]
+    [
+      "2001:db8::";
+      "::/200";
+      "2001:db8::/129";
+      "x/8";
+      "2001:db8::/-1";
+      (* Only decimal digits: each of these reads as /34 to [int_of_string]. *)
+      "2001:db8::/0x22";
+      "2001:db8::/+34";
+      "2001:db8::/3_4";
+      "2001:db8::/0b100010";
+      "2001:db8::/ 34";
+      "2001:db8::/";
+    ]
 
 (* [Prefix.mem] as it stood before it stopped building masks as
    Ipv6.t records, verbatim apart from reading the prefix through its

@@ -780,7 +780,26 @@ let test_config_errors () =
   expect_error ~needle:"unterminated" "site \"LA ";
   expect_error ~needle:"unknown policy" "site \"LA\" { policy teleport; }";
   expect_error ~needle:"unknown setting" "measurement { cadence 5; }";
-  expect_error ~needle:"not an IP address" "block 10.0.0.0/8;"
+  expect_error ~needle:"not an IP address" "block 10.0.0.0/8;";
+  expect_error ~needle:"bad prefix length" "block 2001:db8:4000::/0x22;";
+  (* Numbers are held to the CLI's bounds. *)
+  List.iter
+    (fun (needle, text) -> expect_error ~needle text)
+    [
+      ("report-interval must be a positive finite number", "measurement { report-interval nan; }");
+      ("probe-interval must be a positive finite number", "measurement { probe-interval inf; }");
+      ("probe-interval must be a positive finite number", "measurement { probe-interval 0; }");
+      ("clock-offset-ns must be an integer", "site \"LA\" { clock-offset-ns 1e30; }");
+      ("clock-offset-ns must be an integer", "site \"LA\" { clock-offset-ns 0.5; }");
+      ("non-negative integer", "site \"LA\" { policy static 2.7; }");
+      ("non-negative integer", "site \"LA\" { policy static -1; }");
+      ("hysteresis-ms must be a non-negative finite number",
+        "site \"LA\" { policy lowest-owd { hysteresis-ms -5; } }");
+      ("dwell-s must be a non-negative finite number",
+        "site \"LA\" { policy lowest-owd { dwell-s nan; } }");
+      ("beta must be a non-negative finite number",
+        "site \"LA\" { policy jitter-aware { beta inf; } }");
+    ]
 
 let test_config_apply () =
   match parse_config sample_config with
@@ -809,6 +828,19 @@ let test_config_apply_rejects_other_block () =
             (Printf.sprintf "error %S names the block" e)
             true
             (contains ~needle:"2001:db8:8000::/34" e))
+
+(* [static 99] parses, but the LA site discovered four paths. *)
+let test_config_apply_rejects_unknown_static () =
+  match parse_config "site \"LA\" { policy static 99; }\nsite \"NY\" { }" with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok cfg -> (
+      match Config.apply_vultr cfg with
+      | Ok _ -> Alcotest.fail "applied a static path that was never discovered"
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error %S names the path" e)
+            true
+            (contains ~needle:"static path 99" e))
 
 let test_config_apply_needs_both_sites () =
   match parse_config "site \"LA\" { }" with
@@ -970,6 +1002,8 @@ let () =
           tc "apply" `Quick test_config_apply;
           tc "apply needs both sites" `Quick test_config_apply_needs_both_sites;
           tc "apply rejects another block" `Quick test_config_apply_rejects_other_block;
+          tc "apply rejects an undiscovered static path" `Quick
+            test_config_apply_rejects_unknown_static;
           tc "parse_file missing" `Quick test_config_parse_file_missing;
         ] );
       ( "mesh",
